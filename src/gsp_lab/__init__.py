@@ -23,27 +23,16 @@ from .errors import (
 )
 from .functions import (
     Custom,
-    ElasticityValue,
     FunctionSpec,
     PerturbedPowerLaw,
     PowerLaw,
     Tabulated,
     ValidationReport,
-    elasticity,
-    eval_derivative,
-    evaluate,
     load_tabulated_csv,
     validate,
 )
-from .quadrature import MomentKind, QuadResult, integrate, integrate_moment
-from .moments import (
-    MomentBundle,
-    Primitives,
-    ShapeProfile,
-    moment_bundle,
-    primitives,
-    shape_profile,
-)
+from .quadrature import QuadResult, integrate
+from .moments import MomentBundle, ShapeProfile, moment_bundle
 from .identities import (
     DerivativeQuartet,
     IdentityReport,
@@ -53,9 +42,10 @@ from .identities import (
     reduction_residuals,
     theta_derivative_integral_form,
     variance_functional,
+    variance_with_error,
     wm_residual,
 )
-from .sampler import MCEstimate, SamplerState, inverse_cdf, mc_estimates, sample
+from .sampler import MCEstimate, SamplerState, inverse_cdf, mc_estimates
 from .detector import (
     DetectionResult,
     ExponentEstimates,

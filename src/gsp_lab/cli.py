@@ -16,10 +16,9 @@ Exit codes: 0 pass / power law, 1 residual failure / not a power law,
 2 config error, 3 inadmissible spec, 4 inconclusive.  They depend on
 nothing besides the config and the verdict.
 
-The per-scale work inside verify/detect/sweep is independent across scales
-and runs on a thread pool; GSP_LAB_THREADS caps the pool size (1 forces
-sequential).  Results are merged in grid order, so the output does not
-depend on scheduling.  Numbers are serialized with 17 significant digits,
+The per-scale work inside verify/detect/sweep runs scale by scale in grid
+order.  verify drops the scales whose finite-difference stencil would leave
+the function's support.  Numbers are serialized with 17 significant digits,
 which makes reruns byte-diffable.
 """
 
@@ -28,14 +27,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 from .detector import ScaleGrid, Verdict, classify, fit_lambda, gsp_residual_sweep
 from .errors import (
     CsvFormatError,
+    DomainExceeded,
     GspLabError,
     NonPositiveInput,
     NonPositiveValue,
@@ -46,9 +44,9 @@ from .functions import (
     load_tabulated_csv,
     validate,
 )
-from .identities import identity_report, variance_functional
+from .identities import _FD_STEP, identity_report, variance_functional
 from .moments import moment_bundle
-from .sampler import SamplerState, mc_estimates, sample
+from .sampler import _MIN_ESTIMATE_N, SamplerState, mc_estimates
 
 __all__ = ["RunConfig", "ConfigError", "main"]
 
@@ -64,8 +62,6 @@ _ABC_ABS = 1e-5
 _ABC_REL = 1e-4
 _WM_TOL = 1e-9
 _VAR_TOL = 1e-12
-
-_MIN_ESTIMATE_N = 100
 
 
 class ConfigError(GspLabError):
@@ -107,7 +103,6 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _FLOAT_KEYS = {"p", "amp", "eps", "a_min", "a_max", "tol", "a"}
 _INT_KEYS = {"a_count", "seed", "n"}
-_STR_KEYS = {"family", "csv", "out", "format"}
 _BOOL_KEYS = {"estimate"}
 
 
@@ -234,36 +229,17 @@ def _grid_for(cfg, spec):
         raise ConfigError(str(exc)) from exc
 
 
-def _max_workers():
-    raw = os.environ.get("GSP_LAB_THREADS", "").strip()
-    if not raw:
-        return min(8, os.cpu_count() or 1)
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"GSP_LAB_THREADS={raw!r} is not an integer") from exc
-    if workers < 1:
-        raise ConfigError("GSP_LAB_THREADS must be >= 1")
-    return workers
-
-
-def _scale_map(fn, scales):
-    """Apply fn to each scale, in parallel, preserving grid order."""
-    workers = _max_workers()
-    if workers == 1 or len(scales) == 1:
-        return [fn(a) for a in scales]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, scales))
-
-
 def _g17(v):
     return f"{float(v):.17g}"
 
 
 def _emit(text, out):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -313,9 +289,24 @@ def _verify_row(report, ok):
     )
 
 
+def _stencil_fits(spec, a):
+    """Whether fd_derivatives' default stencil around a lies in the support."""
+    h = _FD_STEP * a
+    try:
+        spec.check_scale(a - h)
+        spec.check_scale(a + h)
+    except DomainExceeded:
+        return False
+    return True
+
+
 def cmd_verify(cfg, spec):
     grid = _grid_for(cfg, spec)
-    reports = _scale_map(lambda a: identity_report(spec, a, cfg.tol), list(grid))
+    try:
+        grid = ScaleGrid(tuple(a for a in grid if _stencil_fits(spec, a)))
+    except NonPositiveInput as exc:
+        raise ConfigError(str(exc)) from exc
+    reports = [identity_report(spec, a, cfg.tol) for a in grid]
     failures = []
     rows = []
     for rep in reports:
@@ -368,12 +359,8 @@ def cmd_detect(cfg, spec):
 
 def cmd_sweep(cfg, spec):
     grid = _grid_for(cfg, spec)
-    scales = list(grid)
-    bundles = _scale_map(lambda a: moment_bundle(spec, a, cfg.tol), scales)
-    variances = _scale_map(
-        lambda a_b: variance_functional(spec, a_b[0], bundle=a_b[1]),
-        list(zip(scales, bundles)),
-    )
+    bundles = [moment_bundle(spec, a, cfg.tol) for a in grid]
+    variances = [variance_functional(spec, b.a, bundle=b) for b in bundles]
     lam_hat = fit_lambda(spec, grid, cfg.tol, bundles=bundles)
     residuals = gsp_residual_sweep(spec, grid, lam_hat, cfg.tol, bundles=bundles)
     header = ("a", "xbar", "ybar", "theta", "A", "B", "C",
@@ -408,7 +395,7 @@ def cmd_sample(cfg, spec):
         _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
         _say(f"sample: n={est.n} mean_x={est.mean_x:.10g}")
         return EXIT_PASS
-    draws = sample(state, cfg.n)
+    draws = state.draw(cfg.n)
     lines = ["x"] + [_g17(v) for v in draws]
     _emit("\n".join(lines) + "\n", cfg.out)
     _say(f"sample: wrote {cfg.n} draws (seed={cfg.seed})")
@@ -433,7 +420,7 @@ def main(argv=None):
 
     try:
         spec = _build_spec(cfg)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         _say(f"config error: {exc}")
         return EXIT_CONFIG
     except (CsvFormatError, NonPositiveInput, NonPositiveValue) as exc:

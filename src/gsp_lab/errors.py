@@ -4,6 +4,12 @@ Everything raised deliberately by this package derives from GspLabError, so
 callers can catch one base class at the boundary (the CLI does exactly that).
 """
 
+__all__ = [
+    "GspLabError", "NonPositiveInput", "DomainExceeded", "NonPositiveValue",
+    "ToleranceNotReached", "NegativeVariance", "DegenerateWeight",
+    "DegenerateFit", "ThetaOutOfRange", "NonPositiveExponent", "CsvFormatError",
+]
+
 
 class GspLabError(Exception):
     """Base class for all errors raised by gsp_lab."""

@@ -28,11 +28,7 @@ __all__ = [
     "PerturbedPowerLaw",
     "Custom",
     "Tabulated",
-    "ElasticityValue",
     "ValidationReport",
-    "evaluate",
-    "eval_derivative",
-    "elasticity",
     "validate",
     "load_tabulated_csv",
 ]
@@ -97,6 +93,18 @@ class FunctionSpec:
         """x f'(x) / f(x) -- the local power-law exponent."""
         vec, scalar = self._check_x(x)
         return self._ret(self._elast(vec), scalar)
+
+    def check_scale(self, a):
+        """``a`` as a float, once checked to be a truncation scale in the support."""
+        a = float(a)
+        if not math.isfinite(a) or a <= 0.0:
+            raise NonPositiveInput("scale a must be positive and finite")
+        lo, hi = self.support
+        if a > hi * (1.0 + _HULL_SLACK):
+            raise DomainExceeded(f"a={a:g} beyond the function's support")
+        if a <= lo:
+            raise DomainExceeded(f"a={a:g} at or below the support floor {lo:g}")
+        return a
 
     def _value(self, x):
         raise NotImplementedError
@@ -236,14 +244,6 @@ class Tabulated(FunctionSpec):
 
 
 @dataclass(frozen=True)
-class ElasticityValue:
-    """Elasticity at a single point, kept with its abscissa."""
-
-    x: float
-    value: float
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     """Outcome of the admissibility screen.
 
@@ -254,21 +254,6 @@ class ValidationReport:
     ok: bool
     failed: str | None = None
     detail: str = ""
-
-
-def evaluate(spec, x):
-    """Value of the function at x (scalar or array)."""
-    return spec.eval(x)
-
-
-def eval_derivative(spec, x):
-    """Derivative of the function at x (scalar or array)."""
-    return spec.derivative(x)
-
-
-def elasticity(spec, x):
-    """Pointwise elasticity at a single abscissa, as an ElasticityValue."""
-    return ElasticityValue(x=float(x), value=spec.elasticity(float(x)))
 
 
 _PROBE_COUNT = 80
@@ -343,14 +328,20 @@ def validate(spec):
 def load_tabulated_csv(path):
     """Read a two-column CSV (header row, then x, f pairs) into a Tabulated.
 
-    Structural problems are reported with the 1-based line number of the
-    offending row.
+    Structural problems, bytes that are not UTF-8 text among them, are
+    reported with the 1-based line number of the offending row.
     """
     xs: list[float] = []
     fs: list[float] = []
-    with open(path, newline="") as fh:
+    # surrogateescape turns undecodable bytes into lone surrogates, so the
+    # row that holds them can be named instead of failing mid-read.
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
+            try:
+                "".join(row).encode("utf-8")
+            except UnicodeEncodeError:
+                raise CsvFormatError(lineno, "bytes that are not UTF-8 text") from None
             if not row or all(not cell.strip() for cell in row):
                 continue
             if lineno == 1:

@@ -55,11 +55,9 @@ __all__ = [
 _TIGHT_TOL = 1e-12
 _NEGATIVE_FLOOR = -1e-13
 _WEIGHT_FLOOR = 1e-14
-
-
-def _s_floor(spec, a):
-    lo = spec.support[0]
-    return lo / a if lo > 0.0 else 0.0
+# Relative step of fd_derivatives' default stencil, which reaches a +- h with
+# h = _FD_STEP * a; the CLI keeps only scales whose stencil fits the support.
+_FD_STEP = 1e-5
 
 
 def _profile_integrals(spec, a, bundle, tol):
@@ -78,7 +76,7 @@ def _profile_integrals(spec, a, bundle, tol):
         g = spec.eval(x) / fa
         return g * g * spec.elasticity(x)
 
-    lo = _s_floor(spec, a)
+    lo = spec.support[0] / a
     i1 = integrate(g_e, lo, 1.0, tol).value
     i2 = integrate(s_g_e, lo, 1.0, tol).value
     i3 = integrate(g2_e, lo, 1.0, tol).value
@@ -136,7 +134,7 @@ def fd_derivatives(spec, a, h=None, tol=_TIGHT_TOL):
     """
     a = float(a)
     if h is None:
-        h = 1e-5 * a
+        h = _FD_STEP * a
     if h <= 0.0 or a - h <= 0.0:
         raise NonPositiveInput("need 0 < h < a for a central difference")
 
@@ -169,12 +167,12 @@ def theta_derivative_integral_form(spec, a, tol=_TIGHT_TOL, bundle=None):
         x = a * s
         return (s - theta) * spec.eval(x) / fa * spec.elasticity(x)
 
-    val = integrate(integrand, _s_floor(spec, a), 1.0, tol).value
+    val = integrate(integrand, spec.support[0] / a, 1.0, tol).value
     return val / (a * b.A)
 
 
-def _weight_integrals(spec, a, bundle, tol):
-    """D = int (s-theta)^2 g ds and the matching E-weighted integral."""
+def _wm_and_weight(spec, a, bundle, tol):
+    """Weighted-mean residual and its normalizer D = int (s-theta)^2 g ds."""
     fa, theta = bundle.fa, bundle.theta
 
     def w(s):
@@ -186,10 +184,12 @@ def _weight_integrals(spec, a, bundle, tol):
         d = s - theta
         return d * d * spec.eval(x) / fa * spec.elasticity(x)
 
-    lo = _s_floor(spec, a)
-    dres = integrate(w, lo, 1.0, tol)
-    eres = integrate(w_e, lo, 1.0, tol)
-    return dres.value, eres.value, dres.error_estimate + eres.error_estimate
+    lo = spec.support[0] / a
+    d_val = integrate(w, lo, 1.0, tol).value
+    e_val = integrate(w_e, lo, 1.0, tol).value
+    if d_val < _WEIGHT_FLOOR:
+        raise DegenerateWeight(f"weight normalizer D={d_val:g} at a={a:g}")
+    return e_val / d_val - spec.elasticity(a * theta), d_val
 
 
 def wm_residual(spec, a, tol=_TIGHT_TOL, bundle=None):
@@ -200,10 +200,7 @@ def wm_residual(spec, a, tol=_TIGHT_TOL, bundle=None):
     """
     a = float(a)
     b = bundle if bundle is not None else moment_bundle(spec, a, tol)
-    d_val, e_val, _ = _weight_integrals(spec, a, b, tol)
-    if d_val < _WEIGHT_FLOOR:
-        raise DegenerateWeight(f"weight normalizer D={d_val:g} at a={a:g}")
-    return e_val / d_val - spec.elasticity(a * b.theta)
+    return _wm_and_weight(spec, a, b, tol)[0]
 
 
 def variance_with_error(spec, a, tol=_TIGHT_TOL, bundle=None):
@@ -219,7 +216,7 @@ def variance_with_error(spec, a, tol=_TIGHT_TOL, bundle=None):
         de = spec.elasticity(x) - e_center
         return d * d * (spec.eval(x) / fa) * de * de
 
-    res = integrate(integrand, _s_floor(spec, a), 1.0, tol)
+    res = integrate(integrand, spec.support[0] / a, 1.0, tol)
     val = res.value
     if val < 0.0:
         if val < _NEGATIVE_FLOOR:
@@ -264,10 +261,7 @@ def identity_report(spec, a, tol=1e-10, fd_step=None):
     red = reduction_residuals(spec, a, tol, bundle=b)
     closed = abc_derivatives(spec, a, bundle=b)
     fin = fd_derivatives(spec, a, h=fd_step)
-    d_val, e_val, _ = _weight_integrals(spec, a, b, _TIGHT_TOL)
-    if d_val < _WEIGHT_FLOOR:
-        raise DegenerateWeight(f"weight normalizer D={d_val:g} at a={a:g}")
-    wm = e_val / d_val - spec.elasticity(a * b.theta)
+    wm, d_val = _wm_and_weight(spec, a, b, _TIGHT_TOL)
     var = variance_functional(spec, a, bundle=b)
     return IdentityReport(
         a=a,

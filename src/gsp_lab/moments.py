@@ -15,27 +15,14 @@ is its abscissa in units of a.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainExceeded, NonPositiveInput, ThetaOutOfRange
-from .quadrature import MomentKind, integrate_moment
+from .quadrature import integrate
 
-__all__ = ["Primitives", "MomentBundle", "ShapeProfile",
-           "primitives", "moment_bundle", "shape_profile"]
-
-
-@dataclass(frozen=True)
-class Primitives:
-    """F, H, G at one scale, with the quadrature error bounds that made them."""
-
-    a: float
-    F: float
-    H: float
-    G: float
-    errors: tuple[float, float, float] = (0.0, 0.0, 0.0)
+__all__ = ["MomentBundle", "ShapeProfile", "moment_bundle"]
 
 
 @dataclass(frozen=True)
@@ -60,49 +47,50 @@ class MomentBundle:
     errors: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
 
-def primitives(spec, a, tol=1e-10):
-    """The three primitive integrals of ``spec`` at scale a."""
-    rf = integrate_moment(spec, a, MomentKind.F, tol)
-    rh = integrate_moment(spec, a, MomentKind.H, tol)
-    rg = integrate_moment(spec, a, MomentKind.G, tol)
-    return Primitives(
-        a=float(a),
-        F=rf.value,
-        H=rh.value,
-        G=rg.value,
-        errors=(rf.error_estimate, rh.error_estimate, rg.error_estimate),
-    )
-
-
 def moment_bundle(spec, a, tol=1e-10):
-    """Primitives plus normalized moments and the centroid at scale a.
+    """Primitive integrals plus normalized moments and the centroid at scale a.
+
+    For tabulated specs, whose support starts at x[0] > 0, the integrals run
+    from x[0] and the unobservable head (0, x[0]] is accounted for by adding
+    an elementary bound on its mass to each error estimate: f is positive
+    and decays toward 0, so f(x[0]) bounds it there.  The values themselves
+    are never silently corrected.
 
     Raises ThetaOutOfRange if the scale-free centroid abscissa B/A falls
     outside (0, 1) -- which cannot happen for an admissible spec and so
     flags either an inadmissible input or a failed integration.
     """
-    prim = primitives(spec, a, tol)
-    a = prim.a
+    a = spec.check_scale(a)
+    lo = spec.support[0]
+    rf = integrate(spec.eval, lo, a, tol)
+    rh = integrate(lambda x: x * spec.eval(x), lo, a, tol)
+    rg = integrate(lambda x: np.asarray(spec.eval(x)) ** 2, lo, a, tol)
+    F, H, G = rf.value, rh.value, rg.value
+    errors = (rf.error_estimate, rh.error_estimate, rg.error_estimate)
+    if lo > 0.0:
+        flo = spec.eval(lo)
+        errors = (errors[0] + lo * flo, errors[1] + lo * lo * flo,
+                  errors[2] + lo * flo * flo)
     fa = spec.eval(a)
-    A = prim.F / (a * fa)
-    B = prim.H / (a * a * fa)
-    C = prim.G / (a * fa * fa)
+    A = F / (a * fa)
+    B = H / (a * a * fa)
+    C = G / (a * fa * fa)
     theta = B / A
     if not 0.0 < theta < 1.0:
         raise ThetaOutOfRange(f"theta={theta:g} outside (0, 1) at a={a:g}")
     return MomentBundle(
         a=a,
         fa=fa,
-        F=prim.F,
-        H=prim.H,
-        G=prim.G,
+        F=F,
+        H=H,
+        G=G,
         A=A,
         B=B,
         C=C,
         theta=theta,
-        xbar=prim.H / prim.F,
-        ybar=prim.G / (2.0 * prim.F),
-        errors=prim.errors,
+        xbar=H / F,
+        ybar=G / (2.0 * F),
+        errors=errors,
     )
 
 
@@ -115,17 +103,11 @@ class ShapeProfile:
     """
 
     def __init__(self, spec, a):
-        a = float(a)
-        if not math.isfinite(a) or a <= 0.0:
-            raise NonPositiveInput("scale a must be positive and finite")
-        lo, hi = spec.support
-        if a > hi * (1.0 + 1e-12):
-            raise DomainExceeded(f"a={a:g} beyond the function's support")
         self.spec = spec
-        self.a = a
-        self.fa = spec.eval(a)
+        self.a = spec.check_scale(a)
+        self.fa = spec.eval(self.a)
         #: smallest s the profile can be evaluated at (0 for analytic specs)
-        self.s_floor = lo / a if lo > 0.0 else 0.0
+        self.s_floor = spec.support[0] / self.a
 
     def __call__(self, s):
         arr = np.asarray(s, dtype=float)
@@ -138,7 +120,3 @@ class ShapeProfile:
         out = np.asarray(self.spec.eval(vec * self.a)) / self.fa
         return float(out[0]) if scalar else out
 
-
-def shape_profile(spec, a):
-    """Construct the scale-free profile of ``spec`` at scale a."""
-    return ShapeProfile(spec, a)

@@ -17,18 +17,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import DomainExceeded, NonPositiveInput, ToleranceNotReached
 
-__all__ = [
-    "QuadResult",
-    "MomentKind",
-    "integrate",
-    "integrate_moment",
-]
+__all__ = ["QuadResult", "integrate"]
 
 # 15-point Kronrod abscissae on (-1, 1), ascending.  Odd indices (1, 3, ...,
 # 13) are the embedded 7-point Gauss nodes.  Values as tabulated for the
@@ -93,9 +87,9 @@ _DEFAULT_BUDGET = 10_000
 class QuadResult:
     """Value of an integral together with the engine's own error bound.
 
-    ``converged`` is False only when the subdivision budget ran out before
-    the error estimate met the tolerance; the value and estimate are still
-    the best available.
+    ``converged`` is False only on the result a ToleranceNotReached carries:
+    the subdivision budget ran out before the error estimate met the
+    tolerance, and the value and estimate are the best available.
     """
 
     value: float
@@ -122,8 +116,7 @@ def _panel(integrand, lo, hi):
     return resk, err
 
 
-def integrate(integrand, lo, hi, tol=1e-10, *, max_subdivisions=_DEFAULT_BUDGET,
-              raise_on_budget=True):
+def integrate(integrand, lo, hi, tol=1e-10, *, max_subdivisions=_DEFAULT_BUDGET):
     """Integrate ``integrand`` over (lo, hi) to the requested tolerance.
 
     ``integrand`` is called with a numpy vector of strictly interior nodes
@@ -131,9 +124,8 @@ def integrate(integrand, lo, hi, tol=1e-10, *, max_subdivisions=_DEFAULT_BUDGET,
     ``max(tol, tol * |value|)`` -- i.e. ``tol`` acts as an absolute floor
     and a relative goal at the same time.
 
-    On budget exhaustion the flagged best-effort result is attached to the
-    ToleranceNotReached exception, or returned directly (with
-    ``converged=False``) when ``raise_on_budget`` is false.
+    On budget exhaustion ToleranceNotReached is raised with the flagged
+    best-effort result (``converged=False``) attached as ``result``.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainExceeded("integration bounds must be finite")
@@ -153,25 +145,19 @@ def integrate(integrand, lo, hi, tol=1e-10, *, max_subdivisions=_DEFAULT_BUDGET,
 
     while total_err > max(tol, tol * abs(total_value)):
         if panels >= max_subdivisions or not heap:
-            result = QuadResult(total_value, total_err, panels, converged=False)
-            if raise_on_budget:
-                raise ToleranceNotReached(
-                    f"error {total_err:.3e} above tolerance after "
-                    f"{panels} panels",
-                    result,
-                )
-            return result
+            raise ToleranceNotReached(
+                f"error {total_err:.3e} above tolerance after {panels} panels",
+                QuadResult(total_value, total_err, panels, converged=False),
+            )
         _, _, plo, phi, pval, perr = heapq.heappop(heap)
         if phi - plo <= max(min_width, 8.0 * _EPS * max(abs(plo), abs(phi))):
             # Cannot be refined at this precision; park its error.
             narrow_sum += perr
             if not heap and narrow_sum >= total_err:
-                result = QuadResult(total_value, total_err, panels, converged=False)
-                if raise_on_budget:
-                    raise ToleranceNotReached(
-                        "interval fully refined to machine width", result
-                    )
-                return result
+                raise ToleranceNotReached(
+                    "interval fully refined to machine width",
+                    QuadResult(total_value, total_err, panels, converged=False),
+                )
             continue
         mid = 0.5 * (plo + phi)
         lval, lerr = _panel(integrand, plo, mid)
@@ -185,90 +171,3 @@ def integrate(integrand, lo, hi, tol=1e-10, *, max_subdivisions=_DEFAULT_BUDGET,
         heapq.heappush(heap, (-rerr, seq, mid, phi, rval, rerr))
 
     return QuadResult(total_value, total_err, panels, converged=True)
-
-
-class MomentKind(Enum):
-    """The six integral shapes the rest of the toolkit needs.
-
-    F, H, G integrate f, x f, and f**2 from 0 to a; I1, I2, I3 integrate
-    x f', x**2 f', and x f f' over the same range.
-    """
-
-    F = "F"
-    H = "H"
-    G = "G"
-    I1 = "I1"
-    I2 = "I2"
-    I3 = "I3"
-
-
-def _moment_integrand(spec, kind):
-    if kind is MomentKind.F:
-        return spec.eval
-    if kind is MomentKind.H:
-        return lambda x: x * spec.eval(x)
-    if kind is MomentKind.G:
-        return lambda x: np.asarray(spec.eval(x)) ** 2
-    if kind is MomentKind.I1:
-        return lambda x: x * spec.derivative(x)
-    if kind is MomentKind.I2:
-        return lambda x: x**2 * spec.derivative(x)
-    if kind is MomentKind.I3:
-        return lambda x: x * spec.eval(x) * spec.derivative(x)
-    raise NonPositiveInput(f"unknown moment kind {kind!r}")
-
-
-def _head_bound(spec, kind, lo):
-    """Bound on the mass of an omitted head (0, lo] for a decaying spec.
-
-    f is positive and decays toward 0, so on (0, lo] it is bounded by
-    f(lo); each integrand below inherits an elementary bound from that.
-    """
-    fmin = spec.eval(lo)
-    if kind is MomentKind.F:
-        return lo * fmin
-    if kind is MomentKind.H:
-        return lo * lo * fmin
-    if kind is MomentKind.G:
-        return lo * fmin * fmin
-    # |x f'| integrates to at most lo * f(lo) for monotone heads; the x**2
-    # and x f f' variants tighten by the same factors as H and G.
-    if kind is MomentKind.I1:
-        return lo * fmin
-    if kind is MomentKind.I2:
-        return lo * lo * fmin
-    return 0.5 * lo * fmin * fmin
-
-
-def integrate_moment(spec, a, kind, tol=1e-10, *, max_subdivisions=_DEFAULT_BUDGET):
-    """One of the six named integrals of ``spec`` from 0 (or the hull floor) to a.
-
-    For tabulated specs, whose support starts at x[0] > 0, the integral runs
-    from x[0] and the unobservable head (0, x[0]] is accounted for by adding
-    an elementary bound on its mass to the error estimate.  The value itself
-    is never silently corrected.
-    """
-    a = float(a)
-    if not math.isfinite(a) or a <= 0.0:
-        raise NonPositiveInput("upper limit a must be positive and finite")
-    kind = MomentKind(kind)
-    lo, hi = spec.support
-    if a > hi * (1.0 + 1e-12):
-        raise DomainExceeded(f"a={a:g} beyond the function's support (hi={hi:g})")
-    head = 0.0
-    if lo > 0.0:
-        if a <= lo:
-            raise DomainExceeded(f"a={a:g} at or below the support floor {lo:g}")
-        head = _head_bound(spec, kind, lo)
-    result = integrate(
-        _moment_integrand(spec, kind), lo, a, tol,
-        max_subdivisions=max_subdivisions,
-    )
-    if head:
-        result = QuadResult(
-            result.value,
-            result.error_estimate + head,
-            result.subdivisions,
-            result.converged,
-        )
-    return result

@@ -15,17 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainExceeded, NonPositiveInput, ToleranceNotReached
 from .functions import PowerLaw
-from .quadrature import MomentKind, integrate, integrate_moment
+from .quadrature import integrate
 # The raw 15-point rule is reused for local CDF refinements inside a table
 # interval; its nodes are strictly interior, so x = 0 is never touched.
 from .quadrature import _WGK, _XGK
 
-__all__ = ["SamplerState", "MCEstimate", "inverse_cdf", "sample", "mc_estimates"]
+__all__ = ["SamplerState", "MCEstimate", "inverse_cdf", "mc_estimates"]
 
 _TABLE_INTERVALS = 256
 _BISECT_STEPS = 24
@@ -52,8 +53,7 @@ class _CdfTable:
         self.spec = spec
         self.a = a
         self.fa = spec.eval(a)
-        lo = spec.support[0]
-        self.s_lo = lo / a if lo > 0.0 else 0.0
+        self.s_lo = spec.support[0] / a
         self.knots = np.linspace(self.s_lo, 1.0, _TABLE_INTERVALS + 1)
         panel_tol = min(1e-12, 0.01 * tol)
         masses = np.empty(_TABLE_INTERVALS)
@@ -74,8 +74,7 @@ class _CdfTable:
         half = 0.5 * (s - left)
         nodes = center[:, None] + half[:, None] * _XGK[None, :]
         # Guard the degenerate s == left case; nodes collapse to the knot.
-        np.maximum(nodes, np.nextafter(self.s_lo, 1.0) if self.s_lo else
-                   np.nextafter(0.0, 1.0), out=nodes)
+        np.maximum(nodes, np.nextafter(self.s_lo, 1.0), out=nodes)
         gv = self._g(nodes.ravel()).reshape(nodes.shape)
         return self.cum[base_idx] + half * (gv @ _WGK)
 
@@ -131,30 +130,33 @@ def _checked_u(u):
     return vec, scalar
 
 
+def _power_quantiles(a, p, u):
+    return a * u ** (1.0 / (p + 1.0))
+
+
+def _quantile_solver(spec, a, tol):
+    """u -> x for u in (0, 1): the closed form a * u**(1/(p+1)) for power
+    laws, a CDF table with bisection and regula-falsi polish otherwise."""
+    if isinstance(spec, PowerLaw):
+        return partial(_power_quantiles, a, spec.p)
+    return partial(_CdfTable(spec, a, tol).solve_x, tol=tol)
+
+
 def inverse_cdf(spec, a, u, tol=1e-10):
     """x such that the measure of (0, x] is u, for u in [0, 1].
 
     u = 0 maps to the infimum of the support (0.0 for analytic specs, the
     hull floor for tabulated ones) and u = 1 maps to a.  Power laws use the
     closed-form quantile a * u**(1/(p+1)); everything else goes through a
-    cached-table bisection with a regula-falsi polish.
+    CDF-table bisection with a regula-falsi polish.
     """
-    a = float(a)
-    if not math.isfinite(a) or a <= 0.0:
-        raise NonPositiveInput("scale a must be positive and finite")
+    a = spec.check_scale(a)
     vec, scalar = _checked_u(u)
-    if isinstance(spec, PowerLaw):
-        out = a * vec ** (1.0 / (spec.p + 1.0))
-        return float(out[0]) if scalar else out
-    table = _CdfTable(spec, a, tol)
-    out = np.empty_like(vec)
-    at_zero = vec == 0.0
-    at_one = vec == 1.0
-    interior = ~(at_zero | at_one)
-    out[at_zero] = table.s_lo * a
-    out[at_one] = a
+    out = np.full_like(vec, a)
+    out[vec == 0.0] = spec.support[0]
+    interior = (vec > 0.0) & (vec < 1.0)
     if np.any(interior):
-        out[interior] = table.solve_x(vec[interior], tol)
+        out[interior] = _quantile_solver(spec, a, tol)(vec[interior])
     return float(out[0]) if scalar else out
 
 
@@ -200,14 +202,8 @@ class SamplerState:
     """
 
     def __init__(self, spec, a, seed, stream=0, tol=1e-10):
-        a = float(a)
-        if not math.isfinite(a) or a <= 0.0:
-            raise NonPositiveInput("scale a must be positive and finite")
-        hi = spec.support[1]
-        if a > hi * (1.0 + 1e-12):
-            raise DomainExceeded(f"a={a:g} beyond the function's support")
         self.spec = spec
-        self.a = a
+        self.a = spec.check_scale(a)
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.stream = int(stream) & 0xFFFFFFFFFFFFFFFF
         self.tol = tol
@@ -215,15 +211,7 @@ class SamplerState:
         self._splits = 0
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
-        self.Fa = integrate_moment(spec, a, MomentKind.F, tol).value
-        self._table = None
-
-    def _quantiles(self, u):
-        if isinstance(self.spec, PowerLaw):
-            return self.a * u ** (1.0 / (self.spec.p + 1.0))
-        if self._table is None:
-            self._table = _CdfTable(self.spec, self.a, self.tol)
-        return self._table.solve_x(u, self.tol)
+        self._solve = None
 
     def draw(self, n):
         n = int(n)
@@ -234,7 +222,9 @@ class SamplerState:
         # support; nudge to the smallest positive double instead.
         u[u == 0.0] = np.nextafter(0.0, 1.0)
         self.counter += n
-        return self._quantiles(u)
+        if self._solve is None:
+            self._solve = _quantile_solver(self.spec, self.a, self.tol)
+        return self._solve(u)
 
     def split(self, k):
         k = int(k)
@@ -251,11 +241,6 @@ class SamplerState:
             )
         self._splits += 1
         return children
-
-
-def sample(state, n):
-    """n draws from the measure, advancing the state's counter."""
-    return state.draw(n)
 
 
 def mc_estimates(state, n):

@@ -21,7 +21,6 @@ from gsp_lab import (
     mc_estimates,
     moment_bundle,
     reduction_residuals,
-    sample,
     variance_functional,
 )
 
@@ -170,8 +169,8 @@ def test_acceptance_07_monte_carlo_centroids():
             abs(est.mean_x - b.xbar) / est.stderr_x,
             abs(0.5 * est.mean_fx - b.ybar) / (0.5 * est.stderr_fx),
         )
-        again = sample(SamplerState(spec, 1.0, seed=0), n)
-        first = sample(SamplerState(spec, 1.0, seed=0), n)
+        again = SamplerState(spec, 1.0, seed=0).draw(n)
+        first = SamplerState(spec, 1.0, seed=0).draw(n)
         deterministic &= first.tobytes() == again.tobytes()
     ok = worst_z <= 4.0 and deterministic
     _report(7, ok,

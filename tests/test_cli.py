@@ -48,6 +48,23 @@ def test_verify_rejects_non_decaying_exponent():
     assert run_cli("verify", "--family", "power", "--p", "-1") == 3
 
 
+def test_verify_table_ending_at_a_max_writes_rows(tmp_path, capsys):
+    # the finite-difference stencil around a=10 would leave a hull ending at
+    # x=10, so that scale is dropped instead of aborting the whole run
+    x = np.geomspace(0.01, 10.0, 200)
+    table = tmp_path / "t.csv"
+    table.write_text("x,f\n" + "".join(f"{v:.17g},{v**1.5:.17g}\n" for v in x))
+    out = tmp_path / "v.csv"
+    code = run_cli("verify", "--csv", str(table), "--out", str(out))
+    cols = read_csv_columns(out)
+    assert len(cols["a"]) == 16
+    assert cols["a"].max() < 10.0
+    err = capsys.readouterr().err
+    assert "error:" not in err
+    assert code == 1
+    assert err.count("verify: FAIL at a=") == np.sum(cols["row_pass"] == 0.0) > 0
+
+
 # ----------------------------------------------------------------- detect
 
 def test_detect_power_law(tmp_path):
@@ -123,21 +140,6 @@ def test_sweep_csv_round_trips_at_17_digits(tmp_path):
              "gsp_residual", "variance")
         ))
     assert first == "\n".join(rewritten) + "\n"
-
-
-def test_sweep_insensitive_to_thread_count(tmp_path, monkeypatch):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    monkeypatch.setenv("GSP_LAB_THREADS", "1")
-    run_cli("sweep", "--family", "perturbed", "--p", "1", "--out", str(a))
-    monkeypatch.setenv("GSP_LAB_THREADS", "4")
-    run_cli("sweep", "--family", "perturbed", "--p", "1", "--out", str(b))
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_bad_thread_env_is_config_error(monkeypatch):
-    monkeypatch.setenv("GSP_LAB_THREADS", "many")
-    assert run_cli("sweep", "--family", "power", "--p", "1") == 2
 
 
 # ----------------------------------------------------------------- sample
@@ -217,6 +219,26 @@ def test_malformed_csv_is_inadmissible(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,f\n1.0,2.0\n0.5,3.0\n")
     assert run_cli("detect", "--csv", str(bad)) == 3
+
+
+def test_csv_naming_a_directory_is_config_error(tmp_path, capsys):
+    assert run_cli("detect", "--csv", str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_non_utf8_csv_is_inadmissible_with_line_number(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"x,f\n1.0,2.0\n2.0,\xff3.0\n3.0,4.0\n")
+    assert run_cli("detect", "--csv", str(bad)) == 3
+    assert "line 3: " in capsys.readouterr().err
+
+
+def test_out_into_missing_directory_is_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "s.csv"
+    assert run_cli("sweep", "--family", "power", "--p", "1",
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 def test_unknown_family_rejected_by_parser():

@@ -12,9 +12,6 @@ from gsp_lab import (
     PerturbedPowerLaw,
     PowerLaw,
     Tabulated,
-    elasticity,
-    eval_derivative,
-    evaluate,
     load_tabulated_csv,
     validate,
 )
@@ -23,10 +20,9 @@ from conftest import make_tabulated_power
 
 def test_power_law_closed_forms():
     spec = PowerLaw(p=2.0, amp=3.0)
-    assert evaluate(spec, 2.0) == 12.0
-    assert eval_derivative(spec, 2.0) == 12.0
-    ev = elasticity(spec, 2.0)
-    assert ev.x == 2.0 and ev.value == 2.0
+    assert spec.eval(2.0) == 12.0
+    assert spec.derivative(2.0) == 12.0
+    assert spec.elasticity(2.0) == 2.0
 
 
 @pytest.mark.parametrize("p", [0.3, 1.0, 2.0, 5.0])

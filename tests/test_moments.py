@@ -7,9 +7,8 @@ from gsp_lab import (
     NonPositiveInput,
     PerturbedPowerLaw,
     PowerLaw,
+    ShapeProfile,
     moment_bundle,
-    primitives,
-    shape_profile,
 )
 from conftest import make_cubic_custom, make_tabulated_power
 
@@ -52,14 +51,14 @@ def test_perturbed_primitives_against_scipy():
     F, _ = sp_integrate.quad(fn, 0, a, epsabs=1e-13, epsrel=1e-13)
     H, _ = sp_integrate.quad(lambda x: x * fn(x), 0, a, epsabs=1e-13, epsrel=1e-13)
     G, _ = sp_integrate.quad(lambda x: fn(x) ** 2, 0, a, epsabs=1e-13, epsrel=1e-13)
-    prim = primitives(PerturbedPowerLaw(p=p, eps=eps), a, 1e-12)
+    prim = moment_bundle(PerturbedPowerLaw(p=p, eps=eps), a, 1e-12)
     assert abs(prim.F - F) < 1e-11
     assert abs(prim.H - H) < 1e-11
     assert abs(prim.G - G) < 1e-11
 
 
 def test_quad_error_fields_are_present_and_small():
-    prim = primitives(PowerLaw(p=1.0), 1.0, 1e-10)
+    prim = moment_bundle(PowerLaw(p=1.0), 1.0, 1e-10)
     assert len(prim.errors) == 3
     assert all(0.0 <= e <= 1e-9 for e in prim.errors)
 
@@ -96,7 +95,7 @@ def test_tabulated_bundle_tracks_the_sampled_law(tab_x15):
 # ---------------------------------------------------------------- profile
 
 def test_profile_normalization_and_shape():
-    g = shape_profile(PowerLaw(p=2.0, amp=5.0), 3.0)
+    g = ShapeProfile(PowerLaw(p=2.0, amp=5.0), 3.0)
     assert abs(g(1.0) - 1.0) < 1e-15
     s = np.linspace(0.05, 1.0, 11)
     assert np.allclose(g(s), s**2, rtol=1e-14)
@@ -105,13 +104,13 @@ def test_profile_normalization_and_shape():
 def test_profile_matches_rescaled_values_for_perturbed():
     spec = PerturbedPowerLaw(p=1.0, eps=0.1)
     a = 2.7
-    g = shape_profile(spec, a)
+    g = ShapeProfile(spec, a)
     s = np.array([0.2, 0.5, 0.9])
     assert np.allclose(g(s), spec.eval(a * s) / spec.eval(a), rtol=1e-14)
 
 
 def test_profile_domain_errors():
-    g = shape_profile(PowerLaw(p=1.0), 1.0)
+    g = ShapeProfile(PowerLaw(p=1.0), 1.0)
     with pytest.raises(NonPositiveInput):
         g(0.0)
     with pytest.raises(NonPositiveInput):
@@ -123,6 +122,6 @@ def test_profile_domain_errors():
 def test_profile_scale_must_fit_support():
     spec = make_tabulated_power(lo=0.01, hi=10.0, n=60)
     with pytest.raises(DomainExceeded):
-        shape_profile(spec, 12.0)
-    g = shape_profile(spec, 5.0)
+        ShapeProfile(spec, 12.0)
+    g = ShapeProfile(spec, 5.0)
     assert g.s_floor == pytest.approx(0.002)

@@ -12,7 +12,6 @@ from gsp_lab import (
     inverse_cdf,
     mc_estimates,
     moment_bundle,
-    sample,
 )
 from conftest import make_tabulated_power
 
@@ -73,14 +72,14 @@ def test_tabulated_quantiles_stay_in_hull(tab_x15):
 def test_same_key_same_draws():
     s1 = SamplerState(PowerLaw(p=1.0), 1.0, seed=42)
     s2 = SamplerState(PowerLaw(p=1.0), 1.0, seed=42)
-    assert np.array_equal(sample(s1, 100), sample(s2, 100))
+    assert np.array_equal(s1.draw(100), s2.draw(100))
 
 
 def test_batching_does_not_change_the_stream():
     s1 = SamplerState(PowerLaw(p=1.0), 1.0, seed=7)
     s2 = SamplerState(PowerLaw(p=1.0), 1.0, seed=7)
-    whole = sample(s1, 50)
-    parts = np.concatenate([sample(s2, 20), sample(s2, 30)])
+    whole = s1.draw(50)
+    parts = np.concatenate([s2.draw(20), s2.draw(30)])
     assert np.array_equal(whole, parts)
     assert s1.counter == s2.counter == 50
 
@@ -89,7 +88,7 @@ def test_streams_and_seeds_decorrelate():
     base = SamplerState(PowerLaw(p=1.0), 1.0, seed=7, stream=0)
     other_stream = SamplerState(PowerLaw(p=1.0), 1.0, seed=7, stream=1)
     other_seed = SamplerState(PowerLaw(p=1.0), 1.0, seed=8, stream=0)
-    a, b, c = sample(base, 64), sample(other_stream, 64), sample(other_seed, 64)
+    a, b, c = base.draw(64), other_stream.draw(64), other_seed.draw(64)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -98,7 +97,7 @@ def test_split_produces_fresh_disjoint_streams():
     parent = SamplerState(PowerLaw(p=1.0), 1.0, seed=3)
     kids = parent.split(3)
     assert len({k.stream for k in kids} | {parent.stream}) == 4
-    draws = [sample(k, 32) for k in kids] + [sample(parent, 32)]
+    draws = [k.draw(32) for k in kids] + [parent.draw(32)]
     for i in range(len(draws)):
         for j in range(i + 1, len(draws)):
             assert not np.array_equal(draws[i], draws[j])
@@ -114,7 +113,7 @@ def test_split_is_reproducible():
     k2 = p2.split(2)
     for x, y in zip(k1, k2):
         assert x.stream == y.stream
-        assert np.array_equal(sample(x, 16), sample(y, 16))
+        assert np.array_equal(x.draw(16), y.draw(16))
 
 
 # ------------------------------------------------------------- estimates
@@ -148,7 +147,7 @@ def test_merge_equals_single_pass():
     spec = PowerLaw(p=1.0)
     sa = SamplerState(spec, 1.0, seed=9, stream=1)
     sb = SamplerState(spec, 1.0, seed=9, stream=2)
-    xa, xb = sample(sa, 600), sample(sb, 400)
+    xa, xb = sa.draw(600), sb.draw(400)
 
     # recompute the two shard estimates from the same draws
     def direct(xs):
