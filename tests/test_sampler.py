@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
+from gsp_lab import sampler
 from gsp_lab import (
     Custom,
     DomainExceeded,
@@ -13,6 +16,7 @@ from gsp_lab import (
     mc_estimates,
     moment_bundle,
 )
+from gsp_lab.functions import FunctionSpec
 from conftest import make_tabulated_power
 
 
@@ -52,6 +56,46 @@ def test_quantile_round_trip_against_scipy():
         assert abs(Fx / Fa - u) < 1e-8
 
 
+def _reference_cdf(spec, lo, xs):
+    """F(x) = int_lo^x f at each x from scipy, piece by piece in sorted order."""
+    order = np.argsort(xs)
+    edges = np.concatenate(([lo], np.asarray(xs, dtype=float)[order]))
+    pieces = []
+    with warnings.catch_warnings():
+        # quad flags roundoff at this tolerance; its own error estimate is
+        # checked instead, far below the 2e-10 under test
+        warnings.simplefilter("ignore", sp_integrate.IntegrationWarning)
+        for x0, x1 in zip(edges[:-1], edges[1:]):
+            value, err = sp_integrate.quad(
+                spec.eval, x0, x1, epsabs=1e-14, epsrel=1e-14, limit=200
+            )
+            assert err <= 1e-12 * abs(value) + 1e-14
+            pieces.append(value)
+    F = np.empty(len(order))
+    F[order] = np.cumsum(pieces)
+    return F
+
+
+@pytest.mark.parametrize(
+    "name, a",
+    [("perturbed", 1.0), ("steep_custom", 1.0), ("tab_x15", 10.0)],
+)
+def test_quantile_u_error_against_scipy(name, a, tab_x15):
+    # the sampler's accuracy gate: F(x(u)) / F(a) gives u back to 2e-10;
+    # x^20 has a steep head, where the Hermite starting guess is weakest
+    spec = {
+        "perturbed": PerturbedPowerLaw(p=1.0, eps=0.1),
+        "steep_custom": Custom(
+            lambda x: x**20, lambda x: 20.0 * x**19, vectorized=True
+        ),
+        "tab_x15": tab_x15,
+    }[name]
+    u = np.random.default_rng(2024).random(50)
+    x = inverse_cdf(spec, a, u, 1e-10)
+    F = _reference_cdf(spec, spec.support[0], np.append(x, a))
+    assert np.max(np.abs(F[:-1] / F[-1] - u)) <= 2e-10
+
+
 def test_quantiles_increase_with_u():
     spec = PerturbedPowerLaw(p=2.0, eps=0.05)
     u = np.linspace(0.01, 0.99, 61)
@@ -69,15 +113,27 @@ def test_tabulated_quantiles_stay_in_hull(tab_x15):
 
 # ----------------------------------------------------------- determinism
 
-def test_same_key_same_draws():
-    s1 = SamplerState(PowerLaw(p=1.0), 1.0, seed=42)
-    s2 = SamplerState(PowerLaw(p=1.0), 1.0, seed=42)
+@pytest.fixture(params=["power", "perturbed", "tab_x15"])
+def draw_spec(request):
+    """The closed-form path and both table paths (analytic and tabulated)."""
+    if request.param == "tab_x15":
+        return request.getfixturevalue("tab_x15")
+    return {
+        "power": PowerLaw(p=1.0),
+        "perturbed": PerturbedPowerLaw(p=1.0, eps=0.1),
+    }[request.param]
+
+
+def test_same_key_same_draws(draw_spec):
+    s1 = SamplerState(draw_spec, 1.0, seed=42)
+    s2 = SamplerState(draw_spec, 1.0, seed=42)
     assert np.array_equal(s1.draw(100), s2.draw(100))
 
 
-def test_batching_does_not_change_the_stream():
-    s1 = SamplerState(PowerLaw(p=1.0), 1.0, seed=7)
-    s2 = SamplerState(PowerLaw(p=1.0), 1.0, seed=7)
+def test_batching_does_not_change_the_stream(draw_spec):
+    # refining only the draws that miss must not couple a draw to its batch
+    s1 = SamplerState(draw_spec, 1.0, seed=7)
+    s2 = SamplerState(draw_spec, 1.0, seed=7)
     whole = s1.draw(50)
     parts = np.concatenate([s2.draw(20), s2.draw(30)])
     assert np.array_equal(whole, parts)
@@ -106,14 +162,53 @@ def test_split_produces_fresh_disjoint_streams():
     assert {k.stream for k in kids} & {k.stream for k in kids2} == set()
 
 
-def test_split_is_reproducible():
-    p1 = SamplerState(PowerLaw(p=1.0), 1.0, seed=3)
-    p2 = SamplerState(PowerLaw(p=1.0), 1.0, seed=3)
+def test_split_is_reproducible(draw_spec):
+    p1 = SamplerState(draw_spec, 1.0, seed=3)
+    p2 = SamplerState(draw_spec, 1.0, seed=3)
     k1 = p1.split(2)
     k2 = p2.split(2)
     for x, y in zip(k1, k2):
         assert x.stream == y.stream
         assert np.array_equal(x.draw(16), y.draw(16))
+
+
+def test_split_children_share_the_parent_table(monkeypatch):
+    built = []
+
+    class CountingTable(sampler._CdfTable):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sampler, "_CdfTable", CountingTable)
+    spec = PerturbedPowerLaw(p=1.0, eps=0.1)
+    parent = SamplerState(spec, 1.0, seed=11)
+    kids = parent.split(3)
+    kid_draws = [k.draw(16) for k in kids]
+    parent.draw(8)
+    assert len(built) == 1
+    for kid, xs in zip(kids, kid_draws):
+        fresh = SamplerState(spec, 1.0, seed=11, stream=kid.stream)
+        assert np.array_equal(fresh.draw(16), xs)
+
+
+def test_table_draws_stay_cheap(monkeypatch):
+    # regression guard on work done: the Hermite guess and its check take
+    # 15 points per draw, refinement a little more; a bisection to the same
+    # tolerance needs ~400
+    state = SamplerState(PerturbedPowerLaw(p=1.0, eps=0.1), 1.0, seed=4)
+    state.draw(1)  # builds the table
+    points = []
+    plain_eval = FunctionSpec.eval
+
+    def counting_eval(self, x):
+        points.append(np.size(x))
+        return plain_eval(self, x)
+
+    monkeypatch.setattr(FunctionSpec, "eval", counting_eval)
+    n = 10_000
+    state.draw(n)
+    assert sum(points) <= 40 * n
 
 
 # ------------------------------------------------------------- estimates
