@@ -49,6 +49,9 @@ class FunctionSpec:
     #: (lo, hi) abscissa range the function can be evaluated on.  Analytic
     #: families use (0, inf); tabulated data is confined to its sample hull.
     support = (0.0, math.inf)
+    #: abscissae where f may be non-smooth (a table's sample points); the
+    #: quadratures split at them.  Analytic families are smooth everywhere.
+    knots = np.empty(0)
 
     def _check_x(self, x):
         arr = np.asarray(x, dtype=float)
@@ -229,6 +232,7 @@ class Tabulated(FunctionSpec):
         self.x = x
         self.f = f
         self.support = (float(x[0]), float(x[-1]))
+        self.knots = x
         self._loglog = PchipInterpolator(np.log(x), np.log(f), extrapolate=True)
         self._slope = self._loglog.derivative()
 

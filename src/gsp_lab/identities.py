@@ -60,6 +60,16 @@ _WEIGHT_FLOOR = 1e-14
 _FD_STEP = 1e-5
 
 
+def _profile_integral(spec, a, integrand, tol):
+    """Quadrature of a function of s over the profile range (s_floor, 1].
+
+    The range starts at the spec's support floor in units of a, and the
+    spec's knots, in the same units, are the breakpoints.
+    """
+    return integrate(integrand, spec.support[0] / a, 1.0, tol,
+                     breakpoints=spec.knots / a)
+
+
 def _profile_integrals(spec, a, bundle, tol):
     """The three g-E moments on the left-hand side of the reductions."""
     fa = bundle.fa
@@ -76,10 +86,9 @@ def _profile_integrals(spec, a, bundle, tol):
         g = spec.eval(x) / fa
         return g * g * spec.elasticity(x)
 
-    lo = spec.support[0] / a
-    i1 = integrate(g_e, lo, 1.0, tol).value
-    i2 = integrate(s_g_e, lo, 1.0, tol).value
-    i3 = integrate(g2_e, lo, 1.0, tol).value
+    i1 = _profile_integral(spec, a, g_e, tol).value
+    i2 = _profile_integral(spec, a, s_g_e, tol).value
+    i3 = _profile_integral(spec, a, g2_e, tol).value
     return i1, i2, i3
 
 
@@ -167,7 +176,7 @@ def theta_derivative_integral_form(spec, a, tol=_TIGHT_TOL, bundle=None):
         x = a * s
         return (s - theta) * spec.eval(x) / fa * spec.elasticity(x)
 
-    val = integrate(integrand, spec.support[0] / a, 1.0, tol).value
+    val = _profile_integral(spec, a, integrand, tol).value
     return val / (a * b.A)
 
 
@@ -184,9 +193,8 @@ def _wm_and_weight(spec, a, bundle, tol):
         d = s - theta
         return d * d * spec.eval(x) / fa * spec.elasticity(x)
 
-    lo = spec.support[0] / a
-    d_val = integrate(w, lo, 1.0, tol).value
-    e_val = integrate(w_e, lo, 1.0, tol).value
+    d_val = _profile_integral(spec, a, w, tol).value
+    e_val = _profile_integral(spec, a, w_e, tol).value
     if d_val < _WEIGHT_FLOOR:
         raise DegenerateWeight(f"weight normalizer D={d_val:g} at a={a:g}")
     return e_val / d_val - spec.elasticity(a * theta), d_val
@@ -216,7 +224,7 @@ def variance_with_error(spec, a, tol=_TIGHT_TOL, bundle=None):
         de = spec.elasticity(x) - e_center
         return d * d * (spec.eval(x) / fa) * de * de
 
-    res = integrate(integrand, spec.support[0] / a, 1.0, tol)
+    res = _profile_integral(spec, a, integrand, tol)
     val = res.value
     if val < 0.0:
         if val < _NEGATIVE_FLOOR:

@@ -15,11 +15,17 @@ is its abscissa in units of a.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainExceeded, NonPositiveInput, ThetaOutOfRange
+from .errors import (
+    DomainExceeded,
+    NonPositiveInput,
+    NonPositiveValue,
+    ThetaOutOfRange,
+)
 from .quadrature import integrate
 
 __all__ = ["MomentBundle", "ShapeProfile", "moment_bundle"]
@@ -56,22 +62,30 @@ def moment_bundle(spec, a, tol=1e-10):
     and decays toward 0, so f(x[0]) bounds it there.  The values themselves
     are never silently corrected.
 
-    Raises ThetaOutOfRange if the scale-free centroid abscissa B/A falls
+    Raises NonPositiveValue, before integrating, if f(a)**2 underflows to
+    zero or overflows: the normalizations divide by it.  Raises
+    ThetaOutOfRange if the scale-free centroid abscissa B/A falls
     outside (0, 1) -- which cannot happen for an admissible spec and so
     flags either an inadmissible input or a failed integration.
     """
     a = spec.check_scale(a)
-    lo = spec.support[0]
-    rf = integrate(spec.eval, lo, a, tol)
-    rh = integrate(lambda x: x * spec.eval(x), lo, a, tol)
-    rg = integrate(lambda x: np.asarray(spec.eval(x)) ** 2, lo, a, tol)
+    fa = spec.eval(a)
+    if not 0.0 < fa * fa < math.inf:
+        raise NonPositiveValue(
+            f"f(a)^2 = {fa * fa:g} at a={a:g} is outside the float64 range; "
+            "rescale the amplitude"
+        )
+    lo, knots = spec.support[0], spec.knots
+    rf = integrate(spec.eval, lo, a, tol, breakpoints=knots)
+    rh = integrate(lambda x: x * spec.eval(x), lo, a, tol, breakpoints=knots)
+    rg = integrate(lambda x: np.asarray(spec.eval(x)) ** 2, lo, a, tol,
+                   breakpoints=knots)
     F, H, G = rf.value, rh.value, rg.value
     errors = (rf.error_estimate, rh.error_estimate, rg.error_estimate)
     if lo > 0.0:
         flo = spec.eval(lo)
         errors = (errors[0] + lo * flo, errors[1] + lo * lo * flo,
                   errors[2] + lo * flo * flo)
-    fa = spec.eval(a)
     A = F / (a * fa)
     B = H / (a * a * fa)
     C = G / (a * fa * fa)

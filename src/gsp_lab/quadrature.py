@@ -10,6 +10,11 @@ The per-panel error estimate follows the classical QUADPACK recipe: the raw
 |K15 - G7| difference is damped through the panel's total variation proxy
 ``resasc`` so that the estimate stays honest on rough integrands without
 being wildly pessimistic on smooth ones.
+
+Known kinks of the integrand (the knots of a tabulated function) can be
+passed as breakpoints, as in QUADPACK's QAGP: the initial panels then end at
+them, and all of their nodes go to the integrand in one call, so an
+integrand smooth between its knots usually converges without any bisection.
 """
 
 from __future__ import annotations
@@ -116,13 +121,47 @@ def _panel(integrand, lo, hi):
     return resk, err
 
 
-def integrate(integrand, lo, hi, tol=1e-10, *, max_subdivisions=_DEFAULT_BUDGET):
+def _panels(integrand, edges):
+    """K15 values and error estimates on every panel between ``edges``.
+
+    ``_panel``'s rule and error estimate, row by row, with the nodes of all
+    panels evaluated in a single integrand call; einsum keeps each row's
+    summation order independent of the panel count.
+    """
+    lo, hi = edges[:-1], edges[1:]
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    nodes = center[:, None] + half[:, None] * _XGK
+    fx = np.asarray(integrand(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    resk = half * np.einsum("ij,j->i", fx, _WGK)
+    resg = half * np.einsum("ij,j->i", fx[:, 1::2], _WG)
+    resabs = half * np.einsum("ij,j->i", np.abs(fx), _WGK)
+    mean = resk / (hi - lo)
+    resasc = half * np.einsum("ij,j->i", np.abs(fx - mean[:, None]), _WGK)
+    err = np.abs(resk - resg)
+    damp = (resasc != 0.0) & (err != 0.0)
+    err[damp] = resasc[damp] * np.minimum(
+        1.0, (200.0 * err[damp] / resasc[damp]) ** 1.5
+    )
+    err = np.maximum(err, 50.0 * _EPS * resabs)
+    return resk, err
+
+
+def integrate(integrand, lo, hi, tol=1e-10, *, breakpoints=(),
+              max_subdivisions=_DEFAULT_BUDGET):
     """Integrate ``integrand`` over (lo, hi) to the requested tolerance.
 
     ``integrand`` is called with a numpy vector of strictly interior nodes
     and must return the values elementwise.  The target is
     ``max(tol, tol * |value|)`` -- i.e. ``tol`` acts as an absolute floor
     and a relative goal at the same time.
+
+    ``breakpoints`` are abscissae where the integrand may be non-smooth;
+    those strictly inside (lo, hi) split the interval into the initial
+    panels, which are evaluated in one integrand call.  The result returns
+    at once if they meet the target; otherwise they are bisected like any
+    other panel.  ``max_subdivisions`` bounds the panel count over and above
+    these initial panels, so every breakpoint is honoured.
 
     On budget exhaustion ToleranceNotReached is raised with the flagged
     best-effort result (``converged=False``) attached as ``result``.
@@ -134,17 +173,40 @@ def integrate(integrand, lo, hi, tol=1e-10, *, max_subdivisions=_DEFAULT_BUDGET)
     if tol <= 0.0:
         raise NonPositiveInput("tolerance must be positive")
 
-    value, err = _panel(integrand, lo, hi)
-    seq = 0
-    heap = [(-err, seq, lo, hi, value, err)]
+    cuts = ()
+    if len(breakpoints):
+        cuts = np.asarray(breakpoints, dtype=float)
+        cuts = cuts[(cuts > lo) & (cuts < hi)]
+    if len(cuts):
+        edges = np.concatenate(([lo], np.unique(cuts), [hi]))
+        values, errs = _panels(integrand, edges)
+        total_value = float(np.sum(values))
+        total_err = float(np.sum(errs))
+        panels = len(values)
+        if total_err <= max(tol, tol * abs(total_value)):
+            return QuadResult(total_value, total_err, panels, converged=True)
+        edges = edges.tolist()
+        heap = [
+            (-e, k, plo, phi, v, e)
+            for k, (plo, phi, v, e) in enumerate(
+                zip(edges, edges[1:], values.tolist(), errs.tolist())
+            )
+        ]
+        heapq.heapify(heap)
+        seq = panels - 1
+    else:
+        value, err = _panel(integrand, lo, hi)
+        seq = 0
+        heap = [(-err, seq, lo, hi, value, err)]
+        total_value = value
+        total_err = err
+        panels = 1
+    budget = max_subdivisions + panels - 1
     narrow_sum = 0.0  # error stuck in panels too narrow to split further
-    total_value = value
-    total_err = err
-    panels = 1
     min_width = 8.0 * _EPS * (hi - lo)
 
     while total_err > max(tol, tol * abs(total_value)):
-        if panels >= max_subdivisions or not heap:
+        if panels >= budget or not heap:
             raise ToleranceNotReached(
                 f"error {total_err:.3e} above tolerance after {panels} panels",
                 QuadResult(total_value, total_err, panels, converged=False),

@@ -68,10 +68,12 @@ class _CdfTable:
         self.s_lo = spec.support[0] / a
         self.knots = np.linspace(self.s_lo, 1.0, _TABLE_INTERVALS + 1)
         panel_tol = min(1e-12, 0.01 * tol)
+        spec_knots = spec.knots / a
         masses = np.empty(_TABLE_INTERVALS)
         for k in range(_TABLE_INTERVALS):
             masses[k] = integrate(
-                self._g, self.knots[k], self.knots[k + 1], panel_tol
+                self._g, self.knots[k], self.knots[k + 1], panel_tol,
+                breakpoints=spec_knots,
             ).value
         self.cum = np.concatenate(([0.0], np.cumsum(masses)))
         self.total = float(self.cum[-1])

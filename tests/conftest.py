@@ -10,6 +10,18 @@ def make_tabulated_power(amp=4.0, p=1.5, lo=1e-4, hi=1e2, n=241):
     return Tabulated(x, amp * x**p)
 
 
+def make_perturbed_table(seed=1, n=200, lo=0.01, hi=10.0):
+    """x (1 + 0.1 sin(log x)) on n seeded knots: log-spaced, interior knots
+    jittered by up to a quarter of the spacing.  The log-log PCHIP through
+    them has a kink in its slope, the elasticity, at every interior knot."""
+    t = np.linspace(np.log(lo), np.log(hi), n)
+    rng = np.random.default_rng([seed, 1])
+    t[1:-1] += rng.uniform(-0.25, 0.25, n - 2) * (t[1] - t[0])
+    x = np.exp(t)
+    x[0], x[-1] = lo, hi
+    return Tabulated(x, x * (1.0 + 0.1 * np.sin(np.log(x))))
+
+
 def make_cubic_custom():
     # f = x^2 + x^3 with hand-written derivative; primitives are elementary:
     # F = a^3/3 + a^4/4, H = a^4/4 + a^5/5, G = a^5/5 + 2 a^6/6 + a^7/7.
@@ -41,6 +53,11 @@ def gallery():
 @pytest.fixture(scope="session")
 def tab_x15():
     return make_tabulated_power()
+
+
+@pytest.fixture(scope="session")
+def perturbed_table():
+    return make_perturbed_table()
 
 
 @pytest.fixture(scope="session")

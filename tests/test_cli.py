@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,19 @@ def test_out_into_missing_directory_is_config_error(tmp_path, capsys):
                    "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("amp", ["1e-200", "1e200"])
+def test_extreme_amplitude_ends_in_one_line(amp, capsys):
+    # f(a)^2 underflows or overflows: one designed error, no exception and
+    # no floating-point warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli("detect", "--family", "power", "--p", "2", "--amp", amp)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert caught == []
 
 
 def test_unknown_family_rejected_by_parser():

@@ -18,7 +18,9 @@ from gsp_lab import (
     lambda_of_p,
     recover_p,
 )
-from conftest import make_tabulated_power
+from gsp_lab.functions import FunctionSpec
+from gsp_lab.quadrature import _DEFAULT_BUDGET
+from conftest import make_perturbed_table, make_tabulated_power
 
 # Constants frozen from the curve scan done with scipy before this package
 # was written: the minimum of the proportionality curve, a few anchors, and
@@ -186,6 +188,30 @@ def test_classify_accepts_tabulated_power_law(tab_x15):
     result = classify(tab_x15)
     assert result.verdict is Verdict.POWER_LAW
     assert result.p_theta == pytest.approx(1.5, abs=0.01)
+
+
+def test_classify_on_a_kinked_table_stays_cheap(perturbed_table, monkeypatch):
+    # regression guard on work done: one K15 panel per knot interval, all
+    # of an integral's panels in one call; chasing the kinks of the
+    # elasticity by bisection took ~64,000 calls
+    calls = []
+    for name in ("eval", "elasticity"):
+        plain = getattr(FunctionSpec, name)
+
+        def counting(self, x, _plain=plain):
+            calls.append(1)
+            return _plain(self, x)
+
+        monkeypatch.setattr(FunctionSpec, name, counting)
+    result = classify(perturbed_table)
+    assert result.verdict is Verdict.NOT_POWER_LAW
+    assert len(calls) <= 2000
+
+
+def test_table_with_more_knots_than_the_budget_gets_a_verdict():
+    spec = make_perturbed_table(n=20_001)
+    assert spec.knots.size > _DEFAULT_BUDGET
+    assert classify(spec).verdict is Verdict.NOT_POWER_LAW
 
 
 def test_loose_tolerance_yields_inconclusive():

@@ -5,9 +5,11 @@ from scipy import integrate as sp_integrate
 from gsp_lab import (
     DomainExceeded,
     PowerLaw,
+    ScaleGrid,
     ToleranceNotReached,
     integrate,
     moment_bundle,
+    variance_with_error,
 )
 from conftest import make_cubic_custom, make_tabulated_power
 
@@ -98,6 +100,86 @@ def test_determinism():
     a = integrate(fn, 0.0, 3.0, 1e-11)
     b = integrate(fn, 0.0, 3.0, 1e-11)
     assert a.value == b.value and a.error_estimate == b.error_estimate
+
+
+# ----------------------------------------------------------- breakpoints
+
+def test_kink_at_a_breakpoint_takes_two_panels():
+    c = 0.3
+    kinked = lambda x: np.abs(x - c)
+    res = integrate(kinked, 0.0, 1.0, 1e-12, breakpoints=[c])
+    assert res.subdivisions == 2
+    assert abs(res.value - 0.5 * (c * c + (1.0 - c) ** 2)) <= 1e-12
+    assert integrate(kinked, 0.0, 1.0, 1e-12).subdivisions > 2
+
+
+def test_breakpoints_at_or_outside_the_interval_are_ignored():
+    fn = lambda x: np.sin(3.0 * x) + x**2
+    plain = integrate(fn, 0.2, 1.0, 1e-12)
+    edges = integrate(fn, 0.2, 1.0, 1e-12, breakpoints=[1.0, -1.0, 0.2, 5.0])
+    assert edges == plain
+
+
+@pytest.mark.parametrize("empty", [(), [], np.empty(0)])
+def test_no_breakpoints_is_bit_identical(empty):
+    fn = lambda x: np.sin(13.0 * x) ** 2 / (x + 0.1)
+    assert integrate(fn, 0.0, 3.0, 1e-11, breakpoints=empty) == integrate(
+        fn, 0.0, 3.0, 1e-11
+    )
+
+
+def test_breakpoint_panels_that_miss_are_bisected():
+    # sqrt(|x - c|) has an infinite slope at c, so its knot panels cannot
+    # meet the tolerance without refinement
+    fn = lambda x: np.sqrt(np.abs(x - 0.3))
+    res = integrate(fn, 0.0, 1.0, 1e-10, breakpoints=[0.3, 0.7])
+    exact = 2.0 / 3.0 * (0.3**1.5 + 0.7**1.5)
+    assert res.converged and res.subdivisions > 3
+    assert abs(res.value - exact) <= 1e-9
+
+
+def test_more_breakpoint_panels_than_the_budget_still_converge():
+    # the budget bounds bisections, not the panels the breakpoints demand
+    cuts = np.linspace(0.0, 1.0, 41)
+    res = integrate(lambda x: np.abs(np.sin(20.0 * np.pi * x)), 0.0, 1.0,
+                    1e-12, breakpoints=cuts, max_subdivisions=8)
+    assert res.converged and res.subdivisions == 40
+    assert abs(res.value - 2.0 / np.pi) <= 1e-12
+
+
+def _knot_split_reference(spec, scales, bundles):
+    """Scale-free A, B, C and the variance at every scale, from one
+    scipy.integrate.quad_vec pass in x that splits at the table knots and
+    the scales; the rows vanish beyond each scale."""
+    a = np.asarray(scales)
+    fa = np.array([b.fa for b in bundles])
+    theta = np.array([b.theta for b in bundles])
+    e_center = spec.elasticity(a * theta)
+
+    def rows(x):
+        f, e, s = spec.eval(x), spec.elasticity(x), x / a
+        out = np.array([f / (a * fa), s * f / (a * fa), f * f / (a * fa * fa),
+                        (s - theta) ** 2 * f / fa * (e - e_center) ** 2 / a])
+        return np.where(x < a, out, 0.0)
+
+    points = np.union1d(spec.x[1:-1], a[:-1])
+    ref, err = sp_integrate.quad_vec(rows, spec.x[0], a[-1], points=points,
+                                     epsabs=1e-300, epsrel=1e-14, norm="max")
+    assert err <= 1e-12
+    return ref
+
+
+def test_table_moments_to_machine_precision(perturbed_table):
+    spec = perturbed_table
+    scales = list(ScaleGrid.log_spaced().clipped_to(spec))
+    bundles = [moment_bundle(spec, a) for a in scales]
+    ref = _knot_split_reference(spec, scales, bundles)
+    for i, b in enumerate(bundles):
+        for got, want in ((b.A, ref[0, i]), (b.B, ref[1, i]), (b.C, ref[2, i])):
+            # F, H and G differ from A, B and C by exact factors of a and f(a)
+            assert abs(got - want) <= 1e-12 * want, b.a
+        var, _ = variance_with_error(spec, b.a, bundle=b)
+        assert abs(var - ref[3, i]) <= 1e-12, b.a
 
 
 # --------------------------------------------------------------- moments

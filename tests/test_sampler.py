@@ -57,7 +57,8 @@ def test_quantile_round_trip_against_scipy():
 
 
 def _reference_cdf(spec, lo, xs):
-    """F(x) = int_lo^x f at each x from scipy, piece by piece in sorted order."""
+    """F(x) = int_lo^x f at each x from scipy, piece by piece in sorted order,
+    each piece split at the spec's knots inside it."""
     order = np.argsort(xs)
     edges = np.concatenate(([lo], np.asarray(xs, dtype=float)[order]))
     pieces = []
@@ -66,8 +67,10 @@ def _reference_cdf(spec, lo, xs):
         # checked instead, far below the 2e-10 under test
         warnings.simplefilter("ignore", sp_integrate.IntegrationWarning)
         for x0, x1 in zip(edges[:-1], edges[1:]):
+            inner = spec.knots[(spec.knots > x0) & (spec.knots < x1)]
             value, err = sp_integrate.quad(
-                spec.eval, x0, x1, epsabs=1e-14, epsrel=1e-14, limit=200
+                spec.eval, x0, x1, epsabs=1e-14, epsrel=1e-14,
+                points=inner if inner.size else None, limit=200 + inner.size,
             )
             assert err <= 1e-12 * abs(value) + 1e-14
             pieces.append(value)
@@ -78,17 +81,20 @@ def _reference_cdf(spec, lo, xs):
 
 @pytest.mark.parametrize(
     "name, a",
-    [("perturbed", 1.0), ("steep_custom", 1.0), ("tab_x15", 10.0)],
+    [("perturbed", 1.0), ("steep_custom", 1.0), ("tab_x15", 10.0),
+     ("kinked_table", 10.0)],
 )
-def test_quantile_u_error_against_scipy(name, a, tab_x15):
+def test_quantile_u_error_against_scipy(name, a, tab_x15, perturbed_table):
     # the sampler's accuracy gate: F(x(u)) / F(a) gives u back to 2e-10;
-    # x^20 has a steep head, where the Hermite starting guess is weakest
+    # x^20 has a steep head, where the Hermite starting guess is weakest,
+    # and the perturbed table's log-log slope kinks at every knot
     spec = {
         "perturbed": PerturbedPowerLaw(p=1.0, eps=0.1),
         "steep_custom": Custom(
             lambda x: x**20, lambda x: 20.0 * x**19, vectorized=True
         ),
         "tab_x15": tab_x15,
+        "kinked_table": perturbed_table,
     }[name]
     u = np.random.default_rng(2024).random(50)
     x = inverse_cdf(spec, a, u, 1e-10)
