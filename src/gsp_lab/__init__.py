@@ -31,18 +31,21 @@ from .functions import (
     load_tabulated_csv,
     validate,
 )
-from .quadrature import QuadResult, integrate
-from .moments import MomentBundle, ShapeProfile, moment_bundle
+from .quadrature import QuadResult, cumulative, integrate
+from .moments import MomentBundle, ShapeProfile, moment_bundle, moment_bundles
 from .identities import (
     DerivativeQuartet,
     IdentityReport,
+    WeightIntegrals,
     abc_derivatives,
     fd_derivatives,
     identity_report,
+    identity_reports,
     reduction_residuals,
     theta_derivative_integral_form,
     variance_functional,
     variance_with_error,
+    weight_integrals,
     wm_residual,
 )
 from .sampler import MCEstimate, SamplerState, inverse_cdf, mc_estimates

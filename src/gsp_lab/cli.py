@@ -16,10 +16,12 @@ Exit codes: 0 pass / power law, 1 residual failure / not a power law,
 2 config error, 3 inadmissible spec, 4 inconclusive.  They depend on
 nothing besides the config and the verdict.
 
-The per-scale work inside verify/detect/sweep runs scale by scale in grid
-order.  verify drops the scales whose finite-difference stencil would leave
-the function's support.  Numbers are serialized with 17 significant digits,
-which makes reruns byte-diffable.
+verify, detect and sweep integrate over the whole scale grid at once: one
+quadrature pass for the moments at every scale (and, for verify, at every
+finite-difference stencil scale), one for the weight integrals that need
+the first pass's centroids.  verify drops the scales whose finite-difference
+stencil would leave the function's support.  Numbers are serialized with 17
+significant digits, which makes reruns byte-diffable.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from .functions import (
     load_tabulated_csv,
     validate,
 )
-from .identities import _FD_STEP, identity_report, variance_functional
-from .moments import moment_bundle
+from .identities import _FD_STEP, identity_reports, weight_integrals
+from .moments import moment_bundles
 from .sampler import _MIN_ESTIMATE_N, SamplerState, mc_estimates
 
 __all__ = ["RunConfig", "ConfigError", "main"]
@@ -306,7 +308,7 @@ def cmd_verify(cfg, spec):
         grid = ScaleGrid(tuple(a for a in grid if _stencil_fits(spec, a)))
     except NonPositiveInput as exc:
         raise ConfigError(str(exc)) from exc
-    reports = [identity_report(spec, a, cfg.tol) for a in grid]
+    reports = identity_reports(spec, grid, cfg.tol)
     failures = []
     rows = []
     for rep in reports:
@@ -359,8 +361,8 @@ def cmd_detect(cfg, spec):
 
 def cmd_sweep(cfg, spec):
     grid = _grid_for(cfg, spec)
-    bundles = [moment_bundle(spec, a, cfg.tol) for a in grid]
-    variances = [variance_functional(spec, b.a, bundle=b) for b in bundles]
+    bundles = moment_bundles(spec, grid, cfg.tol)
+    variances = weight_integrals(spec, bundles).variance
     lam_hat = fit_lambda(spec, grid, cfg.tol, bundles=bundles)
     residuals = gsp_residual_sweep(spec, grid, lam_hat, cfg.tol, bundles=bundles)
     header = ("a", "xbar", "ybar", "theta", "A", "B", "C",

@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import DegenerateFit, NonPositiveExponent, NonPositiveInput
 from .functions import Tabulated
-from .identities import variance_with_error
-from .moments import moment_bundle
+from .identities import weight_integrals
+from .moments import moment_bundles
 
 __all__ = [
     "ScaleGrid",
@@ -141,15 +141,11 @@ def invert_lambda(lam, p_range=(0.01, 10.0), grid_n=10_000):
     return tuple(sorted(set(roots)))
 
 
-def _bundles_for(spec, grid, tol):
-    return [moment_bundle(spec, a, tol) for a in grid]
-
-
 def gsp_residual_sweep(spec, grid, lam, tol=1e-10, bundles=None):
     """Relative collapse residual |ybar - lam * f(xbar)| / ybar per scale."""
     if lam <= 0.0:
         raise NonPositiveExponent("the proportionality constant must be positive")
-    bundles = bundles if bundles is not None else _bundles_for(spec, grid, tol)
+    bundles = bundles if bundles is not None else moment_bundles(spec, grid, tol)
     out = np.empty(len(bundles))
     for i, b in enumerate(bundles):
         out[i] = abs(b.ybar - lam * spec.eval(b.xbar)) / b.ybar
@@ -158,7 +154,7 @@ def gsp_residual_sweep(spec, grid, lam, tol=1e-10, bundles=None):
 
 def fit_lambda(spec, grid, tol=1e-10, bundles=None):
     """Least-squares constant through the origin for ybar vs f(xbar)."""
-    bundles = bundles if bundles is not None else _bundles_for(spec, grid, tol)
+    bundles = bundles if bundles is not None else moment_bundles(spec, grid, tol)
     num = 0.0
     den = 0.0
     for b in bundles:
@@ -188,7 +184,7 @@ def recover_p(spec, grid, tol=1e-10, bundles=None, probes=_ELASTICITY_PROBES):
     abscissae.  On a power law the two agree exactly; their disagreement is
     a model-misfit signal, which is why both are reported.
     """
-    bundles = bundles if bundles is not None else _bundles_for(spec, grid, tol)
+    bundles = bundles if bundles is not None else moment_bundles(spec, grid, tol)
     thetas = np.array([b.theta for b in bundles])
     p_theta = float(np.median((2.0 * thetas - 1.0) / (1.0 - thetas)))
     scales = np.asarray(list(grid), dtype=float)
@@ -266,13 +262,11 @@ def classify(spec, grid=None, tol=1e-10, tol_gsp=None, tol_var=None):
     if tol_var is None:
         tol_var = 1e-5 if isinstance(spec, Tabulated) else 1e-9
 
-    bundles = _bundles_for(spec, grid, tol)
+    bundles = moment_bundles(spec, grid, tol)
     lam_hat = fit_lambda(spec, grid, tol, bundles=bundles)
     residuals = gsp_residual_sweep(spec, grid, lam_hat, tol, bundles=bundles)
-    var_vals = np.empty(len(bundles))
-    var_errs = np.empty(len(bundles))
-    for i, b in enumerate(bundles):
-        var_vals[i], var_errs[i] = variance_with_error(spec, b.a, bundle=b)
+    weights = weight_integrals(spec, bundles)
+    var_vals = np.array(weights.variance)
     est = recover_p(spec, grid, tol, bundles=bundles)
 
     i_r = int(np.argmax(residuals))
@@ -281,7 +275,7 @@ def classify(spec, grid=None, tol=1e-10, tol_gsp=None, tol_var=None):
     v_max = float(var_vals[i_v])
 
     margin_r = _MARGIN_FACTOR * _residual_margin(spec, bundles[i_r], lam_hat)
-    margin_v = _MARGIN_FACTOR * float(var_errs[i_v])
+    margin_v = _MARGIN_FACTOR * weights.variance_error[i_v]
 
     p_consistent = abs(est.p_theta - est.p_elasticity) <= 0.01 * max(
         1.0, abs(est.p_theta)

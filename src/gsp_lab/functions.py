@@ -78,9 +78,14 @@ class FunctionSpec:
         return float(values[0]) if scalar else values
 
     def eval(self, x):
-        """f(x).  Raises NonPositiveValue if the result is not positive."""
+        """f(x).  Raises NonPositiveValue if the result is not positive.
+
+        A value that overflows or underflows fails that check, which is then
+        the only report: numpy's floating-point warnings are silenced.
+        """
         vec, scalar = self._check_x(x)
-        out = self._value(vec)
+        with np.errstate(over="ignore", under="ignore"):
+            out = self._value(vec)
         if out.size and (not np.all(np.isfinite(out)) or np.any(out <= 0.0)):
             raise NonPositiveValue(
                 f"{self.family}: evaluation produced a non-positive value"

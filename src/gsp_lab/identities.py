@@ -25,6 +25,12 @@ weight w(s) = (s - theta)^2 g(s) and D = int w ds:
 hold with equality to zero of the variance exactly on power laws; for any
 other admissible spec the variance is strictly positive at some scale.
 All residuals below are reported so that "zero" means the identity holds.
+
+Every quantity comes from two quadrature passes over x that serve any
+number of scales: the moment pass of the moments module, which also gives
+the left-hand sides of the reductions and the finite-difference stencils,
+and ``weight_integrals``, which needs that pass's theta.  The single-scale
+functions are the one-scale case of the same two passes.
 """
 
 from __future__ import annotations
@@ -34,20 +40,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeight, NegativeVariance, NonPositiveInput
-from .moments import moment_bundle
-from .quadrature import integrate
+from .moments import moment_bundle, moment_bundles
+from .quadrature import cumulative
 
 __all__ = [
     "DerivativeQuartet",
     "IdentityReport",
+    "WeightIntegrals",
     "reduction_residuals",
     "abc_derivatives",
     "fd_derivatives",
     "theta_derivative_integral_form",
     "wm_residual",
+    "weight_integrals",
     "variance_functional",
     "variance_with_error",
     "identity_report",
+    "identity_reports",
 ]
 
 # Derivative and weighted-mean paths compare quantities that nearly cancel,
@@ -60,52 +69,35 @@ _WEIGHT_FLOOR = 1e-14
 _FD_STEP = 1e-5
 
 
-def _profile_integral(spec, a, integrand, tol):
-    """Quadrature of a function of s over the profile range (s_floor, 1].
+def _reductions(spec, bundles):
+    """|LHS - RHS| of the three reductions at each bundle's scale.
 
-    The range starts at the spec's support floor in units of a, and the
-    spec's knots, in the same units, are the breakpoints.
+    On a table the profile starts at s0 = x0 / a > 0, and integrating by
+    parts from there leaves the boundary terms s0 g(s0), s0^2 g(s0) and
+    s0 g(s0)^2 / 2 on the right-hand sides.
     """
-    return integrate(integrand, spec.support[0] / a, 1.0, tol,
-                     breakpoints=spec.knots / a)
-
-
-def _profile_integrals(spec, a, bundle, tol):
-    """The three g-E moments on the left-hand side of the reductions."""
-    fa = bundle.fa
-
-    def g_e(s):
-        x = a * s
-        return spec.eval(x) / fa * spec.elasticity(x)
-
-    def s_g_e(s):
-        return s * g_e(s)
-
-    def g2_e(s):
-        x = a * s
-        g = spec.eval(x) / fa
-        return g * g * spec.elasticity(x)
-
-    i1 = _profile_integral(spec, a, g_e, tol).value
-    i2 = _profile_integral(spec, a, s_g_e, tol).value
-    i3 = _profile_integral(spec, a, g2_e, tol).value
-    return i1, i2, i3
+    x0 = spec.support[0]
+    f0 = spec.eval(x0) if x0 > 0.0 else 0.0
+    out = []
+    for b in bundles:
+        s0, g0 = x0 / b.a, f0 / b.fa
+        out.append((
+            abs(b.AE - (1.0 - b.A - s0 * g0)),
+            abs(b.BE - (1.0 - 2.0 * b.B - s0 * s0 * g0)),
+            abs(b.CE - (1.0 - b.C - s0 * g0 * g0) / 2.0),
+        ))
+    return out
 
 
 def reduction_residuals(spec, a, tol=1e-10, bundle=None):
     """|LHS - RHS| for the three integral reductions, as a 3-tuple.
 
     The left-hand sides are honest quadratures of the profile-elasticity
-    moments; the right-hand sides come from the moment bundle.  The two
-    routes share no algebra, so agreement is a real check on both.
+    moments; the right-hand sides come from the normalized moments.  The
+    two routes share no algebra, so agreement is a real check on both.
     """
     b = bundle if bundle is not None else moment_bundle(spec, a, tol)
-    i1, i2, i3 = _profile_integrals(spec, float(a), b, tol)
-    return (
-        abs(i1 - (1.0 - b.A)),
-        abs(i2 - (1.0 - 2.0 * b.B)),
-        abs(i3 - (1.0 - b.C) / 2.0),
-    )
+    return _reductions(spec, [b])[0]
 
 
 @dataclass(frozen=True)
@@ -122,11 +114,8 @@ class DerivativeQuartet:
         return np.array([self.dA, self.dB, self.dC, self.dtheta])
 
 
-def abc_derivatives(spec, a, tol=_TIGHT_TOL, bundle=None):
-    """Closed-form scale derivatives of A, B, C, theta."""
-    a = float(a)
-    b = bundle if bundle is not None else moment_bundle(spec, a, tol)
-    ea = spec.elasticity(a)
+def _closed_form(b, ea):
+    a = b.a
     dA = (1.0 - (1.0 + ea) * b.A) / a
     dB = (1.0 - (2.0 + ea) * b.B) / a
     dC = (1.0 - (1.0 + 2.0 * ea) * b.C) / a
@@ -134,25 +123,26 @@ def abc_derivatives(spec, a, tol=_TIGHT_TOL, bundle=None):
     return DerivativeQuartet(a=a, dA=dA, dB=dB, dC=dC, dtheta=dtheta)
 
 
-def fd_derivatives(spec, a, h=None, tol=_TIGHT_TOL):
-    """Central-difference scale derivatives of (A, B, C, theta).
+def abc_derivatives(spec, a, tol=_TIGHT_TOL, bundle=None):
+    """Closed-form scale derivatives of A, B, C, theta."""
+    b = bundle if bundle is not None else moment_bundle(spec, a, tol)
+    return _closed_form(b, spec.elasticity(b.a))
 
-    Uses steps h and h/2; if the two estimates disagree beyond what central
-    differencing should leave behind, the Richardson combination
-    (4 d_{h/2} - d_h) / 3 is returned instead of either.
-    """
-    a = float(a)
+
+def _stencil(a, h):
+    """The scales a - h, a - h/2, a + h/2, a + h of a central difference."""
     if h is None:
         h = _FD_STEP * a
     if h <= 0.0 or a - h <= 0.0:
         raise NonPositiveInput("need 0 < h < a for a central difference")
+    return h, (a - h, a - 0.5 * h, a + 0.5 * h, a + h)
 
-    def quartet(aa):
-        b = moment_bundle(spec, aa, tol)
-        return np.array([b.A, b.B, b.C, b.theta])
 
-    d_h = (quartet(a + h) - quartet(a - h)) / (2.0 * h)
-    d_h2 = (quartet(a + 0.5 * h) - quartet(a - 0.5 * h)) / h
+def _central(a, h, bundles):
+    """Central differences from the bundles at the stencil of a."""
+    q = [np.array([b.A, b.B, b.C, b.theta]) for b in bundles]
+    d_h = (q[3] - q[0]) / (2.0 * h)
+    d_h2 = (q[2] - q[1]) / h
     gap = np.max(np.abs(d_h - d_h2))
     if gap > 1e-7 * max(1.0, float(np.max(np.abs(d_h2)))):
         d = (4.0 * d_h2 - d_h) / 3.0
@@ -162,42 +152,87 @@ def fd_derivatives(spec, a, h=None, tol=_TIGHT_TOL):
                              dC=float(d[2]), dtheta=float(d[3]))
 
 
+def fd_derivatives(spec, a, h=None, tol=_TIGHT_TOL):
+    """Central-difference scale derivatives of (A, B, C, theta).
+
+    Uses steps h and h/2; if the two estimates disagree beyond what central
+    differencing should leave behind, the Richardson combination
+    (4 d_{h/2} - d_h) / 3 is returned instead of either.  The four stencil
+    scales share one quadrature pass, so their moments differ only by the
+    integrals between them.
+    """
+    a = float(a)
+    h, points = _stencil(a, h)
+    return _central(a, h, moment_bundles(spec, points, tol))
+
+
 def theta_derivative_integral_form(spec, a, tol=_TIGHT_TOL, bundle=None):
     """theta' computed as (1 / (a A)) int (s - theta) g E ds.
 
     Algebraically equal to the quotient-rule form in abc_derivatives, but
     numerically a completely different route -- useful as a cross-check.
+    The integral is BE - theta AE.
     """
-    a = float(a)
     b = bundle if bundle is not None else moment_bundle(spec, a, tol)
-    fa, theta = b.fa, b.theta
-
-    def integrand(s):
-        x = a * s
-        return (s - theta) * spec.eval(x) / fa * spec.elasticity(x)
-
-    val = _profile_integral(spec, a, integrand, tol).value
-    return val / (a * b.A)
+    return (b.BE - b.theta * b.AE) / (b.a * b.A)
 
 
-def _wm_and_weight(spec, a, bundle, tol):
-    """Weighted-mean residual and its normalizer D = int (s-theta)^2 g ds."""
-    fa, theta = bundle.fa, bundle.theta
+@dataclass(frozen=True)
+class WeightIntegrals:
+    """The quadratic-weight quantities at a list of scales, one entry each.
 
-    def w(s):
-        d = s - theta
-        return d * d * spec.eval(a * s) / fa
+    ``D`` is the normalizer int w ds, ``wm`` the weighted-mean residual,
+    ``variance`` the variance functional and ``variance_error`` its
+    quadrature error estimate.
+    """
 
-    def w_e(s):
-        x = a * s
-        d = s - theta
-        return d * d * spec.eval(x) / fa * spec.elasticity(x)
+    D: tuple[float, ...]
+    wm: tuple[float, ...]
+    variance: tuple[float, ...]
+    variance_error: tuple[float, ...]
 
-    d_val = _profile_integral(spec, a, w, tol).value
-    e_val = _profile_integral(spec, a, w_e, tol).value
-    if d_val < _WEIGHT_FLOOR:
-        raise DegenerateWeight(f"weight normalizer D={d_val:g} at a={a:g}")
-    return e_val / d_val - spec.elasticity(a * theta), d_val
+
+def weight_integrals(spec, bundles, tol=_TIGHT_TOL):
+    """D, the weighted-mean residual and the variance at each bundle's scale.
+
+    One quadrature pass over x integrates, for every scale a with its theta
+    and E_c = E(a theta), the columns (x/a - theta)^2 f, times 1, E and
+    (E - E_c)^2, each reported only at its own scale and held to ``tol`` in
+    the scale-free unit a f(a).
+    """
+    a = np.array([b.a for b in bundles])
+    fa = np.array([b.fa for b in bundles])
+    theta = np.array([b.theta for b in bundles])
+    e_center = np.asarray(spec.elasticity(a * theta))
+    cuts, where = np.unique(a, return_inverse=True)
+
+    def columns(x):
+        f, e = spec.eval(x), spec.elasticity(x)
+        d = x[:, None] / a - theta
+        w = d * d * f[:, None]
+        de = e[:, None] - e_center
+        return np.hstack((w, w * e[:, None], w * de * de))
+
+    own = np.full((cuts.size, a.size), np.inf)
+    own[where, np.arange(a.size)] = a * fa
+    res = cumulative(columns, spec.support[0], cuts, tol,
+                     units=np.tile(own, 3), breakpoints=spec.knots)
+    value = res.value[where].reshape(a.size, 3, a.size)
+    error = res.error_estimate[where].reshape(a.size, 3, a.size)
+    k = np.arange(a.size)
+    d_x, we_x, var_x = value[k, :, k].T
+    D, var, var_err = d_x / (a * fa), var_x / (a * fa), error[k, 2, k] / (a * fa)
+    for b, dk, vk in zip(bundles, D, var):
+        if dk < _WEIGHT_FLOOR:
+            raise DegenerateWeight(f"weight normalizer D={dk:g} at a={b.a:g}")
+        if vk < _NEGATIVE_FLOOR:
+            raise NegativeVariance(f"variance integral {vk:g} at a={b.a:g}")
+    return WeightIntegrals(
+        D=tuple(D.tolist()),
+        wm=tuple((we_x / d_x - e_center).tolist()),
+        variance=tuple(np.maximum(var, 0.0).tolist()),
+        variance_error=tuple(var_err.tolist()),
+    )
 
 
 def wm_residual(spec, a, tol=_TIGHT_TOL, bundle=None):
@@ -206,31 +241,15 @@ def wm_residual(spec, a, tol=_TIGHT_TOL, bundle=None):
     Zero (to quadrature accuracy) for power laws; its sign and size say how
     the elasticity drifts across (0, a) relative to its centroid value.
     """
-    a = float(a)
     b = bundle if bundle is not None else moment_bundle(spec, a, tol)
-    return _wm_and_weight(spec, a, b, tol)[0]
+    return weight_integrals(spec, [b], tol).wm[0]
 
 
 def variance_with_error(spec, a, tol=_TIGHT_TOL, bundle=None):
     """Variance functional at scale a plus its quadrature error estimate."""
-    a = float(a)
     b = bundle if bundle is not None else moment_bundle(spec, a, tol)
-    fa, theta = b.fa, b.theta
-    e_center = spec.elasticity(a * theta)
-
-    def integrand(s):
-        x = a * s
-        d = s - theta
-        de = spec.elasticity(x) - e_center
-        return d * d * (spec.eval(x) / fa) * de * de
-
-    res = _profile_integral(spec, a, integrand, tol)
-    val = res.value
-    if val < 0.0:
-        if val < _NEGATIVE_FLOOR:
-            raise NegativeVariance(f"variance integral {val:g} at a={a:g}")
-        val = 0.0
-    return val, res.error_estimate
+    w = weight_integrals(spec, [b], tol)
+    return w.variance[0], w.variance_error[0]
 
 
 def variance_functional(spec, a, tol=_TIGHT_TOL, bundle=None):
@@ -257,26 +276,42 @@ class IdentityReport:
     weight_normalizer: float
 
 
+def identity_reports(spec, scales, tol=1e-10, fd_step=None):
+    """``identity_report`` at every scale, from two quadrature passes.
+
+    The first pass integrates the moments up to every scale and every
+    finite-difference stencil scale around it; the second, which needs the
+    first pass's theta, the weight integrals at every scale.  The first
+    pass runs at min(tol, 1e-12): the derivatives, compared near
+    cancellation, need the tighter tolerance, and the reductions share it.
+    The weighted-mean and variance paths always run at 1e-12.
+    """
+    scales = [float(a) for a in scales]
+    stencils = [_stencil(a, fd_step) for a in scales]
+    points = [p for a, (_, stencil) in zip(scales, stencils) for p in (a, *stencil)]
+    bundles = moment_bundles(spec, points, min(tol, _TIGHT_TOL))
+    at = bundles[0::5]
+    weights = weight_integrals(spec, at, _TIGHT_TOL)
+    elasticity = np.atleast_1d(spec.elasticity(np.array(scales)))
+    return [
+        IdentityReport(
+            a=a,
+            reduction=red,
+            closed=_closed_form(b, float(ea)),
+            finite_diff=_central(a, h, bundles[5 * k + 1:5 * k + 5]),
+            wm=weights.wm[k],
+            variance=weights.variance[k],
+            weight_normalizer=weights.D[k],
+        )
+        for k, (a, b, red, ea, (h, _)) in enumerate(
+            zip(scales, at, _reductions(spec, at), elasticity, stencils)
+        )
+    ]
+
+
 def identity_report(spec, a, tol=1e-10, fd_step=None):
     """Evaluate every identity diagnostic at scale a.
 
-    ``tol`` governs the reduction-residual quadratures; the derivative,
-    weighted-mean, and variance paths always run at the tighter internal
-    tolerance because their comparisons sit near cancellation.
+    This is ``identity_reports`` at the single scale a.
     """
-    a = float(a)
-    b = moment_bundle(spec, a, _TIGHT_TOL)
-    red = reduction_residuals(spec, a, tol, bundle=b)
-    closed = abc_derivatives(spec, a, bundle=b)
-    fin = fd_derivatives(spec, a, h=fd_step)
-    wm, d_val = _wm_and_weight(spec, a, b, _TIGHT_TOL)
-    var = variance_functional(spec, a, bundle=b)
-    return IdentityReport(
-        a=a,
-        reduction=red,
-        closed=closed,
-        finite_diff=fin,
-        wm=wm,
-        variance=var,
-        weight_normalizer=d_val,
-    )
+    return identity_reports(spec, [a], tol, fd_step)[0]

@@ -1,25 +1,33 @@
-"""Globally adaptive Gauss-Kronrod integration with open endpoints.
+"""Vector-valued, globally adaptive Gauss-Kronrod integration with open endpoints.
 
-The engine applies a 15-point Kronrod rule (with its embedded 7-point Gauss
-rule) on each panel and keeps a max-heap of panels ordered by local error,
-always bisecting the worst one.  Endpoints of the requested interval are
-never sampled: every node of the 15-point rule is strictly interior to its
-panel, which lets integrands be singular (but integrable) at the ends.
+One kernel, ``cumulative``, integrates every column of a matrix-valued
+integrand from ``lo`` up to each of a sorted set of cut points.  All outputs
+share one subdivision of (lo, last cut], as in DCUHRE (Berntsen, Espelid and
+Genz, ACM TOMS 17, 1991): the cuts and any breakpoints (a table's knots,
+where the integrand may be non-smooth, as in QUADPACK's QAGP) are edges of
+the initial panels, and every panel serves each cut above it.
 
-The per-panel error estimate follows the classical QUADPACK recipe: the raw
+Each panel gets the 15-point Kronrod rule with its embedded 7-point Gauss
+rule.  Endpoints are never sampled: every node is strictly interior to its
+panel, which lets integrands be singular (but integrable) at the ends.  The
+per-panel error estimate follows the classical QUADPACK recipe: the raw
 |K15 - G7| difference is damped through the panel's total variation proxy
 ``resasc`` so that the estimate stays honest on rough integrands without
 being wildly pessimistic on smooth ones.
 
-Known kinks of the integrand (the knots of a tabulated function) can be
-passed as breakpoints, as in QUADPACK's QAGP: the initial panels then end at
-them, and all of their nodes go to the integrand in one call, so an
-integrand smooth between its knots usually converges without any bisection.
+An output -- one column integrated up to one cut -- carries the sum of its
+panels' error estimates and must meet its own target ``tol * max(unit,
+|value|)``: a relative tolerance with an absolute floor in the output's own
+unit.  Refinement runs in rounds.  Each round bisects every panel whose error
+is at least a quarter of the largest panel error under a failing output
+(maximum marking), and evaluates all the new halves together, in calls of a
+bounded number of panels so that the working arrays stay small.
+
+``integrate`` is the one-column, one-cut case.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -27,7 +35,7 @@ import numpy as np
 
 from .errors import DomainExceeded, NonPositiveInput, ToleranceNotReached
 
-__all__ = ["QuadResult", "integrate"]
+__all__ = ["QuadResult", "cumulative", "integrate"]
 
 # 15-point Kronrod abscissae on (-1, 1), ascending.  Odd indices (1, 3, ...,
 # 13) are the embedded 7-point Gauss nodes.  Values as tabulated for the
@@ -86,65 +94,156 @@ _WG = np.array(
 
 _EPS = float(np.finfo(float).eps)
 _DEFAULT_BUDGET = 10_000
+# Panels per integrand call: bounds the (panels, 15, columns) working arrays.
+_CHUNK = 128
+# A panel is bisected when its error is at least this share of the largest
+# panel error under some failing output.
+_MARK = 0.25
 
 
 @dataclass(frozen=True)
 class QuadResult:
     """Value of an integral together with the engine's own error bound.
 
-    ``converged`` is False only on the result a ToleranceNotReached carries:
-    the subdivision budget ran out before the error estimate met the
-    tolerance, and the value and estimate are the best available.
+    ``integrate`` fills ``value`` and ``error_estimate`` with floats;
+    ``cumulative`` with (cuts, columns) arrays.  ``subdivisions`` is the
+    number of panels.  ``converged`` is False only on the result a
+    ToleranceNotReached carries: the subdivision budget ran out before every
+    error estimate met its target, and the values and estimates are the best
+    available.
     """
 
-    value: float
-    error_estimate: float
+    value: float | np.ndarray
+    error_estimate: float | np.ndarray
     subdivisions: int
     converged: bool = True
 
 
-def _panel(integrand, lo, hi):
-    """K15 value and QUADPACK-style error estimate on one panel."""
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = center + half * _XGK
-    fx = np.asarray(integrand(nodes), dtype=float)
-    resk = half * float(_WGK @ fx)
-    resg = half * float(_WG @ fx[1::2])
-    resabs = half * float(_WGK @ np.abs(fx))
-    mean = resk / (hi - lo)
-    resasc = half * float(_WGK @ np.abs(fx - mean))
-    err = abs(resk - resg)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs)
-    return resk, err
+def _rule(integrand, lo, hi):
+    """K15 values and error estimates, each (panels, columns), on (lo, hi).
 
-
-def _panels(integrand, edges):
-    """K15 values and error estimates on every panel between ``edges``.
-
-    ``_panel``'s rule and error estimate, row by row, with the nodes of all
-    panels evaluated in a single integrand call; einsum keeps each row's
-    summation order independent of the panel count.
+    All nodes go to the integrand in one call; einsum keeps each entry's
+    summation order independent of the panel and column counts.
     """
-    lo, hi = edges[:-1], edges[1:]
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = center[:, None] + half[:, None] * _XGK
-    fx = np.asarray(integrand(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    resk = half * np.einsum("ij,j->i", fx, _WGK)
-    resg = half * np.einsum("ij,j->i", fx[:, 1::2], _WG)
-    resabs = half * np.einsum("ij,j->i", np.abs(fx), _WGK)
-    mean = resk / (hi - lo)
-    resasc = half * np.einsum("ij,j->i", np.abs(fx - mean[:, None]), _WGK)
+    half = 0.5 * (hi - lo)[:, None]
+    nodes = 0.5 * (lo + hi)[:, None] + half * _XGK
+    fx = np.asarray(integrand(nodes.ravel()), dtype=float)
+    fx = fx.reshape(len(lo), len(_XGK), -1)
+    resk = half * np.einsum("ijc,j->ic", fx, _WGK)
+    resg = half * np.einsum("ijc,j->ic", fx[:, 1::2], _WG)
+    work = np.abs(fx)
+    resabs = half * np.einsum("ijc,j->ic", work, _WGK)
+    mean = resk / (2.0 * half)
+    np.abs(np.subtract(fx, mean[:, None], out=work), out=work)
+    resasc = half * np.einsum("ijc,j->ic", work, _WGK)
     err = np.abs(resk - resg)
     damp = (resasc != 0.0) & (err != 0.0)
     err[damp] = resasc[damp] * np.minimum(
         1.0, (200.0 * err[damp] / resasc[damp]) ** 1.5
     )
-    err = np.maximum(err, 50.0 * _EPS * resabs)
-    return resk, err
+    return resk, np.maximum(err, 50.0 * _EPS * resabs)
+
+
+def _panels(integrand, lo, hi):
+    """``_rule`` on (lo, hi), at most ``_CHUNK`` panels per integrand call."""
+    val = err = None
+    for start in range(0, len(lo), _CHUNK):
+        stop = start + _CHUNK
+        v, e = _rule(integrand, lo[start:stop], hi[start:stop])
+        if val is None:
+            val, err = np.empty((len(lo), v.shape[1])), np.empty((len(lo), v.shape[1]))
+        val[start:stop], err[start:stop] = v, e
+    return val, err
+
+
+def cumulative(integrand, lo, cuts, tol=1e-10, *, units=1.0, breakpoints=(),
+               max_subdivisions=_DEFAULT_BUDGET):
+    """Integrals of every column of ``integrand`` over (lo, cut], per cut.
+
+    ``integrand`` is called with a numpy vector of strictly interior nodes
+    and returns an (n, m) array, one column per quantity (or an (n,) array
+    for m = 1).  ``cuts`` must be finite and strictly increasing above
+    ``lo``.  The result's ``value`` and ``error_estimate`` are (len(cuts), m)
+    arrays.
+
+    ``units`` broadcasts to that shape: output (j, c) converges when its
+    error estimate is at most ``tol * max(units[j, c], |value[j, c]|)``.  An
+    infinite unit leaves an output unreported, so it never drives the
+    refinement.  ``breakpoints`` strictly inside (lo, cuts[-1]) are edges of
+    the initial panels.  ``max_subdivisions`` bounds the panel count over and
+    above the initial panels, so every cut and breakpoint is honoured.
+
+    On budget exhaustion ToleranceNotReached is raised with the flagged
+    best-effort result (``converged=False``) attached as ``result``.
+    """
+    lo = float(lo)
+    cuts = np.atleast_1d(np.asarray(cuts, dtype=float))
+    if (cuts.ndim != 1 or not cuts.size or not math.isfinite(lo)
+            or not np.all(np.isfinite(cuts))):
+        raise DomainExceeded("integration bounds must be finite")
+    if cuts[0] <= lo or np.any(cuts[1:] <= cuts[:-1]):
+        raise DomainExceeded(f"empty or inverted interval [{lo:g}, {cuts[0]:g}]")
+    if tol <= 0.0:
+        raise NonPositiveInput("tolerance must be positive")
+
+    hi = float(cuts[-1])
+    inner = np.asarray(breakpoints, dtype=float).ravel()
+    edges = np.unique(np.concatenate(([lo], inner[(inner > lo) & (inner < hi)], cuts)))
+    val, err = _panels(integrand, edges[:-1], edges[1:])
+    units = np.broadcast_to(np.asarray(units, dtype=float), (cuts.size, val.shape[1]))
+    budget = max_subdivisions + len(val) - 1
+    min_width = 8.0 * _EPS * (hi - lo)
+
+    while True:
+        ends = np.searchsorted(edges, cuts)  # panels below each cut
+        starts = np.concatenate(([0], ends[:-1]))
+        value = np.cumsum(np.add.reduceat(val, starts), axis=0)
+        error = np.cumsum(np.add.reduceat(err, starts), axis=0)
+        target = tol * np.maximum(units, np.abs(value))
+        failing = error > target
+        if not failing.any():
+            return QuadResult(value, error, len(val))
+
+        plo, phi = edges[:-1], edges[1:]
+        wide = phi - plo > np.maximum(
+            min_width, 8.0 * _EPS * np.maximum(np.abs(plo), np.abs(phi))
+        )
+        ratio = np.where(wide[:, None], err, 0.0)
+        # Largest splittable panel error under each output; a failing
+        # output marks the panels within _MARK of it.  A panel lies under
+        # every cut from its own segment on, so it takes the lowest
+        # threshold among those.
+        peak = np.maximum.accumulate(np.maximum.reduceat(ratio, starts), axis=0)
+        thresh = np.where(failing & (peak > 0.0), _MARK * peak, np.inf)
+        thresh = np.minimum.accumulate(thresh[::-1], axis=0)[::-1]
+        ratio /= np.repeat(thresh, ends - starts, axis=0)
+        score = np.max(ratio, axis=1)
+        marked = np.flatnonzero(score >= 1.0)
+        room = budget - len(val)
+        if not marked.size or room <= 0:
+            worst = float(np.max(error[failing]))
+            reason = (f"error {worst:.3e} above tolerance after {len(val)} panels"
+                      if marked.size else "interval fully refined to machine width")
+            raise ToleranceNotReached(
+                reason, QuadResult(value, error, len(val), converged=False)
+            )
+        if marked.size > room:
+            worst_first = np.argsort(-score[marked], kind="stable")
+            marked = np.sort(marked[worst_first[:room]])
+
+        mid = 0.5 * (plo[marked] + phi[marked])
+        halves_lo = np.column_stack((plo[marked], mid)).ravel()
+        halves_hi = np.column_stack((mid, phi[marked])).ravel()
+        hval, herr = _panels(integrand, halves_lo, halves_hi)
+        val[marked], err[marked] = hval[0::2], herr[0::2]
+        val = np.insert(val, marked + 1, hval[1::2], axis=0)
+        err = np.insert(err, marked + 1, herr[1::2], axis=0)
+        edges = np.insert(edges, marked + 1, mid)
+
+
+def _scalar(res):
+    return QuadResult(float(res.value[0, 0]), float(res.error_estimate[0, 0]),
+                      res.subdivisions, res.converged)
 
 
 def integrate(integrand, lo, hi, tol=1e-10, *, breakpoints=(),
@@ -154,82 +253,16 @@ def integrate(integrand, lo, hi, tol=1e-10, *, breakpoints=(),
     ``integrand`` is called with a numpy vector of strictly interior nodes
     and must return the values elementwise.  The target is
     ``max(tol, tol * |value|)`` -- i.e. ``tol`` acts as an absolute floor
-    and a relative goal at the same time.
-
-    ``breakpoints`` are abscissae where the integrand may be non-smooth;
-    those strictly inside (lo, hi) split the interval into the initial
-    panels, which are evaluated in one integrand call.  The result returns
-    at once if they meet the target; otherwise they are bisected like any
-    other panel.  ``max_subdivisions`` bounds the panel count over and above
-    these initial panels, so every breakpoint is honoured.
+    and a relative goal at the same time.  This is ``cumulative`` with one
+    column, the single cut ``hi`` and unit 1; ``breakpoints`` and
+    ``max_subdivisions`` mean what they mean there.
 
     On budget exhaustion ToleranceNotReached is raised with the flagged
     best-effort result (``converged=False``) attached as ``result``.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainExceeded("integration bounds must be finite")
-    if hi <= lo:
-        raise DomainExceeded(f"empty or inverted interval [{lo:g}, {hi:g}]")
-    if tol <= 0.0:
-        raise NonPositiveInput("tolerance must be positive")
-
-    cuts = ()
-    if len(breakpoints):
-        cuts = np.asarray(breakpoints, dtype=float)
-        cuts = cuts[(cuts > lo) & (cuts < hi)]
-    if len(cuts):
-        edges = np.concatenate(([lo], np.unique(cuts), [hi]))
-        values, errs = _panels(integrand, edges)
-        total_value = float(np.sum(values))
-        total_err = float(np.sum(errs))
-        panels = len(values)
-        if total_err <= max(tol, tol * abs(total_value)):
-            return QuadResult(total_value, total_err, panels, converged=True)
-        edges = edges.tolist()
-        heap = [
-            (-e, k, plo, phi, v, e)
-            for k, (plo, phi, v, e) in enumerate(
-                zip(edges, edges[1:], values.tolist(), errs.tolist())
-            )
-        ]
-        heapq.heapify(heap)
-        seq = panels - 1
-    else:
-        value, err = _panel(integrand, lo, hi)
-        seq = 0
-        heap = [(-err, seq, lo, hi, value, err)]
-        total_value = value
-        total_err = err
-        panels = 1
-    budget = max_subdivisions + panels - 1
-    narrow_sum = 0.0  # error stuck in panels too narrow to split further
-    min_width = 8.0 * _EPS * (hi - lo)
-
-    while total_err > max(tol, tol * abs(total_value)):
-        if panels >= budget or not heap:
-            raise ToleranceNotReached(
-                f"error {total_err:.3e} above tolerance after {panels} panels",
-                QuadResult(total_value, total_err, panels, converged=False),
-            )
-        _, _, plo, phi, pval, perr = heapq.heappop(heap)
-        if phi - plo <= max(min_width, 8.0 * _EPS * max(abs(plo), abs(phi))):
-            # Cannot be refined at this precision; park its error.
-            narrow_sum += perr
-            if not heap and narrow_sum >= total_err:
-                raise ToleranceNotReached(
-                    "interval fully refined to machine width",
-                    QuadResult(total_value, total_err, panels, converged=False),
-                )
-            continue
-        mid = 0.5 * (plo + phi)
-        lval, lerr = _panel(integrand, plo, mid)
-        rval, rerr = _panel(integrand, mid, phi)
-        total_value += lval + rval - pval
-        total_err += lerr + rerr - perr
-        panels += 1
-        seq += 1
-        heapq.heappush(heap, (-lerr, seq, plo, mid, lval, lerr))
-        seq += 1
-        heapq.heappush(heap, (-rerr, seq, mid, phi, rval, rerr))
-
-    return QuadResult(total_value, total_err, panels, converged=True)
+    try:
+        res = cumulative(integrand, lo, hi, tol, breakpoints=breakpoints,
+                         max_subdivisions=max_subdivisions)
+    except ToleranceNotReached as exc:
+        raise ToleranceNotReached(str(exc), _scalar(exc.result)) from None
+    return _scalar(res)

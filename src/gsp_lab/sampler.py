@@ -7,13 +7,14 @@ variates, so a stream of uniforms maps deterministically to a stream of
 draws.
 
 Power laws invert in closed form.  Every other spec goes through a table
-of cumulative masses on 256 knot intervals, built once per (spec, a, tol).  A draw
-starts from a cubic Hermite interpolant of the inverse CDF on its knot
-interval, with exact end slopes 1/g (the PINV idea of Derflinger, Hoermann
-and Leydold, ACM TOMACS 20(4), 2010); its CDF residual is then checked
-with one 15-point Kronrod panel from the interval's left knot, and only
-draws that miss the tolerance take bracketed Newton steps.  Each draw's
-arithmetic depends on its own uniform alone, never on the rest of the batch.
+of cumulative masses on 256 knot intervals, built once per (spec, a, tol)
+by one cumulative quadrature pass.  A draw starts from a cubic Hermite
+interpolant of the inverse CDF on its knot interval, with exact end slopes
+1/g (the PINV idea of Derflinger, Hoermann and Leydold, ACM TOMACS 20(4),
+2010); its CDF residual is then checked with one 15-point Kronrod panel
+from the interval's left knot, and only draws that miss the tolerance take
+bracketed Newton steps.  Each draw's arithmetic depends on its own uniform
+alone, never on the rest of the batch.
 
 Randomness is counter-based (Philox) and keyed by (seed, stream): states
 with equal keys produce identical draws on any machine, and child states
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import DomainExceeded, NonPositiveInput, ToleranceNotReached
 from .functions import PowerLaw
-from .quadrature import integrate
+from .quadrature import cumulative
 # The raw 15-point rule is reused for local CDF refinements inside a table
 # interval; its nodes are strictly interior, so x = 0 is never touched.
 from .quadrature import _WGK, _XGK
@@ -55,8 +56,8 @@ class _CdfTable:
     """Cumulative integrals of the profile g(s) = f(a s)/f(a) on a knot grid.
 
     Working in profile units keeps every entry O(1) regardless of the
-    spec's amplitude or the scale, so the per-interval quadrature floors
-    stay meaningful.  Each interval also stores the cubic Hermite
+    spec's amplitude or the scale, so the quadrature's absolute floor stays
+    meaningful.  Each interval also stores the cubic Hermite
     interpolant of its inverse CDF s(t), whose end slopes ds/dt = 1/g come
     from g at the knots; it supplies the starting guess of every quantile.
     """
@@ -67,16 +68,13 @@ class _CdfTable:
         self.fa = spec.eval(a)
         self.s_lo = spec.support[0] / a
         self.knots = np.linspace(self.s_lo, 1.0, _TABLE_INTERVALS + 1)
-        panel_tol = min(1e-12, 0.01 * tol)
-        spec_knots = spec.knots / a
-        masses = np.empty(_TABLE_INTERVALS)
-        for k in range(_TABLE_INTERVALS):
-            masses[k] = integrate(
-                self._g, self.knots[k], self.knots[k + 1], panel_tol,
-                breakpoints=spec_knots,
-            ).value
-        self.cum = np.concatenate(([0.0], np.cumsum(masses)))
+        # One pass gives the mass up to every knot, each within
+        # min(1e-12, 0.01 tol): the masses are at most 1 in profile units.
+        res = cumulative(self._g, self.s_lo, self.knots[1:],
+                         min(1e-12, 0.01 * tol), breakpoints=spec.knots / a)
+        self.cum = np.concatenate(([0.0], res.value[:, 0]))
         self.total = float(self.cum[-1])
+        masses = np.diff(self.cum)
 
         # Hermite coefficients in tau = (t - cum_k) / mass_k on each interval:
         # s = s_k + tau (d0 + tau (c2 + tau c3)), with end tangents

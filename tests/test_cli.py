@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -51,7 +52,8 @@ def test_verify_rejects_non_decaying_exponent():
 
 def test_verify_table_ending_at_a_max_writes_rows(tmp_path, capsys):
     # the finite-difference stencil around a=10 would leave a hull ending at
-    # x=10, so that scale is dropped instead of aborting the whole run
+    # x=10, so that scale is dropped instead of aborting the whole run; the
+    # exact power-law table then passes every check
     x = np.geomspace(0.01, 10.0, 200)
     table = tmp_path / "t.csv"
     table.write_text("x,f\n" + "".join(f"{v:.17g},{v**1.5:.17g}\n" for v in x))
@@ -60,10 +62,29 @@ def test_verify_table_ending_at_a_max_writes_rows(tmp_path, capsys):
     cols = read_csv_columns(out)
     assert len(cols["a"]) == 16
     assert cols["a"].max() < 10.0
-    err = capsys.readouterr().err
-    assert "error:" not in err
-    assert code == 1
-    assert err.count("verify: FAIL at a=") == np.sum(cols["row_pass"] == 0.0) > 0
+    assert np.all(cols["row_pass"] == 1.0)
+    assert code == 0
+    assert capsys.readouterr().err == "verify: PASS (16 scales)\n"
+
+
+def test_verify_stays_cheap(monkeypatch):
+    # regression guard on work done: two quadrature passes over the grid and
+    # its finite-difference stencils; one integral per quantity and scale
+    # took 8,634 calls
+    from gsp_lab.functions import FunctionSpec
+
+    calls = []
+    for name in ("eval", "elasticity"):
+        plain = getattr(FunctionSpec, name)
+
+        def counting(self, x, _plain=plain):
+            calls.append(1)
+            return _plain(self, x)
+
+        monkeypatch.setattr(FunctionSpec, name, counting)
+    assert run_cli("verify", "--family", "perturbed", "--p", "1",
+                   "--eps", "0.1", "--format", "json", "--out", os.devnull) == 1
+    assert len(calls) <= 400
 
 
 # ----------------------------------------------------------------- detect
@@ -252,6 +273,18 @@ def test_extreme_amplitude_ends_in_one_line(amp, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert caught == []
+
+
+def test_huge_exponent_is_inadmissible_in_one_line(capsys):
+    # x**200 overflows on the probe grid: the positivity check reports it,
+    # with no floating-point warnings in front
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli("detect", "--family", "power", "--p", "200")
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("inadmissible spec: positivity") and err.count("\n") == 1
     assert caught == []
 
 

@@ -5,6 +5,8 @@ from scipy import integrate as sp_integrate
 from gsp_lab import (
     PerturbedPowerLaw,
     PowerLaw,
+    ScaleGrid,
+    Tabulated,
     abc_derivatives,
     fd_derivatives,
     identity_report,
@@ -35,6 +37,16 @@ ORACLE_VAR = {
 def test_reduction_residuals_vanish(label, spec, a):
     res = reduction_residuals(spec, a, 1e-10)
     assert max(res) <= 1e-7, (label, a, res)
+
+
+def test_table_reductions_carry_the_boundary_terms():
+    # on a table the profile starts at s0 = x0 / a > 0; for exact x^1.5
+    # samples on [0.01, 10] the residual red_i1 without the boundary terms
+    # would be s0^2.5, 1e-5 at a = 1
+    x = np.geomspace(0.01, 10.0, 200)
+    spec = Tabulated(x, x**1.5)
+    for a in ScaleGrid.log_spaced().clipped_to(spec):
+        assert max(reduction_residuals(spec, a)) <= 1e-12, a
 
 
 def test_reduction_left_sides_match_scipy_for_perturbed():

@@ -57,6 +57,40 @@ def test_perturbed_primitives_against_scipy():
     assert abs(prim.G - G) < 1e-11
 
 
+def _closed_primitives(p, eps, a):
+    """F, H, G of x^p (1 + eps sin ln x) on (0, a], from
+    int_0^a x^q sin(ln x) dx = a^k (k sin ln a - cos ln a) / (k^2 + 1) with
+    k = q + 1, its cos(2 ln x) analogue, and sin^2 = (1 - cos 2 ln x) / 2."""
+    la = np.log(a)
+
+    def pw(q):
+        return a ** (q + 1.0) / (q + 1.0)
+
+    def sin1(q):
+        k = q + 1.0
+        return a**k * (k * np.sin(la) - np.cos(la)) / (k * k + 1.0)
+
+    def cos2(q):
+        k = q + 1.0
+        return a**k * (k * np.cos(2.0 * la) + 2.0 * np.sin(2.0 * la)) / (k * k + 4.0)
+
+    q = 2.0 * p
+    return (pw(p) + eps * sin1(p), pw(p + 1.0) + eps * sin1(p + 1.0),
+            pw(q) + 2.0 * eps * sin1(q) + 0.5 * eps * eps * (pw(q) - cos2(q)))
+
+
+@pytest.mark.parametrize("spec,p,eps", [(PowerLaw(p=1.5), 1.5, 0.0),
+                                        (PerturbedPowerLaw(p=1.0, eps=0.1), 1.0, 0.1)],
+                         ids=["power", "perturbed"])
+@pytest.mark.parametrize("a", [0.01, 0.1, 1.0, 10.0])
+def test_primitives_are_accurate_relative_to_their_size(spec, p, eps, a):
+    # tol applies in scale-free units, so it is a relative accuracy at small
+    # scales too instead of an absolute floor far above F, H and G there
+    b = moment_bundle(spec, a, 1e-10)
+    for got, want in zip((b.F, b.H, b.G), _closed_primitives(p, eps, a)):
+        assert abs(got - want) <= 1e-9 * want
+
+
 def test_quad_error_fields_are_present_and_small():
     prim = moment_bundle(PowerLaw(p=1.0), 1.0, 1e-10)
     assert len(prim.errors) == 3

@@ -7,10 +7,12 @@ from gsp_lab import (
     PowerLaw,
     ScaleGrid,
     ToleranceNotReached,
+    cumulative,
     integrate,
     moment_bundle,
     variance_with_error,
 )
+from gsp_lab.quadrature import _CHUNK
 from conftest import make_cubic_custom, make_tabulated_power
 
 
@@ -145,6 +147,64 @@ def test_more_breakpoint_panels_than_the_budget_still_converge():
                     1e-12, breakpoints=cuts, max_subdivisions=8)
     assert res.converged and res.subdivisions == 40
     assert abs(res.value - 2.0 / np.pi) <= 1e-12
+
+
+# ------------------------------------------------------------ cumulative
+
+def test_cumulative_prefixes_match_closed_forms():
+    fn = lambda x: np.column_stack((np.sin(3.0 * x), x**2, np.exp(-x)))
+    cuts = np.array([0.5, 1.0, 2.0, 3.0])
+    res = cumulative(fn, 0.0, cuts, 1e-12)
+    assert res.value.shape == res.error_estimate.shape == (4, 3)
+    exact = np.column_stack(((1.0 - np.cos(3.0 * cuts)) / 3.0, cuts**3 / 3.0,
+                             1.0 - np.exp(-cuts)))
+    assert np.all(np.abs(res.value - exact) <= 1e-12 * np.maximum(1.0, np.abs(exact)))
+    assert res.converged
+
+
+def test_cumulative_holds_each_output_to_its_own_unit():
+    # int_0^c x^0.3 = c^1.3 / 1.3: in the unit c^1.3 each prefix is O(1), so
+    # the tolerance becomes relative at every cut, four decades down too
+    cuts = np.array([1e-4, 1e-2, 1.0])
+    exact = cuts**1.3 / 1.3
+    res = cumulative(lambda x: x**0.3, 0.0, cuts, 1e-10, units=cuts[:, None] ** 1.3)
+    assert np.all(np.abs(res.value[:, 0] - exact) <= 1e-10 * exact)
+    # with unit 1 the small prefixes only have to meet the absolute floor
+    assert cumulative(lambda x: x**0.3, 0.0, cuts, 1e-10).subdivisions < res.subdivisions
+
+
+def test_infinite_unit_leaves_an_output_unreported():
+    # the second column has an infinite slope at 0.3, which only drives
+    # refinement while its outputs are reported
+    fn = lambda x: np.column_stack((x, np.sqrt(np.abs(x - 0.3))))
+    shown = cumulative(fn, 0.0, [0.5, 1.0], 1e-10)
+    hidden = cumulative(fn, 0.0, [0.5, 1.0], 1e-10, units=[1.0, np.inf])
+    assert hidden.subdivisions == 2 < shown.subdivisions
+    assert hidden.value[1, 0] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_integrand_calls_are_chunked():
+    # the working arrays stay bounded however many panels there are
+    sizes = []
+
+    def fn(x):
+        sizes.append(x.size)
+        return np.column_stack((x, x * x))
+
+    cuts = np.linspace(0.001, 1.0, 4 * _CHUNK)
+    res = cumulative(fn, 0.0, cuts, 1e-12)
+    assert max(sizes) <= 15 * _CHUNK < sum(sizes)
+    assert np.all(np.abs(res.value[:, 1] - cuts**3 / 3.0) <= 1e-12 * cuts**3)
+
+
+def test_cuts_must_increase_above_lo():
+    fn = lambda x: x
+    with pytest.raises(DomainExceeded):
+        cumulative(fn, 1.0, [0.5, 2.0])
+    with pytest.raises(DomainExceeded):
+        cumulative(fn, 0.0, [1.0, 1.0])
+    with pytest.raises(DomainExceeded):
+        cumulative(fn, 0.0, [])
 
 
 def _knot_split_reference(spec, scales, bundles):

@@ -37,6 +37,21 @@ def test_generic_solver_reproduces_closed_form():
     assert np.max(np.abs(x_solver - x_exact)) < 1e-10 * a
 
 
+def test_table_is_built_in_one_pass(monkeypatch):
+    # one cumulative quadrature gives the masses up to all 256 knots; one
+    # integral per interval took 262 spec evaluations
+    calls = []
+    plain = FunctionSpec.eval
+
+    def counting(self, x):
+        calls.append(1)
+        return plain(self, x)
+
+    monkeypatch.setattr(FunctionSpec, "eval", counting)
+    sampler._CdfTable(PerturbedPowerLaw(p=1.0, eps=0.1), 1.0, 1e-10)
+    assert len(calls) <= 20
+
+
 def test_u_outside_unit_interval_rejected():
     with pytest.raises(DomainExceeded):
         inverse_cdf(PowerLaw(p=1.0), 1.0, 1.5)
