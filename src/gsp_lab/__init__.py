@@ -36,17 +36,12 @@ from .moments import MomentBundle, ShapeProfile, moment_bundle, moment_bundles
 from .identities import (
     DerivativeQuartet,
     IdentityReport,
-    WeightIntegrals,
     abc_derivatives,
     fd_derivatives,
-    identity_report,
     identity_reports,
     reduction_residuals,
     theta_derivative_integral_form,
     variance_functional,
-    variance_with_error,
-    weight_integrals,
-    wm_residual,
 )
 from .sampler import MCEstimate, SamplerState, inverse_cdf, mc_estimates
 from .detector import (

@@ -16,12 +16,12 @@ Exit codes: 0 pass / power law, 1 residual failure / not a power law,
 2 config error, 3 inadmissible spec, 4 inconclusive.  They depend on
 nothing besides the config and the verdict.
 
-verify, detect and sweep integrate over the whole scale grid at once: one
-quadrature pass for the moments at every scale (and, for verify, at every
-finite-difference stencil scale), one for the weight integrals that need
-the first pass's centroids.  verify drops the scales whose finite-difference
-stencil would leave the function's support.  Numbers are serialized with 17
-significant digits, which makes reruns byte-diffable.
+verify, detect and sweep integrate over the whole scale grid at once, in
+one quadrature pass that gives the moments and the weight integrals at
+every scale (and, for verify, at every finite-difference stencil scale).
+verify drops the scales whose finite-difference stencil would leave the
+function's support.  Numbers are serialized with 17 significant digits,
+which makes reruns byte-diffable.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .functions import (
     load_tabulated_csv,
     validate,
 )
-from .identities import _FD_STEP, identity_reports, weight_integrals
+from .identities import _FD_STEP, identity_reports
 from .moments import moment_bundles
 from .sampler import _MIN_ESTIMATE_N, SamplerState, mc_estimates
 
@@ -362,14 +362,13 @@ def cmd_detect(cfg, spec):
 def cmd_sweep(cfg, spec):
     grid = _grid_for(cfg, spec)
     bundles = moment_bundles(spec, grid, cfg.tol)
-    variances = weight_integrals(spec, bundles).variance
     lam_hat = fit_lambda(spec, grid, cfg.tol, bundles=bundles)
     residuals = gsp_residual_sweep(spec, grid, lam_hat, cfg.tol, bundles=bundles)
     header = ("a", "xbar", "ybar", "theta", "A", "B", "C",
               "gsp_residual", "variance")
     rows = [
-        (b.a, b.xbar, b.ybar, b.theta, b.A, b.B, b.C, r, v)
-        for b, r, v in zip(bundles, residuals, variances)
+        (b.a, b.xbar, b.ybar, b.theta, b.A, b.B, b.C, r, b.variance)
+        for b, r in zip(bundles, residuals)
     ]
     if cfg.format == "json":
         payload = {

@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import DegenerateFit, NonPositiveExponent, NonPositiveInput
 from .functions import Tabulated
-from .identities import weight_integrals
 from .moments import moment_bundles
 
 __all__ = [
@@ -265,8 +264,7 @@ def classify(spec, grid=None, tol=1e-10, tol_gsp=None, tol_var=None):
     bundles = moment_bundles(spec, grid, tol)
     lam_hat = fit_lambda(spec, grid, tol, bundles=bundles)
     residuals = gsp_residual_sweep(spec, grid, lam_hat, tol, bundles=bundles)
-    weights = weight_integrals(spec, bundles)
-    var_vals = np.array(weights.variance)
+    var_vals = np.array([b.variance for b in bundles])
     est = recover_p(spec, grid, tol, bundles=bundles)
 
     i_r = int(np.argmax(residuals))
@@ -275,7 +273,7 @@ def classify(spec, grid=None, tol=1e-10, tol_gsp=None, tol_var=None):
     v_max = float(var_vals[i_v])
 
     margin_r = _MARGIN_FACTOR * _residual_margin(spec, bundles[i_r], lam_hat)
-    margin_v = _MARGIN_FACTOR * weights.variance_error[i_v]
+    margin_v = _MARGIN_FACTOR * bundles[i_v].variance_error
 
     p_consistent = abs(est.p_theta - est.p_elasticity) <= 0.01 * max(
         1.0, abs(est.p_theta)

@@ -26,11 +26,11 @@ hold with equality to zero of the variance exactly on power laws; for any
 other admissible spec the variance is strictly positive at some scale.
 All residuals below are reported so that "zero" means the identity holds.
 
-Every quantity comes from two quadrature passes over x that serve any
-number of scales: the moment pass of the moments module, which also gives
-the left-hand sides of the reductions and the finite-difference stencils,
-and ``weight_integrals``, which needs that pass's theta.  The single-scale
-functions are the one-scale case of the same two passes.
+Every quantity comes from the one quadrature pass of the moments module,
+which serves any number of scales: it gives the normalized moments, the
+left-hand sides of the reductions, the weight integrals (expanded into
+moments every scale shares) and the finite-difference stencils.  The
+single-scale functions are the one-scale case of the same pass.
 """
 
 from __future__ import annotations
@@ -39,31 +39,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWeight, NegativeVariance, NonPositiveInput
-from .moments import moment_bundle, moment_bundles
-from .quadrature import cumulative
+from .errors import NonPositiveInput
+from .moments import _TIGHT_TOL, moment_bundle, moment_bundles
 
 __all__ = [
     "DerivativeQuartet",
     "IdentityReport",
-    "WeightIntegrals",
     "reduction_residuals",
     "abc_derivatives",
     "fd_derivatives",
     "theta_derivative_integral_form",
-    "wm_residual",
-    "weight_integrals",
     "variance_functional",
-    "variance_with_error",
-    "identity_report",
     "identity_reports",
 ]
 
-# Derivative and weighted-mean paths compare quantities that nearly cancel,
-# so their inner integrals run tighter than the public default.
-_TIGHT_TOL = 1e-12
-_NEGATIVE_FLOOR = -1e-13
-_WEIGHT_FLOOR = 1e-14
 # Relative step of fd_derivatives' default stencil, which reaches a +- h with
 # h = _FD_STEP * a; the CLI keeps only scales whose stencil fits the support.
 _FD_STEP = 1e-5
@@ -171,85 +160,14 @@ def theta_derivative_integral_form(spec, a, tol=_TIGHT_TOL, bundle=None):
 
     Algebraically equal to the quotient-rule form in abc_derivatives, but
     numerically a completely different route -- useful as a cross-check.
-    The integral is BE - theta AE.
+    The integral is BE - theta AE; on a table, whose profile starts at
+    s0 > 0, integrating by parts leaves the boundary term
+    s0 g(s0) (theta - s0), which is taken off.
     """
     b = bundle if bundle is not None else moment_bundle(spec, a, tol)
-    return (b.BE - b.theta * b.AE) / (b.a * b.A)
-
-
-@dataclass(frozen=True)
-class WeightIntegrals:
-    """The quadratic-weight quantities at a list of scales, one entry each.
-
-    ``D`` is the normalizer int w ds, ``wm`` the weighted-mean residual,
-    ``variance`` the variance functional and ``variance_error`` its
-    quadrature error estimate.
-    """
-
-    D: tuple[float, ...]
-    wm: tuple[float, ...]
-    variance: tuple[float, ...]
-    variance_error: tuple[float, ...]
-
-
-def weight_integrals(spec, bundles, tol=_TIGHT_TOL):
-    """D, the weighted-mean residual and the variance at each bundle's scale.
-
-    One quadrature pass over x integrates, for every scale a with its theta
-    and E_c = E(a theta), the columns (x/a - theta)^2 f, times 1, E and
-    (E - E_c)^2, each reported only at its own scale and held to ``tol`` in
-    the scale-free unit a f(a).
-    """
-    a = np.array([b.a for b in bundles])
-    fa = np.array([b.fa for b in bundles])
-    theta = np.array([b.theta for b in bundles])
-    e_center = np.asarray(spec.elasticity(a * theta))
-    cuts, where = np.unique(a, return_inverse=True)
-
-    def columns(x):
-        f, e = spec.eval(x), spec.elasticity(x)
-        d = x[:, None] / a - theta
-        w = d * d * f[:, None]
-        de = e[:, None] - e_center
-        return np.hstack((w, w * e[:, None], w * de * de))
-
-    own = np.full((cuts.size, a.size), np.inf)
-    own[where, np.arange(a.size)] = a * fa
-    res = cumulative(columns, spec.support[0], cuts, tol,
-                     units=np.tile(own, 3), breakpoints=spec.knots)
-    value = res.value[where].reshape(a.size, 3, a.size)
-    error = res.error_estimate[where].reshape(a.size, 3, a.size)
-    k = np.arange(a.size)
-    d_x, we_x, var_x = value[k, :, k].T
-    D, var, var_err = d_x / (a * fa), var_x / (a * fa), error[k, 2, k] / (a * fa)
-    for b, dk, vk in zip(bundles, D, var):
-        if dk < _WEIGHT_FLOOR:
-            raise DegenerateWeight(f"weight normalizer D={dk:g} at a={b.a:g}")
-        if vk < _NEGATIVE_FLOOR:
-            raise NegativeVariance(f"variance integral {vk:g} at a={b.a:g}")
-    return WeightIntegrals(
-        D=tuple(D.tolist()),
-        wm=tuple((we_x / d_x - e_center).tolist()),
-        variance=tuple(np.maximum(var, 0.0).tolist()),
-        variance_error=tuple(var_err.tolist()),
-    )
-
-
-def wm_residual(spec, a, tol=_TIGHT_TOL, bundle=None):
-    """Weighted-mean residual: int w E ds / D minus E at the centroid.
-
-    Zero (to quadrature accuracy) for power laws; its sign and size say how
-    the elasticity drifts across (0, a) relative to its centroid value.
-    """
-    b = bundle if bundle is not None else moment_bundle(spec, a, tol)
-    return weight_integrals(spec, [b], tol).wm[0]
-
-
-def variance_with_error(spec, a, tol=_TIGHT_TOL, bundle=None):
-    """Variance functional at scale a plus its quadrature error estimate."""
-    b = bundle if bundle is not None else moment_bundle(spec, a, tol)
-    w = weight_integrals(spec, [b], tol)
-    return w.variance[0], w.variance_error[0]
+    x0 = spec.support[0]
+    s0, g0 = x0 / b.a, (spec.eval(x0) / b.fa if x0 > 0.0 else 0.0)
+    return (b.BE - b.theta * b.AE - s0 * g0 * (b.theta - s0)) / (b.a * b.A)
 
 
 def variance_functional(spec, a, tol=_TIGHT_TOL, bundle=None):
@@ -259,8 +177,8 @@ def variance_functional(spec, a, tol=_TIGHT_TOL, bundle=None):
     constant on (0, a) -- i.e. when f is a power law there.  Tiny negative
     values (roundoff) are clamped to zero; anything more negative raises.
     """
-    val, _ = variance_with_error(spec, a, tol, bundle)
-    return val
+    b = bundle if bundle is not None else moment_bundle(spec, a, tol)
+    return b.variance
 
 
 @dataclass(frozen=True)
@@ -277,21 +195,18 @@ class IdentityReport:
 
 
 def identity_reports(spec, scales, tol=1e-10, fd_step=None):
-    """``identity_report`` at every scale, from two quadrature passes.
+    """Every identity diagnostic at every scale, from one quadrature pass.
 
-    The first pass integrates the moments up to every scale and every
-    finite-difference stencil scale around it; the second, which needs the
-    first pass's theta, the weight integrals at every scale.  The first
-    pass runs at min(tol, 1e-12): the derivatives, compared near
-    cancellation, need the tighter tolerance, and the reductions share it.
-    The weighted-mean and variance paths always run at 1e-12.
+    The pass integrates the moments up to every scale and every
+    finite-difference stencil scale around it.  It runs at min(tol, 1e-12):
+    the derivatives, compared near cancellation, need the tighter
+    tolerance, and the reductions share it.
     """
     scales = [float(a) for a in scales]
     stencils = [_stencil(a, fd_step) for a in scales]
     points = [p for a, (_, stencil) in zip(scales, stencils) for p in (a, *stencil)]
     bundles = moment_bundles(spec, points, min(tol, _TIGHT_TOL))
     at = bundles[0::5]
-    weights = weight_integrals(spec, at, _TIGHT_TOL)
     elasticity = np.atleast_1d(spec.elasticity(np.array(scales)))
     return [
         IdentityReport(
@@ -299,19 +214,12 @@ def identity_reports(spec, scales, tol=1e-10, fd_step=None):
             reduction=red,
             closed=_closed_form(b, float(ea)),
             finite_diff=_central(a, h, bundles[5 * k + 1:5 * k + 5]),
-            wm=weights.wm[k],
-            variance=weights.variance[k],
-            weight_normalizer=weights.D[k],
+            wm=b.wm,
+            variance=b.variance,
+            weight_normalizer=b.D,
         )
         for k, (a, b, red, ea, (h, _)) in enumerate(
             zip(scales, at, _reductions(spec, at), elasticity, stencils)
         )
     ]
 
-
-def identity_report(spec, a, tol=1e-10, fd_step=None):
-    """Evaluate every identity diagnostic at scale a.
-
-    This is ``identity_reports`` at the single scale a.
-    """
-    return identity_reports(spec, [a], tol, fd_step)[0]

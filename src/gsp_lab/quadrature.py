@@ -166,12 +166,13 @@ def cumulative(integrand, lo, cuts, tol=1e-10, *, units=1.0, breakpoints=(),
     ``lo``.  The result's ``value`` and ``error_estimate`` are (len(cuts), m)
     arrays.
 
-    ``units`` broadcasts to that shape: output (j, c) converges when its
-    error estimate is at most ``tol * max(units[j, c], |value[j, c]|)``.  An
-    infinite unit leaves an output unreported, so it never drives the
-    refinement.  ``breakpoints`` strictly inside (lo, cuts[-1]) are edges of
-    the initial panels.  ``max_subdivisions`` bounds the panel count over and
-    above the initial panels, so every cut and breakpoint is honoured.
+    ``tol`` and ``units`` broadcast to that shape: output (j, c) converges
+    when its error estimate is at most ``tol[j, c] * max(units[j, c],
+    |value[j, c]|)``.  An infinite unit leaves an output unreported, so it
+    never drives the refinement.  ``breakpoints`` strictly inside (lo,
+    cuts[-1]) are edges of the initial panels.  ``max_subdivisions`` bounds
+    the panel count over and above the initial panels, so every cut and
+    breakpoint is honoured.
 
     On budget exhaustion ToleranceNotReached is raised with the flagged
     best-effort result (``converged=False``) attached as ``result``.
@@ -183,7 +184,7 @@ def cumulative(integrand, lo, cuts, tol=1e-10, *, units=1.0, breakpoints=(),
         raise DomainExceeded("integration bounds must be finite")
     if cuts[0] <= lo or np.any(cuts[1:] <= cuts[:-1]):
         raise DomainExceeded(f"empty or inverted interval [{lo:g}, {cuts[0]:g}]")
-    if tol <= 0.0:
+    if not np.all(np.asarray(tol) > 0.0):
         raise NonPositiveInput("tolerance must be positive")
 
     hi = float(cuts[-1])
@@ -191,6 +192,7 @@ def cumulative(integrand, lo, cuts, tol=1e-10, *, units=1.0, breakpoints=(),
     edges = np.unique(np.concatenate(([lo], inner[(inner > lo) & (inner < hi)], cuts)))
     val, err = _panels(integrand, edges[:-1], edges[1:])
     units = np.broadcast_to(np.asarray(units, dtype=float), (cuts.size, val.shape[1]))
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), units.shape)
     budget = max_subdivisions + len(val) - 1
     min_width = 8.0 * _EPS * (hi - lo)
 

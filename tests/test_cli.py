@@ -68,7 +68,7 @@ def test_verify_table_ending_at_a_max_writes_rows(tmp_path, capsys):
 
 
 def test_verify_stays_cheap(monkeypatch):
-    # regression guard on work done: two quadrature passes over the grid and
+    # regression guard on work done: one quadrature pass over the grid and
     # its finite-difference stencils; one integral per quantity and scale
     # took 8,634 calls
     from gsp_lab.functions import FunctionSpec
@@ -85,6 +85,28 @@ def test_verify_stays_cheap(monkeypatch):
     assert run_cli("verify", "--family", "perturbed", "--p", "1",
                    "--eps", "0.1", "--format", "json", "--out", os.devnull) == 1
     assert len(calls) <= 400
+
+
+@pytest.mark.parametrize("command", ["verify", "detect", "sweep"])
+@pytest.mark.parametrize("source", ["power", "table"])
+def test_one_quadrature_pass_per_command(command, source, monkeypatch, x15_csv):
+    # the moments, the reductions' left sides, the stencils and the weight
+    # integrals of every scale all come from one cumulative call
+    from gsp_lab import quadrature
+
+    calls = []
+    plain = quadrature.cumulative
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return plain(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("gsp_lab") and getattr(mod, "cumulative", None) is plain:
+            monkeypatch.setattr(mod, "cumulative", counting)
+    spec = ["--family", "power", "--p", "2"] if source == "power" else ["--csv", str(x15_csv)]
+    assert run_cli(command, *spec, "--format", "json", "--out", os.devnull) == 0
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------- detect

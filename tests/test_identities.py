@@ -1,20 +1,25 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
 from gsp_lab import (
+    Custom,
     PerturbedPowerLaw,
     PowerLaw,
     ScaleGrid,
     Tabulated,
+    Verdict,
     abc_derivatives,
+    classify,
     fd_derivatives,
-    identity_report,
+    identity_reports,
     moment_bundle,
+    moment_bundles,
     reduction_residuals,
     theta_derivative_integral_form,
     variance_functional,
-    wm_residual,
 )
 from conftest import gallery
 
@@ -91,6 +96,18 @@ def test_theta_prime_two_routes_agree(a):
     assert abs(quotient - integral) < 1e-9
 
 
+def test_theta_prime_integral_form_carries_the_table_boundary_term():
+    # on a table the integral form needs -s0 g(s0) (theta - s0) / (a A);
+    # without it, it reads ~1e-15 on exact x^1.5 samples where the quotient
+    # rule gives -0.0489 at a = 0.1
+    x = np.geomspace(0.01, 10.0, 200)
+    spec = Tabulated(x, x**1.5)
+    for a in (0.05, 0.1, 1.0, 5.0):
+        quotient = abc_derivatives(spec, a).dtheta
+        integral = theta_derivative_integral_form(spec, a)
+        assert abs(quotient - integral) <= 1e-13, (a, quotient, integral)
+
+
 def test_fd_rejects_step_reaching_zero():
     from gsp_lab import NonPositiveInput
 
@@ -103,12 +120,12 @@ def test_fd_rejects_step_reaching_zero():
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("a", SCALES)
 def test_weighted_mean_identity_on_power_laws(p, a):
-    assert abs(wm_residual(PowerLaw(p=p), a)) <= 1e-10
+    assert abs(moment_bundle(PowerLaw(p=p), a, 1e-12).wm) <= 1e-10
 
 
 def test_weighted_mean_residual_matches_oracle():
     spec = PerturbedPowerLaw(p=1.0, eps=0.1)
-    assert abs(wm_residual(spec, 1.0) - ORACLE_WM_EPS01) < 1e-9
+    assert abs(moment_bundle(spec, 1.0, 1e-12).wm - ORACLE_WM_EPS01) < 1e-9
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 2.0, 5.0])
@@ -135,9 +152,31 @@ def test_variance_scales_quadratically_in_wobble():
     assert max(measured) / min(measured) < 2.0
 
 
+def test_variance_of_a_wide_elasticity_matches_scipy():
+    # f = x^0.5 + x^20: E runs from 0.5 to 20 across the grid, so the one
+    # shift E_ref is far from E(a theta) at the small and the large scales,
+    # where the shifted-moment expansion cancels most
+    spec = Custom(lambda x: x**0.5 + x**20,
+                  lambda x: 0.5 * x**-0.5 + 20.0 * x**19, vectorized=True)
+    f = lambda x: x**0.5 + x**20
+    E = lambda x: (0.5 * x**0.5 + 20.0 * x**20) / (x**0.5 + x**20)
+    grid = ScaleGrid.log_spaced()
+    for b in moment_bundles(spec, list(grid)):
+        a, t = b.a, b.theta
+        fn = lambda s: (s - t) ** 2 * f(a * s) / f(a) * (E(a * s) - E(a * t)) ** 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sp_integrate.IntegrationWarning)
+            ref = sum(sp_integrate.quad(fn, lo, hi, epsabs=1e-17, epsrel=1e-13,
+                                        limit=200)[0] for lo, hi in ((0, t), (t, 1)))
+        gap = abs(b.variance - ref)
+        assert gap <= 1e-12, (a, b.variance, ref)
+        assert gap <= b.variance_error + 1e-15, (a, gap, b.variance_error)
+    assert classify(spec).verdict is Verdict.NOT_POWER_LAW
+
+
 def test_report_collects_everything_coherently():
     spec = PerturbedPowerLaw(p=1.0, eps=0.1)
-    rep = identity_report(spec, 1.0)
+    rep = identity_reports(spec, [1.0])[0]
     assert rep.a == 1.0
     assert len(rep.reduction) == 3
     assert rep.weight_normalizer > 0.0

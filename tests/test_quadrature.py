@@ -4,13 +4,13 @@ from scipy import integrate as sp_integrate
 
 from gsp_lab import (
     DomainExceeded,
+    NonPositiveInput,
     PowerLaw,
     ScaleGrid,
     ToleranceNotReached,
     cumulative,
     integrate,
     moment_bundle,
-    variance_with_error,
 )
 from gsp_lab.quadrature import _CHUNK
 from conftest import make_cubic_custom, make_tabulated_power
@@ -229,6 +229,25 @@ def _knot_split_reference(spec, scales, bundles):
     return ref
 
 
+def test_cumulative_holds_each_column_to_its_own_tolerance():
+    # x^0.3 twice, the first column at 1e-4 and the second at 1e-12: the
+    # tight column drives the shared refinement, and each meets its target
+    cuts = np.array([0.25, 0.5, 1.0])
+    fn = lambda x: np.column_stack((x**0.3, x**0.3))
+    tol = np.array([1e-4, 1e-12])
+    res = cumulative(fn, 0.0, cuts, tol)
+    exact = cuts**1.3 / 1.3
+    for c in range(2):
+        target = tol[c] * np.maximum(1.0, np.abs(res.value[:, c]))
+        assert np.all(res.error_estimate[:, c] <= target)
+        assert np.all(np.abs(res.value[:, c] - exact) <= target)
+    loose = cumulative(fn, 0.0, cuts, 1e-4)
+    assert loose.subdivisions < res.subdivisions
+    assert np.max(np.abs(loose.value[:, 0] - exact)) > 1e-12
+    with pytest.raises(NonPositiveInput):
+        cumulative(fn, 0.0, cuts, np.array([1e-10, 0.0]))
+
+
 def test_table_moments_to_machine_precision(perturbed_table):
     spec = perturbed_table
     scales = list(ScaleGrid.log_spaced().clipped_to(spec))
@@ -238,8 +257,7 @@ def test_table_moments_to_machine_precision(perturbed_table):
         for got, want in ((b.A, ref[0, i]), (b.B, ref[1, i]), (b.C, ref[2, i])):
             # F, H and G differ from A, B and C by exact factors of a and f(a)
             assert abs(got - want) <= 1e-12 * want, b.a
-        var, _ = variance_with_error(spec, b.a, bundle=b)
-        assert abs(var - ref[3, i]) <= 1e-12, b.a
+        assert abs(b.variance - ref[3, i]) <= 1e-12, b.a
 
 
 # --------------------------------------------------------------- moments
