@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  or argparse's gettext imports it on the first parse
 import math
 import sys
 from dataclasses import asdict, dataclass, fields

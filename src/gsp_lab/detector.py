@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateFit, NonPositiveExponent, NonPositiveInput
 from .functions import Tabulated
-from .moments import moment_bundles
+from .moments import _median, moment_bundles
 
 __all__ = [
     "ScaleGrid",
@@ -185,10 +185,10 @@ def recover_p(spec, grid, tol=1e-10, bundles=None, probes=_ELASTICITY_PROBES):
     """
     bundles = bundles if bundles is not None else moment_bundles(spec, grid, tol)
     thetas = np.array([b.theta for b in bundles])
-    p_theta = float(np.median((2.0 * thetas - 1.0) / (1.0 - thetas)))
+    p_theta = _median((2.0 * thetas - 1.0) / (1.0 - thetas))
     scales = np.asarray(list(grid), dtype=float)
     xs = np.geomspace(scales[0], scales[-1], int(probes))
-    p_elast = float(np.median(np.asarray(spec.elasticity(xs))))
+    p_elast = _median(np.asarray(spec.elasticity(xs)))
     logf = np.log(np.asarray(spec.eval(xs)))
     amp = float(np.exp(np.mean(logf - p_theta * np.log(xs))))
     return ExponentEstimates(p_theta=p_theta, p_elasticity=p_elast, amp=amp)

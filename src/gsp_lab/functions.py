@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     CsvFormatError,
@@ -210,13 +209,46 @@ class Custom(FunctionSpec):
         return x * self._deriv(x) / f
 
 
+def _end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at a table end, kept shape-preserving."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(t, y):
+    """Rows c0..c3 of the PCHIP cubics c0 + c1 dt + c2 dt^2 + c3 dt^3, dt = t - t_i.
+
+    The knot slopes are the Fritsch-Butland weighted harmonic means of the
+    secant slopes (SIAM J. Sci. Stat. Comput. 5(2), 1984), 0 where those
+    turn, with the one-sided rule at the ends.  Every step keeps scipy's
+    PchipInterpolator's floating-point order, so the two agree bit for bit.
+    """
+    h = np.diff(t)
+    m = np.diff(y) / h
+    d = np.array([m[0], m[0]])
+    if t.size > 2:
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):  # m = 0 gives 1/inf = 0
+            inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+        inner[np.sign(m[1:]) != np.sign(m[:-1])] = 0.0
+        d = np.concatenate(([_end_slope(h[0], h[1], m[0], m[1])], inner,
+                            [_end_slope(h[-1], h[-2], m[-1], m[-2])]))
+    c = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack((y[:-1], d[:-1], (m - d[:-1]) / h - c, c / h))
+
+
 class Tabulated(FunctionSpec):
     """Positive samples (x_i, f_i) interpolated monotonically in log-log.
 
-    Interpolation is a shape-preserving piecewise cubic through
-    (log x, log f), so any exact power-law table (a straight line in those
-    coordinates) is reproduced without model bias.  Evaluation is confined
-    to the sample hull [x[0], x[-1]].
+    Interpolation is the shape-preserving PCHIP through (log x, log f), with
+    Fritsch-Butland harmonic-mean knot slopes: any exact power-law table (a
+    straight line there) is reproduced without model bias.  The elasticity
+    is the cubic's derivative; evaluation is confined to [x[0], x[-1]].
     """
 
     family = "tabulated"
@@ -232,24 +264,33 @@ class Tabulated(FunctionSpec):
             raise NonPositiveInput("tabulated: samples must be finite")
         if np.any(x <= 0.0) or np.any(f <= 0.0):
             raise NonPositiveValue("tabulated: samples must be positive")
-        if np.any(np.diff(x) <= 0.0):
+        t = np.log(x)  # nondecreasing in x, so this also catches log x ties
+        if np.any(np.diff(t) <= 0.0):
             raise NonPositiveInput("tabulated: x must be strictly increasing")
         self.x = x
         self.f = f
         self.support = (float(x[0]), float(x[-1]))
         self.knots = x
-        self._loglog = PchipInterpolator(np.log(x), np.log(f), extrapolate=True)
-        self._slope = self._loglog.derivative()
+        self._t = t
+        self._c = _pchip_coefficients(t, np.log(f))
+
+    def _locate(self, x):
+        # each point's cubic and offset dt; the hull's slack extends the end cubics
+        t = np.log(x)
+        i = np.clip(np.searchsorted(self._t, t, side="right") - 1, 0, self._t.size - 2)
+        return self._c[:, i], t - self._t[i]
 
     def _value(self, x):
-        return np.exp(self._loglog(np.log(x)))
+        c, dt = self._locate(x)
+        return np.exp(c[0] + c[1] * dt + c[2] * (dt * dt) + c[3] * (dt * dt * dt))
 
     def _deriv(self, x):
         # d/dx exp(L(log x)) = f(x) * L'(log x) / x
-        return self._value(x) * self._slope(np.log(x)) / x
+        return self._value(x) * self._elast(x) / x
 
     def _elast(self, x):
-        return self._slope(np.log(x))
+        c, dt = self._locate(x)
+        return c[1] + 2.0 * c[2] * dt + 3.0 * c[3] * (dt * dt)
 
 
 @dataclass(frozen=True)

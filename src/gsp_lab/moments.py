@@ -49,6 +49,17 @@ from .quadrature import cumulative
 
 __all__ = ["MomentBundle", "ShapeProfile", "moment_bundle", "moment_bundles"]
 
+
+def _median(values):
+    """``np.median`` of a non-empty 1-d array, bit for bit, without the lazy
+    ``numpy.ma`` import (~14 ms) that ``np.median`` costs."""
+    s = np.sort(values)  # NaNs sort last, and np.median returns one
+    if np.isnan(s[-1]):
+        return float(s[-1])
+    mid = s.size // 2
+    return float(s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2.0)
+
+
 # The variance and the derivative checks compare quantities that nearly
 # cancel, so their integrals run tighter than the public default.
 _TIGHT_TOL = 1e-12
@@ -110,7 +121,7 @@ def moment_bundles(spec, scales, tol=1e-10):
                 f"f(a)^2 = {f2:g} at a={a:g} is outside the float64 range; "
                 "rescale the amplitude"
             )
-    e_ref = float(np.median(spec.elasticity(cuts)))
+    e_ref = _median(spec.elasticity(cuts))
 
     def columns(x):
         f, e = spec.eval(x), spec.elasticity(x)

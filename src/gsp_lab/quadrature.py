@@ -189,7 +189,9 @@ def cumulative(integrand, lo, cuts, tol=1e-10, *, units=1.0, breakpoints=(),
 
     hi = float(cuts[-1])
     inner = np.asarray(breakpoints, dtype=float).ravel()
-    edges = np.unique(np.concatenate(([lo], inner[(inner > lo) & (inner < hi)], cuts)))
+    # sorted and deduplicated by hand: np.unique would import numpy.ma (~14 ms)
+    edges = np.sort(np.concatenate(([lo], inner[(inner > lo) & (inner < hi)], cuts)))
+    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     val, err = _panels(integrand, edges[:-1], edges[1:])
     units = np.broadcast_to(np.asarray(units, dtype=float), (cuts.size, val.shape[1]))
     tol = np.broadcast_to(np.asarray(tol, dtype=float), units.shape)

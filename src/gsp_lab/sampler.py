@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
+from numpy.random import Generator, Philox  # at import time, not on the first draw
 
 from .errors import DomainExceeded, NonPositiveInput, ToleranceNotReached
 from .functions import PowerLaw
@@ -244,7 +245,7 @@ class SamplerState:
         self.counter = 0
         self._splits = 0
         key = np.array([self.seed, self.stream], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen = Generator(Philox(key=key))
         # Built on the first draw and shared with every state split from
         # this one, so a family of shards builds one CDF table.
         self._solver = cache(partial(_quantile_solver, self.spec, self.a, tol))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from gsp_lab import (
     CsvFormatError,
@@ -104,6 +105,49 @@ def test_tabulated_structural_checks():
         Tabulated([1.0, 2.0], [1.0, -2.0])
     with pytest.raises(NonPositiveInput):
         Tabulated([1.0], [1.0])
+    with pytest.raises(NonPositiveInput):  # distinct x, equal log x
+        Tabulated([1.0, 1e300, np.nextafter(1e300, np.inf)], [1.0, 2.0, 3.0])
+
+
+def _parity_table(kind, n):
+    rng = np.random.default_rng([n, len(kind)])
+    if kind == "nonuniform":
+        x = np.sort(np.exp(rng.uniform(np.log(0.01), np.log(10.0), n)))
+        return x, x**0.7 * (1.0 + 0.3 * np.sin(3.0 * np.log(x)))
+    x = np.geomspace(0.01, 10.0, n)
+    if kind == "exact":
+        return x, x**1.5
+    if kind == "perturbed":
+        return x, x * (1.0 + 0.1 * np.sin(np.log(x)))
+    if kind == "noisy":  # the log-log slopes change sign
+        return x, x**1.5 * np.exp(1e-2 * rng.standard_normal(n))
+    if kind == "dip":  # a dip two knots in from each end: the end slope rule
+        f = x**1.5     # caps the first slope at 3 m and zeroes the last one
+        f[[2 % n, -3 % n]] /= 1e4
+        return x, f
+    f = x**1.5  # "flat": equal consecutive values, a zero secant slope
+    k = (n - 1) // 2
+    f[k:k + max(2, n // 5)] = f[k]
+    return x, f
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 200, 2001])
+@pytest.mark.parametrize(
+    "kind", ["exact", "perturbed", "noisy", "dip", "flat", "nonuniform"])
+def test_tabulated_matches_scipy_pchip_bit_for_bit(kind, n):
+    x, f = _parity_table(kind, n)
+    spec = Tabulated(x, f)
+    rng = np.random.default_rng(5)
+    q = np.concatenate((
+        np.exp(rng.uniform(np.log(x[0]), np.log(x[-1]), 2000)),
+        x,
+        x[[0, 0, -1, -1]] * (1.0 + np.array([-1e-13, 1e-13, -1e-13, 1e-13])),
+    ))
+    ref = PchipInterpolator(np.log(x), np.log(f))
+    log_f, slope = ref(np.log(q)), ref.derivative()(np.log(q))
+    assert np.array_equal(spec.eval(q), np.exp(log_f))
+    assert np.array_equal(spec.elasticity(q), slope)
+    assert np.array_equal(spec.derivative(q), np.exp(log_f) * slope / q)
 
 
 # ------------------------------------------------------------- validation

@@ -10,6 +10,7 @@ from gsp_lab import (
     ShapeProfile,
     moment_bundle,
 )
+from gsp_lab.moments import _median
 from conftest import make_cubic_custom, make_tabulated_power
 
 
@@ -159,3 +160,18 @@ def test_profile_scale_must_fit_support():
         ShapeProfile(spec, 12.0)
     g = ShapeProfile(spec, 5.0)
     assert g.s_floor == pytest.approx(0.002)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 18])
+def test_median_is_numpy_median_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    big = np.finfo(float).max
+    specials = ([], [np.nan], [np.inf], [-np.inf], [np.inf, -np.inf], [np.nan, np.inf],
+                [big, big])
+    for extra in specials:
+        for _ in range(20):
+            v = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+            v[rng.permutation(n)[:len(extra)]] = extra[:n]
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, big + big
+                want, got = np.float64(np.median(v)), np.float64(_median(v))
+            assert got.tobytes() == want.tobytes(), v
