@@ -21,7 +21,8 @@ one quadrature pass that gives the moments and the weight integrals at
 every scale (and, for verify, at every finite-difference stencil scale).
 verify drops the scales whose finite-difference stencil would leave the
 function's support.  Numbers are serialized with 17 significant digits,
-which makes reruns byte-diffable.
+which makes reruns byte-diffable; sample's draws go through a vectorized
+formatter whose bytes equal Python's f"{x:.17g}".
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, fields
 
+from ._g17 import _g17_lines
 from .detector import ScaleGrid, Verdict, classify, fit_lambda, gsp_residual_sweep
 from .errors import (
     CsvFormatError,
@@ -397,9 +399,7 @@ def cmd_sample(cfg, spec):
         _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
         _say(f"sample: n={est.n} mean_x={est.mean_x:.10g}")
         return EXIT_PASS
-    draws = state.draw(cfg.n)
-    lines = ["x"] + [_g17(v) for v in draws]
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("x\n" + _g17_lines(state.draw(cfg.n)), cfg.out)
     _say(f"sample: wrote {cfg.n} draws (seed={cfg.seed})")
     return EXIT_PASS
 

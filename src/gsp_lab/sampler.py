@@ -14,7 +14,11 @@ interpolant of the inverse CDF on its knot interval, with exact end slopes
 2010); its CDF residual is then checked with one 15-point Kronrod panel
 from the interval's left knot, and only draws that miss the tolerance take
 bracketed Newton steps.  Each draw's arithmetic depends on its own uniform
-alone, never on the rest of the batch.
+alone, never on the rest of the batch, so a batch is solved in blocks of
+2**14 draws: the working arrays stay near 2 MB for any batch size, and the
+draws are bit-identical to one unblocked solve.  The table's masses are
+computed to min(1e-12, tol / 100), but no tighter than the 1e-14 the
+kernel can reach.
 
 Randomness is counter-based (Philox) and keyed by (seed, stream): states
 with equal keys produce identical draws on any machine, and child states
@@ -40,6 +44,11 @@ from .quadrature import _WGK, _XGK
 __all__ = ["SamplerState", "MCEstimate", "inverse_cdf", "mc_estimates"]
 
 _TABLE_INTERVALS = 256
+# Draws per quantile solve: (2**14, 15) float64 node arrays are 2 MB.
+_QUANTILE_BLOCK = 2**14
+# The tightest relative tolerance the K15 kernel meets on O(1) masses (it
+# stalls near 5e-15); a draw's own residual is held to max(tol, 1e-9).
+_TABLE_TOL_FLOOR = 1e-14
 # Newton converges in a few steps; the cap also covers a run of bisection
 # fallbacks from a 2**-8 wide knot interval down to ~2**-58.
 _NEWTON_STEPS = 50
@@ -70,9 +79,11 @@ class _CdfTable:
         self.s_lo = spec.support[0] / a
         self.knots = np.linspace(self.s_lo, 1.0, _TABLE_INTERVALS + 1)
         # One pass gives the mass up to every knot, each within
-        # min(1e-12, 0.01 tol): the masses are at most 1 in profile units.
+        # min(1e-12, 0.01 tol) but no tighter than the kernel reaches: the
+        # masses are at most 1 in profile units.
         res = cumulative(self._g, self.s_lo, self.knots[1:],
-                         min(1e-12, 0.01 * tol), breakpoints=spec.knots / a)
+                         max(_TABLE_TOL_FLOOR, min(1e-12, 0.01 * tol)),
+                         breakpoints=spec.knots / a)
         self.cum = np.concatenate(([0.0], res.value[:, 0]))
         self.total = float(self.cum[-1])
         masses = np.diff(self.cum)
@@ -113,9 +124,27 @@ class _CdfTable:
 
         Every draw starts from the interval's Hermite guess and has its
         residual checked once; only the draws that miss ``tol * total`` take
-        safeguarded Newton steps inside their shrinking bracket.
+        safeguarded Newton steps inside their shrinking bracket.  Draws are
+        solved in blocks of ``_QUANTILE_BLOCK``, which bounds the (block, 15)
+        node arrays of the residual checks at 2 MB whatever the draw count;
+        since a draw's arithmetic never depends on its neighbours, blocking
+        does not change a bit of the result.
         """
         t = np.asarray(u, dtype=float) * self.total
+        s = np.empty_like(t)
+        worst = 0.0
+        for start in range(0, t.size, _QUANTILE_BLOCK):
+            block = slice(start, start + _QUANTILE_BLOCK)
+            s[block], resid = self._solve_block(t[block], tol)
+            worst = np.maximum(worst, np.max(np.abs(resid)))
+        if worst > max(tol, 1e-9) * self.total:
+            raise ToleranceNotReached(
+                f"quantile residual {worst:.3e} above tolerance"
+            )
+        return s
+
+    def _solve_block(self, t, tol):
+        """Quantiles of the masses t and their CDF residuals."""
         idx = np.searchsorted(self.cum, t, side="right") - 1
         idx = np.clip(idx, 0, _TABLE_INTERVALS - 1)
         lo = self.knots[idx]
@@ -142,13 +171,7 @@ class _CdfTable:
             # A bracket too narrow to halve cannot move the draw any more.
             keep = (np.abs(ra) > goal) & (new != sa)
             act, lo, hi, sa, ra = act[keep], lo[keep], hi[keep], new[keep], ra[keep]
-
-        worst = np.max(np.abs(resid))
-        if worst > max(tol, 1e-9) * self.total:
-            raise ToleranceNotReached(
-                f"quantile residual {worst:.3e} above tolerance"
-            )
-        return s
+        return s, resid
 
     def solve_x(self, u, tol):
         return self.a * self.quantiles(u, tol)

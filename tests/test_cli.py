@@ -1,13 +1,16 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
+from gsp_lab._g17 import _g17_lines
 from gsp_lab.cli import RunConfig, main
 
 
@@ -216,6 +219,71 @@ def test_sample_estimate_json(tmp_path):
 def test_sample_estimate_needs_enough_draws():
     assert run_cli("sample", "--family", "power", "--p", "1",
                    "--n", "10", "--estimate") == 2
+
+
+def _exact_ties(rng):
+    """Doubles whose exact decimal has 18 significant digits ending in 5:
+    j / 2**t for odd j < 2**53 has exactly t decimal places, the last a 5."""
+    ties = []
+    for t in range(3, 26):
+        lo, hi = 10 ** (17 - t) * 2**t, min(10 ** (18 - t) * 2**t, 2**53)
+        lo = max(math.ceil(lo), 1)
+        j = lo + rng.integers(0, int(hi) - lo, 200) | 1
+        ties.append(np.ldexp(j.astype(float), -t))
+    return np.concatenate(ties)
+
+
+def test_g17_lines_matches_python_formatting():
+    rng = np.random.default_rng(8)
+    binades = np.repeat(np.arange(-1074, 1024), 20)
+    decades = 10.0 ** np.arange(-8, 19)
+    ties = _exact_ties(rng)
+    for x in ties[:50].tolist():
+        digits = Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    values = np.concatenate([
+        np.ldexp(1.0 + rng.random(binades.size), binades),
+        decades, np.nextafter(decades, 0.0), np.nextafter(decades, np.inf),
+        [0.5, 1.0, 2.0**53 + 2, 0.99999999999999994, 0.0],
+        ties,
+    ])
+    assert _g17_lines(values) == "".join(f"{x:.17g}\n" for x in values.tolist())
+
+
+def _scaled_table(tmp_path, a):
+    """A perturbed sqrt table that covers a and the validation probes on
+    [1e-6, 1e6], with a floor a normal double in units of a."""
+    x = np.geomspace(min(1e-6 * a, 1e-6), max(10.0 * a, 1e6), 200)
+    f = np.sqrt(x) * (1.0 + 0.1 * np.sin(np.log(x)))
+    path = tmp_path / "scaled.csv"
+    path.write_text("x,f\n" + "".join(
+        f"{xv!r},{fv!r}\n" for xv, fv in zip(x.tolist(), f.tolist())))
+    return ["--csv", str(path)]
+
+
+@pytest.mark.parametrize("a", ["1e-300", "1e-3", "1", "1e300"])
+@pytest.mark.parametrize("family", ["power", "perturbed", "table"])
+def test_sample_lines_are_shortest_17_digit_text(tmp_path, family, a):
+    spec_args = {
+        "power": ["--family", "power", "--p", "0.001"],
+        "perturbed": ["--family", "perturbed", "--p", "1", "--eps", "0.1"],
+    }.get(family) or _scaled_table(tmp_path, float(a))
+    out = tmp_path / "draws.csv"
+    assert run_cli("sample", *spec_args, "--a", a, "--n", "2000",
+                   "--seed", "5", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "x" and len(lines) == 2001
+    assert all(f"{float(line):.17g}" == line for line in lines[1:])
+
+
+@pytest.mark.parametrize("tol", ["1e-13", "1e-15", "1e-20"])
+def test_sample_below_the_kernel_floor_still_draws(tmp_path, tol):
+    # the CDF table is held to the quadrature's reach, not to 0.01 tol
+    out = tmp_path / "draws.csv"
+    assert run_cli("sample", "--family", "perturbed", "--p", "1", "--eps",
+                   "0.1", "--a", "1", "--n", "200", "--seed", "3",
+                   "--tol", tol, "--out", str(out)) == 0
+    assert len(read_csv_columns(out)["x"]) == 200
 
 
 # ------------------------------------------------------------ config file

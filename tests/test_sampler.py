@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -152,13 +153,15 @@ def test_same_key_same_draws(draw_spec):
 
 
 def test_batching_does_not_change_the_stream(draw_spec):
-    # refining only the draws that miss must not couple a draw to its batch
-    s1 = SamplerState(draw_spec, 1.0, seed=7)
-    s2 = SamplerState(draw_spec, 1.0, seed=7)
-    whole = s1.draw(50)
-    parts = np.concatenate([s2.draw(20), s2.draw(30)])
-    assert np.array_equal(whole, parts)
-    assert s1.counter == s2.counter == 50
+    # refining only the draws that miss must not couple a draw to its batch,
+    # nor may the quantile solve's blocks of 2**14 draws
+    for sizes in ((20, 30), (7_000, 20_000, 13_000)):
+        s1 = SamplerState(draw_spec, 1.0, seed=7)
+        s2 = SamplerState(draw_spec, 1.0, seed=7)
+        whole = s1.draw(sum(sizes))
+        parts = np.concatenate([s2.draw(k) for k in sizes])
+        assert np.array_equal(whole, parts)
+        assert s1.counter == s2.counter == sum(sizes)
 
 
 def test_streams_and_seeds_decorrelate():
@@ -230,6 +233,20 @@ def test_table_draws_stay_cheap(monkeypatch):
     n = 10_000
     state.draw(n)
     assert sum(points) <= 40 * n
+
+
+def test_table_draw_memory_is_bounded():
+    # the quantile solve works in blocks, so its (draws, 15) node arrays do
+    # not grow with the batch: 68 MB for one unblocked solve of 1e5 draws
+    state = SamplerState(PerturbedPowerLaw(p=1.0, eps=0.1), 1.0, seed=4)
+    state.draw(1)  # builds the table
+    tracemalloc.start()
+    try:
+        state.draw(100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
 
 
 # ------------------------------------------------------------- estimates
