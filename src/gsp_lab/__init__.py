@@ -31,18 +31,9 @@ from .functions import (
     load_tabulated_csv,
     validate,
 )
-from .quadrature import QuadResult, cumulative, integrate
-from .moments import MomentBundle, ShapeProfile, moment_bundle, moment_bundles
-from .identities import (
-    DerivativeQuartet,
-    IdentityReport,
-    abc_derivatives,
-    fd_derivatives,
-    identity_reports,
-    reduction_residuals,
-    theta_derivative_integral_form,
-    variance_functional,
-)
+from .quadrature import QuadResult, cumulative
+from .moments import MomentBundle, ShapeProfile, moment_bundles
+from .identities import IdentityReport, identity_reports, stencil_fits
 from .sampler import MCEstimate, SamplerState, inverse_cdf, mc_estimates
 from .detector import (
     DetectionResult,

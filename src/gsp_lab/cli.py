@@ -19,10 +19,11 @@ nothing besides the config and the verdict.
 verify, detect and sweep integrate over the whole scale grid at once, in
 one quadrature pass that gives the moments and the weight integrals at
 every scale (and, for verify, at every finite-difference stencil scale).
-verify drops the scales whose finite-difference stencil would leave the
-function's support.  Numbers are serialized with 17 significant digits,
-which makes reruns byte-diffable; sample's draws go through a vectorized
-formatter whose bytes equal Python's f"{x:.17g}".
+verify keeps the scales whose finite-difference stencil fits inside the
+function's support; the identities module owns the stencil and that rule.
+Numbers are serialized with 17 significant digits, which makes reruns
+byte-diffable; sample's draws go through a vectorized formatter whose
+bytes equal Python's f"{x:.17g}".
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from ._g17 import _g17_lines
 from .detector import ScaleGrid, Verdict, classify, fit_lambda, gsp_residual_sweep
 from .errors import (
     CsvFormatError,
-    DomainExceeded,
     GspLabError,
     NonPositiveInput,
     NonPositiveValue,
@@ -49,7 +49,7 @@ from .functions import (
     load_tabulated_csv,
     validate,
 )
-from .identities import _FD_STEP, identity_reports
+from .identities import identity_reports, stencil_fits
 from .moments import moment_bundles
 from .sampler import _MIN_ESTIMATE_N, SamplerState, mc_estimates
 
@@ -265,8 +265,7 @@ def _csv_lines(header, rows):
 
 def _row_passes(report):
     red_ok = max(report.reduction) <= _RED_TOL
-    closed = report.closed.as_array()
-    fin = report.finite_diff.as_array()
+    closed, fin = report.closed, report.finite_diff
     abc_ok = bool(
         (abs(closed - fin) <= _ABC_ABS + _ABC_REL * abs(closed)).all()
     )
@@ -284,31 +283,17 @@ _VERIFY_HEADER = (
 
 
 def _verify_row(report, ok):
-    c, f = report.closed, report.finite_diff
     return (
-        report.a, *report.reduction,
-        c.dA, c.dB, c.dC, c.dtheta,
-        f.dA, f.dB, f.dC, f.dtheta,
+        report.a, *report.reduction, *report.closed, *report.finite_diff,
         report.wm, report.variance, report.weight_normalizer,
         1.0 if ok else 0.0,
     )
 
 
-def _stencil_fits(spec, a):
-    """Whether fd_derivatives' default stencil around a lies in the support."""
-    h = _FD_STEP * a
-    try:
-        spec.check_scale(a - h)
-        spec.check_scale(a + h)
-    except DomainExceeded:
-        return False
-    return True
-
-
 def cmd_verify(cfg, spec):
     grid = _grid_for(cfg, spec)
     try:
-        grid = ScaleGrid(tuple(a for a in grid if _stencil_fits(spec, a)))
+        grid = ScaleGrid(tuple(a for a in grid if stencil_fits(spec, a)))
     except NonPositiveInput as exc:
         raise ConfigError(str(exc)) from exc
     reports = identity_reports(spec, grid, cfg.tol)
@@ -365,8 +350,8 @@ def cmd_detect(cfg, spec):
 def cmd_sweep(cfg, spec):
     grid = _grid_for(cfg, spec)
     bundles = moment_bundles(spec, grid, cfg.tol)
-    lam_hat = fit_lambda(spec, grid, cfg.tol, bundles=bundles)
-    residuals = gsp_residual_sweep(spec, grid, lam_hat, cfg.tol, bundles=bundles)
+    lam_hat = fit_lambda(spec, bundles)
+    residuals = gsp_residual_sweep(spec, bundles, lam_hat)
     header = ("a", "xbar", "ybar", "theta", "A", "B", "C",
               "gsp_residual", "variance")
     rows = [
@@ -429,12 +414,11 @@ def main(argv=None):
         _say(f"inadmissible spec: {exc}")
         return EXIT_INADMISSIBLE
 
-    report = validate(spec)
-    if not report.ok:
-        _say(f"inadmissible spec: {report.failed} ({report.detail})")
-        return EXIT_INADMISSIBLE
-
     try:
+        report = validate(spec)
+        if not report.ok:
+            _say(f"inadmissible spec: {report.failed} ({report.detail})")
+            return EXIT_INADMISSIBLE
         return _COMMANDS[cfg.command](cfg, spec)
     except ConfigError as exc:
         _say(f"config error: {exc}")

@@ -47,6 +47,11 @@ __all__ = [
 _MIN_SCALES = 5
 _ELASTICITY_PROBES = 33
 _MARGIN_FACTOR = 10.0  # how many quadrature-error widths count as "on the line"
+# (tol_gsp, tol_var): the thresholds on the collapse residual and the
+# variance functional, looser on a table, where interpolation and the
+# missing head below the hull put a floor under both statistics.
+_ANALYTIC_THRESHOLDS = (1e-6, 1e-9)
+_TABLE_THRESHOLDS = (1e-3, 1e-5)
 
 
 @dataclass(frozen=True)
@@ -73,9 +78,9 @@ class ScaleGrid:
 
     def clipped_to(self, spec):
         """Drop scales outside the function's support (keeping at least 5)."""
-        lo, hi = spec.support
-        kept = tuple(a for a in self.scales if a > lo and a <= hi * (1 + 1e-12))
+        kept = tuple(a for a in self.scales if spec.in_support(a))
         if len(kept) < _MIN_SCALES:
+            lo, hi = spec.support
             raise NonPositiveInput(
                 f"only {len(kept)} grid scales fit inside the support "
                 f"({lo:g}, {hi:g}]"
@@ -140,20 +145,18 @@ def invert_lambda(lam, p_range=(0.01, 10.0), grid_n=10_000):
     return tuple(sorted(set(roots)))
 
 
-def gsp_residual_sweep(spec, grid, lam, tol=1e-10, bundles=None):
-    """Relative collapse residual |ybar - lam * f(xbar)| / ybar per scale."""
+def gsp_residual_sweep(spec, bundles, lam):
+    """Relative collapse residual |ybar - lam * f(xbar)| / ybar per bundle."""
     if lam <= 0.0:
         raise NonPositiveExponent("the proportionality constant must be positive")
-    bundles = bundles if bundles is not None else moment_bundles(spec, grid, tol)
     out = np.empty(len(bundles))
     for i, b in enumerate(bundles):
         out[i] = abs(b.ybar - lam * spec.eval(b.xbar)) / b.ybar
     return out
 
 
-def fit_lambda(spec, grid, tol=1e-10, bundles=None):
+def fit_lambda(spec, bundles):
     """Least-squares constant through the origin for ybar vs f(xbar)."""
-    bundles = bundles if bundles is not None else moment_bundles(spec, grid, tol)
     num = 0.0
     den = 0.0
     for b in bundles:
@@ -174,20 +177,19 @@ class ExponentEstimates:
     amp: float
 
 
-def recover_p(spec, grid, tol=1e-10, bundles=None, probes=_ELASTICITY_PROBES):
+def recover_p(spec, bundles):
     """Estimate the exponent two ways, and the amplitude on top.
 
-    Route one maps each scale's normalized centroid theta through
+    Route one maps each bundle's normalized centroid theta through
     p = (2 theta - 1) / (1 - theta) and takes the median over the grid.
     Route two takes the median pointwise elasticity on a log grid of
-    abscissae.  On a power law the two agree exactly; their disagreement is
-    a model-misfit signal, which is why both are reported.
+    abscissae from the first bundle's scale to the last's.  On a power law
+    the two agree exactly; their disagreement is a model-misfit signal,
+    which is why both are reported.
     """
-    bundles = bundles if bundles is not None else moment_bundles(spec, grid, tol)
     thetas = np.array([b.theta for b in bundles])
     p_theta = _median((2.0 * thetas - 1.0) / (1.0 - thetas))
-    scales = np.asarray(list(grid), dtype=float)
-    xs = np.geomspace(scales[0], scales[-1], int(probes))
+    xs = np.geomspace(bundles[0].a, bundles[-1].a, _ELASTICITY_PROBES)
     p_elast = _median(np.asarray(spec.elasticity(xs)))
     logf = np.log(np.asarray(spec.eval(xs)))
     amp = float(np.exp(np.mean(logf - p_theta * np.log(xs))))
@@ -241,31 +243,24 @@ def _residual_margin(spec, bundle, lam):
     return (rel_g + rel_f) + model * e_at * (rel_h + rel_f)
 
 
-def classify(spec, grid=None, tol=1e-10, tol_gsp=None, tol_var=None):
+def classify(spec, grid=None, tol=1e-10):
     """Run the full detection pipeline and return a DetectionResult.
 
-    Thresholds default by family: analytic specs are held to 1e-6 on the
-    collapse residual and 1e-9 on the variance functional; tabulated specs
-    get 1e-3 and 1e-5 because interpolation and the missing head below the
-    hull put a floor under both statistics.  A verdict is downgraded to
-    Inconclusive when the deciding statistic sits within ten propagated
-    quadrature-error widths of its threshold -- close enough that rerunning
-    at a tighter tolerance could flip it.
+    The thresholds go by family: tabulated specs get looser ones than
+    analytic specs (``_TABLE_THRESHOLDS``, ``_ANALYTIC_THRESHOLDS``).  A
+    verdict is downgraded to Inconclusive when the deciding statistic sits
+    within ten propagated quadrature-error widths of its threshold -- close
+    enough that rerunning at a tighter tolerance could flip it.
     """
-    if grid is None:
-        grid = ScaleGrid.log_spaced().clipped_to(spec)
-    else:
-        grid = grid.clipped_to(spec)
-    if tol_gsp is None:
-        tol_gsp = 1e-3 if isinstance(spec, Tabulated) else 1e-6
-    if tol_var is None:
-        tol_var = 1e-5 if isinstance(spec, Tabulated) else 1e-9
+    grid = (grid or ScaleGrid.log_spaced()).clipped_to(spec)
+    tol_gsp, tol_var = (_TABLE_THRESHOLDS if isinstance(spec, Tabulated)
+                        else _ANALYTIC_THRESHOLDS)
 
     bundles = moment_bundles(spec, grid, tol)
-    lam_hat = fit_lambda(spec, grid, tol, bundles=bundles)
-    residuals = gsp_residual_sweep(spec, grid, lam_hat, tol, bundles=bundles)
+    lam_hat = fit_lambda(spec, bundles)
+    residuals = gsp_residual_sweep(spec, bundles, lam_hat)
     var_vals = np.array([b.variance for b in bundles])
-    est = recover_p(spec, grid, tol, bundles=bundles)
+    est = recover_p(spec, bundles)
 
     i_r = int(np.argmax(residuals))
     r_max = float(residuals[i_r])
@@ -308,8 +303,8 @@ def classify(spec, grid=None, tol=1e-10, tol_gsp=None, tol_var=None):
         amp=est.amp,
         gsp_residual_max=r_max,
         variance_max=v_max,
-        tol_gsp=float(tol_gsp),
-        tol_var=float(tol_var),
+        tol_gsp=tol_gsp,
+        tol_var=tol_var,
         scales=tuple(grid),
         gsp_residuals=tuple(float(r) for r in residuals),
         variances=tuple(float(v) for v in var_vals),

@@ -101,16 +101,21 @@ class FunctionSpec:
         vec, scalar = self._check_x(x)
         return self._ret(self._elast(vec), scalar)
 
+    def in_support(self, a):
+        """Whether the positive float ``a`` is a truncation scale in the
+        support: above its floor, and at most its top plus the hull slack."""
+        lo, hi = self.support
+        return lo < a <= hi * (1.0 + _HULL_SLACK)
+
     def check_scale(self, a):
         """``a`` as a float, once checked to be a truncation scale in the support."""
         a = float(a)
         if not math.isfinite(a) or a <= 0.0:
             raise NonPositiveInput("scale a must be positive and finite")
-        lo, hi = self.support
-        if a > hi * (1.0 + _HULL_SLACK):
-            raise DomainExceeded(f"a={a:g} beyond the function's support")
-        if a <= lo:
-            raise DomainExceeded(f"a={a:g} at or below the support floor {lo:g}")
+        if not self.in_support(a):
+            lo = self.support[0]
+            raise DomainExceeded(f"a={a:g} beyond the function's support" if a > lo
+                                 else f"a={a:g} at or below the support floor {lo:g}")
         return a
 
     def _value(self, x):
@@ -313,9 +318,11 @@ _DECAY_DROP = 1e-3  # required cumulative loss across the tail probes
 
 
 def _probe_grid(spec):
+    """Log-spaced probes on the support's part of [1e-6, 1e6], or on the
+    whole support (a table's hull) when the two do not meet."""
     lo, hi = spec.support
-    lo = max(lo, 1e-6)
-    hi = min(hi, 1e6)
+    if lo < 1e6 and hi > 1e-6:
+        lo, hi = max(lo, 1e-6), min(hi, 1e6)
     return np.geomspace(lo, hi, _PROBE_COUNT)
 
 

@@ -47,7 +47,7 @@ from .errors import (
 )
 from .quadrature import cumulative
 
-__all__ = ["MomentBundle", "ShapeProfile", "moment_bundle", "moment_bundles"]
+__all__ = ["MomentBundle", "ShapeProfile", "moment_bundles"]
 
 
 def _median(values):
@@ -97,7 +97,8 @@ class MomentBundle:
 
 
 def moment_bundles(spec, scales, tol=1e-10):
-    """``moment_bundle`` at every scale, from one quadrature pass.
+    """Primitive integrals, normalized moments and the centroid at every
+    scale, from one quadrature pass.
 
     The scales may come in any order and repeat; the bundles follow them.
     Each of F, H, G, AE, BE, CE meets ``tol`` relative to its scale-free
@@ -109,6 +110,14 @@ def moment_bundles(spec, scales, tol=1e-10):
     an elementary bound on its mass to each error estimate of F, H, G: f is
     positive and decays toward 0, so f(x[0]) bounds it there.  The values
     themselves are never silently corrected.
+
+    Raises NonPositiveValue, before integrating, if f(a)**2 underflows to
+    zero or overflows: the normalizations divide by it.  Raises
+    ThetaOutOfRange if the scale-free centroid abscissa B/A falls
+    outside (0, 1) -- which cannot happen for an admissible spec and so
+    flags either an inadmissible input or a failed integration.  Raises
+    DegenerateWeight if D vanishes, and NegativeVariance if the variance is
+    negative beyond roundoff; tiny negative values are clamped to zero.
     """
     scales = [spec.check_scale(a) for a in scales]
     cuts, where = np.unique(scales, return_inverse=True)
@@ -171,23 +180,6 @@ def moment_bundles(spec, scales, tol=1e-10):
     bundles = [MomentBundle(*row, errors=tuple(err))
                for row, err in zip(table.tolist(), errors.tolist())]
     return [bundles[k] for k in where]
-
-
-def moment_bundle(spec, a, tol=1e-10):
-    """Primitive integrals plus normalized moments and the centroid at scale a.
-
-    This is ``moment_bundles`` at the single scale a, where the handling of
-    a table's unobserved head is described.
-
-    Raises NonPositiveValue, before integrating, if f(a)**2 underflows to
-    zero or overflows: the normalizations divide by it.  Raises
-    ThetaOutOfRange if the scale-free centroid abscissa B/A falls
-    outside (0, 1) -- which cannot happen for an admissible spec and so
-    flags either an inadmissible input or a failed integration.  Raises
-    DegenerateWeight if D vanishes, and NegativeVariance if the variance is
-    negative beyond roundoff; tiny negative values are clamped to zero.
-    """
-    return moment_bundles(spec, [a], tol)[0]
 
 
 class ShapeProfile:

@@ -22,8 +22,6 @@ unit.  Refinement runs in rounds.  Each round bisects every panel whose error
 is at least a quarter of the largest panel error under a failing output
 (maximum marking), and evaluates all the new halves together, in calls of a
 bounded number of panels so that the working arrays stay small.
-
-``integrate`` is the one-column, one-cut case.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import numpy as np
 
 from .errors import DomainExceeded, NonPositiveInput, ToleranceNotReached
 
-__all__ = ["QuadResult", "cumulative", "integrate"]
+__all__ = ["QuadResult", "cumulative"]
 
 # 15-point Kronrod abscissae on (-1, 1), ascending.  Odd indices (1, 3, ...,
 # 13) are the embedded 7-point Gauss nodes.  Values as tabulated for the
@@ -103,18 +101,17 @@ _MARK = 0.25
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Value of an integral together with the engine's own error bound.
+    """Values of the integrals together with the engine's own error bounds.
 
-    ``integrate`` fills ``value`` and ``error_estimate`` with floats;
-    ``cumulative`` with (cuts, columns) arrays.  ``subdivisions`` is the
-    number of panels.  ``converged`` is False only on the result a
-    ToleranceNotReached carries: the subdivision budget ran out before every
-    error estimate met its target, and the values and estimates are the best
-    available.
+    ``value`` and ``error_estimate`` are (cuts, columns) arrays, and
+    ``subdivisions`` is the number of panels.  ``converged`` is False only
+    on the result a ToleranceNotReached carries: the subdivision budget ran
+    out before every error estimate met its target, and the values and
+    estimates are the best available.
     """
 
-    value: float | np.ndarray
-    error_estimate: float | np.ndarray
+    value: np.ndarray
+    error_estimate: np.ndarray
     subdivisions: int
     converged: bool = True
 
@@ -244,29 +241,3 @@ def cumulative(integrand, lo, cuts, tol=1e-10, *, units=1.0, breakpoints=(),
         err = np.insert(err, marked + 1, herr[1::2], axis=0)
         edges = np.insert(edges, marked + 1, mid)
 
-
-def _scalar(res):
-    return QuadResult(float(res.value[0, 0]), float(res.error_estimate[0, 0]),
-                      res.subdivisions, res.converged)
-
-
-def integrate(integrand, lo, hi, tol=1e-10, *, breakpoints=(),
-              max_subdivisions=_DEFAULT_BUDGET):
-    """Integrate ``integrand`` over (lo, hi) to the requested tolerance.
-
-    ``integrand`` is called with a numpy vector of strictly interior nodes
-    and must return the values elementwise.  The target is
-    ``max(tol, tol * |value|)`` -- i.e. ``tol`` acts as an absolute floor
-    and a relative goal at the same time.  This is ``cumulative`` with one
-    column, the single cut ``hi`` and unit 1; ``breakpoints`` and
-    ``max_subdivisions`` mean what they mean there.
-
-    On budget exhaustion ToleranceNotReached is raised with the flagged
-    best-effort result (``converged=False``) attached as ``result``.
-    """
-    try:
-        res = cumulative(integrand, lo, hi, tol, breakpoints=breakpoints,
-                         max_subdivisions=max_subdivisions)
-    except ToleranceNotReached as exc:
-        raise ToleranceNotReached(str(exc), _scalar(exc.result)) from None
-    return _scalar(res)

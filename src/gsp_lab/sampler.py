@@ -76,14 +76,22 @@ class _CdfTable:
         self.spec = spec
         self.a = a
         self.fa = spec.eval(a)
-        self.s_lo = spec.support[0] / a
+        lo = spec.support[0]
+        self.s_lo = lo / a
+        if self.s_lo == 0.0 < lo:
+            raise DomainExceeded(
+                f"a={a:g}: the table floor {lo:g} underflows to 0 in units of a"
+            )
         self.knots = np.linspace(self.s_lo, 1.0, _TABLE_INTERVALS + 1)
         # One pass gives the mass up to every knot, each within
         # min(1e-12, 0.01 tol) but no tighter than the kernel reaches: the
-        # masses are at most 1 in profile units.
+        # masses are at most 1 in profile units.  Knots that overflow in
+        # those units lie above 1, where the pass drops them.
+        with np.errstate(over="ignore"):
+            breakpoints = spec.knots / a
         res = cumulative(self._g, self.s_lo, self.knots[1:],
                          max(_TABLE_TOL_FLOOR, min(1e-12, 0.01 * tol)),
-                         breakpoints=spec.knots / a)
+                         breakpoints=breakpoints)
         self.cum = np.concatenate(([0.0], res.value[:, 0]))
         self.total = float(self.cum[-1])
         masses = np.diff(self.cum)

@@ -14,14 +14,11 @@ from gsp_lab import (
     ScaleGrid,
     Verdict,
     classify,
-    fd_derivatives,
-    abc_derivatives,
+    identity_reports,
     invert_lambda,
     lambda_of_p,
     mc_estimates,
-    moment_bundle,
-    reduction_residuals,
-    variance_functional,
+    moment_bundles,
 )
 
 from conftest import gallery, make_tabulated_power
@@ -50,8 +47,7 @@ def test_acceptance_01_centroid_closed_forms():
     for p in P_MATRIX:
         for amp in AMP_MATRIX:
             spec = PowerLaw(p=p, amp=amp)
-            for a in A_MATRIX:
-                b = moment_bundle(spec, a)
+            for a, b in zip(A_MATRIX, moment_bundles(spec, A_MATRIX)):
                 xbar_true = a * (p + 1.0) / (p + 2.0)
                 ybar_true = amp * a**p * (p + 1.0) / (2.0 * (2.0 * p + 1.0))
                 worst = max(
@@ -70,8 +66,7 @@ def test_acceptance_02_scaling_constant_from_quadrature():
         lam = lambda_of_p(p)
         for amp in AMP_MATRIX:
             spec = PowerLaw(p=p, amp=amp)
-            for a in A_MATRIX:
-                b = moment_bundle(spec, a)
+            for b in moment_bundles(spec, A_MATRIX):
                 ratio = b.ybar / spec.eval(b.xbar)
                 worst = max(worst, abs(ratio - lam) / lam)
     anchors_ok = (
@@ -88,8 +83,8 @@ def test_acceptance_03_integration_by_parts_reductions():
     worst = 0.0
     worst_label = ""
     for label, spec in gallery():
-        for a in SCALES:
-            r = max(reduction_residuals(spec, a))
+        for a, rep in zip(SCALES, identity_reports(spec, SCALES)):
+            r = max(rep.reduction)
             if r > worst:
                 worst, worst_label = r, f"{label}@a={a}"
     _report(3, worst <= 1e-7,
@@ -101,9 +96,8 @@ def test_acceptance_04_derivative_identities():
     worst_gap = 0.0
     worst_flat = 0.0
     for label, spec in gallery():
-        for a in SCALES:
-            closed = abc_derivatives(spec, a).as_array()
-            fin = fd_derivatives(spec, a).as_array()
+        for rep in identity_reports(spec, SCALES):
+            closed, fin = rep.closed, rep.finite_diff
             # tolerance max(1e-5 abs, 1e-4 rel) == 1e-4 * max(0.1, |closed|)
             worst_gap = max(worst_gap, float(np.max(np.abs(closed - fin) /
                                                     np.maximum(0.1, np.abs(closed)))))
@@ -115,17 +109,21 @@ def test_acceptance_04_derivative_identities():
             f"{worst_gap:.3e} (tol 1e-4); power-law derivatives flat to {worst_flat:.3e}")
 
 
+def _wobble_variance(eps):
+    """The variance functional of x (1 + eps sin log x) at a = 1."""
+    return moment_bundles(PerturbedPowerLaw(p=1.0, eps=eps), [1.0], 1e-12)[0].variance
+
+
 def test_acceptance_05_variance_dichotomy():
     grid = ScaleGrid.log_spaced(0.1, 10.0, 17)
     worst_power = 0.0
     for label, spec in gallery():
         if not isinstance(spec, PowerLaw):
             continue
-        for a in grid:
-            worst_power = max(worst_power, variance_functional(spec, a))
-    bump = variance_functional(PerturbedPowerLaw(p=1.0, eps=0.1), 1.0)
-    ratios = [variance_functional(PerturbedPowerLaw(p=1.0, eps=e), 1.0) / e**2
-              for e in (0.02, 0.05, 0.1)]
+        for b in moment_bundles(spec, grid, 1e-12):
+            worst_power = max(worst_power, b.variance)
+    bump = _wobble_variance(0.1)
+    ratios = [_wobble_variance(e) / e**2 for e in (0.02, 0.05, 0.1)]
     quadratic = max(ratios) / min(ratios) <= 2.0
     ok = worst_power <= 1e-12 and bump >= 1e-6 and quadratic
     _report(5, ok,
@@ -163,7 +161,7 @@ def test_acceptance_07_monte_carlo_centroids():
     for p in (1.0, 2.0):
         spec = PowerLaw(p=p)
         est = mc_estimates(SamplerState(spec, 1.0, seed=0), n)
-        b = moment_bundle(spec, 1.0)
+        [b] = moment_bundles(spec, [1.0])
         worst_z = max(
             worst_z,
             abs(est.mean_x - b.xbar) / est.stderr_x,

@@ -378,6 +378,48 @@ def test_huge_exponent_is_inadmissible_in_one_line(capsys):
     assert caught == []
 
 
+def _sqrt_table(path, lo, hi, n):
+    x = np.geomspace(lo, hi, n)
+    path.write_text("x,f\n" + "".join(f"{v!r},{math.sqrt(v)!r}\n" for v in x.tolist()))
+    return str(path)
+
+
+@pytest.mark.parametrize("lo,hi,grid,code", [
+    (1e10, 1e20, ("--a-min", "1e11", "--a-max", "1e19"), 4),
+    (1e-300, 1e-290, (), 2),
+])
+def test_table_outside_the_probe_window_ends_in_one_line(tmp_path, capsys, lo, hi,
+                                                         grid, code):
+    # validate probes the hull itself when it misses [1e-6, 1e6] instead of
+    # evaluating the table outside it
+    table = _sqrt_table(tmp_path / "t.csv", lo, hi, 50)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli("detect", "--csv", table, *grid, "--out", os.devnull)
+    err = capsys.readouterr().err
+    assert rc == code
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert caught == []
+
+
+def test_sample_on_a_table_spanning_float64_ends_cleanly(tmp_path, capsys):
+    # at a=1e-300 the top knots overflow in profile units and are dropped
+    # without a warning; at a=1e300 the table floor underflows to 0 there
+    table = _sqrt_table(tmp_path / "t.csv", 1e-305, 1e305, 200)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        small = run_cli("sample", "--csv", table, "--a", "1e-300", "--n", "100",
+                        "--out", os.devnull)
+        big = run_cli("sample", "--csv", table, "--a", "1e300", "--n", "100",
+                      "--out", os.devnull)
+    assert (small, big) == (0, 1)
+    assert caught == []
+    assert capsys.readouterr().err == (
+        "sample: wrote 100 draws (seed=0)\n"
+        "error: a=1e+300: the table floor 1e-305 underflows to 0 in units of a\n"
+    )
+
+
 def test_unknown_family_rejected_by_parser():
     with pytest.raises(SystemExit) as info:
         run_cli("verify", "--family", "cubic")

@@ -16,6 +16,7 @@ from gsp_lab import (
     gsp_residual_sweep,
     invert_lambda,
     lambda_of_p,
+    moment_bundles,
     recover_p,
 )
 from gsp_lab.functions import FunctionSpec
@@ -134,8 +135,8 @@ def test_grid_clipping_to_hull():
 
 def test_residual_zero_at_the_true_constant():
     spec = PowerLaw(p=1.0)
-    grid = ScaleGrid.log_spaced()
-    res = gsp_residual_sweep(spec, grid, lambda_of_p(1.0))
+    bundles = moment_bundles(spec, ScaleGrid.log_spaced())
+    res = gsp_residual_sweep(spec, bundles, lambda_of_p(1.0))
     assert np.max(res) < 1e-10
 
 
@@ -143,26 +144,29 @@ def test_residual_with_wrong_constant_is_the_offset():
     # for p=1 the ordinate is exactly half of f at the centroid, so using
     # 0.46875 instead of 0.5 leaves |1 - 2*0.46875| = 0.0625 at every scale
     spec = PowerLaw(p=1.0)
-    grid = ScaleGrid.log_spaced()
-    res = gsp_residual_sweep(spec, grid, 0.46875)
+    bundles = moment_bundles(spec, ScaleGrid.log_spaced())
+    res = gsp_residual_sweep(spec, bundles, 0.46875)
     assert np.allclose(res, 0.0625, atol=1e-9)
 
 
 @pytest.mark.parametrize("p", [0.5, 2.0])
 def test_fitted_constant_matches_curve(p):
-    lam = fit_lambda(PowerLaw(p=p), ScaleGrid.log_spaced())
+    spec = PowerLaw(p=p)
+    lam = fit_lambda(spec, moment_bundles(spec, ScaleGrid.log_spaced()))
     assert lam == pytest.approx(lambda_of_p(p), abs=1e-10)
 
 
 def test_exponent_recovery_routes_agree_on_power_law():
-    est = recover_p(PowerLaw(p=2.0, amp=7.0), ScaleGrid.log_spaced())
+    spec = PowerLaw(p=2.0, amp=7.0)
+    est = recover_p(spec, moment_bundles(spec, ScaleGrid.log_spaced()))
     assert est.p_theta == pytest.approx(2.0, abs=1e-9)
     assert est.p_elasticity == pytest.approx(2.0, abs=1e-12)
     assert est.amp == pytest.approx(7.0, rel=1e-8)
 
 
 def test_exponent_recovery_flags_drift_for_wobble():
-    est = recover_p(PerturbedPowerLaw(p=1.0, eps=0.1), ScaleGrid.log_spaced())
+    spec = PerturbedPowerLaw(p=1.0, eps=0.1)
+    est = recover_p(spec, moment_bundles(spec, ScaleGrid.log_spaced()))
     # both estimates hover near 1 but the theta route absorbs the wobble
     assert abs(est.p_theta - 1.0) < 0.1
     assert abs(est.p_elasticity - 1.0) < 0.1

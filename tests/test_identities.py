@@ -6,20 +6,16 @@ from scipy import integrate as sp_integrate
 
 from gsp_lab import (
     Custom,
+    DomainExceeded,
     PerturbedPowerLaw,
     PowerLaw,
     ScaleGrid,
     Tabulated,
     Verdict,
-    abc_derivatives,
     classify,
-    fd_derivatives,
     identity_reports,
-    moment_bundle,
     moment_bundles,
-    reduction_residuals,
-    theta_derivative_integral_form,
-    variance_functional,
+    stencil_fits,
 )
 from conftest import gallery
 
@@ -40,7 +36,7 @@ ORACLE_VAR = {
 @pytest.mark.parametrize("label,spec", gallery())
 @pytest.mark.parametrize("a", SCALES)
 def test_reduction_residuals_vanish(label, spec, a):
-    res = reduction_residuals(spec, a, 1e-10)
+    res = identity_reports(spec, [a])[0].reduction
     assert max(res) <= 1e-7, (label, a, res)
 
 
@@ -50,15 +46,16 @@ def test_table_reductions_carry_the_boundary_terms():
     # would be s0^2.5, 1e-5 at a = 1
     x = np.geomspace(0.01, 10.0, 200)
     spec = Tabulated(x, x**1.5)
-    for a in ScaleGrid.log_spaced().clipped_to(spec):
-        assert max(reduction_residuals(spec, a)) <= 1e-12, a
+    scales = [a for a in ScaleGrid.log_spaced().clipped_to(spec) if stencil_fits(spec, a)]
+    for rep in identity_reports(spec, scales):
+        assert max(rep.reduction) <= 1e-12, rep.a
 
 
 def test_reduction_left_sides_match_scipy_for_perturbed():
     # same three integrals through scipy, as an engine-independent route
     spec = PerturbedPowerLaw(p=1.0, eps=0.1)
     a = 2.0
-    b = moment_bundle(spec, a, 1e-12)
+    [b] = moment_bundles(spec, [a], 1e-12)
     g = lambda s: spec.eval(a * s) / b.fa
     E = lambda s: spec.elasticity(a * s)
     i1, _ = sp_integrate.quad(lambda s: g(s) * E(s), 0, 1,
@@ -75,15 +72,15 @@ def test_reduction_left_sides_match_scipy_for_perturbed():
 @pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 2.0, 5.0])
 @pytest.mark.parametrize("a", SCALES)
 def test_power_law_scale_derivatives_are_zero(p, a):
-    d = abc_derivatives(PowerLaw(p=p), a)
-    assert max(abs(v) for v in (d.dA, d.dB, d.dC, d.dtheta)) <= 1e-10
+    d = identity_reports(PowerLaw(p=p), [a])[0].closed
+    assert max(abs(v) for v in d) <= 1e-10
 
 
 @pytest.mark.parametrize("label,spec", gallery())
 @pytest.mark.parametrize("a", SCALES)
 def test_closed_form_matches_finite_difference(label, spec, a):
-    closed = abc_derivatives(spec, a).as_array()
-    fd = fd_derivatives(spec, a).as_array()
+    rep = identity_reports(spec, [a])[0]
+    closed, fd = rep.closed, rep.finite_diff
     tol = 1e-5 + 1e-4 * np.abs(closed)
     assert np.all(np.abs(closed - fd) <= tol), (label, a, closed, fd)
 
@@ -91,9 +88,8 @@ def test_closed_form_matches_finite_difference(label, spec, a):
 @pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
 def test_theta_prime_two_routes_agree(a):
     spec = PerturbedPowerLaw(p=1.0, eps=0.1)
-    quotient = abc_derivatives(spec, a).dtheta
-    integral = theta_derivative_integral_form(spec, a)
-    assert abs(quotient - integral) < 1e-9
+    rep = identity_reports(spec, [a])[0]
+    assert abs(rep.closed[3] - rep.dtheta_integral) < 1e-9
 
 
 def test_theta_prime_integral_form_carries_the_table_boundary_term():
@@ -102,17 +98,21 @@ def test_theta_prime_integral_form_carries_the_table_boundary_term():
     # rule gives -0.0489 at a = 0.1
     x = np.geomspace(0.01, 10.0, 200)
     spec = Tabulated(x, x**1.5)
-    for a in (0.05, 0.1, 1.0, 5.0):
-        quotient = abc_derivatives(spec, a).dtheta
-        integral = theta_derivative_integral_form(spec, a)
-        assert abs(quotient - integral) <= 1e-13, (a, quotient, integral)
+    for rep in identity_reports(spec, (0.05, 0.1, 1.0, 5.0)):
+        quotient, integral = rep.closed[3], rep.dtheta_integral
+        assert abs(quotient - integral) <= 1e-13, (rep.a, quotient, integral)
 
 
-def test_fd_rejects_step_reaching_zero():
-    from gsp_lab import NonPositiveInput
-
-    with pytest.raises(NonPositiveInput):
-        fd_derivatives(PowerLaw(p=1.0), 1.0, h=1.0)
+def test_stencil_must_fit_the_support():
+    # the stencil reaches a -+ 1e-5 a: on a table on [0.01, 10] it leaves
+    # the hull at both ends, and a scale whose stencil leaves it is refused
+    x = np.geomspace(0.01, 10.0, 50)
+    spec = Tabulated(x, x**1.5)
+    assert [stencil_fits(spec, a) for a in (0.01000001, 0.0100002, 9.9999, 10.0)] == [
+        False, True, True, False]
+    assert stencil_fits(PowerLaw(p=1.0), 1e-300)
+    with pytest.raises(DomainExceeded):
+        identity_reports(spec, [1.0, 10.0])
 
 
 # ------------------------------------------------ weighted mean / variance
@@ -120,31 +120,31 @@ def test_fd_rejects_step_reaching_zero():
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("a", SCALES)
 def test_weighted_mean_identity_on_power_laws(p, a):
-    assert abs(moment_bundle(PowerLaw(p=p), a, 1e-12).wm) <= 1e-10
+    assert abs(moment_bundles(PowerLaw(p=p), [a], 1e-12)[0].wm) <= 1e-10
 
 
 def test_weighted_mean_residual_matches_oracle():
     spec = PerturbedPowerLaw(p=1.0, eps=0.1)
-    assert abs(moment_bundle(spec, 1.0, 1e-12).wm - ORACLE_WM_EPS01) < 1e-9
+    assert abs(moment_bundles(spec, [1.0], 1e-12)[0].wm - ORACLE_WM_EPS01) < 1e-9
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 2.0, 5.0])
 @pytest.mark.parametrize("a", SCALES)
 def test_variance_vanishes_on_power_laws(p, a):
-    assert variance_functional(PowerLaw(p=p), a) <= 1e-14
+    assert moment_bundles(PowerLaw(p=p), [a], 1e-12)[0].variance <= 1e-14
 
 
 @pytest.mark.parametrize("eps", sorted(ORACLE_VAR))
 def test_variance_matches_oracle(eps):
     spec = PerturbedPowerLaw(p=1.0, eps=eps)
-    val = variance_functional(spec, 1.0)
+    val = moment_bundles(spec, [1.0], 1e-12)[0].variance
     assert val == pytest.approx(ORACLE_VAR[eps], rel=1e-8)
 
 
 def test_variance_scales_quadratically_in_wobble():
     ratios = [ORACLE_VAR[e] / e**2 for e in sorted(ORACLE_VAR)]
     measured = [
-        variance_functional(PerturbedPowerLaw(p=1.0, eps=e), 1.0) / e**2
+        moment_bundles(PerturbedPowerLaw(p=1.0, eps=e), [1.0], 1e-12)[0].variance / e**2
         for e in sorted(ORACLE_VAR)
     ]
     for r, m in zip(ratios, measured):
@@ -179,8 +179,9 @@ def test_report_collects_everything_coherently():
     rep = identity_reports(spec, [1.0])[0]
     assert rep.a == 1.0
     assert len(rep.reduction) == 3
+    assert rep.closed.shape == rep.finite_diff.shape == (4,)
     assert rep.weight_normalizer > 0.0
     assert abs(rep.wm - ORACLE_WM_EPS01) < 1e-9
     assert rep.variance == pytest.approx(ORACLE_VAR[0.10], rel=1e-8)
-    b = moment_bundle(spec, 1.0, 1e-12)
+    [b] = moment_bundles(spec, [1.0], 1e-12)
     assert b.theta == pytest.approx(ORACLE_THETA_EPS01, abs=1e-10)

@@ -8,14 +8,14 @@ from gsp_lab import (
     PerturbedPowerLaw,
     PowerLaw,
     ShapeProfile,
-    moment_bundle,
+    moment_bundles,
 )
 from gsp_lab.moments import _median
 from conftest import make_cubic_custom, make_tabulated_power
 
 
 def test_spec_example_values():
-    b = moment_bundle(PowerLaw(p=2.0, amp=3.0), 2.0)
+    b = moment_bundles(PowerLaw(p=2.0, amp=3.0), [2.0])[0]
     assert abs(b.F - 8.0) < 1e-9
     assert abs(b.H - 12.0) < 1e-9
     assert abs(b.G - 57.6) < 1e-8
@@ -28,7 +28,7 @@ def test_spec_example_values():
 @pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 2.0, 5.0])
 @pytest.mark.parametrize("a", [0.1, 1.0, 10.0])
 def test_power_law_normalized_moments(p, a):
-    b = moment_bundle(PowerLaw(p=p, amp=1.7), a)
+    b = moment_bundles(PowerLaw(p=p, amp=1.7), [a])[0]
     assert abs(b.A - 1.0 / (p + 1.0)) < 1e-10
     assert abs(b.B - 1.0 / (p + 2.0)) < 1e-10
     assert abs(b.C - 1.0 / (2.0 * p + 1.0)) < 1e-10
@@ -37,8 +37,8 @@ def test_power_law_normalized_moments(p, a):
 
 def test_amplitude_cancels_in_normalized_moments():
     a = 2.3
-    b1 = moment_bundle(PowerLaw(p=1.5, amp=1.0), a)
-    b7 = moment_bundle(PowerLaw(p=1.5, amp=7.0), a)
+    b1 = moment_bundles(PowerLaw(p=1.5, amp=1.0), [a])[0]
+    b7 = moment_bundles(PowerLaw(p=1.5, amp=7.0), [a])[0]
     assert abs(b1.A - b7.A) < 1e-12
     assert abs(b1.B - b7.B) < 1e-12
     assert abs(b1.C - b7.C) < 1e-12
@@ -52,7 +52,7 @@ def test_perturbed_primitives_against_scipy():
     F, _ = sp_integrate.quad(fn, 0, a, epsabs=1e-13, epsrel=1e-13)
     H, _ = sp_integrate.quad(lambda x: x * fn(x), 0, a, epsabs=1e-13, epsrel=1e-13)
     G, _ = sp_integrate.quad(lambda x: fn(x) ** 2, 0, a, epsabs=1e-13, epsrel=1e-13)
-    prim = moment_bundle(PerturbedPowerLaw(p=p, eps=eps), a, 1e-12)
+    prim = moment_bundles(PerturbedPowerLaw(p=p, eps=eps), [a], 1e-12)[0]
     assert abs(prim.F - F) < 1e-11
     assert abs(prim.H - H) < 1e-11
     assert abs(prim.G - G) < 1e-11
@@ -87,13 +87,13 @@ def _closed_primitives(p, eps, a):
 def test_primitives_are_accurate_relative_to_their_size(spec, p, eps, a):
     # tol applies in scale-free units, so it is a relative accuracy at small
     # scales too instead of an absolute floor far above F, H and G there
-    b = moment_bundle(spec, a, 1e-10)
+    b = moment_bundles(spec, [a], 1e-10)[0]
     for got, want in zip((b.F, b.H, b.G), _closed_primitives(p, eps, a)):
         assert abs(got - want) <= 1e-9 * want
 
 
 def test_quad_error_fields_are_present_and_small():
-    prim = moment_bundle(PowerLaw(p=1.0), 1.0, 1e-10)
+    prim = moment_bundles(PowerLaw(p=1.0), [1.0], 1e-10)[0]
     assert len(prim.errors) == 3
     assert all(0.0 <= e <= 1e-9 for e in prim.errors)
 
@@ -101,7 +101,7 @@ def test_quad_error_fields_are_present_and_small():
 def test_cubic_custom_matches_elementary_antiderivatives():
     spec = make_cubic_custom()
     a = 1.3
-    b = moment_bundle(spec, a, 1e-11)
+    b = moment_bundles(spec, [a], 1e-11)[0]
     F = a**3 / 3 + a**4 / 4
     H = a**4 / 4 + a**5 / 5
     G = a**5 / 5 + a**6 / 3 + a**7 / 7
@@ -116,12 +116,12 @@ def test_theta_stays_in_unit_interval_across_gallery():
 
     for label, spec in gallery():
         hi = min(spec.support[1], 8.0)
-        b = moment_bundle(spec, hi, 1e-10)
+        b = moment_bundles(spec, [hi], 1e-10)[0]
         assert 0.0 < b.theta < 1.0, label
 
 
 def test_tabulated_bundle_tracks_the_sampled_law(tab_x15):
-    b = moment_bundle(tab_x15, 2.0, 1e-10)
+    b = moment_bundles(tab_x15, [2.0], 1e-10)[0]
     p = 1.5
     assert abs(b.theta - (p + 1) / (p + 2)) < 1e-6
     assert abs(b.A - 1.0 / (p + 1.0)) < 1e-6

@@ -15,7 +15,7 @@ from gsp_lab import (
     SamplerState,
     inverse_cdf,
     mc_estimates,
-    moment_bundle,
+    moment_bundles,
 )
 from gsp_lab.functions import FunctionSpec
 from conftest import make_tabulated_power
@@ -259,7 +259,7 @@ def test_estimate_needs_enough_draws():
 
 def test_estimates_recover_centroid_moments():
     spec = PowerLaw(p=2.0)
-    b = moment_bundle(spec, 1.0)
+    b = moment_bundles(spec, [1.0])[0]
     state = SamplerState(spec, 1.0, seed=123)
     est = mc_estimates(state, 40_000)
     assert abs(est.mean_x - b.xbar) <= 4.0 * est.stderr_x
@@ -269,7 +269,7 @@ def test_estimates_recover_centroid_moments():
 
 def test_estimates_through_generic_solver():
     spec = PerturbedPowerLaw(p=1.0, eps=0.1)
-    b = moment_bundle(spec, 1.0)
+    b = moment_bundles(spec, [1.0])[0]
     state = SamplerState(spec, 1.0, seed=5)
     est = mc_estimates(state, 20_000)
     assert abs(est.mean_x - b.xbar) <= 4.0 * est.stderr_x
