@@ -32,9 +32,9 @@ from .functions import (
     validate,
 )
 from .quadrature import QuadResult, cumulative
-from .moments import MomentBundle, ShapeProfile, moment_bundles
+from .moments import MomentBundle, moment_bundles
 from .identities import IdentityReport, identity_reports, stencil_fits
-from .sampler import MCEstimate, SamplerState, inverse_cdf, mc_estimates
+from .sampler import MCEstimate, SamplerState, mc_estimates
 from .detector import (
     DetectionResult,
     ExponentEstimates,

@@ -94,11 +94,6 @@ class RunConfig:
     out: str | None = None
     format: str | None = None
 
-    def to_dict(self):
-        d = asdict(self)
-        d.pop("command")
-        return d
-
     def merged_with(self, overrides):
         d = asdict(self)
         d.update({k: v for k, v in overrides.items() if v is not None})

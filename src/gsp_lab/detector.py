@@ -22,7 +22,7 @@ exponents (possibly empty, possibly two).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -215,21 +215,7 @@ class DetectionResult:
     notes: str = ""
 
     def to_dict(self):
-        return {
-            "verdict": self.verdict.value,
-            "lambda_hat": self.lambda_hat,
-            "p_theta": self.p_theta,
-            "p_elasticity": self.p_elasticity,
-            "amp": self.amp,
-            "gsp_residual_max": self.gsp_residual_max,
-            "variance_max": self.variance_max,
-            "tol_gsp": self.tol_gsp,
-            "tol_var": self.tol_var,
-            "scales": list(self.scales),
-            "gsp_residuals": list(self.gsp_residuals),
-            "variances": list(self.variances),
-            "notes": self.notes,
-        }
+        return {**asdict(self), "verdict": self.verdict.value}
 
 
 def _residual_margin(spec, bundle, lam):

@@ -1,9 +1,9 @@
 """Function families on (0, inf) and their admissibility checks.
 
 A spec represents a positive function f on (0, inf) with f -> 0 at 0+.  All
-families expose the same three operations -- value, derivative, and the
-logarithmic derivative x f'(x) / f(x) (the "elasticity") -- accepting either
-a scalar or a numpy array of positive abscissae.
+families expose the same two operations -- the value and the logarithmic
+derivative x f'(x) / f(x) (the "elasticity") -- accepting either a scalar or
+a numpy array of positive abscissae.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ _HULL_SLACK = 1e-12  # relative slack when checking tabulated bounds
 class FunctionSpec:
     """Common behaviour for every function family.
 
-    Subclasses implement ``_value``, ``_deriv`` and ``_elast`` on 1-d float
-    arrays; this base class handles input checking, scalar/array round-trip,
-    and the positivity guarantee on evaluation.  Instances are immutable
+    Subclasses implement ``_value`` and ``_elast`` on 1-d float arrays;
+    this base class handles input checking, scalar/array round-trip, and
+    the positivity guarantee on evaluation.  Instances are immutable
     after construction and safe to share across threads.
     """
 
@@ -91,11 +91,6 @@ class FunctionSpec:
             )
         return self._ret(out, scalar)
 
-    def derivative(self, x):
-        """f'(x)."""
-        vec, scalar = self._check_x(x)
-        return self._ret(self._deriv(vec), scalar)
-
     def elasticity(self, x):
         """x f'(x) / f(x) -- the local power-law exponent."""
         vec, scalar = self._check_x(x)
@@ -121,9 +116,6 @@ class FunctionSpec:
     def _value(self, x):
         raise NotImplementedError
 
-    def _deriv(self, x):
-        raise NotImplementedError
-
     def _elast(self, x):
         raise NotImplementedError
 
@@ -138,9 +130,6 @@ class PowerLaw(FunctionSpec):
 
     def _value(self, x):
         return self.amp * x**self.p
-
-    def _deriv(self, x):
-        return self.amp * self.p * x ** (self.p - 1.0)
 
     def _elast(self, x):
         return np.full_like(x, self.p)
@@ -167,12 +156,6 @@ class PerturbedPowerLaw(FunctionSpec):
     def _value(self, x):
         return self.amp * x**self.p * self._wobble(x)
 
-    def _deriv(self, x):
-        logx = np.log(x)
-        return self.amp * x ** (self.p - 1.0) * (
-            self.p * (1.0 + self.eps * np.sin(logx)) + self.eps * np.cos(logx)
-        )
-
     def _elast(self, x):
         logx = np.log(x)
         return self.p + self.eps * np.cos(logx) / (1.0 + self.eps * np.sin(logx))
@@ -181,29 +164,18 @@ class PerturbedPowerLaw(FunctionSpec):
 class Custom(FunctionSpec):
     """User-supplied value and derivative callables.
 
-    ``fn`` and ``dfn`` take a single positive float (or, with
-    ``vectorized=True``, a numpy array) and return the value of f and f'.
-    Elasticity is formed as the quotient x f'(x) / f(x).
+    ``fn`` and ``dfn`` take a numpy array of positive abscissae and return
+    f and f' there.  Elasticity is formed as the quotient x f'(x) / f(x).
     """
 
     family = "custom"
 
-    def __init__(self, fn, dfn, vectorized=False, name="custom"):
+    def __init__(self, fn, dfn):
         self._fn = fn
         self._dfn = dfn
-        self._vectorized = bool(vectorized)
-        self.name = str(name)
-
-    def _call(self, func, x):
-        if self._vectorized:
-            return np.asarray(func(x), dtype=float)
-        return np.array([float(func(t)) for t in x], dtype=float)
 
     def _value(self, x):
-        return self._call(self._fn, x)
-
-    def _deriv(self, x):
-        return self._call(self._dfn, x)
+        return np.asarray(self._fn(x), dtype=float)
 
     def _elast(self, x):
         f = self._value(x)
@@ -211,7 +183,7 @@ class Custom(FunctionSpec):
             raise NonPositiveValue(
                 "custom: |f| too small to form the elasticity quotient"
             )
-        return x * self._deriv(x) / f
+        return x * np.asarray(self._dfn(x), dtype=float) / f
 
 
 def _end_slope(h0, h1, m0, m1):
@@ -288,10 +260,6 @@ class Tabulated(FunctionSpec):
     def _value(self, x):
         c, dt = self._locate(x)
         return np.exp(c[0] + c[1] * dt + c[2] * (dt * dt) + c[3] * (dt * dt * dt))
-
-    def _deriv(self, x):
-        # d/dx exp(L(log x)) = f(x) * L'(log x) / x
-        return self._value(x) * self._elast(x) / x
 
     def _elast(self, x):
         c, dt = self._locate(x)

@@ -39,15 +39,13 @@ import numpy as np
 
 from .errors import (
     DegenerateWeight,
-    DomainExceeded,
     NegativeVariance,
-    NonPositiveInput,
     NonPositiveValue,
     ThetaOutOfRange,
 )
 from .quadrature import cumulative
 
-__all__ = ["MomentBundle", "ShapeProfile", "moment_bundles"]
+__all__ = ["MomentBundle", "moment_bundles"]
 
 
 def _median(values):
@@ -65,6 +63,7 @@ def _median(values):
 _TIGHT_TOL = 1e-12
 _NEGATIVE_FLOOR = -1e-13
 _WEIGHT_FLOOR = 1e-14
+_UNIT_NAMES = ("a f(a)", "a^2 f(a)", "a^3 f(a)", "a f(a)^2")
 
 
 @dataclass(frozen=True)
@@ -111,8 +110,9 @@ def moment_bundles(spec, scales, tol=1e-10):
     positive and decays toward 0, so f(x[0]) bounds it there.  The values
     themselves are never silently corrected.
 
-    Raises NonPositiveValue, before integrating, if f(a)**2 underflows to
-    zero or overflows: the normalizations divide by it.  Raises
+    Raises NonPositiveValue, before integrating, if a scale-free unit
+    a f(a), a^2 f(a), a^3 f(a) or a f(a)^2 underflows to zero or
+    overflows: the normalizations divide by them.  Raises
     ThetaOutOfRange if the scale-free centroid abscissa B/A falls
     outside (0, 1) -- which cannot happen for an admissible spec and so
     flags either an inadmissible input or a failed integration.  Raises
@@ -123,13 +123,15 @@ def moment_bundles(spec, scales, tol=1e-10):
     cuts, where = np.unique(scales, return_inverse=True)
     fa = np.asarray(spec.eval(cuts))
     with np.errstate(over="ignore", under="ignore"):
-        fa2 = fa * fa
-    for a, f2 in zip(cuts, fa2):
-        if not 0.0 < f2 < np.inf:
-            raise NonPositiveValue(
-                f"f(a)^2 = {f2:g} at a={a:g} is outside the float64 range; "
-                "rescale the amplitude"
-            )
+        # a f(a)^2 as cuts * (fa * fa): another order rounds differently
+        unit = np.column_stack((cuts * fa, cuts * cuts * fa, cuts * cuts * cuts * fa,
+                                cuts * (fa * fa)))
+    for a, row in zip(cuts, unit):
+        for name, u in zip(_UNIT_NAMES, row):
+            if not 0.0 < u < np.inf:
+                raise NonPositiveValue(
+                    f"unit {name} = {u:g} at a={a:g} is outside the float64 range"
+                )
     e_ref = _median(spec.elasticity(cuts))
 
     def columns(x):
@@ -140,9 +142,8 @@ def moment_bundles(spec, scales, tol=1e-10):
         return np.hstack((m0, m0 * d, m0 * (d * d),
                           np.column_stack((f * f, f * e, xf * e, f * f * e))))
 
-    unit = np.column_stack((cuts * fa, cuts * cuts * fa, cuts * cuts * cuts * fa))
-    c_unit = (cuts * fa2)[:, None]
-    units = np.hstack((unit, unit, unit, c_unit, unit[:, :2], c_unit))
+    m_unit, c_unit = unit[:, :3], unit[:, 3:]
+    units = np.hstack((m_unit, m_unit, m_unit, c_unit, m_unit[:, :2], c_unit))
     tols = np.repeat([tol, _TIGHT_TOL, _TIGHT_TOL, tol], [3, 3, 3, 4])
     lo = spec.support[0]
     res = cumulative(columns, lo, cuts, tols, units=units, breakpoints=spec.knots)
@@ -180,31 +181,3 @@ def moment_bundles(spec, scales, tol=1e-10):
     bundles = [MomentBundle(*row, errors=tuple(err))
                for row, err in zip(table.tolist(), errors.tolist())]
     return [bundles[k] for k in where]
-
-
-class ShapeProfile:
-    """The scale-free profile g(s) = f(a s) / f(a) on (0, 1].
-
-    g(1) = 1 by construction; for a power law with exponent p the profile
-    is s**p at every scale, which is what makes it the right object for
-    scale-collapse arguments.
-    """
-
-    def __init__(self, spec, a):
-        self.spec = spec
-        self.a = spec.check_scale(a)
-        self.fa = spec.eval(self.a)
-        #: smallest s the profile can be evaluated at (0 for analytic specs)
-        self.s_floor = spec.support[0] / self.a
-
-    def __call__(self, s):
-        arr = np.asarray(s, dtype=float)
-        scalar = arr.ndim == 0
-        vec = np.atleast_1d(arr)
-        if vec.size and (not np.all(np.isfinite(vec)) or np.any(vec <= 0.0)):
-            raise NonPositiveInput("profile argument s must be positive")
-        if vec.size and np.any(vec > 1.0 + 1e-12):
-            raise DomainExceeded("profile argument s must not exceed 1")
-        out = np.asarray(self.spec.eval(vec * self.a)) / self.fa
-        return float(out[0]) if scalar else out
-

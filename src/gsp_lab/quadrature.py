@@ -153,8 +153,7 @@ def _panels(integrand, lo, hi):
     return val, err
 
 
-def cumulative(integrand, lo, cuts, tol=1e-10, *, units=1.0, breakpoints=(),
-               max_subdivisions=_DEFAULT_BUDGET):
+def cumulative(integrand, lo, cuts, tol=1e-10, *, units=1.0, breakpoints=()):
     """Integrals of every column of ``integrand`` over (lo, cut], per cut.
 
     ``integrand`` is called with a numpy vector of strictly interior nodes
@@ -167,9 +166,9 @@ def cumulative(integrand, lo, cuts, tol=1e-10, *, units=1.0, breakpoints=(),
     when its error estimate is at most ``tol[j, c] * max(units[j, c],
     |value[j, c]|)``.  An infinite unit leaves an output unreported, so it
     never drives the refinement.  ``breakpoints`` strictly inside (lo,
-    cuts[-1]) are edges of the initial panels.  ``max_subdivisions`` bounds
-    the panel count over and above the initial panels, so every cut and
-    breakpoint is honoured.
+    cuts[-1]) are edges of the initial panels.  The module's budget of
+    ``_DEFAULT_BUDGET`` panels bounds the panel count over and above the
+    initial panels, so every cut and breakpoint is honoured.
 
     On budget exhaustion ToleranceNotReached is raised with the flagged
     best-effort result (``converged=False``) attached as ``result``.
@@ -192,7 +191,7 @@ def cumulative(integrand, lo, cuts, tol=1e-10, *, units=1.0, breakpoints=(),
     val, err = _panels(integrand, edges[:-1], edges[1:])
     units = np.broadcast_to(np.asarray(units, dtype=float), (cuts.size, val.shape[1]))
     tol = np.broadcast_to(np.asarray(tol, dtype=float), units.shape)
-    budget = max_subdivisions + len(val) - 1
+    budget = _DEFAULT_BUDGET + len(val) - 1
     min_width = 8.0 * _EPS * (hi - lo)
 
     while True:

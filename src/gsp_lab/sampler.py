@@ -20,16 +20,15 @@ draws are bit-identical to one unblocked solve.  The table's masses are
 computed to min(1e-12, tol / 100), but no tighter than the 1e-14 the
 kernel can reach.
 
-Randomness is counter-based (Philox) and keyed by (seed, stream): states
-with equal keys produce identical draws on any machine, and child states
-produced by ``split`` get fresh streams that never overlap the parent's.
+Randomness is counter-based (Philox) and keyed by the seed: states with
+equal seeds produce identical draws on any machine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 from numpy.random import Generator, Philox  # at import time, not on the first draw
@@ -41,7 +40,7 @@ from .quadrature import cumulative
 # interval; its nodes are strictly interior, so x = 0 is never touched.
 from .quadrature import _WGK, _XGK
 
-__all__ = ["SamplerState", "MCEstimate", "inverse_cdf", "mc_estimates"]
+__all__ = ["SamplerState", "MCEstimate", "mc_estimates"]
 
 _TABLE_INTERVALS = 256
 # Draws per quantile solve: (2**14, 15) float64 node arrays are 2 MB.
@@ -53,13 +52,6 @@ _TABLE_TOL_FLOOR = 1e-14
 # fallbacks from a 2**-8 wide knot interval down to ~2**-58.
 _NEWTON_STEPS = 50
 _MIN_ESTIMATE_N = 100
-
-
-def _splitmix64(z):
-    z = (z + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return z ^ (z >> 31)
 
 
 class _CdfTable:
@@ -185,15 +177,6 @@ class _CdfTable:
         return self.a * self.quantiles(u, tol)
 
 
-def _checked_u(u):
-    arr = np.asarray(u, dtype=float)
-    scalar = arr.ndim == 0
-    vec = np.atleast_1d(arr).copy()
-    if vec.size and (np.any(~np.isfinite(vec)) or np.any(vec < 0.0) or np.any(vec > 1.0)):
-        raise DomainExceeded("u must lie in [0, 1]")
-    return vec, scalar
-
-
 def _power_quantiles(a, p, u):
     return a * u ** (1.0 / (p + 1.0))
 
@@ -207,33 +190,9 @@ def _quantile_solver(spec, a, tol):
     return partial(_CdfTable(spec, a, tol).solve_x, tol=tol)
 
 
-def inverse_cdf(spec, a, u, tol=1e-10):
-    """x such that the measure of (0, x] is u, for u in [0, 1].
-
-    u = 0 maps to the infimum of the support (0.0 for analytic specs, the
-    hull floor for tabulated ones) and u = 1 maps to a.  Power laws use the
-    closed-form quantile a * u**(1/(p+1)); everything else starts from a
-    cubic Hermite guess on a CDF table, checks its residual, and refines the
-    guesses that miss ``tol`` with bracketed Newton steps.
-    """
-    a = spec.check_scale(a)
-    vec, scalar = _checked_u(u)
-    out = np.full_like(vec, a)
-    out[vec == 0.0] = spec.support[0]
-    interior = (vec > 0.0) & (vec < 1.0)
-    if np.any(interior):
-        out[interior] = _quantile_solver(spec, a, tol)(vec[interior])
-    return float(out[0]) if scalar else out
-
-
 @dataclass(frozen=True)
 class MCEstimate:
-    """Monte Carlo means of x and f(x) with their standard errors.
-
-    Estimates from disjoint draw sets combine associatively via ``merge``,
-    which recovers the sum-of-squares from the standard errors, so a
-    sharded computation reproduces the single-pass numbers.
-    """
+    """Monte Carlo means of x and f(x) with their standard errors."""
 
     mean_x: float
     mean_fx: float
@@ -241,45 +200,21 @@ class MCEstimate:
     stderr_fx: float
     n: int
 
-    def merge(self, other):
-        n1, n2 = self.n, other.n
-        n = n1 + n2
-
-        def combine(m1, s1, m2, s2):
-            m2sum1 = s1 * s1 * n1 * (n1 - 1)
-            m2sum2 = s2 * s2 * n2 * (n2 - 1)
-            delta = m2 - m1
-            mean = m1 + delta * n2 / n
-            m2sum = m2sum1 + m2sum2 + delta * delta * n1 * n2 / n
-            return mean, math.sqrt(m2sum / (n - 1) / n)
-
-        mx, sx = combine(self.mean_x, self.stderr_x, other.mean_x, other.stderr_x)
-        mf, sf = combine(self.mean_fx, self.stderr_fx, other.mean_fx, other.stderr_fx)
-        return MCEstimate(mean_x=mx, mean_fx=mf, stderr_x=sx, stderr_fx=sf, n=n)
-
 
 class SamplerState:
     """Deterministic sampling state for one (spec, a) pair.
 
-    The key (seed, stream) fully determines the draw sequence;  ``counter``
-    records how many draws have been consumed.  ``split(k)`` derives k
-    child states whose streams are mixed from the parent's, so parallel
-    shards stay reproducible without coordination.
+    The seed fully determines the draw sequence; the quantile solver (for
+    a non-power-law spec, its CDF table) is built once, here.
     """
 
-    def __init__(self, spec, a, seed, stream=0, tol=1e-10):
+    def __init__(self, spec, a, seed, tol=1e-10):
         self.spec = spec
         self.a = spec.check_scale(a)
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self.stream = int(stream) & 0xFFFFFFFFFFFFFFFF
-        self.tol = tol
-        self.counter = 0
-        self._splits = 0
-        key = np.array([self.seed, self.stream], dtype=np.uint64)
+        key = np.array([self.seed, 0], dtype=np.uint64)
         self._gen = Generator(Philox(key=key))
-        # Built on the first draw and shared with every state split from
-        # this one, so a family of shards builds one CDF table.
-        self._solver = cache(partial(_quantile_solver, self.spec, self.a, tol))
+        self._solver = _quantile_solver(spec, self.a, tol)
 
     def draw(self, n):
         n = int(n)
@@ -289,24 +224,7 @@ class SamplerState:
         # random() can emit exactly 0, whose quantile sits outside the open
         # support; nudge to the smallest positive double instead.
         u[u == 0.0] = np.nextafter(0.0, 1.0)
-        self.counter += n
-        return self._solver()(u)
-
-    def split(self, k):
-        k = int(k)
-        if k <= 0:
-            raise NonPositiveInput("split count must be positive")
-        children = []
-        for i in range(k):
-            mixed = _splitmix64(
-                self.stream ^ _splitmix64((self._splits << 20) + i + 1)
-            )
-            child = SamplerState(self.spec, self.a, self.seed, stream=mixed,
-                                 tol=self.tol)
-            child._solver = self._solver
-            children.append(child)
-        self._splits += 1
-        return children
+        return self._solver(u)
 
 
 def mc_estimates(state, n):

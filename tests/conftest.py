@@ -25,12 +25,7 @@ def make_perturbed_table(seed=1, n=200, lo=0.01, hi=10.0):
 def make_cubic_custom():
     # f = x^2 + x^3 with hand-written derivative; primitives are elementary:
     # F = a^3/3 + a^4/4, H = a^4/4 + a^5/5, G = a^5/5 + 2 a^6/6 + a^7/7.
-    return Custom(
-        lambda x: x**2 + x**3,
-        lambda x: 2.0 * x + 3.0 * x**2,
-        vectorized=True,
-        name="cubic",
-    )
+    return Custom(lambda x: x**2 + x**3, lambda x: 2.0 * x + 3.0 * x**2)
 
 
 def gallery():

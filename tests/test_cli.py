@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from decimal import Decimal
 
 import numpy as np
@@ -288,10 +289,17 @@ def test_sample_below_the_kernel_floor_still_draws(tmp_path, tol):
 
 # ------------------------------------------------------------ config file
 
+def _file_keys(cfg):
+    """The config as a config file holds it: every field but the command."""
+    d = asdict(cfg)
+    del d["command"]
+    return d
+
+
 def test_config_file_round_trip_and_override(tmp_path):
     cfg = RunConfig(command="sweep", family="power", p=2.0, a_count=9)
     path = tmp_path / "run.json"
-    path.write_text(json.dumps(cfg.to_dict()))
+    path.write_text(json.dumps(_file_keys(cfg)))
 
     out = tmp_path / "s.csv"
     code = run_cli("sweep", "--config", str(path), "--out", str(out))
@@ -310,7 +318,7 @@ def test_config_round_trips_losslessly(tmp_path):
     cfg = RunConfig(command="detect", family="perturbed", p=1.25,
                     eps=0.05, tol=3e-11, seed=99)
     path = tmp_path / "c.json"
-    path.write_text(json.dumps(cfg.to_dict()))
+    path.write_text(json.dumps(_file_keys(cfg)))
     reparsed = RunConfig(command="detect").merged_with(
         json.loads(path.read_text())
     )
@@ -387,11 +395,15 @@ def _sqrt_table(path, lo, hi, n):
 @pytest.mark.parametrize("lo,hi,grid,code", [
     (1e10, 1e20, ("--a-min", "1e11", "--a-max", "1e19"), 4),
     (1e-300, 1e-290, (), 2),
+    (1e-300, 1e-290, ("--a-min", "1e-299", "--a-max", "1e-291"), 1),
+    (1e-305, 1e305, ("--a-min", "1e100", "--a-max", "1e300"), 1),
+    (1e-305, 1e305, ("--a-min", "1e-300", "--a-max", "1e-100"), 1),
 ])
 def test_table_outside_the_probe_window_ends_in_one_line(tmp_path, capsys, lo, hi,
                                                          grid, code):
     # validate probes the hull itself when it misses [1e-6, 1e6] instead of
-    # evaluating the table outside it
+    # evaluating the table outside it; a scale whose units a^k f(a) or
+    # a f(a)^2 leave the float64 range is refused before the moment pass
     table = _sqrt_table(tmp_path / "t.csv", lo, hi, 50)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -400,6 +412,8 @@ def test_table_outside_the_probe_window_ends_in_one_line(tmp_path, capsys, lo, h
     assert rc == code
     assert err.count("\n") == 1 and "Traceback" not in err
     assert caught == []
+    if code == 1:  # names the unit the moments cannot divide by
+        assert err.startswith("error: unit ") and "outside the float64 range" in err
 
 
 def test_sample_on_a_table_spanning_float64_ends_cleanly(tmp_path, capsys):

@@ -22,7 +22,6 @@ from conftest import make_tabulated_power
 def test_power_law_closed_forms():
     spec = PowerLaw(p=2.0, amp=3.0)
     assert spec.eval(2.0) == 12.0
-    assert spec.derivative(2.0) == 12.0
     assert spec.elasticity(2.0) == 2.0
 
 
@@ -39,8 +38,6 @@ def test_perturbed_matches_hand_formulas():
     x = np.array([0.37, 1.0, 4.5])
     wob = 1.0 + eps * np.sin(np.log(x))
     assert np.allclose(spec.eval(x), amp * x**p * wob, rtol=1e-15)
-    want_d = amp * x ** (p - 1.0) * (p * wob + eps * np.cos(np.log(x)))
-    assert np.allclose(spec.derivative(x), want_d, rtol=1e-15)
     want_e = p + eps * np.cos(np.log(x)) / wob
     assert np.allclose(spec.elasticity(x), want_e, rtol=1e-15)
 
@@ -59,23 +56,16 @@ def test_non_positive_abscissa_rejected(bad):
 
 
 def test_negative_custom_value_rejected():
-    spec = Custom(lambda x: x - 0.5, lambda x: 1.0, vectorized=True)
+    spec = Custom(lambda x: x - 0.5, lambda x: 1.0)
     with pytest.raises(NonPositiveValue):
         spec.eval(0.25)
 
 
 def test_custom_elasticity_quotient():
-    spec = Custom(lambda x: x**2 + x**3, lambda x: 2 * x + 3 * x**2,
-                  vectorized=True)
+    spec = Custom(lambda x: x**2 + x**3, lambda x: 2 * x + 3 * x**2)
     x = 0.8
     want = x * (2 * x + 3 * x**2) / (x**2 + x**3)
     assert abs(spec.elasticity(x) - want) < 1e-15
-
-
-def test_custom_scalar_callables_are_wrapped():
-    spec = Custom(lambda x: x**2, lambda x: 2 * x)  # not vectorized
-    out = spec.eval(np.array([1.0, 3.0]))
-    assert np.allclose(out, [1.0, 9.0])
 
 
 # ------------------------------------------------------------- tabulated
@@ -84,7 +74,6 @@ def test_tabulated_reproduces_power_law_between_knots():
     spec = make_tabulated_power(amp=4.0, p=1.5)
     x = np.geomspace(2e-4, 9e1, 57)  # deliberately off-knot
     assert np.allclose(spec.eval(x), 4.0 * x**1.5, rtol=1e-12)
-    assert np.allclose(spec.derivative(x), 6.0 * x**0.5, rtol=1e-12)
     assert np.allclose(spec.elasticity(x), 1.5, atol=1e-12)
 
 
@@ -147,7 +136,6 @@ def test_tabulated_matches_scipy_pchip_bit_for_bit(kind, n):
     log_f, slope = ref(np.log(q)), ref.derivative()(np.log(q))
     assert np.array_equal(spec.eval(q), np.exp(log_f))
     assert np.array_equal(spec.elasticity(q), slope)
-    assert np.array_equal(spec.derivative(q), np.exp(log_f) * slope / q)
 
 
 # ------------------------------------------------------------- validation
@@ -178,7 +166,7 @@ def test_validate_flags_negative_amplitude():
 
 
 def test_validate_flags_nonzero_limit_at_origin():
-    spec = Custom(lambda x: 1.0 + x, lambda x: 1.0, vectorized=False)
+    spec = Custom(lambda x: 1.0 + x, lambda x: 1.0)
     report = validate(spec)
     assert not report.ok
     assert report.failed == "f(0+)=0"

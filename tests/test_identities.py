@@ -157,7 +157,7 @@ def test_variance_of_a_wide_elasticity_matches_scipy():
     # shift E_ref is far from E(a theta) at the small and the large scales,
     # where the shifted-moment expansion cancels most
     spec = Custom(lambda x: x**0.5 + x**20,
-                  lambda x: 0.5 * x**-0.5 + 20.0 * x**19, vectorized=True)
+                  lambda x: 0.5 * x**-0.5 + 20.0 * x**19)
     f = lambda x: x**0.5 + x**20
     E = lambda x: (0.5 * x**0.5 + 20.0 * x**20) / (x**0.5 + x**20)
     grid = ScaleGrid.log_spaced()

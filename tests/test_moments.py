@@ -3,15 +3,12 @@ import pytest
 from scipy import integrate as sp_integrate
 
 from gsp_lab import (
-    DomainExceeded,
-    NonPositiveInput,
     PerturbedPowerLaw,
     PowerLaw,
-    ShapeProfile,
     moment_bundles,
 )
 from gsp_lab.moments import _median
-from conftest import make_cubic_custom, make_tabulated_power
+from conftest import make_cubic_custom
 
 
 def test_spec_example_values():
@@ -125,41 +122,6 @@ def test_tabulated_bundle_tracks_the_sampled_law(tab_x15):
     p = 1.5
     assert abs(b.theta - (p + 1) / (p + 2)) < 1e-6
     assert abs(b.A - 1.0 / (p + 1.0)) < 1e-6
-
-
-# ---------------------------------------------------------------- profile
-
-def test_profile_normalization_and_shape():
-    g = ShapeProfile(PowerLaw(p=2.0, amp=5.0), 3.0)
-    assert abs(g(1.0) - 1.0) < 1e-15
-    s = np.linspace(0.05, 1.0, 11)
-    assert np.allclose(g(s), s**2, rtol=1e-14)
-
-
-def test_profile_matches_rescaled_values_for_perturbed():
-    spec = PerturbedPowerLaw(p=1.0, eps=0.1)
-    a = 2.7
-    g = ShapeProfile(spec, a)
-    s = np.array([0.2, 0.5, 0.9])
-    assert np.allclose(g(s), spec.eval(a * s) / spec.eval(a), rtol=1e-14)
-
-
-def test_profile_domain_errors():
-    g = ShapeProfile(PowerLaw(p=1.0), 1.0)
-    with pytest.raises(NonPositiveInput):
-        g(0.0)
-    with pytest.raises(NonPositiveInput):
-        g(-0.1)
-    with pytest.raises(DomainExceeded):
-        g(1.1)
-
-
-def test_profile_scale_must_fit_support():
-    spec = make_tabulated_power(lo=0.01, hi=10.0, n=60)
-    with pytest.raises(DomainExceeded):
-        ShapeProfile(spec, 12.0)
-    g = ShapeProfile(spec, 5.0)
-    assert g.s_floor == pytest.approx(0.002)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 18])

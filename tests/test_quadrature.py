@@ -11,6 +11,7 @@ from gsp_lab import (
     cumulative,
     moment_bundles,
 )
+from gsp_lab import quadrature
 from gsp_lab.quadrature import _CHUNK
 from conftest import make_cubic_custom, make_tabulated_power
 
@@ -74,10 +75,11 @@ def test_endpoints_are_never_sampled():
     assert hi_seen < 1.0
 
 
-def test_budget_exhaustion_raises_with_partial_result():
+def test_budget_exhaustion_raises_with_partial_result(monkeypatch):
+    monkeypatch.setattr(quadrature, "_DEFAULT_BUDGET", 8)
     fn = lambda x: 1.0 / np.sqrt(np.abs(x - np.sqrt(2) / 2) + 1e-14)
     with pytest.raises(ToleranceNotReached) as info:
-        cumulative(fn, 0.0, 1.0, 1e-13, max_subdivisions=8)
+        cumulative(fn, 0.0, 1.0, 1e-13)
     partial = info.value.result
     assert partial is not None
     assert not partial.converged
@@ -85,10 +87,11 @@ def test_budget_exhaustion_raises_with_partial_result():
     assert partial.error_estimate[0, 0] > 1e-13
 
 
-def test_budget_exhaustion_can_return_flagged_result():
+def test_budget_exhaustion_can_return_flagged_result(monkeypatch):
+    monkeypatch.setattr(quadrature, "_DEFAULT_BUDGET", 8)
     fn = lambda x: 1.0 / np.sqrt(np.abs(x - 0.3) + 1e-14)
     with pytest.raises(ToleranceNotReached) as info:
-        cumulative(fn, 0.0, 1.0, 1e-13, max_subdivisions=8)
+        cumulative(fn, 0.0, 1.0, 1e-13)
     res = info.value.result
     assert not res.converged
     assert res.error_estimate[0, 0] > 0.0
@@ -145,11 +148,12 @@ def test_breakpoint_panels_that_miss_are_bisected():
     assert abs(res.value[0, 0] - exact) <= 1e-9
 
 
-def test_more_breakpoint_panels_than_the_budget_still_converge():
+def test_more_breakpoint_panels_than_the_budget_still_converge(monkeypatch):
     # the budget bounds bisections, not the panels the breakpoints demand
+    monkeypatch.setattr(quadrature, "_DEFAULT_BUDGET", 8)
     cuts = np.linspace(0.0, 1.0, 41)
     res = cumulative(lambda x: np.abs(np.sin(20.0 * np.pi * x)), 0.0, 1.0,
-                     1e-12, breakpoints=cuts, max_subdivisions=8)
+                     1e-12, breakpoints=cuts)
     assert res.converged and res.subdivisions == 40
     assert abs(res.value[0, 0] - 2.0 / np.pi) <= 1e-12
 
@@ -270,7 +274,7 @@ def test_table_moments_to_machine_precision(perturbed_table):
 def test_moment_kinds_match_hand_integrals():
     # f = 3 x^2 on (0, 2]: all six integrals are elementary
     spec = PowerLaw(p=2.0, amp=3.0)
-    f, df = spec.eval, spec.derivative
+    f, df = spec.eval, lambda x: 6.0 * x
     want = {
         "F": (f, 8.0),
         "H": (lambda x: x * f(x), 12.0),
@@ -289,7 +293,8 @@ def test_moment_x_form_reductions_for_custom_spec():
     spec = make_cubic_custom()
     a = 1.7
     fa = spec.eval(a)
-    f, df = spec.eval, spec.derivative
+    f = spec.eval
+    df = lambda x: spec.elasticity(x) * f(x) / x  # f' = E f / x
     F = cumulative(f, 0.0, a, 1e-12).value[0, 0]
     H = cumulative(lambda x: x * f(x), 0.0, a, 1e-12).value[0, 0]
     G = cumulative(lambda x: f(x) ** 2, 0.0, a, 1e-12).value[0, 0]

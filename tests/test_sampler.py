@@ -8,12 +8,10 @@ from scipy import integrate as sp_integrate
 from gsp_lab import sampler
 from gsp_lab import (
     Custom,
-    DomainExceeded,
     NonPositiveInput,
     PerturbedPowerLaw,
     PowerLaw,
     SamplerState,
-    inverse_cdf,
     mc_estimates,
     moment_bundles,
 )
@@ -21,19 +19,22 @@ from gsp_lab.functions import FunctionSpec
 from conftest import make_tabulated_power
 
 
+def quantiles(spec, a, u, tol=1e-10):
+    """x with measure u on (0, x], for interior u, through the sampler's solver."""
+    return sampler._quantile_solver(spec, a, tol)(np.asarray(u, dtype=float))
+
+
 def test_power_law_quantile_closed_form():
     # for p=1 the CDF is (x/a)^2, so u=0.25 pulls back to x=0.5
-    assert inverse_cdf(PowerLaw(p=1.0), 1.0, 0.25) == pytest.approx(0.5, abs=1e-15)
-    assert inverse_cdf(PowerLaw(p=1.0), 1.0, 0.0) == 0.0
-    assert inverse_cdf(PowerLaw(p=1.0), 1.0, 1.0) == 1.0
+    assert quantiles(PowerLaw(p=1.0), 1.0, 0.25) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_generic_solver_reproduces_closed_form():
     # same function, but routed through the table solver via Custom
     p, a = 2.0, 3.0
-    generic = Custom(lambda x: x**p, lambda x: p * x ** (p - 1), vectorized=True)
+    generic = Custom(lambda x: x**p, lambda x: p * x ** (p - 1))
     u = np.linspace(0.001, 0.999, 199)
-    x_solver = inverse_cdf(generic, a, u, 1e-11)
+    x_solver = quantiles(generic, a, u, 1e-11)
     x_exact = a * u ** (1.0 / (p + 1.0))
     assert np.max(np.abs(x_solver - x_exact)) < 1e-10 * a
 
@@ -53,21 +54,14 @@ def test_table_is_built_in_one_pass(monkeypatch):
     assert len(calls) <= 20
 
 
-def test_u_outside_unit_interval_rejected():
-    with pytest.raises(DomainExceeded):
-        inverse_cdf(PowerLaw(p=1.0), 1.0, 1.5)
-    with pytest.raises(DomainExceeded):
-        inverse_cdf(PowerLaw(p=1.0), 1.0, -0.1)
-
-
 def test_quantile_round_trip_against_scipy():
     # F(x(u)) / F(a) should give u back; F through scipy, x through us
     spec = PerturbedPowerLaw(p=1.0, eps=0.1)
     a = 2.0
     fn = lambda x: x * (1.0 + 0.1 * np.sin(np.log(x)))
     Fa, _ = sp_integrate.quad(fn, 0, a, epsabs=1e-13, epsrel=1e-13)
-    for u in (0.1, 0.25, 0.5, 0.75, 0.9):
-        x = inverse_cdf(spec, a, u, 1e-11)
+    us = (0.1, 0.25, 0.5, 0.75, 0.9)
+    for u, x in zip(us, quantiles(spec, a, us, 1e-11)):
         Fx, _ = sp_integrate.quad(fn, 0, x, epsabs=1e-13, epsrel=1e-13)
         assert abs(Fx / Fa - u) < 1e-8
 
@@ -106,14 +100,12 @@ def test_quantile_u_error_against_scipy(name, a, tab_x15, perturbed_table):
     # and the perturbed table's log-log slope kinks at every knot
     spec = {
         "perturbed": PerturbedPowerLaw(p=1.0, eps=0.1),
-        "steep_custom": Custom(
-            lambda x: x**20, lambda x: 20.0 * x**19, vectorized=True
-        ),
+        "steep_custom": Custom(lambda x: x**20, lambda x: 20.0 * x**19),
         "tab_x15": tab_x15,
         "kinked_table": perturbed_table,
     }[name]
     u = np.random.default_rng(2024).random(50)
-    x = inverse_cdf(spec, a, u, 1e-10)
+    x = quantiles(spec, a, u, 1e-10)
     F = _reference_cdf(spec, spec.support[0], np.append(x, a))
     assert np.max(np.abs(F[:-1] / F[-1] - u)) <= 2e-10
 
@@ -121,13 +113,15 @@ def test_quantile_u_error_against_scipy(name, a, tab_x15, perturbed_table):
 def test_quantiles_increase_with_u():
     spec = PerturbedPowerLaw(p=2.0, eps=0.05)
     u = np.linspace(0.01, 0.99, 61)
-    x = inverse_cdf(spec, 1.5, u)
+    x = quantiles(spec, 1.5, u)
     assert np.all(np.diff(x) > 0.0)
 
 
 def test_tabulated_quantiles_stay_in_hull(tab_x15):
+    # the extreme interior u pull back to the hull floor and to a
     u = np.linspace(0.0, 1.0, 21)
-    x = inverse_cdf(tab_x15, 10.0, u)
+    u[0], u[-1] = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+    x = quantiles(tab_x15, 10.0, u)
     assert x[0] == pytest.approx(tab_x15.support[0])
     assert x[-1] == pytest.approx(10.0)
     assert np.all(x >= tab_x15.support[0]) and np.all(x <= 10.0)
@@ -152,6 +146,32 @@ def test_same_key_same_draws(draw_spec):
     assert np.array_equal(s1.draw(100), s2.draw(100))
 
 
+@pytest.mark.parametrize("spec, want", [
+    (PowerLaw(p=1.0),
+     [0.93384873230116194, 0.54347528141929657, 0.64814942606411541]),
+    (PerturbedPowerLaw(p=1.0, eps=0.1),
+     [0.93637307984351381, 0.55448187540825711, 0.65818306937857596]),
+], ids=["power", "perturbed"])
+def test_seed_draws_are_frozen(spec, want):
+    # the Philox key is [seed, 0]: these bytes must never move
+    assert SamplerState(spec, 1.0, seed=7).draw(3).tolist() == want
+
+
+def test_table_is_built_once_per_state(monkeypatch):
+    built = []
+
+    class CountingTable(sampler._CdfTable):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sampler, "_CdfTable", CountingTable)
+    state = SamplerState(PerturbedPowerLaw(p=1.0, eps=0.1), 1.0, seed=11)
+    assert len(built) == 1
+    state.draw(16), state.draw(8)
+    assert len(built) == 1
+
+
 def test_batching_does_not_change_the_stream(draw_spec):
     # refining only the draws that miss must not couple a draw to its batch,
     # nor may the quantile solve's blocks of 2**14 draws
@@ -161,59 +181,12 @@ def test_batching_does_not_change_the_stream(draw_spec):
         whole = s1.draw(sum(sizes))
         parts = np.concatenate([s2.draw(k) for k in sizes])
         assert np.array_equal(whole, parts)
-        assert s1.counter == s2.counter == sum(sizes)
 
 
 def test_streams_and_seeds_decorrelate():
-    base = SamplerState(PowerLaw(p=1.0), 1.0, seed=7, stream=0)
-    other_stream = SamplerState(PowerLaw(p=1.0), 1.0, seed=7, stream=1)
-    other_seed = SamplerState(PowerLaw(p=1.0), 1.0, seed=8, stream=0)
-    a, b, c = base.draw(64), other_stream.draw(64), other_seed.draw(64)
-    assert not np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-
-
-def test_split_produces_fresh_disjoint_streams():
-    parent = SamplerState(PowerLaw(p=1.0), 1.0, seed=3)
-    kids = parent.split(3)
-    assert len({k.stream for k in kids} | {parent.stream}) == 4
-    draws = [k.draw(32) for k in kids] + [parent.draw(32)]
-    for i in range(len(draws)):
-        for j in range(i + 1, len(draws)):
-            assert not np.array_equal(draws[i], draws[j])
-    # a second split must not reuse the first split's streams
-    kids2 = parent.split(3)
-    assert {k.stream for k in kids} & {k.stream for k in kids2} == set()
-
-
-def test_split_is_reproducible(draw_spec):
-    p1 = SamplerState(draw_spec, 1.0, seed=3)
-    p2 = SamplerState(draw_spec, 1.0, seed=3)
-    k1 = p1.split(2)
-    k2 = p2.split(2)
-    for x, y in zip(k1, k2):
-        assert x.stream == y.stream
-        assert np.array_equal(x.draw(16), y.draw(16))
-
-
-def test_split_children_share_the_parent_table(monkeypatch):
-    built = []
-
-    class CountingTable(sampler._CdfTable):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(sampler, "_CdfTable", CountingTable)
-    spec = PerturbedPowerLaw(p=1.0, eps=0.1)
-    parent = SamplerState(spec, 1.0, seed=11)
-    kids = parent.split(3)
-    kid_draws = [k.draw(16) for k in kids]
-    parent.draw(8)
-    assert len(built) == 1
-    for kid, xs in zip(kids, kid_draws):
-        fresh = SamplerState(spec, 1.0, seed=11, stream=kid.stream)
-        assert np.array_equal(fresh.draw(16), xs)
+    base = SamplerState(PowerLaw(p=1.0), 1.0, seed=7)
+    other_seed = SamplerState(PowerLaw(p=1.0), 1.0, seed=8)
+    assert not np.array_equal(base.draw(64), other_seed.draw(64))
 
 
 def test_table_draws_stay_cheap(monkeypatch):
@@ -221,7 +194,6 @@ def test_table_draws_stay_cheap(monkeypatch):
     # 15 points per draw, refinement a little more; a bisection to the same
     # tolerance needs ~400
     state = SamplerState(PerturbedPowerLaw(p=1.0, eps=0.1), 1.0, seed=4)
-    state.draw(1)  # builds the table
     points = []
     plain_eval = FunctionSpec.eval
 
@@ -239,7 +211,6 @@ def test_table_draw_memory_is_bounded():
     # the quantile solve works in blocks, so its (draws, 15) node arrays do
     # not grow with the batch: 68 MB for one unblocked solve of 1e5 draws
     state = SamplerState(PerturbedPowerLaw(p=1.0, eps=0.1), 1.0, seed=4)
-    state.draw(1)  # builds the table
     tracemalloc.start()
     try:
         state.draw(100_000)
@@ -275,44 +246,3 @@ def test_estimates_through_generic_solver():
     assert abs(est.mean_x - b.xbar) <= 4.0 * est.stderr_x
     assert abs(0.5 * est.mean_fx - b.ybar) <= 2.0 * est.stderr_fx
 
-
-def test_merge_equals_single_pass():
-    spec = PowerLaw(p=1.0)
-    sa = SamplerState(spec, 1.0, seed=9, stream=1)
-    sb = SamplerState(spec, 1.0, seed=9, stream=2)
-    xa, xb = sa.draw(600), sb.draw(400)
-
-    # recompute the two shard estimates from the same draws
-    def direct(xs):
-        fx = spec.eval(xs)
-        n = xs.size
-        from gsp_lab import MCEstimate
-
-        return MCEstimate(
-            mean_x=float(np.mean(xs)),
-            mean_fx=float(np.mean(fx)),
-            stderr_x=float(np.std(xs, ddof=1) / np.sqrt(n)),
-            stderr_fx=float(np.std(fx, ddof=1) / np.sqrt(n)),
-            n=n,
-        )
-
-    merged = direct(xa).merge(direct(xb))
-    pooled = direct(np.concatenate([xa, xb]))
-    assert merged.n == pooled.n == 1000
-    assert merged.mean_x == pytest.approx(pooled.mean_x, rel=1e-13)
-    assert merged.mean_fx == pytest.approx(pooled.mean_fx, rel=1e-13)
-    assert merged.stderr_x == pytest.approx(pooled.stderr_x, rel=1e-12)
-    assert merged.stderr_fx == pytest.approx(pooled.stderr_fx, rel=1e-12)
-
-
-def test_merge_is_associative():
-    from gsp_lab import MCEstimate
-
-    e1 = MCEstimate(0.5, 1.0, 0.01, 0.02, 200)
-    e2 = MCEstimate(0.6, 1.1, 0.02, 0.03, 300)
-    e3 = MCEstimate(0.4, 0.9, 0.015, 0.025, 500)
-    left = e1.merge(e2).merge(e3)
-    right = e1.merge(e2.merge(e3))
-    assert left.n == right.n == 1000
-    assert left.mean_x == pytest.approx(right.mean_x, rel=1e-14)
-    assert left.stderr_x == pytest.approx(right.stderr_x, rel=1e-12)
