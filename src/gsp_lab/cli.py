@@ -139,6 +139,22 @@ def _load_config_file(path):
 
 
 def _build_parser():
+    # the flags every subcommand shares, declared once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--family", choices=("power", "perturbed"))
+    common.add_argument("--p", type=float)
+    common.add_argument("--amp", type=float)
+    common.add_argument("--eps", type=float)
+    common.add_argument("--csv", help="tabulated spec from a two-column CSV")
+    common.add_argument("--a-min", dest="a_min", type=float)
+    common.add_argument("--a-max", dest="a_max", type=float)
+    common.add_argument("--a-count", dest="a_count", type=int)
+    common.add_argument("--tol", type=float)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--out")
+    common.add_argument("--format", choices=("csv", "json"))
+    common.add_argument("--config", help="flat JSON config file")
+
     parser = argparse.ArgumentParser(
         prog="gsp-lab",
         description="Scaling-identity verification, power-law detection, "
@@ -151,20 +167,7 @@ def _build_parser():
         ("sweep", "emit per-scale moments and residuals as plot-ready data"),
         ("sample", "draw from the normalized measure at one scale"),
     ):
-        cmd = sub.add_parser(name, help=helptext)
-        cmd.add_argument("--family", choices=("power", "perturbed"))
-        cmd.add_argument("--p", type=float)
-        cmd.add_argument("--amp", type=float)
-        cmd.add_argument("--eps", type=float)
-        cmd.add_argument("--csv", help="tabulated spec from a two-column CSV")
-        cmd.add_argument("--a-min", dest="a_min", type=float)
-        cmd.add_argument("--a-max", dest="a_max", type=float)
-        cmd.add_argument("--a-count", dest="a_count", type=int)
-        cmd.add_argument("--tol", type=float)
-        cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--out")
-        cmd.add_argument("--format", choices=("csv", "json"))
-        cmd.add_argument("--config", help="flat JSON config file")
+        cmd = sub.add_parser(name, help=helptext, parents=[common])
         if name == "sample":
             cmd.add_argument("--a", type=float, help="truncation scale")
             cmd.add_argument("--n", type=int, help="number of draws")

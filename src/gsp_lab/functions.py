@@ -304,6 +304,13 @@ def validate(spec):
     passing report is evidence, not proof.
     """
     if isinstance(spec, (PowerLaw, PerturbedPowerLaw)):
+        # NaN passes every comparison below, so name it here
+        for name in ("p", "amp", "eps"):
+            value = getattr(spec, name, 0.0)
+            if not math.isfinite(value):
+                return ValidationReport(
+                    False, "positivity", f"{name}={value:g} is not finite"
+                )
         if spec.amp <= 0.0:
             return ValidationReport(False, "positivity", "amp must be positive")
         if isinstance(spec, PerturbedPowerLaw) and abs(spec.eps) >= 1.0:

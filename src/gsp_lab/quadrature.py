@@ -20,8 +20,15 @@ panels' error estimates and must meet its own target ``tol * max(unit,
 |value|)``: a relative tolerance with an absolute floor in the output's own
 unit.  Refinement runs in rounds.  Each round bisects every panel whose error
 is at least a quarter of the largest panel error under a failing output
-(maximum marking), and evaluates all the new halves together, in calls of a
+(maximum marking), and evaluates all the new panels together, in calls of a
 bounded number of panels so that the working arrays stay small.
+
+The panel at ``lo`` is the exception when it comes back marked right after
+a split, as at an algebraic endpoint singularity.  Its two halves give the
+rate s at which its integral shrinks (like h^s), and it is cut at once at
+every dyadic point toward ``lo`` that bisection would reach in the rounds its
+error needs at that rate: a geometric mesh toward the singular end (Davis &
+Rabinowitz, 1984).  Where the end converges fast, that is one bisection.
 """
 
 from __future__ import annotations
@@ -141,6 +148,13 @@ def _rule(integrand, lo, hi):
     return resk, np.maximum(err, 50.0 * _EPS * resabs)
 
 
+def _wide(plo, phi, min_width):
+    """Whether the panels (plo, phi) are wide enough to split."""
+    return phi - plo > np.maximum(
+        min_width, 8.0 * _EPS * np.maximum(np.abs(plo), np.abs(phi))
+    )
+
+
 def _panels(integrand, lo, hi):
     """``_rule`` on (lo, hi), at most ``_CHUNK`` panels per integrand call."""
     val = err = None
@@ -194,6 +208,7 @@ def cumulative(integrand, lo, cuts, tol=1e-10, *, units=1.0, breakpoints=()):
     budget = _DEFAULT_BUDGET + len(val) - 1
     min_width = 8.0 * _EPS * (hi - lo)
 
+    split_lo = False  # whether the last round split the panel at lo
     while True:
         ends = np.searchsorted(edges, cuts)  # panels below each cut
         starts = np.concatenate(([0], ends[:-1]))
@@ -205,10 +220,7 @@ def cumulative(integrand, lo, cuts, tol=1e-10, *, units=1.0, breakpoints=()):
             return QuadResult(value, error, len(val))
 
         plo, phi = edges[:-1], edges[1:]
-        wide = phi - plo > np.maximum(
-            min_width, 8.0 * _EPS * np.maximum(np.abs(plo), np.abs(phi))
-        )
-        ratio = np.where(wide[:, None], err, 0.0)
+        ratio = np.where(_wide(plo, phi, min_width)[:, None], err, 0.0)
         # Largest splittable panel error under each output; a failing
         # output marks the panels within _MARK of it.  A panel lies under
         # every cut from its own segment on, so it takes the lowest
@@ -231,12 +243,31 @@ def cumulative(integrand, lo, cuts, tol=1e-10, *, units=1.0, breakpoints=()):
             worst_first = np.argsort(-score[marked], kind="stable")
             marked = np.sort(marked[worst_first[:room]])
 
-        mid = 0.5 * (plo[marked] + phi[marked])
-        halves_lo = np.column_stack((plo[marked], mid)).ravel()
-        halves_hi = np.column_stack((mid, phi[marked])).ravel()
-        hval, herr = _panels(integrand, halves_lo, halves_hi)
-        val[marked], err[marked] = hval[0::2], herr[0::2]
-        val = np.insert(val, marked + 1, hval[1::2], axis=0)
-        err = np.insert(err, marked + 1, herr[1::2], axis=0)
-        edges = np.insert(edges, marked + 1, mid)
+        new = 0.5 * (plo[marked] + phi[marked])
+        at = marked + 1
+        if split_lo and marked[0] == 0:
+            # The two panels at lo are the halves of the last one there.  If
+            # the integral shrinks like h^s toward lo, V0 + V1 = 2^s V0, and
+            # each halving divides the error at lo by 2^s: cut at once at
+            # every point the bisections that error needs would reach.
+            with np.errstate(all="ignore"):
+                s = np.log2(1.0 + val[1] / val[0])
+                tightest = np.min(np.where(failing, target, np.inf), axis=0)
+                need = np.log2(err[0] / tightest) / s
+            need = need[(s > 0.0) & np.isfinite(need)]
+            depth = min(math.ceil(max(need, default=1.0)), room - marked.size + 1)
+            geo = [new[0]]
+            while len(geo) < depth and _wide(lo, geo[-1], min_width):
+                geo.append(0.5 * (lo + geo[-1]))
+            new = np.concatenate((geo[::-1], new[1:]))
+            at = np.concatenate((np.ones(len(geo) - 1, dtype=int), at))
+        split_lo = marked[0] == 0
 
+        edges = np.insert(edges, at, new)
+        fresh = np.zeros(len(edges) - 1, dtype=bool)
+        placed = at + np.arange(at.size)  # where the new edges landed
+        fresh[placed - 1] = fresh[placed] = True
+        fval, ferr = _panels(integrand, edges[:-1][fresh], edges[1:][fresh])
+        slots = np.flatnonzero(fresh) - np.arange(len(fval))  # old panels below
+        val = np.insert(np.delete(val, marked, axis=0), slots, fval, axis=0)
+        err = np.insert(np.delete(err, marked, axis=0), slots, ferr, axis=0)

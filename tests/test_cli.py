@@ -113,6 +113,51 @@ def test_one_quadrature_pass_per_command(command, source, monkeypatch, x15_csv):
     assert len(calls) == 1
 
 
+def _kernel_calls(monkeypatch):
+    """Record the smallest node of every ``quadrature._rule`` call."""
+    from gsp_lab import quadrature
+
+    seen = []
+    plain = quadrature._rule
+
+    def counting(integrand, lo, hi):
+        seen.append(float(np.min(lo + 0.5 * (hi - lo) * (1.0 + quadrature._XGK[0]))))
+        return plain(integrand, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_rule", counting)
+    return seen
+
+
+@pytest.mark.parametrize("command", ["verify", "detect", "sweep"])
+def test_perturbed_endpoint_takes_few_kernel_rounds(command, monkeypatch):
+    # the moment integrands vanish like x^p at 0: one bisection per round
+    # there would take 17 kernel calls, the geometric cut takes a few
+    seen = _kernel_calls(monkeypatch)
+    run_cli(command, "--family", "perturbed", "--p", "1", "--eps", "0.1",
+            "--format", "json", "--out", os.devnull)
+    assert 1 <= len(seen) <= 4
+
+
+@pytest.mark.parametrize("p, most", [("0.3", 3), ("0.01", 3), ("2", 1)])
+def test_power_detect_kernel_rounds(p, most, monkeypatch):
+    # one bisection per round at 0 would take 24 calls at p=0.3 and 28 at
+    # p=0.01; a smooth end (p=2) needs no refinement round at all
+    seen = _kernel_calls(monkeypatch)
+    assert run_cli("detect", "--family", "power", "--p", p, "--out", os.devnull) == 0
+    assert 1 <= len(seen) <= most
+
+
+@pytest.mark.parametrize("command", ["verify", "detect"])
+def test_fast_converging_end_is_probed_no_deeper(command, monkeypatch):
+    # x^40 converges at 0 after one bisection of the panel below the first
+    # cut, near 0.1: its lowest node is about 2.1e-4.  Each cut deeper would
+    # halve it, and probing where x^40 underflows makes the run fail
+    seen = _kernel_calls(monkeypatch)
+    assert run_cli(command, "--family", "power", "--p", "40",
+                   "--format", "json", "--out", os.devnull) == 0
+    assert min(seen) == pytest.approx(2.136e-4, rel=1e-3)
+
+
 # ----------------------------------------------------------------- detect
 
 def test_detect_power_law(tmp_path):
@@ -438,6 +483,42 @@ def test_unknown_family_rejected_by_parser():
     with pytest.raises(SystemExit) as info:
         run_cli("verify", "--family", "cubic")
     assert info.value.code == 2
+
+
+_SHARED_FLAGS = ["-h", "--family", "--p", "--amp", "--eps", "--csv", "--a-min",
+                 "--a-max", "--a-count", "--tol", "--seed", "--out", "--format",
+                 "--config"]
+
+
+@pytest.mark.parametrize("command", ["verify", "detect", "sweep", "sample"])
+def test_help_lists_options_in_declaration_order(command, capsys):
+    # the shared flags come from one parent parser; each subcommand still
+    # lists them first, in the order they are declared, then its own
+    with pytest.raises(SystemExit) as info:
+        run_cli(command, "--help")
+    assert info.value.code == 0
+    help_text = capsys.readouterr().out
+    listed = [line.split()[0].rstrip(",") for line in help_text.splitlines()
+              if line.startswith("  -")]
+    extra = ["--a", "--n", "--estimate"] if command == "sample" else []
+    assert listed == _SHARED_FLAGS + extra
+
+
+@pytest.mark.parametrize("flags, name", [
+    (("--family", "power", "--p", "nan"), "p"),
+    (("--family", "power", "--p", "inf"), "p"),
+    (("--family", "power", "--p", "2", "--amp", "nan"), "amp"),
+    (("--family", "perturbed", "--p", "1", "--eps", "nan"), "eps"),
+], ids=["p-nan", "p-inf", "amp-nan", "eps-nan"])
+def test_non_finite_parameter_is_named_in_one_line(flags, name, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli("detect", *flags, "--out", os.devnull)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith(f"inadmissible spec: positivity ({name}=")
+    assert "not finite" in err and err.count("\n") == 1
+    assert caught == []
 
 
 def test_console_script_entry_point(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,25 @@ def test_validate_flags_negative_amplitude():
     report = validate(PowerLaw(p=1.0, amp=-3.0))
     assert not report.ok
     assert report.failed == "positivity"
+
+
+@pytest.mark.parametrize("spec, name", [
+    (PowerLaw(p=math.nan), "p"),
+    (PowerLaw(p=math.inf), "p"),
+    (PowerLaw(p=1.0, amp=math.nan), "amp"),
+    (PowerLaw(p=1.0, amp=math.inf), "amp"),
+    (PerturbedPowerLaw(p=1.0, eps=math.nan), "eps"),
+    (PerturbedPowerLaw(p=math.nan, eps=0.1), "p"),
+], ids=["p-nan", "p-inf", "amp-nan", "amp-inf", "eps-nan", "perturbed-p-nan"])
+def test_validate_names_a_non_finite_parameter(spec, name):
+    # NaN passes every sign test, and the probe evaluation would then blame
+    # positivity on the values; the report must name the parameter
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate(spec)
+    assert not report.ok
+    assert report.failed == "positivity"
+    assert report.detail.startswith(f"{name}=") and "not finite" in report.detail
 
 
 def test_validate_flags_nonzero_limit_at_origin():

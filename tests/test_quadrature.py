@@ -34,8 +34,8 @@ def test_polynomial_is_exact_in_one_panel():
     "fn,lo,hi,exact,tol",
     [
         (lambda x: x**0.3, 0.0, 1.0, 1.0 / 1.3, 1e-10),
-        # a divergent (but integrable) endpoint: plain bisection converges
-        # algebraically here, so the demand is looser
+        # a divergent (but integrable) endpoint: the error at 0 falls only
+        # like h^0.5 as the panel there shrinks, so the demand is looser
         (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 2.0, 1e-6),
         (lambda x: np.sin(40.0 * x), 0.0, np.pi, (1 - np.cos(40 * np.pi)) / 40,
          1e-10),
@@ -49,6 +49,28 @@ def test_agrees_with_exact_and_estimate_is_honest(fn, lo, hi, exact, tol):
     err = abs(res.value[0, 0] - exact)
     assert err <= max(tol, tol * abs(exact)) * 5
     assert err <= res.error_estimate[0, 0] * 10 + 1e-15  # estimate not wildly low
+    assert res.converged
+
+
+@pytest.mark.parametrize("fn, exact", [
+    (lambda x: x**0.3, 1.0 / 1.3),
+    (lambda x: x**0.01, 1.0 / 1.01),
+    (lambda x: -x * np.log(x), 0.25),
+], ids=["x^0.3", "x^0.01", "-x log x"])
+def test_endpoint_singularity_takes_few_rounds(fn, exact):
+    # one bisection of the panel at 0 per round would take 29, 34 and 17
+    # calls; the geometric cut there reaches the depth the error needs at once
+    calls = []
+
+    def counting(x):
+        calls.append(1)
+        return fn(x)
+
+    res = cumulative(counting, 0.0, 1.0, 1e-12)
+    err = abs(res.value[0, 0] - exact)
+    assert len(calls) <= 3
+    assert err <= 5e-15 * exact
+    assert err <= res.error_estimate[0, 0]
     assert res.converged
 
 
