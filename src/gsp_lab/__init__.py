@@ -32,7 +32,7 @@ from .functions import (
     validate,
 )
 from .quadrature import QuadResult, cumulative
-from .moments import MomentBundle, moment_bundles
+from .moments import Moments, moment_bundles
 from .identities import IdentityReport, identity_reports, stencil_fits
 from .sampler import MCEstimate, SamplerState, mc_estimates
 from .detector import (

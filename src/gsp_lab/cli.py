@@ -18,7 +18,8 @@ nothing besides the config and the verdict.
 
 verify, detect and sweep integrate over the whole scale grid at once, in
 one quadrature pass that gives the moments and the weight integrals at
-every scale (and, for verify, at every finite-difference stencil scale).
+every scale (and, for verify, at every finite-difference stencil scale),
+as arrays over the grid that the rows are built from.
 verify keeps the scales whose finite-difference stencil fits inside the
 function's support; the identities module owns the stencil and that rule.
 Numbers are serialized with 17 significant digits, which makes reruns
@@ -34,6 +35,8 @@ import locale  # noqa: F401  or argparse's gettext imports it on the first parse
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
+
+import numpy as np
 
 from ._g17 import _g17_lines
 from .detector import ScaleGrid, Verdict, classify, fit_lambda, gsp_residual_sweep
@@ -178,6 +181,27 @@ def _build_parser():
     return parser
 
 
+def _join_negative_values(argv):
+    """``argv`` with ``--p -1e-3`` written ``--p=-1e-3`` for each float flag
+    of the command: argparse reads a word that starts with '-' as an option
+    unless it is a plain decimal like -1, so ``-1e-3`` or ``-inf`` would
+    never reach the checks that name the bad value."""
+    command = next((word for word in argv if not word.startswith("-")), None)
+    flags = {"--" + k.replace("_", "-") for k in _FLOAT_KEYS
+             if k != "a" or command == "sample"}
+    out = []
+    for word in argv:
+        if out and out[-1] in flags and word.startswith("-"):
+            try:
+                float(word)
+                out[-1] += "=" + word
+                continue
+            except ValueError:
+                pass
+        out.append(word)
+    return out
+
+
 def _config_from_args(args):
     overrides = {
         k: getattr(args, k, None)
@@ -232,10 +256,6 @@ def _grid_for(cfg, spec):
         raise ConfigError(str(exc)) from exc
 
 
-def _g17(v):
-    return f"{float(v):.17g}"
-
-
 def _emit(text, out):
     if out:
         try:
@@ -252,24 +272,11 @@ def _say(msg):
 
 
 def _csv_lines(header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_g17(v) if not isinstance(v, str) else v for v in row))
-    return "\n".join(lines) + "\n"
+    body = "".join(",".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows)
+    return ",".join(header) + "\n" + body
 
 
 # ---------------------------------------------------------------- commands
-
-
-def _row_passes(report):
-    red_ok = max(report.reduction) <= _RED_TOL
-    closed, fin = report.closed, report.finite_diff
-    abc_ok = bool(
-        (abs(closed - fin) <= _ABC_ABS + _ABC_REL * abs(closed)).all()
-    )
-    wm_ok = abs(report.wm) <= _WM_TOL
-    var_ok = report.variance <= _VAR_TOL
-    return red_ok, abc_ok, wm_ok, var_ok
 
 
 _VERIFY_HEADER = (
@@ -278,14 +285,7 @@ _VERIFY_HEADER = (
     "dA_fd", "dB_fd", "dC_fd", "dtheta_fd",
     "wm_residual", "variance", "weight_normalizer", "row_pass",
 )
-
-
-def _verify_row(report, ok):
-    return (
-        report.a, *report.reduction, *report.closed, *report.finite_diff,
-        report.wm, report.variance, report.weight_normalizer,
-        1.0 if ok else 0.0,
-    )
+_CHECK_NAMES = ("reduction", "derivative-match", "weighted-mean", "variance")
 
 
 def cmd_verify(cfg, spec):
@@ -294,32 +294,26 @@ def cmd_verify(cfg, spec):
         grid = ScaleGrid(tuple(a for a in grid if stencil_fits(spec, a)))
     except NonPositiveInput as exc:
         raise ConfigError(str(exc)) from exc
-    reports = identity_reports(spec, grid, cfg.tol)
-    failures = []
-    rows = []
-    for rep in reports:
-        red_ok, abc_ok, wm_ok, var_ok = _row_passes(rep)
-        ok = red_ok and abc_ok and wm_ok and var_ok
-        rows.append(_verify_row(rep, ok))
-        if not ok:
-            bad = [
-                name
-                for name, good in (
-                    ("reduction", red_ok),
-                    ("derivative-match", abc_ok),
-                    ("weighted-mean", wm_ok),
-                    ("variance", var_ok),
-                )
-                if not good
-            ]
-            failures.append((rep.a, bad))
+    rep = identity_reports(spec, grid, cfg.tol)
+    closed, fin = rep.closed, rep.finite_diff
+    # checks[k, j]: whether scale k passes check j of _CHECK_NAMES
+    checks = np.column_stack((
+        np.max(rep.reduction, axis=1) <= _RED_TOL,
+        (np.abs(closed - fin) <= _ABC_ABS + _ABC_REL * np.abs(closed)).all(axis=1),
+        np.abs(rep.wm) <= _WM_TOL,
+        rep.variance <= _VAR_TOL,
+    ))
+    ok = checks.all(axis=1)
+    rows = np.column_stack((rep.a, rep.reduction, closed, fin, rep.wm, rep.variance,
+                            rep.weight_normalizer, ok)).tolist()
     if cfg.format == "json":
         payload = [dict(zip(_VERIFY_HEADER, row)) for row in rows]
         _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
     else:
         _emit(_csv_lines(_VERIFY_HEADER, rows), cfg.out)
-    if failures:
-        for a, bad in failures:
+    if not ok.all():
+        for a, passed in zip(rep.a[~ok], checks[~ok]):
+            bad = [name for name, good in zip(_CHECK_NAMES, passed) if not good]
             _say(f"verify: FAIL at a={a:g}: {', '.join(bad)}")
         return EXIT_FAIL
     _say(f"verify: PASS ({len(rows)} scales)")
@@ -347,15 +341,14 @@ def cmd_detect(cfg, spec):
 
 def cmd_sweep(cfg, spec):
     grid = _grid_for(cfg, spec)
-    bundles = moment_bundles(spec, grid, cfg.tol)
-    lam_hat = fit_lambda(spec, bundles)
-    residuals = gsp_residual_sweep(spec, bundles, lam_hat)
+    m = moment_bundles(spec, grid, cfg.tol)
+    fx = spec.eval(m.xbar)
+    lam_hat = fit_lambda(m.ybar, fx)
+    residuals = gsp_residual_sweep(m.ybar, fx, lam_hat)
     header = ("a", "xbar", "ybar", "theta", "A", "B", "C",
               "gsp_residual", "variance")
-    rows = [
-        (b.a, b.xbar, b.ybar, b.theta, b.A, b.B, b.C, r, b.variance)
-        for b, r in zip(bundles, residuals)
-    ]
+    rows = np.column_stack((m.a, m.xbar, m.ybar, m.theta, m.A, m.B, m.C,
+                            residuals, m.variance)).tolist()
     if cfg.format == "json":
         payload = {
             "lambda_hat": lam_hat,
@@ -396,7 +389,8 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(_join_negative_values(argv))
     try:
         cfg = _config_from_args(args)
     except ConfigError as exc:

@@ -11,7 +11,8 @@ The converse also holds for admissible specs: if the proportionality holds
 at every scale with a single constant, the function is a power law.  The
 detector therefore sweeps a grid of scales, fits the best single constant,
 and looks at the worst relative residual together with the elasticity
-variance functional -- two unrelated routes that must both collapse.
+variance functional -- two unrelated routes that must both collapse, each
+an array expression over the whole grid.
 
 lambda is not injective: it dips from 1/2 at p -> 0 to a minimum of about
 0.48202 near p = 0.3266, climbs back through 1/2 at p = 1, and tends to
@@ -145,27 +146,21 @@ def invert_lambda(lam, p_range=(0.01, 10.0), grid_n=10_000):
     return tuple(sorted(set(roots)))
 
 
-def gsp_residual_sweep(spec, bundles, lam):
-    """Relative collapse residual |ybar - lam * f(xbar)| / ybar per bundle."""
+def gsp_residual_sweep(ybar, fx, lam):
+    """Relative collapse residual |ybar - lam * f(xbar)| / ybar at every
+    scale, from the arrays ybar and fx = f(xbar)."""
     if lam <= 0.0:
         raise NonPositiveExponent("the proportionality constant must be positive")
-    out = np.empty(len(bundles))
-    for i, b in enumerate(bundles):
-        out[i] = abs(b.ybar - lam * spec.eval(b.xbar)) / b.ybar
-    return out
+    return np.abs(ybar - lam * fx) / ybar
 
 
-def fit_lambda(spec, bundles):
-    """Least-squares constant through the origin for ybar vs f(xbar)."""
-    num = 0.0
-    den = 0.0
-    for b in bundles:
-        fx = spec.eval(b.xbar)
-        num += b.ybar * fx
-        den += fx * fx
+def fit_lambda(ybar, fx):
+    """Least-squares constant through the origin for ybar vs fx = f(xbar).
+    The sums run left to right; ``np.sum`` adds pairwise and rounds otherwise."""
+    den = np.cumsum(fx * fx)[-1]
     if den <= 0.0 or not math.isfinite(den):
         raise DegenerateFit("sum of squares of f(xbar) vanished")
-    return num / den
+    return float(np.cumsum(ybar * fx)[-1] / den)
 
 
 @dataclass(frozen=True)
@@ -177,19 +172,19 @@ class ExponentEstimates:
     amp: float
 
 
-def recover_p(spec, bundles):
+def recover_p(spec, moments):
     """Estimate the exponent two ways, and the amplitude on top.
 
-    Route one maps each bundle's normalized centroid theta through
+    Route one maps the normalized centroid theta at each scale through
     p = (2 theta - 1) / (1 - theta) and takes the median over the grid.
     Route two takes the median pointwise elasticity on a log grid of
-    abscissae from the first bundle's scale to the last's.  On a power law
+    abscissae from the first scale to the last.  On a power law
     the two agree exactly; their disagreement is a model-misfit signal,
     which is why both are reported.
     """
-    thetas = np.array([b.theta for b in bundles])
-    p_theta = _median((2.0 * thetas - 1.0) / (1.0 - thetas))
-    xs = np.geomspace(bundles[0].a, bundles[-1].a, _ELASTICITY_PROBES)
+    theta = moments.theta
+    p_theta = _median((2.0 * theta - 1.0) / (1.0 - theta))
+    xs = np.geomspace(moments.a[0], moments.a[-1], _ELASTICITY_PROBES)
     p_elast = _median(np.asarray(spec.elasticity(xs)))
     logf = np.log(np.asarray(spec.eval(xs)))
     amp = float(np.exp(np.mean(logf - p_theta * np.log(xs))))
@@ -218,14 +213,13 @@ class DetectionResult:
         return {**asdict(self), "verdict": self.verdict.value}
 
 
-def _residual_margin(spec, bundle, lam):
-    """Propagated quadrature uncertainty for one scale's collapse residual."""
-    eF, eH, eG = bundle.errors
-    rel_f = eF / bundle.F
-    rel_h = eH / bundle.H
-    rel_g = eG / bundle.G
-    e_at = abs(spec.elasticity(bundle.xbar))
-    model = lam * spec.eval(bundle.xbar) / bundle.ybar
+def _residual_margin(spec, moments, fx, lam):
+    """Propagated quadrature uncertainty of the collapse residual at every
+    scale, with fx = f(xbar)."""
+    rel_f, rel_h, rel_g = (moments.errors
+                           / np.column_stack((moments.F, moments.H, moments.G))).T
+    e_at = np.abs(spec.elasticity(moments.xbar))
+    model = lam * fx / moments.ybar
     return (rel_g + rel_f) + model * e_at * (rel_h + rel_f)
 
 
@@ -242,19 +236,19 @@ def classify(spec, grid=None, tol=1e-10):
     tol_gsp, tol_var = (_TABLE_THRESHOLDS if isinstance(spec, Tabulated)
                         else _ANALYTIC_THRESHOLDS)
 
-    bundles = moment_bundles(spec, grid, tol)
-    lam_hat = fit_lambda(spec, bundles)
-    residuals = gsp_residual_sweep(spec, bundles, lam_hat)
-    var_vals = np.array([b.variance for b in bundles])
-    est = recover_p(spec, bundles)
+    m = moment_bundles(spec, grid, tol)
+    fx = spec.eval(m.xbar)
+    lam_hat = fit_lambda(m.ybar, fx)
+    residuals = gsp_residual_sweep(m.ybar, fx, lam_hat)
+    est = recover_p(spec, m)
 
     i_r = int(np.argmax(residuals))
     r_max = float(residuals[i_r])
-    i_v = int(np.argmax(var_vals))
-    v_max = float(var_vals[i_v])
+    i_v = int(np.argmax(m.variance))
+    v_max = float(m.variance[i_v])
 
-    margin_r = _MARGIN_FACTOR * _residual_margin(spec, bundles[i_r], lam_hat)
-    margin_v = _MARGIN_FACTOR * bundles[i_v].variance_error
+    margin_r = _MARGIN_FACTOR * _residual_margin(spec, m, fx, lam_hat)[i_r]
+    margin_v = _MARGIN_FACTOR * m.variance_error[i_v]
 
     p_consistent = abs(est.p_theta - est.p_elasticity) <= 0.01 * max(
         1.0, abs(est.p_theta)
@@ -283,7 +277,7 @@ def classify(spec, grid=None, tol=1e-10):
 
     return DetectionResult(
         verdict=verdict,
-        lambda_hat=float(lam_hat),
+        lambda_hat=lam_hat,
         p_theta=est.p_theta,
         p_elasticity=est.p_elasticity,
         amp=est.amp,
@@ -292,7 +286,7 @@ def classify(spec, grid=None, tol=1e-10):
         tol_gsp=tol_gsp,
         tol_var=tol_var,
         scales=tuple(grid),
-        gsp_residuals=tuple(float(r) for r in residuals),
-        variances=tuple(float(v) for v in var_vals),
+        gsp_residuals=tuple(residuals.tolist()),
+        variances=tuple(m.variance.tolist()),
         notes="; ".join(notes),
     )

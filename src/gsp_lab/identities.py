@@ -49,21 +49,22 @@ _FD_STEP = 1e-5
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """All identity diagnostics at one scale, ready for serialization.
+    """All identity diagnostics, one row per scale in the order given.
 
-    ``closed`` and ``finite_diff`` are d/da of (A, B, C, theta), from the
-    closed forms and from central differences; ``dtheta_integral`` is
-    theta' from its integral form.
+    ``reduction`` holds the three reduction residuals; ``closed`` and
+    ``finite_diff`` are d/da of (A, B, C, theta), from the closed forms and
+    from central differences; ``dtheta_integral`` is theta' from its
+    integral form.
     """
 
-    a: float
-    reduction: tuple[float, float, float]
+    a: np.ndarray
+    reduction: np.ndarray
     closed: np.ndarray
     finite_diff: np.ndarray
-    dtheta_integral: float
-    wm: float
-    variance: float
-    weight_normalizer: float
+    dtheta_integral: np.ndarray
+    wm: np.ndarray
+    variance: np.ndarray
+    weight_normalizer: np.ndarray
 
 
 def stencil_fits(spec, a):
@@ -97,12 +98,11 @@ def identity_reports(spec, scales, tol=1e-10):
     a = np.array([float(v) for v in scales])
     h = _FD_STEP * a
     points = np.column_stack((a, a - h, a - 0.5 * h, a + 0.5 * h, a + h))
-    bundles = moment_bundles(spec, points.ravel(), min(tol, _TIGHT_TOL))
+    m = moment_bundles(spec, points.ravel(), min(tol, _TIGHT_TOL))
     # q[k, j] = (A, B, C, theta) at point j of scale k's stencil
-    q = np.array([(b.A, b.B, b.C, b.theta) for b in bundles]).reshape(len(a), 5, 4)
-    at = bundles[0::5]
+    q = np.column_stack((m.A, m.B, m.C, m.theta)).reshape(len(a), 5, 4)
     A, B, C, theta = q[:, 0].T
-    fa, AE, BE, CE = np.array([(b.fa, b.AE, b.BE, b.CE) for b in at]).T
+    fa, AE, BE, CE = (v[0::5] for v in (m.fa, m.AE, m.BE, m.CE))
 
     x0 = spec.support[0]
     s0 = x0 / a
@@ -126,10 +126,7 @@ def identity_reports(spec, scales, tol=1e-10):
     rough = gap > 1e-7 * np.maximum(1.0, np.max(np.abs(d_h2), axis=1))
     finite_diff = np.where(rough[:, None], (4.0 * d_h2 - d_h) / 3.0, d_h2)
 
-    return [
-        IdentityReport(a=ak, reduction=tuple(red), closed=c, finite_diff=fd,
-                       dtheta_integral=dti, wm=b.wm, variance=b.variance,
-                       weight_normalizer=b.D)
-        for ak, red, c, fd, dti, b in zip(a.tolist(), reduction.tolist(), closed,
-                                          finite_diff, dtheta_integral.tolist(), at)
-    ]
+    return IdentityReport(a=a, reduction=reduction, closed=closed,
+                          finite_diff=finite_diff, dtheta_integral=dtheta_integral,
+                          wm=m.wm[0::5], variance=m.variance[0::5],
+                          weight_normalizer=m.D[0::5])

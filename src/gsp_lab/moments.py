@@ -1,4 +1,4 @@
-"""Primitive integrals, normalized moments, and centroids at a scale a.
+"""Primitive integrals, normalized moments, and centroids over scales a.
 
 For a spec f and a scale a > 0 the primitives are
 
@@ -28,7 +28,7 @@ scale at once, each held to its tolerance in its scale-free unit
 a^(k+1) f(a) or a f(a)^2.
 
 The centroid of the region under f on [0, a] sits at (H/F, G/(2F)); theta
-is its abscissa in units of a.
+is its abscissa in units of a.  All of it comes as one ``Moments`` of arrays.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .errors import (
 )
 from .quadrature import cumulative
 
-__all__ = ["MomentBundle", "moment_bundles"]
+__all__ = ["Moments", "moment_bundles"]
 
 
 def _median(values):
@@ -67,39 +67,43 @@ _UNIT_NAMES = ("a f(a)", "a^2 f(a)", "a^3 f(a)", "a f(a)^2")
 
 
 @dataclass(frozen=True)
-class MomentBundle:
-    """Everything the identity and detection layers need at one scale.
+class Moments:
+    """Everything the identity and detection layers need, at every scale.
 
-    f(a) is evaluated exactly once and shared by all normalizations, so the
-    bundle is internally consistent by construction.
+    Each field is a 1-d array over the requested scales, in their order;
+    ``errors`` is (scales, 3), the error estimates of F, H and G.  Scales
+    index the last axis (the second to last of ``errors``), so a leading
+    axis could hold replicas.  f(a) is evaluated once per distinct scale
+    and shared by all normalizations.
     """
 
-    a: float
-    fa: float
-    F: float
-    H: float
-    G: float
-    A: float
-    B: float
-    C: float
-    theta: float
-    xbar: float
-    ybar: float
-    AE: float
-    BE: float
-    CE: float
-    D: float
-    wm: float
-    variance: float
-    variance_error: float
-    errors: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    a: np.ndarray
+    fa: np.ndarray
+    F: np.ndarray
+    H: np.ndarray
+    G: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    theta: np.ndarray
+    xbar: np.ndarray
+    ybar: np.ndarray
+    AE: np.ndarray
+    BE: np.ndarray
+    CE: np.ndarray
+    D: np.ndarray
+    wm: np.ndarray
+    variance: np.ndarray
+    variance_error: np.ndarray
+    errors: np.ndarray
 
 
 def moment_bundles(spec, scales, tol=1e-10):
     """Primitive integrals, normalized moments and the centroid at every
-    scale, from one quadrature pass.
+    scale, from one quadrature pass, as one ``Moments``.
 
-    The scales may come in any order and repeat; the bundles follow them.
+    The scales may come in any order and repeat; the fields follow them,
+    so one scale is ``moment_bundles(spec, [a], tol).F[0]`` and so on.
     Each of F, H, G, AE, BE, CE meets ``tol`` relative to its scale-free
     value, with an absolute floor of ``tol`` in scale-free units; the
     shifted columns behind D, wm and the variance meet 1e-12.
@@ -118,6 +122,7 @@ def moment_bundles(spec, scales, tol=1e-10):
     flags either an inadmissible input or a failed integration.  Raises
     DegenerateWeight if D vanishes, and NegativeVariance if the variance is
     negative beyond roundoff; tiny negative values are clamped to zero.
+    Each check names the smallest offending scale.
     """
     scales = [spec.check_scale(a) for a in scales]
     cuts, where = np.unique(scales, return_inverse=True)
@@ -126,12 +131,11 @@ def moment_bundles(spec, scales, tol=1e-10):
         # a f(a)^2 as cuts * (fa * fa): another order rounds differently
         unit = np.column_stack((cuts * fa, cuts * cuts * fa, cuts * cuts * cuts * fa,
                                 cuts * (fa * fa)))
-    for a, row in zip(cuts, unit):
-        for name, u in zip(_UNIT_NAMES, row):
-            if not 0.0 < u < np.inf:
-                raise NonPositiveValue(
-                    f"unit {name} = {u:g} at a={a:g} is outside the float64 range"
-                )
+    bad = np.argwhere(~((0.0 < unit) & (unit < np.inf)))
+    if bad.size:
+        i, j = bad[0]
+        raise NonPositiveValue(f"unit {_UNIT_NAMES[j]} = {unit[i, j]:g} at a={cuts[i]:g} "
+                               "is outside the float64 range")
     e_ref = _median(spec.elasticity(cuts))
 
     def columns(x):
@@ -156,9 +160,10 @@ def moment_bundles(spec, scales, tol=1e-10):
     M = scaled[:, :9].reshape(-1, 3, 3)
     dM = (res.error_estimate[:, :9] / units[:, :9]).reshape(-1, 3, 3)
     theta = M[:, 0, 1] / M[:, 0, 0]
-    for a, t in zip(cuts, theta):
-        if not 0.0 < t < 1.0:
-            raise ThetaOutOfRange(f"theta={t:g} outside (0, 1) at a={a:g}")
+    bad = np.flatnonzero(~((0.0 < theta) & (theta < 1.0)))
+    if bad.size:
+        i = bad[0]
+        raise ThetaOutOfRange(f"theta={theta[i]:g} outside (0, 1) at a={cuts[i]:g}")
     # W_j = int (s - theta)^2 g (E - E_ref)^j ds, and the variance expands
     # around c = E(a theta) - E_ref
     c = spec.elasticity(cuts * theta) - e_ref
@@ -166,18 +171,19 @@ def moment_bundles(spec, scales, tol=1e-10):
     alpha = np.column_stack((c * c, -2.0 * c, np.ones_like(c)))
     W = np.einsum("ijk,ik->ij", M, beta)
     variance = np.einsum("ij,ij->i", W, alpha)
-    for a, dk, vk in zip(cuts, W[:, 0], variance):
-        if dk < _WEIGHT_FLOOR:
-            raise DegenerateWeight(f"weight normalizer D={dk:g} at a={a:g}")
-        if vk < _NEGATIVE_FLOOR:
-            raise NegativeVariance(f"variance integral {vk:g} at a={a:g}")
+    D = W[:, 0]
+    # the first scale where D or, failing that, the variance is out of range
+    bad = np.flatnonzero((D < _WEIGHT_FLOOR) | (variance < _NEGATIVE_FLOOR))
+    if bad.size:
+        i = bad[0]
+        if D[i] < _WEIGHT_FLOOR:
+            raise DegenerateWeight(f"weight normalizer D={D[i]:g} at a={cuts[i]:g}")
+        raise NegativeVariance(f"variance integral {variance[i]:g} at a={cuts[i]:g}")
     F, H, G = res.value[:, [0, 1, 9]].T
-    # one row per cut, in MomentBundle's field order
+    # one row per requested scale, one column per field of Moments but errors
     table = np.column_stack((
         cuts, fa, F, H, G, scaled[:, [0, 1, 9]], theta, H / F, G / (2.0 * F),
-        scaled[:, 10:], W[:, 0], W[:, 1] / W[:, 0] - c, np.maximum(variance, 0.0),
+        scaled[:, 10:], D, W[:, 1] / D - c, np.maximum(variance, 0.0),
         np.einsum("ijk,ij,ik->i", dM, np.abs(alpha), np.abs(beta)),
-    ))
-    bundles = [MomentBundle(*row, errors=tuple(err))
-               for row, err in zip(table.tolist(), errors.tolist())]
-    return [bundles[k] for k in where]
+    ))[where]
+    return Moments(*np.ascontiguousarray(table.T), errors=errors[where])

@@ -113,6 +113,37 @@ def test_one_quadrature_pass_per_command(command, source, monkeypatch, x15_csv):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["detect", "sweep"])
+@pytest.mark.parametrize("source", ["power", "perturbed", "table"])
+def test_grid_commands_evaluate_the_spec_on_arrays(command, source, monkeypatch,
+                                                   x15_csv):
+    # f and E at the centroids, the fit, the residuals and their margins are
+    # array expressions over the grid: an analytic spec is never evaluated at
+    # a single point, and a table only at its head, f(x0)
+    from gsp_lab.functions import FunctionSpec
+
+    scalar = []
+    for name in ("eval", "elasticity"):
+        plain = getattr(FunctionSpec, name)
+
+        def recording(self, x, _plain=plain, _name=name):
+            if not (isinstance(x, np.ndarray) and x.ndim == 1):
+                scalar.append((_name, x))
+            return _plain(self, x)
+
+        monkeypatch.setattr(FunctionSpec, name, recording)
+    spec = {"power": ["--family", "power", "--p", "2"],
+            "perturbed": ["--family", "perturbed", "--p", "1", "--eps", "0.1"],
+            "table": ["--csv", str(x15_csv)]}[source]
+    rc = run_cli(command, *spec, "--format", "json", "--out", os.devnull)
+    assert rc == (1 if (command, source) == ("detect", "perturbed") else 0)
+    if source == "table":
+        x0 = float(x15_csv.read_text().splitlines()[1].split(",")[0])
+        assert scalar == [("eval", x0)]
+    else:
+        assert scalar == []
+
+
 def _kernel_calls(monkeypatch):
     """Record the smallest node of every ``quadrature._rule`` call."""
     from gsp_lab import quadrature
@@ -519,6 +550,40 @@ def test_non_finite_parameter_is_named_in_one_line(flags, name, capsys):
     assert err.startswith(f"inadmissible spec: positivity ({name}=")
     assert "not finite" in err and err.count("\n") == 1
     assert caught == []
+
+
+@pytest.mark.parametrize("flags, code, first_line", [
+    (("--family", "perturbed", "--p", "1", "--eps", "-1e-2"), 1, "detect: NotPowerLaw ("),
+    (("--family", "power", "--p", "2", "--amp", "-1e3"), 3,
+     "inadmissible spec: positivity (amp must be positive)\n"),
+    (("--family", "power", "--p", "-1e-3"), 3,
+     "inadmissible spec: f(0+)=0 (exponent p=-0.001 does not decay at 0)\n"),
+    (("--family", "power", "--p", "-inf"), 3,
+     "inadmissible spec: positivity (p=-inf is not finite)\n"),
+], ids=["eps", "amp", "p", "p-inf"])
+def test_negative_value_after_a_float_flag_is_read(flags, code, first_line, capsys):
+    # argparse alone takes "-1e-2" or "-inf" for an option; the value must
+    # reach the checks and end as the "--flag=value" spelling does
+    rc = run_cli("detect", *flags, "--out", os.devnull)
+    err = capsys.readouterr().err
+    assert rc == code
+    assert err.startswith(first_line) and err.count("\n") == 1
+    joined = (*flags[:-2], f"{flags[-2]}={flags[-1]}")
+    assert run_cli("detect", *joined, "--out", os.devnull) == rc
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("detect", "--p", "-x"), "argument --p: expected one argument"),
+    (("detect", "--seed", "-1e3"), "argument --seed: expected one argument"),
+    # --a is a flag of sample only; elsewhere it is an ambiguous prefix
+    (("detect", "--a", "-1e-3"), "ambiguous option: --a could match"),
+])
+def test_other_dashed_words_keep_the_parser_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        run_cli(*argv)
+    assert info.value.code == 2
+    assert f"gsp-lab detect: error: {message}" in capsys.readouterr().err
 
 
 def test_console_script_entry_point(tmp_path):

@@ -135,8 +135,8 @@ def test_grid_clipping_to_hull():
 
 def test_residual_zero_at_the_true_constant():
     spec = PowerLaw(p=1.0)
-    bundles = moment_bundles(spec, ScaleGrid.log_spaced())
-    res = gsp_residual_sweep(spec, bundles, lambda_of_p(1.0))
+    m = moment_bundles(spec, ScaleGrid.log_spaced())
+    res = gsp_residual_sweep(m.ybar, spec.eval(m.xbar), lambda_of_p(1.0))
     assert np.max(res) < 1e-10
 
 
@@ -144,15 +144,16 @@ def test_residual_with_wrong_constant_is_the_offset():
     # for p=1 the ordinate is exactly half of f at the centroid, so using
     # 0.46875 instead of 0.5 leaves |1 - 2*0.46875| = 0.0625 at every scale
     spec = PowerLaw(p=1.0)
-    bundles = moment_bundles(spec, ScaleGrid.log_spaced())
-    res = gsp_residual_sweep(spec, bundles, 0.46875)
+    m = moment_bundles(spec, ScaleGrid.log_spaced())
+    res = gsp_residual_sweep(m.ybar, spec.eval(m.xbar), 0.46875)
     assert np.allclose(res, 0.0625, atol=1e-9)
 
 
 @pytest.mark.parametrize("p", [0.5, 2.0])
 def test_fitted_constant_matches_curve(p):
     spec = PowerLaw(p=p)
-    lam = fit_lambda(spec, moment_bundles(spec, ScaleGrid.log_spaced()))
+    m = moment_bundles(spec, ScaleGrid.log_spaced())
+    lam = fit_lambda(m.ybar, spec.eval(m.xbar))
     assert lam == pytest.approx(lambda_of_p(p), abs=1e-10)
 
 

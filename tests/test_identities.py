@@ -36,7 +36,7 @@ ORACLE_VAR = {
 @pytest.mark.parametrize("label,spec", gallery())
 @pytest.mark.parametrize("a", SCALES)
 def test_reduction_residuals_vanish(label, spec, a):
-    res = identity_reports(spec, [a])[0].reduction
+    res = identity_reports(spec, [a]).reduction[0]
     assert max(res) <= 1e-7, (label, a, res)
 
 
@@ -47,16 +47,17 @@ def test_table_reductions_carry_the_boundary_terms():
     x = np.geomspace(0.01, 10.0, 200)
     spec = Tabulated(x, x**1.5)
     scales = [a for a in ScaleGrid.log_spaced().clipped_to(spec) if stencil_fits(spec, a)]
-    for rep in identity_reports(spec, scales):
-        assert max(rep.reduction) <= 1e-12, rep.a
+    rep = identity_reports(spec, scales)
+    for a, red in zip(rep.a, rep.reduction):
+        assert max(red) <= 1e-12, a
 
 
 def test_reduction_left_sides_match_scipy_for_perturbed():
     # same three integrals through scipy, as an engine-independent route
     spec = PerturbedPowerLaw(p=1.0, eps=0.1)
     a = 2.0
-    [b] = moment_bundles(spec, [a], 1e-12)
-    g = lambda s: spec.eval(a * s) / b.fa
+    m = moment_bundles(spec, [a], 1e-12)
+    g = lambda s: spec.eval(a * s) / m.fa[0]
     E = lambda s: spec.elasticity(a * s)
     i1, _ = sp_integrate.quad(lambda s: g(s) * E(s), 0, 1,
                               epsabs=1e-13, epsrel=1e-13)
@@ -64,23 +65,23 @@ def test_reduction_left_sides_match_scipy_for_perturbed():
                               epsabs=1e-13, epsrel=1e-13)
     i3, _ = sp_integrate.quad(lambda s: g(s) ** 2 * E(s), 0, 1,
                               epsabs=1e-13, epsrel=1e-13)
-    assert abs(i1 - (1.0 - b.A)) < 1e-10
-    assert abs(i2 - (1.0 - 2.0 * b.B)) < 1e-10
-    assert abs(i3 - (1.0 - b.C) / 2.0) < 1e-10
+    assert abs(i1 - (1.0 - m.A[0])) < 1e-10
+    assert abs(i2 - (1.0 - 2.0 * m.B[0])) < 1e-10
+    assert abs(i3 - (1.0 - m.C[0]) / 2.0) < 1e-10
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 2.0, 5.0])
 @pytest.mark.parametrize("a", SCALES)
 def test_power_law_scale_derivatives_are_zero(p, a):
-    d = identity_reports(PowerLaw(p=p), [a])[0].closed
+    d = identity_reports(PowerLaw(p=p), [a]).closed[0]
     assert max(abs(v) for v in d) <= 1e-10
 
 
 @pytest.mark.parametrize("label,spec", gallery())
 @pytest.mark.parametrize("a", SCALES)
 def test_closed_form_matches_finite_difference(label, spec, a):
-    rep = identity_reports(spec, [a])[0]
-    closed, fd = rep.closed, rep.finite_diff
+    rep = identity_reports(spec, [a])
+    closed, fd = rep.closed[0], rep.finite_diff[0]
     tol = 1e-5 + 1e-4 * np.abs(closed)
     assert np.all(np.abs(closed - fd) <= tol), (label, a, closed, fd)
 
@@ -88,8 +89,8 @@ def test_closed_form_matches_finite_difference(label, spec, a):
 @pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
 def test_theta_prime_two_routes_agree(a):
     spec = PerturbedPowerLaw(p=1.0, eps=0.1)
-    rep = identity_reports(spec, [a])[0]
-    assert abs(rep.closed[3] - rep.dtheta_integral) < 1e-9
+    rep = identity_reports(spec, [a])
+    assert abs(rep.closed[0, 3] - rep.dtheta_integral[0]) < 1e-9
 
 
 def test_theta_prime_integral_form_carries_the_table_boundary_term():
@@ -98,9 +99,9 @@ def test_theta_prime_integral_form_carries_the_table_boundary_term():
     # rule gives -0.0489 at a = 0.1
     x = np.geomspace(0.01, 10.0, 200)
     spec = Tabulated(x, x**1.5)
-    for rep in identity_reports(spec, (0.05, 0.1, 1.0, 5.0)):
-        quotient, integral = rep.closed[3], rep.dtheta_integral
-        assert abs(quotient - integral) <= 1e-13, (rep.a, quotient, integral)
+    rep = identity_reports(spec, (0.05, 0.1, 1.0, 5.0))
+    for a, quotient, integral in zip(rep.a, rep.closed[:, 3], rep.dtheta_integral):
+        assert abs(quotient - integral) <= 1e-13, (a, quotient, integral)
 
 
 def test_stencil_must_fit_the_support():
@@ -120,31 +121,31 @@ def test_stencil_must_fit_the_support():
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("a", SCALES)
 def test_weighted_mean_identity_on_power_laws(p, a):
-    assert abs(moment_bundles(PowerLaw(p=p), [a], 1e-12)[0].wm) <= 1e-10
+    assert abs(moment_bundles(PowerLaw(p=p), [a], 1e-12).wm[0]) <= 1e-10
 
 
 def test_weighted_mean_residual_matches_oracle():
     spec = PerturbedPowerLaw(p=1.0, eps=0.1)
-    assert abs(moment_bundles(spec, [1.0], 1e-12)[0].wm - ORACLE_WM_EPS01) < 1e-9
+    assert abs(moment_bundles(spec, [1.0], 1e-12).wm[0] - ORACLE_WM_EPS01) < 1e-9
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 2.0, 5.0])
 @pytest.mark.parametrize("a", SCALES)
 def test_variance_vanishes_on_power_laws(p, a):
-    assert moment_bundles(PowerLaw(p=p), [a], 1e-12)[0].variance <= 1e-14
+    assert moment_bundles(PowerLaw(p=p), [a], 1e-12).variance[0] <= 1e-14
 
 
 @pytest.mark.parametrize("eps", sorted(ORACLE_VAR))
 def test_variance_matches_oracle(eps):
     spec = PerturbedPowerLaw(p=1.0, eps=eps)
-    val = moment_bundles(spec, [1.0], 1e-12)[0].variance
+    val = moment_bundles(spec, [1.0], 1e-12).variance[0]
     assert val == pytest.approx(ORACLE_VAR[eps], rel=1e-8)
 
 
 def test_variance_scales_quadratically_in_wobble():
     ratios = [ORACLE_VAR[e] / e**2 for e in sorted(ORACLE_VAR)]
     measured = [
-        moment_bundles(PerturbedPowerLaw(p=1.0, eps=e), [1.0], 1e-12)[0].variance / e**2
+        moment_bundles(PerturbedPowerLaw(p=1.0, eps=e), [1.0], 1e-12).variance[0] / e**2
         for e in sorted(ORACLE_VAR)
     ]
     for r, m in zip(ratios, measured):
@@ -161,27 +162,27 @@ def test_variance_of_a_wide_elasticity_matches_scipy():
     f = lambda x: x**0.5 + x**20
     E = lambda x: (0.5 * x**0.5 + 20.0 * x**20) / (x**0.5 + x**20)
     grid = ScaleGrid.log_spaced()
-    for b in moment_bundles(spec, list(grid)):
-        a, t = b.a, b.theta
+    m = moment_bundles(spec, list(grid))
+    for a, t, var, var_err in zip(m.a, m.theta, m.variance, m.variance_error):
         fn = lambda s: (s - t) ** 2 * f(a * s) / f(a) * (E(a * s) - E(a * t)) ** 2
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", sp_integrate.IntegrationWarning)
             ref = sum(sp_integrate.quad(fn, lo, hi, epsabs=1e-17, epsrel=1e-13,
                                         limit=200)[0] for lo, hi in ((0, t), (t, 1)))
-        gap = abs(b.variance - ref)
-        assert gap <= 1e-12, (a, b.variance, ref)
-        assert gap <= b.variance_error + 1e-15, (a, gap, b.variance_error)
+        gap = abs(var - ref)
+        assert gap <= 1e-12, (a, var, ref)
+        assert gap <= var_err + 1e-15, (a, gap, var_err)
     assert classify(spec).verdict is Verdict.NOT_POWER_LAW
 
 
 def test_report_collects_everything_coherently():
     spec = PerturbedPowerLaw(p=1.0, eps=0.1)
-    rep = identity_reports(spec, [1.0])[0]
-    assert rep.a == 1.0
-    assert len(rep.reduction) == 3
-    assert rep.closed.shape == rep.finite_diff.shape == (4,)
-    assert rep.weight_normalizer > 0.0
-    assert abs(rep.wm - ORACLE_WM_EPS01) < 1e-9
-    assert rep.variance == pytest.approx(ORACLE_VAR[0.10], rel=1e-8)
-    [b] = moment_bundles(spec, [1.0], 1e-12)
-    assert b.theta == pytest.approx(ORACLE_THETA_EPS01, abs=1e-10)
+    rep = identity_reports(spec, [1.0])
+    assert rep.a.tolist() == [1.0]
+    assert rep.reduction.shape == (1, 3)
+    assert rep.closed.shape == rep.finite_diff.shape == (1, 4)
+    assert rep.weight_normalizer[0] > 0.0
+    assert abs(rep.wm[0] - ORACLE_WM_EPS01) < 1e-9
+    assert rep.variance[0] == pytest.approx(ORACLE_VAR[0.10], rel=1e-8)
+    m = moment_bundles(spec, [1.0], 1e-12)
+    assert m.theta[0] == pytest.approx(ORACLE_THETA_EPS01, abs=1e-10)

@@ -1,45 +1,57 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
 from gsp_lab import (
+    Custom,
+    DegenerateWeight,
+    Moments,
+    NegativeVariance,
+    NonPositiveValue,
     PerturbedPowerLaw,
     PowerLaw,
+    ScaleGrid,
+    ThetaOutOfRange,
+    Verdict,
+    classify,
     moment_bundles,
 )
+from gsp_lab import moments
 from gsp_lab.moments import _median
 from conftest import make_cubic_custom
 
 
 def test_spec_example_values():
-    b = moment_bundles(PowerLaw(p=2.0, amp=3.0), [2.0])[0]
-    assert abs(b.F - 8.0) < 1e-9
-    assert abs(b.H - 12.0) < 1e-9
-    assert abs(b.G - 57.6) < 1e-8
-    assert abs(b.xbar - 1.5) < 1e-10
-    assert abs(b.ybar - 3.6) < 1e-9
-    assert abs(b.theta - 0.75) < 1e-11
-    assert b.fa == 12.0
+    m = moment_bundles(PowerLaw(p=2.0, amp=3.0), [2.0])
+    assert abs(m.F[0] - 8.0) < 1e-9
+    assert abs(m.H[0] - 12.0) < 1e-9
+    assert abs(m.G[0] - 57.6) < 1e-8
+    assert abs(m.xbar[0] - 1.5) < 1e-10
+    assert abs(m.ybar[0] - 3.6) < 1e-9
+    assert abs(m.theta[0] - 0.75) < 1e-11
+    assert m.fa[0] == 12.0
 
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 2.0, 5.0])
 @pytest.mark.parametrize("a", [0.1, 1.0, 10.0])
 def test_power_law_normalized_moments(p, a):
-    b = moment_bundles(PowerLaw(p=p, amp=1.7), [a])[0]
-    assert abs(b.A - 1.0 / (p + 1.0)) < 1e-10
-    assert abs(b.B - 1.0 / (p + 2.0)) < 1e-10
-    assert abs(b.C - 1.0 / (2.0 * p + 1.0)) < 1e-10
-    assert abs(b.theta - (p + 1.0) / (p + 2.0)) < 1e-10
+    m = moment_bundles(PowerLaw(p=p, amp=1.7), [a])
+    assert abs(m.A[0] - 1.0 / (p + 1.0)) < 1e-10
+    assert abs(m.B[0] - 1.0 / (p + 2.0)) < 1e-10
+    assert abs(m.C[0] - 1.0 / (2.0 * p + 1.0)) < 1e-10
+    assert abs(m.theta[0] - (p + 1.0) / (p + 2.0)) < 1e-10
 
 
 def test_amplitude_cancels_in_normalized_moments():
     a = 2.3
-    b1 = moment_bundles(PowerLaw(p=1.5, amp=1.0), [a])[0]
-    b7 = moment_bundles(PowerLaw(p=1.5, amp=7.0), [a])[0]
-    assert abs(b1.A - b7.A) < 1e-12
-    assert abs(b1.B - b7.B) < 1e-12
-    assert abs(b1.C - b7.C) < 1e-12
-    assert abs(b7.ybar - 7.0 * b1.ybar) < 1e-9 * b7.ybar
+    m1 = moment_bundles(PowerLaw(p=1.5, amp=1.0), [a])
+    m7 = moment_bundles(PowerLaw(p=1.5, amp=7.0), [a])
+    assert abs(m1.A[0] - m7.A[0]) < 1e-12
+    assert abs(m1.B[0] - m7.B[0]) < 1e-12
+    assert abs(m1.C[0] - m7.C[0]) < 1e-12
+    assert abs(m7.ybar[0] - 7.0 * m1.ybar[0]) < 1e-9 * m7.ybar[0]
 
 
 def test_perturbed_primitives_against_scipy():
@@ -49,10 +61,10 @@ def test_perturbed_primitives_against_scipy():
     F, _ = sp_integrate.quad(fn, 0, a, epsabs=1e-13, epsrel=1e-13)
     H, _ = sp_integrate.quad(lambda x: x * fn(x), 0, a, epsabs=1e-13, epsrel=1e-13)
     G, _ = sp_integrate.quad(lambda x: fn(x) ** 2, 0, a, epsabs=1e-13, epsrel=1e-13)
-    prim = moment_bundles(PerturbedPowerLaw(p=p, eps=eps), [a], 1e-12)[0]
-    assert abs(prim.F - F) < 1e-11
-    assert abs(prim.H - H) < 1e-11
-    assert abs(prim.G - G) < 1e-11
+    prim = moment_bundles(PerturbedPowerLaw(p=p, eps=eps), [a], 1e-12)
+    assert abs(prim.F[0] - F) < 1e-11
+    assert abs(prim.H[0] - H) < 1e-11
+    assert abs(prim.G[0] - G) < 1e-11
 
 
 def _closed_primitives(p, eps, a):
@@ -84,28 +96,28 @@ def _closed_primitives(p, eps, a):
 def test_primitives_are_accurate_relative_to_their_size(spec, p, eps, a):
     # tol applies in scale-free units, so it is a relative accuracy at small
     # scales too instead of an absolute floor far above F, H and G there
-    b = moment_bundles(spec, [a], 1e-10)[0]
-    for got, want in zip((b.F, b.H, b.G), _closed_primitives(p, eps, a)):
+    m = moment_bundles(spec, [a], 1e-10)
+    for got, want in zip((m.F[0], m.H[0], m.G[0]), _closed_primitives(p, eps, a)):
         assert abs(got - want) <= 1e-9 * want
 
 
 def test_quad_error_fields_are_present_and_small():
-    prim = moment_bundles(PowerLaw(p=1.0), [1.0], 1e-10)[0]
-    assert len(prim.errors) == 3
-    assert all(0.0 <= e <= 1e-9 for e in prim.errors)
+    prim = moment_bundles(PowerLaw(p=1.0), [1.0], 1e-10)
+    assert prim.errors.shape == (1, 3)
+    assert np.all((0.0 <= prim.errors) & (prim.errors <= 1e-9))
 
 
 def test_cubic_custom_matches_elementary_antiderivatives():
     spec = make_cubic_custom()
     a = 1.3
-    b = moment_bundles(spec, [a], 1e-11)[0]
+    m = moment_bundles(spec, [a], 1e-11)
     F = a**3 / 3 + a**4 / 4
     H = a**4 / 4 + a**5 / 5
     G = a**5 / 5 + a**6 / 3 + a**7 / 7
-    assert abs(b.F - F) < 1e-10
-    assert abs(b.H - H) < 1e-10
-    assert abs(b.G - G) < 1e-10
-    assert 0.0 < b.theta < 1.0
+    assert abs(m.F[0] - F) < 1e-10
+    assert abs(m.H[0] - H) < 1e-10
+    assert abs(m.G[0] - G) < 1e-10
+    assert 0.0 < m.theta[0] < 1.0
 
 
 def test_theta_stays_in_unit_interval_across_gallery():
@@ -113,15 +125,15 @@ def test_theta_stays_in_unit_interval_across_gallery():
 
     for label, spec in gallery():
         hi = min(spec.support[1], 8.0)
-        b = moment_bundles(spec, [hi], 1e-10)[0]
-        assert 0.0 < b.theta < 1.0, label
+        m = moment_bundles(spec, [hi], 1e-10)
+        assert 0.0 < m.theta[0] < 1.0, label
 
 
 def test_tabulated_bundle_tracks_the_sampled_law(tab_x15):
-    b = moment_bundles(tab_x15, [2.0], 1e-10)[0]
+    m = moment_bundles(tab_x15, [2.0], 1e-10)
     p = 1.5
-    assert abs(b.theta - (p + 1) / (p + 2)) < 1e-6
-    assert abs(b.A - 1.0 / (p + 1.0)) < 1e-6
+    assert abs(m.theta[0] - (p + 1) / (p + 2)) < 1e-6
+    assert abs(m.A[0] - 1.0 / (p + 1.0)) < 1e-6
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 18])
@@ -137,3 +149,116 @@ def test_median_is_numpy_median_bit_for_bit(n):
             with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, big + big
                 want, got = np.float64(np.median(v)), np.float64(_median(v))
             assert got.tobytes() == want.tobytes(), v
+
+
+# ------------------------------------------------------ the Moments contract
+
+def test_fields_follow_unsorted_repeated_scales():
+    # every field has one entry per requested scale, in the order given and
+    # with repeats kept, equal to the value at that scale: bit for bit to the
+    # pass over the distinct scales, and to the tolerance to a pass of its own
+    spec = PerturbedPowerLaw(p=1.0, eps=0.1)
+    scales = [4.0, 0.5, 2.0, 0.5, 1.0, 4.0]
+    distinct = sorted(set(scales))
+    m = moment_bundles(spec, scales)
+    ref = moment_bundles(spec, distinct)
+    at = [distinct.index(a) for a in scales]
+    assert m.a.tolist() == scales
+    assert m.errors.shape == (len(scales), 3)
+    for field in dataclasses.fields(Moments):
+        got, want = getattr(m, field.name), getattr(ref, field.name)
+        assert got.shape[0] == len(scales), field.name
+        assert got.tobytes() == want[at].tobytes(), field.name
+    for i, a in enumerate(scales):
+        one = moment_bundles(spec, [a])
+        for name in ("fa", "F", "H", "G", "A", "B", "C", "theta", "xbar", "ybar",
+                     "AE", "BE", "CE", "D"):
+            assert getattr(m, name)[i] == pytest.approx(getattr(one, name)[0],
+                                                        rel=1e-9), (name, a)
+        assert abs(m.wm[i] - one.wm[0]) <= 1e-11, a
+        assert abs(m.variance[i] - one.variance[0]) <= 1e-11, a
+
+
+@pytest.mark.parametrize("amp, scales, message", [
+    # f(a)^2 overflows at every scale: the smallest is named, whatever the order
+    (1e160, [10.0, 1.0, 0.1], "unit a f(a)^2 = inf at a=0.1 "),
+    # at a=1e-6 a^2 f(a) is the first unit in (a f, a^2 f, a^3 f, a f^2) to
+    # underflow; at a=1e-5 it would be a^3 f(a)
+    (1e-300, [1.0, 1e-5, 1e-6], "unit a^2 f(a) = 0 at a=1e-06 "),
+    (1e-300, [1.0, 1e-5], "unit a^3 f(a) = 0 at a=1e-05 "),
+])
+def test_unit_check_names_the_smallest_offending_scale(amp, scales, message):
+    with pytest.raises(NonPositiveValue) as info:
+        moment_bundles(PowerLaw(p=2.0, amp=amp), scales)
+    assert str(info.value) == message + "is outside the float64 range"
+
+
+def _doctor_pass(monkeypatch, edits):
+    """Make the moment pass return doctored values: ``edits`` maps a scale
+    to the (column, amount in units of that column) pairs added there."""
+    plain = moments.cumulative
+
+    def doctored(fn, lo, cuts, tol, units, **kwargs):
+        res = plain(fn, lo, cuts, tol, units=units, **kwargs)
+        value = res.value.copy()
+        for a, changes in edits.items():
+            i = int(np.searchsorted(cuts, a))
+            for col, amount in changes:
+                value[i, col] += amount * units[i, col]
+        return dataclasses.replace(res, value=value)
+
+    monkeypatch.setattr(moments, "cumulative", doctored)
+
+
+# columns of the pass: 1 is x f (so theta), 2 is x^2 f (so D), 8 is
+# x^2 f (E - E_ref)^2 (so the variance, and nothing else)
+_THETA_UP = (1, 5.0)
+_D_DOWN = (2, -1.0)
+_VAR_DOWN = (8, -1.0)
+
+
+@pytest.mark.parametrize("edits, error, message", [
+    ({2.0: [_THETA_UP], 4.0: [_THETA_UP]}, ThetaOutOfRange, " outside (0, 1) at a=2"),
+    ({1.0: [_VAR_DOWN], 2.0: [_D_DOWN], 4.0: [_VAR_DOWN]}, NegativeVariance, " at a=1"),
+    # at one scale D is checked before the variance
+    ({1.0: [_VAR_DOWN, _D_DOWN], 2.0: [_VAR_DOWN]}, DegenerateWeight, " at a=1"),
+    ({0.5: [_VAR_DOWN], 1.0: [_D_DOWN]}, NegativeVariance, " at a=0.5"),
+], ids=["theta", "variance", "weight-first", "variance-first"])
+def test_value_checks_name_the_smallest_offending_scale(monkeypatch, edits, error,
+                                                        message):
+    _doctor_pass(monkeypatch, edits)
+    with pytest.raises(error) as info:
+        moment_bundles(PerturbedPowerLaw(p=1.0, eps=0.1), [4.0, 0.5, 2.0, 0.5, 1.0])
+    assert str(info.value).endswith(message)
+
+
+# ------------------------------------- a non-power law with closed-form moments
+
+_MIX_C = 1.0  # f = x + c x^5: the elasticity runs from 1 toward 5
+
+
+def _mixture():
+    return Custom(lambda x: x + _MIX_C * x**5, lambda x: 1.0 + 5.0 * _MIX_C * x**4)
+
+
+def test_mixture_moments_match_closed_forms_at_every_scale():
+    a = np.array(ScaleGrid.log_spaced(0.01, 100.0, 25).scales)
+    c = _MIX_C
+    fa = a + c * a**5
+    F = a**2 / 2.0 + c * a**6 / 6.0
+    H = a**3 / 3.0 + c * a**7 / 7.0
+    G = a**3 / 3.0 + 2.0 * c * a**7 / 7.0 + c * c * a**11 / 11.0
+    want = {"F": F, "H": H, "G": G, "A": F / (a * fa), "B": H / (a * a * fa),
+            "C": G / (a * fa * fa), "theta": H / (a * F)}
+    m = moment_bundles(_mixture(), a, 1e-12)
+    for name, exact in want.items():
+        rel = np.abs(getattr(m, name) - exact) / exact
+        assert np.max(rel) <= 1e-12, (name, a[np.argmax(rel)], np.max(rel))
+    # the variance grows like (4 c a^4)^2 at small scales; from the detector's
+    # lowest scale 0.1 up it is far above the roundoff of the one-shift
+    # expansion (about 1e-16 of the shifted moments), and positive
+    assert np.all(m.variance[a >= 0.1] > 1e-12)
+
+
+def test_mixture_is_not_a_power_law():
+    assert classify(_mixture()).verdict is Verdict.NOT_POWER_LAW
