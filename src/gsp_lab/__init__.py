@@ -38,7 +38,6 @@ from .sampler import MCEstimate, SamplerState, mc_estimates
 from .detector import (
     DetectionResult,
     ExponentEstimates,
-    ScaleGrid,
     Verdict,
     classify,
     fit_lambda,

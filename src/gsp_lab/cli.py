@@ -14,14 +14,17 @@ always go to stderr so the data stream stays parseable.
 
 Exit codes: 0 pass / power law, 1 residual failure / not a power law,
 2 config error, 3 inadmissible spec, 4 inconclusive.  They depend on
-nothing besides the config and the verdict.
+nothing besides the config and the verdict; a run too large to allocate
+ends in exit 1 with one line, like the other runtime errors.
 
-verify, detect and sweep integrate over the whole scale grid at once, in
-one quadrature pass that gives the moments and the weight integrals at
-every scale (and, for verify, at every finite-difference stencil scale),
-as arrays over the grid that the rows are built from.
-verify keeps the scales whose finite-difference stencil fits inside the
-function's support; the identities module owns the stencil and that rule.
+One function makes and checks every command's scale grid, one array: the
+log-spaced scales of the flags, strictly increasing, kept to the
+function's support and, for verify, to the scales whose finite-difference
+stencil fits inside it (the identities module owns the stencil).  Fewer
+than 5 scales left is a config error.  verify, detect and sweep integrate
+over the whole grid at once, in one quadrature pass that gives the moments
+and the weight integrals at every scale (and, for verify, at every
+stencil scale), as arrays the rows are built from.
 Numbers are serialized with 17 significant digits, which makes reruns
 byte-diffable; sample's draws go through a vectorized formatter whose
 bytes equal Python's f"{x:.17g}".
@@ -39,7 +42,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from ._g17 import _g17_lines
-from .detector import ScaleGrid, Verdict, classify, fit_lambda, gsp_residual_sweep
+from .detector import Verdict, classify, fit_lambda, gsp_residual_sweep
 from .errors import (
     CsvFormatError,
     GspLabError,
@@ -70,6 +73,8 @@ _ABC_ABS = 1e-5
 _ABC_REL = 1e-4
 _WM_TOL = 1e-9
 _VAR_TOL = 1e-12
+# the fewest scales a grid may keep, from the flags to the last mask
+_MIN_SCALES = 5
 
 
 class ConfigError(GspLabError):
@@ -181,6 +186,11 @@ def _build_parser():
     return parser
 
 
+# Built once, at import: each flag costs a HelpFormatter, while help and
+# error text are formatted when printed, so their bytes stay the same.
+_PARSER = _build_parser()
+
+
 def _join_negative_values(argv):
     """``argv`` with ``--p -1e-3`` written ``--p=-1e-3`` for each float flag
     of the command: argparse reads a word that starts with '-' as an option
@@ -225,8 +235,8 @@ def _check_config(cfg):
         raise ConfigError("grid bounds must be finite")
     if cfg.a_min <= 0.0 or cfg.a_max <= cfg.a_min:
         raise ConfigError("need 0 < a-min < a-max")
-    if cfg.a_count < 5:
-        raise ConfigError("grid needs at least 5 scales")
+    if cfg.a_count < _MIN_SCALES:
+        raise ConfigError(f"grid needs at least {_MIN_SCALES} scales")
     if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
         raise ConfigError("tolerance must be positive")
     if cfg.command == "sample":
@@ -249,11 +259,20 @@ def _build_spec(cfg):
 
 
 def _grid_for(cfg, spec):
-    try:
-        grid = ScaleGrid.log_spaced(cfg.a_min, cfg.a_max, cfg.a_count)
-        return grid.clipped_to(spec)
-    except NonPositiveInput as exc:
-        raise ConfigError(str(exc)) from exc
+    """The command's scale grid, made and checked as the module says."""
+    scales = np.geomspace(cfg.a_min, cfg.a_max, cfg.a_count)
+    if np.any(scales[1:] <= scales[:-1]):
+        raise ConfigError("scales must be strictly increasing")
+    scales = scales[[spec.in_support(a) for a in scales]]
+    if scales.size < _MIN_SCALES:
+        lo, hi = spec.support
+        raise ConfigError(f"only {scales.size} grid scales fit inside the support "
+                          f"({lo:g}, {hi:g}]")
+    if cfg.command == "verify":
+        scales = scales[[stencil_fits(spec, a) for a in scales]]
+        if scales.size < _MIN_SCALES:
+            raise ConfigError(f"need at least {_MIN_SCALES} scales, got {scales.size}")
+    return scales
 
 
 def _emit(text, out):
@@ -289,12 +308,7 @@ _CHECK_NAMES = ("reduction", "derivative-match", "weighted-mean", "variance")
 
 
 def cmd_verify(cfg, spec):
-    grid = _grid_for(cfg, spec)
-    try:
-        grid = ScaleGrid(tuple(a for a in grid if stencil_fits(spec, a)))
-    except NonPositiveInput as exc:
-        raise ConfigError(str(exc)) from exc
-    rep = identity_reports(spec, grid, cfg.tol)
+    rep = identity_reports(spec, _grid_for(cfg, spec), cfg.tol)
     closed, fin = rep.closed, rep.finite_diff
     # checks[k, j]: whether scale k passes check j of _CHECK_NAMES
     checks = np.column_stack((
@@ -321,8 +335,7 @@ def cmd_verify(cfg, spec):
 
 
 def cmd_detect(cfg, spec):
-    grid = _grid_for(cfg, spec)
-    result = classify(spec, grid=grid, tol=cfg.tol)
+    result = classify(spec, _grid_for(cfg, spec), cfg.tol)
     if cfg.format == "csv":
         rows = list(zip(result.scales, result.gsp_residuals, result.variances))
         _emit(_csv_lines(("a", "gsp_residual", "variance"), rows), cfg.out)
@@ -340,8 +353,7 @@ def cmd_detect(cfg, spec):
 
 
 def cmd_sweep(cfg, spec):
-    grid = _grid_for(cfg, spec)
-    m = moment_bundles(spec, grid, cfg.tol)
+    m = moment_bundles(spec, _grid_for(cfg, spec), cfg.tol)
     fx = spec.eval(m.xbar)
     lam_hat = fit_lambda(m.ybar, fx)
     residuals = gsp_residual_sweep(m.ybar, fx, lam_hat)
@@ -365,14 +377,7 @@ def cmd_sample(cfg, spec):
     state = SamplerState(spec, cfg.a, cfg.seed, tol=cfg.tol)
     if cfg.estimate:
         est = mc_estimates(state, cfg.n)
-        payload = {
-            "mean_x": est.mean_x,
-            "mean_fx": est.mean_fx,
-            "stderr_x": est.stderr_x,
-            "stderr_fx": est.stderr_fx,
-            "n": est.n,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
+        _emit(json.dumps(asdict(est), indent=2) + "\n", cfg.out)
         _say(f"sample: n={est.n} mean_x={est.mean_x:.10g}")
         return EXIT_PASS
     _emit("x\n" + _g17_lines(state.draw(cfg.n)), cfg.out)
@@ -390,7 +395,7 @@ _COMMANDS = {
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser().parse_args(_join_negative_values(argv))
+    args = _PARSER.parse_args(_join_negative_values(argv))
     try:
         cfg = _config_from_args(args)
     except ConfigError as exc:
@@ -417,6 +422,9 @@ def main(argv=None):
         return EXIT_CONFIG
     except GspLabError as exc:
         _say(f"error: {exc}")
+        return EXIT_FAIL
+    except MemoryError as exc:
+        _say(f"error: out of memory ({exc})" if str(exc) else "error: out of memory")
         return EXIT_FAIL
 
 

@@ -9,10 +9,11 @@ the exponent:
 
 The converse also holds for admissible specs: if the proportionality holds
 at every scale with a single constant, the function is a power law.  The
-detector therefore sweeps a grid of scales, fits the best single constant,
-and looks at the worst relative residual together with the elasticity
-variance functional -- two unrelated routes that must both collapse, each
-an array expression over the whole grid.
+detector therefore sweeps the scales it is given, fits the best single
+constant, and looks at the worst relative residual together with the
+elasticity variance functional -- two unrelated routes that must both
+collapse, each an array expression over the whole grid.  Making and checking
+the grid is the caller's job (the CLI's grid builder).
 
 lambda is not injective: it dips from 1/2 at p -> 0 to a minimum of about
 0.48202 near p = 0.3266, climbs back through 1/2 at p = 1, and tends to
@@ -28,12 +29,11 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateFit, NonPositiveExponent, NonPositiveInput
+from .errors import DegenerateFit, NonPositiveExponent
 from .functions import Tabulated
 from .moments import _median, moment_bundles
 
 __all__ = [
-    "ScaleGrid",
     "Verdict",
     "ExponentEstimates",
     "DetectionResult",
@@ -45,7 +45,6 @@ __all__ = [
     "classify",
 ]
 
-_MIN_SCALES = 5
 _ELASTICITY_PROBES = 33
 _MARGIN_FACTOR = 10.0  # how many quadrature-error widths count as "on the line"
 # (tol_gsp, tol_var): the thresholds on the collapse residual and the
@@ -53,46 +52,6 @@ _MARGIN_FACTOR = 10.0  # how many quadrature-error widths count as "on the line"
 # missing head below the hull put a floor under both statistics.
 _ANALYTIC_THRESHOLDS = (1e-6, 1e-9)
 _TABLE_THRESHOLDS = (1e-3, 1e-5)
-
-
-@dataclass(frozen=True)
-class ScaleGrid:
-    """An ascending grid of strictly positive scales (at least 5 of them)."""
-
-    scales: tuple[float, ...]
-
-    def __post_init__(self):
-        s = tuple(float(v) for v in self.scales)
-        if len(s) < _MIN_SCALES:
-            raise NonPositiveInput(f"need at least {_MIN_SCALES} scales, got {len(s)}")
-        if any(not math.isfinite(v) or v <= 0.0 for v in s):
-            raise NonPositiveInput("scales must be positive and finite")
-        if any(b <= a for a, b in zip(s, s[1:])):
-            raise NonPositiveInput("scales must be strictly increasing")
-        object.__setattr__(self, "scales", s)
-
-    @classmethod
-    def log_spaced(cls, a_min=0.1, a_max=10.0, count=17):
-        if a_min <= 0.0 or a_max <= a_min:
-            raise NonPositiveInput("need 0 < a_min < a_max")
-        return cls(tuple(np.geomspace(a_min, a_max, int(count))))
-
-    def clipped_to(self, spec):
-        """Drop scales outside the function's support (keeping at least 5)."""
-        kept = tuple(a for a in self.scales if spec.in_support(a))
-        if len(kept) < _MIN_SCALES:
-            lo, hi = spec.support
-            raise NonPositiveInput(
-                f"only {len(kept)} grid scales fit inside the support "
-                f"({lo:g}, {hi:g}]"
-            )
-        return ScaleGrid(kept)
-
-    def __iter__(self):
-        return iter(self.scales)
-
-    def __len__(self):
-        return len(self.scales)
 
 
 class Verdict(str, Enum):
@@ -223,8 +182,9 @@ def _residual_margin(spec, moments, fx, lam):
     return (rel_g + rel_f) + model * e_at * (rel_h + rel_f)
 
 
-def classify(spec, grid=None, tol=1e-10):
-    """Run the full detection pipeline and return a DetectionResult.
+def classify(spec, scales, tol=1e-10):
+    """Run the full detection pipeline over the scales, which must lie in
+    the spec's support, and return a DetectionResult.
 
     The thresholds go by family: tabulated specs get looser ones than
     analytic specs (``_TABLE_THRESHOLDS``, ``_ANALYTIC_THRESHOLDS``).  A
@@ -232,11 +192,10 @@ def classify(spec, grid=None, tol=1e-10):
     within ten propagated quadrature-error widths of its threshold -- close
     enough that rerunning at a tighter tolerance could flip it.
     """
-    grid = (grid or ScaleGrid.log_spaced()).clipped_to(spec)
     tol_gsp, tol_var = (_TABLE_THRESHOLDS if isinstance(spec, Tabulated)
                         else _ANALYTIC_THRESHOLDS)
 
-    m = moment_bundles(spec, grid, tol)
+    m = moment_bundles(spec, scales, tol)
     fx = spec.eval(m.xbar)
     lam_hat = fit_lambda(m.ybar, fx)
     residuals = gsp_residual_sweep(m.ybar, fx, lam_hat)
@@ -285,7 +244,7 @@ def classify(spec, grid=None, tol=1e-10):
         variance_max=v_max,
         tol_gsp=tol_gsp,
         tol_var=tol_var,
-        scales=tuple(grid),
+        scales=tuple(m.a.tolist()),
         gsp_residuals=tuple(residuals.tolist()),
         variances=tuple(m.variance.tolist()),
         notes="; ".join(notes),

@@ -8,7 +8,8 @@ draws.
 
 Power laws invert in closed form.  Every other spec goes through a table
 of cumulative masses on 256 knot intervals, built once per (spec, a, tol)
-by one cumulative quadrature pass.  A draw starts from a cubic Hermite
+by one cumulative quadrature pass; the sampling state holds the table and
+applies either inverse itself.  A draw starts from a cubic Hermite
 interpolant of the inverse CDF on its knot interval, with exact end slopes
 1/g (the PINV idea of Derflinger, Hoermann and Leydold, ACM TOMACS 20(4),
 2010); its CDF residual is then checked with one 15-point Kronrod panel
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy.random import Generator, Philox  # at import time, not on the first draw
@@ -173,22 +173,6 @@ class _CdfTable:
             act, lo, hi, sa, ra = act[keep], lo[keep], hi[keep], new[keep], ra[keep]
         return s, resid
 
-    def solve_x(self, u, tol):
-        return self.a * self.quantiles(u, tol)
-
-
-def _power_quantiles(a, p, u):
-    return a * u ** (1.0 / (p + 1.0))
-
-
-def _quantile_solver(spec, a, tol):
-    """u -> x for u in (0, 1): the closed form a * u**(1/(p+1)) for power
-    laws, otherwise a CDF table whose Hermite guesses are checked and, where
-    they miss, refined by bracketed Newton steps."""
-    if isinstance(spec, PowerLaw):
-        return partial(_power_quantiles, a, spec.p)
-    return partial(_CdfTable(spec, a, tol).solve_x, tol=tol)
-
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -204,8 +188,9 @@ class MCEstimate:
 class SamplerState:
     """Deterministic sampling state for one (spec, a) pair.
 
-    The seed fully determines the draw sequence; the quantile solver (for
-    a non-power-law spec, its CDF table) is built once, here.
+    The seed fully determines the draw sequence.  A power law inverts in
+    closed form, a * u**(1/(p+1)); any other spec gets its CDF table, built
+    once, here.
     """
 
     def __init__(self, spec, a, seed, tol=1e-10):
@@ -214,7 +199,8 @@ class SamplerState:
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         key = np.array([self.seed, 0], dtype=np.uint64)
         self._gen = Generator(Philox(key=key))
-        self._solver = _quantile_solver(spec, self.a, tol)
+        self._tol = tol
+        self._table = None if isinstance(spec, PowerLaw) else _CdfTable(spec, self.a, tol)
 
     def draw(self, n):
         n = int(n)
@@ -224,7 +210,9 @@ class SamplerState:
         # random() can emit exactly 0, whose quantile sits outside the open
         # support; nudge to the smallest positive double instead.
         u[u == 0.0] = np.nextafter(0.0, 1.0)
-        return self._solver(u)
+        if self._table is None:
+            return self.a * u ** (1.0 / (self.spec.p + 1.0))
+        return self.a * self._table.quantiles(u, self._tol)
 
 
 def mc_estimates(state, n):

@@ -3,6 +3,9 @@ import pytest
 
 from gsp_lab import Custom, PerturbedPowerLaw, PowerLaw, Tabulated
 
+# the grid of the CLI's default --a-min, --a-max and --a-count
+DEFAULT_SCALES = np.geomspace(0.1, 10.0, 17)
+
 
 def make_tabulated_power(amp=4.0, p=1.5, lo=1e-4, hi=1e2, n=241):
     """Exact power-law samples on a log grid; straight line in log-log."""

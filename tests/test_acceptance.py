@@ -11,7 +11,6 @@ from gsp_lab import (
     PerturbedPowerLaw,
     PowerLaw,
     SamplerState,
-    ScaleGrid,
     Verdict,
     classify,
     identity_reports,
@@ -21,7 +20,7 @@ from gsp_lab import (
     moment_bundles,
 )
 
-from conftest import gallery, make_tabulated_power
+from conftest import DEFAULT_SCALES, gallery, make_tabulated_power
 
 P_MATRIX = (0.3, 0.5, 1.0, 2.0, 5.0)
 AMP_MATRIX = (1.0, 7.0)
@@ -116,7 +115,7 @@ def _wobble_variance(eps):
 
 
 def test_acceptance_05_variance_dichotomy():
-    grid = ScaleGrid.log_spaced(0.1, 10.0, 17)
+    grid = DEFAULT_SCALES
     worst_power = 0.0
     for label, spec in gallery():
         if not isinstance(spec, PowerLaw):
@@ -137,11 +136,11 @@ def test_acceptance_06_detector_round_trip():
     worst_p = 0.0
     verdicts_ok = True
     for p in P_MATRIX:
-        res = classify(PowerLaw(p=p))
+        res = classify(PowerLaw(p=p), DEFAULT_SCALES)
         verdicts_ok &= res.verdict is Verdict.POWER_LAW
         worst_p = max(worst_p, abs(res.p_theta - p))
-    wobble = classify(PerturbedPowerLaw(p=1.0, eps=0.1))
-    tab = classify(make_tabulated_power())
+    wobble = classify(PerturbedPowerLaw(p=1.0, eps=0.1), DEFAULT_SCALES)
+    tab = classify(make_tabulated_power(), DEFAULT_SCALES)
     ok = (
         verdicts_ok
         and worst_p <= 1e-6

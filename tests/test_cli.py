@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -251,6 +252,42 @@ def test_sweep_tiny_grid_is_config_error():
                    "--a-count", "1") == 2
 
 
+def _x_f_table(path, x, f):
+    path.write_text("x,f\n" + "".join(f"{v!r},{w!r}\n" for v, w in zip(x, f)))
+    return str(path)
+
+
+def _ci_table(path):
+    """The 200-knot perturbed table on [0.01, 10] that CI writes."""
+    t = np.linspace(np.log(0.01), np.log(10.0), 200)
+    t[1:-1] += np.random.default_rng(1).uniform(-0.25, 0.25, 198) * (t[1] - t[0])
+    x = np.exp(t)
+    x[0], x[-1] = 0.01, 10.0
+    x = x.tolist()
+    return _x_f_table(path, x, [v * (1.0 + 0.1 * math.sin(math.log(v))) for v in x])
+
+
+@pytest.mark.parametrize("case, line", [
+    ("ulps-wide", "scales must be strictly increasing"),
+    ("outside-table", "only 1 grid scales fit inside the support (4, 5]"),
+    ("stencil-trimmed", "need at least 5 scales, got 4"),
+    ("a-count-4", "grid needs at least 5 scales"),
+])
+def test_grid_errors_are_one_line_config_errors(case, line, tmp_path, capsys):
+    x45 = np.geomspace(4.0, 5.0, 30).tolist()
+    argv = {
+        "ulps-wide": ("sweep", "--family", "power", "--p", "2", "--a-min", "1",
+                      "--a-max", "1.0000000000000004", "--a-count", "9"),
+        "outside-table": ("detect", "--csv", _x_f_table(tmp_path / "x15.csv", x45,
+                                                        [v**1.5 for v in x45])),
+        "stencil-trimmed": ("verify", "--csv", _ci_table(tmp_path / "ci.csv"),
+                            "--a-min", "9.99", "--a-max", "10", "--a-count", "5"),
+        "a-count-4": ("sweep", "--family", "power", "--p", "2", "--a-count", "4"),
+    }[case]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr() == ("", f"config error: {line}\n")
+
+
 def test_sweep_csv_round_trips_at_17_digits(tmp_path):
     out = tmp_path / "s.csv"
     run_cli("sweep", "--family", "power", "--p", "2", "--out", str(out))
@@ -463,9 +500,8 @@ def test_huge_exponent_is_inadmissible_in_one_line(capsys):
 
 
 def _sqrt_table(path, lo, hi, n):
-    x = np.geomspace(lo, hi, n)
-    path.write_text("x,f\n" + "".join(f"{v!r},{math.sqrt(v)!r}\n" for v in x.tolist()))
-    return str(path)
+    x = np.geomspace(lo, hi, n).tolist()
+    return _x_f_table(path, x, [math.sqrt(v) for v in x])
 
 
 @pytest.mark.parametrize("lo,hi,grid,code", [
@@ -508,6 +544,35 @@ def test_sample_on_a_table_spanning_float64_ends_cleanly(tmp_path, capsys):
         "sample: wrote 100 draws (seed=0)\n"
         "error: a=1e+300: the table floor 1e-305 underflows to 0 in units of a\n"
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ("detect", "--family", "power", "--p", "2", "--a-count", "1000000000000000"),
+    ("sample", "--family", "power", "--p", "2", "--a", "1", "--n", "1000000000000000"),
+], ids=["detect-grid", "sample-draws"])
+def test_out_of_memory_ends_in_one_line(argv):
+    # 10^15 float64 values are 7.1 PiB: no machine can allocate them, so the
+    # request fails at once without touching memory
+    proc = subprocess.run([sys.executable, "-m", "gsp_lab.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: out of memory")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    # the parser is built once, at import; a call only parses
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(2):
+        assert run_cli("detect", "--family", "power", "--p", "2", "--out", os.devnull) == 0
+    assert built == []
 
 
 def test_unknown_family_rejected_by_parser():

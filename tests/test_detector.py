@@ -6,10 +6,8 @@ import pytest
 
 from gsp_lab import (
     NonPositiveExponent,
-    NonPositiveInput,
     PerturbedPowerLaw,
     PowerLaw,
-    ScaleGrid,
     Verdict,
     classify,
     fit_lambda,
@@ -21,7 +19,7 @@ from gsp_lab import (
 )
 from gsp_lab.functions import FunctionSpec
 from gsp_lab.quadrature import _DEFAULT_BUDGET
-from conftest import make_perturbed_table, make_tabulated_power
+from conftest import DEFAULT_SCALES, make_perturbed_table, make_tabulated_power
 
 # Constants frozen from the curve scan done with scipy before this package
 # was written: the minimum of the proportionality curve, a few anchors, and
@@ -107,35 +105,11 @@ def test_inverse_respects_requested_range():
         invert_lambda(0.5, p_range=(-1.0, 2.0))
 
 
-# ------------------------------------------------------------- scale grid
-
-def test_grid_requires_five_scales():
-    with pytest.raises(NonPositiveInput):
-        ScaleGrid((1.0, 2.0, 3.0, 4.0))
-    with pytest.raises(NonPositiveInput):
-        ScaleGrid.log_spaced(0.1, 10.0, 4)
-
-
-def test_grid_must_increase():
-    with pytest.raises(NonPositiveInput):
-        ScaleGrid((1.0, 2.0, 2.0, 3.0, 4.0))
-
-
-def test_grid_clipping_to_hull():
-    spec = make_tabulated_power(lo=0.5, hi=50.0, n=60)
-    grid = ScaleGrid.log_spaced(0.1, 100.0, 25).clipped_to(spec)
-    assert min(grid) > 0.5
-    assert max(grid) <= 50.0
-    tight = make_tabulated_power(lo=4.0, hi=5.0, n=30)
-    with pytest.raises(NonPositiveInput):
-        ScaleGrid.log_spaced(0.1, 1.0, 9).clipped_to(tight)
-
-
 # -------------------------------------------------------- sweep / fitting
 
 def test_residual_zero_at_the_true_constant():
     spec = PowerLaw(p=1.0)
-    m = moment_bundles(spec, ScaleGrid.log_spaced())
+    m = moment_bundles(spec, DEFAULT_SCALES)
     res = gsp_residual_sweep(m.ybar, spec.eval(m.xbar), lambda_of_p(1.0))
     assert np.max(res) < 1e-10
 
@@ -144,7 +118,7 @@ def test_residual_with_wrong_constant_is_the_offset():
     # for p=1 the ordinate is exactly half of f at the centroid, so using
     # 0.46875 instead of 0.5 leaves |1 - 2*0.46875| = 0.0625 at every scale
     spec = PowerLaw(p=1.0)
-    m = moment_bundles(spec, ScaleGrid.log_spaced())
+    m = moment_bundles(spec, DEFAULT_SCALES)
     res = gsp_residual_sweep(m.ybar, spec.eval(m.xbar), 0.46875)
     assert np.allclose(res, 0.0625, atol=1e-9)
 
@@ -152,14 +126,14 @@ def test_residual_with_wrong_constant_is_the_offset():
 @pytest.mark.parametrize("p", [0.5, 2.0])
 def test_fitted_constant_matches_curve(p):
     spec = PowerLaw(p=p)
-    m = moment_bundles(spec, ScaleGrid.log_spaced())
+    m = moment_bundles(spec, DEFAULT_SCALES)
     lam = fit_lambda(m.ybar, spec.eval(m.xbar))
     assert lam == pytest.approx(lambda_of_p(p), abs=1e-10)
 
 
 def test_exponent_recovery_routes_agree_on_power_law():
     spec = PowerLaw(p=2.0, amp=7.0)
-    est = recover_p(spec, moment_bundles(spec, ScaleGrid.log_spaced()))
+    est = recover_p(spec, moment_bundles(spec, DEFAULT_SCALES))
     assert est.p_theta == pytest.approx(2.0, abs=1e-9)
     assert est.p_elasticity == pytest.approx(2.0, abs=1e-12)
     assert est.amp == pytest.approx(7.0, rel=1e-8)
@@ -167,7 +141,7 @@ def test_exponent_recovery_routes_agree_on_power_law():
 
 def test_exponent_recovery_flags_drift_for_wobble():
     spec = PerturbedPowerLaw(p=1.0, eps=0.1)
-    est = recover_p(spec, moment_bundles(spec, ScaleGrid.log_spaced()))
+    est = recover_p(spec, moment_bundles(spec, DEFAULT_SCALES))
     # both estimates hover near 1 but the theta route absorbs the wobble
     assert abs(est.p_theta - 1.0) < 0.1
     assert abs(est.p_elasticity - 1.0) < 0.1
@@ -177,20 +151,20 @@ def test_exponent_recovery_flags_drift_for_wobble():
 
 @pytest.mark.parametrize("p", [0.3, 1.0, 5.0])
 def test_classify_accepts_power_laws(p):
-    result = classify(PowerLaw(p=p))
+    result = classify(PowerLaw(p=p), DEFAULT_SCALES)
     assert result.verdict is Verdict.POWER_LAW
     assert result.p_theta == pytest.approx(p, abs=1e-6)
 
 
 def test_classify_rejects_wobble():
-    result = classify(PerturbedPowerLaw(p=1.0, eps=0.1))
+    result = classify(PerturbedPowerLaw(p=1.0, eps=0.1), DEFAULT_SCALES)
     assert result.verdict is Verdict.NOT_POWER_LAW
     assert result.gsp_residual_max > result.tol_gsp
     assert result.variance_max > result.tol_var
 
 
 def test_classify_accepts_tabulated_power_law(tab_x15):
-    result = classify(tab_x15)
+    result = classify(tab_x15, DEFAULT_SCALES)
     assert result.verdict is Verdict.POWER_LAW
     assert result.p_theta == pytest.approx(1.5, abs=0.01)
 
@@ -208,7 +182,7 @@ def test_classify_on_a_kinked_table_stays_cheap(perturbed_table, monkeypatch):
             return _plain(self, x)
 
         monkeypatch.setattr(FunctionSpec, name, counting)
-    result = classify(perturbed_table)
+    result = classify(perturbed_table, DEFAULT_SCALES)
     assert result.verdict is Verdict.NOT_POWER_LAW
     assert len(calls) <= 2000
 
@@ -216,19 +190,19 @@ def test_classify_on_a_kinked_table_stays_cheap(perturbed_table, monkeypatch):
 def test_table_with_more_knots_than_the_budget_gets_a_verdict():
     spec = make_perturbed_table(n=20_001)
     assert spec.knots.size > _DEFAULT_BUDGET
-    assert classify(spec).verdict is Verdict.NOT_POWER_LAW
+    assert classify(spec, DEFAULT_SCALES).verdict is Verdict.NOT_POWER_LAW
 
 
 def test_loose_tolerance_yields_inconclusive():
     # at tol=1e-4 the quadrature noise and the analytic threshold overlap,
     # and the verdict must admit it cannot tell
-    result = classify(PowerLaw(p=1.3), tol=1e-4)
+    result = classify(PowerLaw(p=1.3), DEFAULT_SCALES, tol=1e-4)
     assert result.verdict is Verdict.INCONCLUSIVE
     assert result.notes != ""
 
 
 def test_result_serializes_to_json():
-    result = classify(PowerLaw(p=2.0))
+    result = classify(PowerLaw(p=2.0), DEFAULT_SCALES)
     blob = json.dumps(result.to_dict())
     round_tripped = json.loads(blob)
     assert round_tripped["verdict"] == "PowerLaw"

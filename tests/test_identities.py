@@ -9,7 +9,6 @@ from gsp_lab import (
     DomainExceeded,
     PerturbedPowerLaw,
     PowerLaw,
-    ScaleGrid,
     Tabulated,
     Verdict,
     classify,
@@ -17,7 +16,7 @@ from gsp_lab import (
     moment_bundles,
     stencil_fits,
 )
-from conftest import gallery
+from conftest import DEFAULT_SCALES, gallery
 
 SCALES = [0.5, 1.0, 2.0, 8.0]
 
@@ -46,7 +45,7 @@ def test_table_reductions_carry_the_boundary_terms():
     # would be s0^2.5, 1e-5 at a = 1
     x = np.geomspace(0.01, 10.0, 200)
     spec = Tabulated(x, x**1.5)
-    scales = [a for a in ScaleGrid.log_spaced().clipped_to(spec) if stencil_fits(spec, a)]
+    scales = [a for a in DEFAULT_SCALES.tolist() if stencil_fits(spec, a)]
     rep = identity_reports(spec, scales)
     for a, red in zip(rep.a, rep.reduction):
         assert max(red) <= 1e-12, a
@@ -161,8 +160,7 @@ def test_variance_of_a_wide_elasticity_matches_scipy():
                   lambda x: 0.5 * x**-0.5 + 20.0 * x**19)
     f = lambda x: x**0.5 + x**20
     E = lambda x: (0.5 * x**0.5 + 20.0 * x**20) / (x**0.5 + x**20)
-    grid = ScaleGrid.log_spaced()
-    m = moment_bundles(spec, list(grid))
+    m = moment_bundles(spec, DEFAULT_SCALES)
     for a, t, var, var_err in zip(m.a, m.theta, m.variance, m.variance_error):
         fn = lambda s: (s - t) ** 2 * f(a * s) / f(a) * (E(a * s) - E(a * t)) ** 2
         with warnings.catch_warnings():
@@ -172,7 +170,7 @@ def test_variance_of_a_wide_elasticity_matches_scipy():
         gap = abs(var - ref)
         assert gap <= 1e-12, (a, var, ref)
         assert gap <= var_err + 1e-15, (a, gap, var_err)
-    assert classify(spec).verdict is Verdict.NOT_POWER_LAW
+    assert classify(spec, DEFAULT_SCALES).verdict is Verdict.NOT_POWER_LAW
 
 
 def test_report_collects_everything_coherently():
