@@ -14,6 +14,7 @@ from .errors import (
     DegenerateWeight,
     DomainExceeded,
     GspLabError,
+    Inadmissible,
     NegativeVariance,
     NonPositiveExponent,
     NonPositiveInput,
@@ -27,7 +28,6 @@ from .functions import (
     PerturbedPowerLaw,
     PowerLaw,
     Tabulated,
-    ValidationReport,
     load_tabulated_csv,
     validate,
 )

@@ -14,8 +14,10 @@ always go to stderr so the data stream stays parseable.
 
 Exit codes: 0 pass / power law, 1 residual failure / not a power law,
 2 config error, 3 inadmissible spec, 4 inconclusive.  They depend on
-nothing besides the config and the verdict; a run too large to allocate
-ends in exit 1 with one line, like the other runtime errors.
+nothing besides the config and the verdict.  Every failure raises, and main
+maps its kind to its code in one handler, one stderr line each: ConfigError
+2, Inadmissible 3, any other error 1 (a run too large to allocate among
+them, and a count of scales or draws that no array can hold).
 
 One function makes and checks every command's scale grid, one array: the
 log-spaced scales of the flags, strictly increasing, kept to the
@@ -43,12 +45,7 @@ import numpy as np
 
 from ._g17 import _g17_lines
 from .detector import Verdict, classify, fit_lambda, gsp_residual_sweep
-from .errors import (
-    CsvFormatError,
-    GspLabError,
-    NonPositiveInput,
-    NonPositiveValue,
-)
+from .errors import GspLabError, Inadmissible, NonPositiveInput, NonPositiveValue
 from .functions import (
     PerturbedPowerLaw,
     PowerLaw,
@@ -75,6 +72,9 @@ _WM_TOL = 1e-9
 _VAR_TOL = 1e-12
 # the fewest scales a grid may keep, from the flags to the last mask
 _MIN_SCALES = 5
+# the most scales or draws a run may ask for: 8 PiB of float64, which numpy
+# still refuses with a MemoryError (from 2**60 on, a ValueError or IndexError)
+_MAX_COUNT = 2**50
 
 
 class ConfigError(GspLabError):
@@ -83,7 +83,10 @@ class ConfigError(GspLabError):
 
 @dataclass
 class RunConfig:
-    """Everything a run needs; round-trips losslessly through flat JSON."""
+    """Everything a run needs; round-trips losslessly through flat JSON.
+
+    A key's type in a config file is its default's (str where that is None).
+    """
 
     command: str
     family: str = "power"
@@ -108,10 +111,8 @@ class RunConfig:
         return RunConfig(**d)
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_FLOAT_KEYS = {"p", "amp", "eps", "a_min", "a_max", "tol", "a"}
-_INT_KEYS = {"a_count", "seed", "n"}
-_BOOL_KEYS = {"estimate"}
+_KEY_TYPES = {f.name: str if f.default is None else type(f.default)
+              for f in fields(RunConfig) if f.name != "command"}
 
 
 def _load_config_file(path):
@@ -126,21 +127,15 @@ def _load_config_file(path):
         raise ConfigError("config file must hold a JSON object")
     out = {}
     for key, val in raw.items():
-        if key == "command" or key not in _FIELD_TYPES:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         if val is None:
             continue
+        cast = _KEY_TYPES[key]
         try:
-            if key in _FLOAT_KEYS:
-                out[key] = float(val)
-            elif key in _INT_KEYS:
-                out[key] = int(val)
-            elif key in _BOOL_KEYS:
-                if not isinstance(val, bool):
-                    raise ValueError("expected true/false")
-                out[key] = val
-            else:
-                out[key] = str(val)
+            if cast is bool and not isinstance(val, bool):
+                raise ValueError("expected true/false")
+            out[key] = cast(val)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
     return out
@@ -197,8 +192,8 @@ def _join_negative_values(argv):
     unless it is a plain decimal like -1, so ``-1e-3`` or ``-inf`` would
     never reach the checks that name the bad value."""
     command = next((word for word in argv if not word.startswith("-")), None)
-    flags = {"--" + k.replace("_", "-") for k in _FLOAT_KEYS
-             if k != "a" or command == "sample"}
+    flags = {"--" + k.replace("_", "-") for k, cast in _KEY_TYPES.items()
+             if cast is float and (k != "a" or command == "sample")}
     out = []
     for word in argv:
         if out and out[-1] in flags and word.startswith("-"):
@@ -213,11 +208,7 @@ def _join_negative_values(argv):
 
 
 def _config_from_args(args):
-    overrides = {
-        k: getattr(args, k, None)
-        for k in _FIELD_TYPES
-        if k not in ("command",)
-    }
+    overrides = {k: getattr(args, k, None) for k in _KEY_TYPES}
     cfg = RunConfig(command=args.command)
     if args.config:
         cfg = cfg.merged_with(_load_config_file(args.config))
@@ -248,11 +239,19 @@ def _check_config(cfg):
             raise ConfigError(
                 f"estimates need n >= {_MIN_ESTIMATE_N}, got {cfg.n}"
             )
+    count = cfg.n if cfg.command == "sample" else cfg.a_count
+    if count > _MAX_COUNT:
+        raise MemoryError(f"cannot allocate {count} float64 values")
 
 
 def _build_spec(cfg):
     if cfg.csv is not None:
-        return load_tabulated_csv(cfg.csv)
+        try:
+            return load_tabulated_csv(cfg.csv)
+        except OSError as exc:
+            raise ConfigError(str(exc)) from exc
+        except (NonPositiveInput, NonPositiveValue) as exc:  # Tabulated refused it
+            raise Inadmissible(str(exc)) from exc
     if cfg.family == "power":
         return PowerLaw(p=cfg.p, amp=cfg.amp)
     return PerturbedPowerLaw(p=cfg.p, eps=cfg.eps, amp=cfg.amp)
@@ -260,7 +259,8 @@ def _build_spec(cfg):
 
 def _grid_for(cfg, spec):
     """The command's scale grid, made and checked as the module says."""
-    scales = np.geomspace(cfg.a_min, cfg.a_max, cfg.a_count)
+    with np.errstate(over="ignore"):  # near the float64 top; the grid is finite
+        scales = np.geomspace(cfg.a_min, cfg.a_max, cfg.a_count)
     if np.any(scales[1:] <= scales[:-1]):
         raise ConfigError("scales must be strictly increasing")
     scales = scales[[spec.in_support(a) for a in scales]]
@@ -398,28 +398,15 @@ def main(argv=None):
     args = _PARSER.parse_args(_join_negative_values(argv))
     try:
         cfg = _config_from_args(args)
-    except ConfigError as exc:
-        _say(f"config error: {exc}")
-        return EXIT_CONFIG
-
-    try:
         spec = _build_spec(cfg)
-    except OSError as exc:
-        _say(f"config error: {exc}")
-        return EXIT_CONFIG
-    except (CsvFormatError, NonPositiveInput, NonPositiveValue) as exc:
-        _say(f"inadmissible spec: {exc}")
-        return EXIT_INADMISSIBLE
-
-    try:
-        report = validate(spec)
-        if not report.ok:
-            _say(f"inadmissible spec: {report.failed} ({report.detail})")
-            return EXIT_INADMISSIBLE
+        validate(spec)
         return _COMMANDS[cfg.command](cfg, spec)
     except ConfigError as exc:
         _say(f"config error: {exc}")
         return EXIT_CONFIG
+    except Inadmissible as exc:
+        _say(f"inadmissible spec: {exc}")
+        return EXIT_INADMISSIBLE
     except GspLabError as exc:
         _say(f"error: {exc}")
         return EXIT_FAIL

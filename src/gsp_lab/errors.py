@@ -1,13 +1,16 @@
 """Exception types shared across the toolkit.
 
 Everything raised deliberately by this package derives from GspLabError, so
-callers can catch one base class at the boundary (the CLI does exactly that).
+callers can catch one base class at the boundary.  A spec that is not
+admissible raises Inadmissible (a CSV that does not parse is one); the CLI
+ends it in exit 3, its own ConfigError in exit 2 and any other error in 1.
 """
 
 __all__ = [
     "GspLabError", "NonPositiveInput", "DomainExceeded", "NonPositiveValue",
     "ToleranceNotReached", "NegativeVariance", "DegenerateWeight",
-    "DegenerateFit", "ThetaOutOfRange", "NonPositiveExponent", "CsvFormatError",
+    "DegenerateFit", "ThetaOutOfRange", "NonPositiveExponent", "Inadmissible",
+    "CsvFormatError",
 ]
 
 
@@ -60,7 +63,12 @@ class NonPositiveExponent(GspLabError):
     """A power-law exponent must be strictly positive."""
 
 
-class CsvFormatError(GspLabError):
+class Inadmissible(GspLabError):
+    """The spec is not an admissible f (f > 0 on (0, inf), f(0+) = 0); the
+    message names the broken hypothesis, or the table's fault."""
+
+
+class CsvFormatError(Inadmissible):
     """A tabulated CSV file failed to parse.
 
     ``line`` is the 1-based line number of the offending row.

@@ -3,7 +3,8 @@
 A spec represents a positive function f on (0, inf) with f -> 0 at 0+.  All
 families expose the same two operations -- the value and the logarithmic
 derivative x f'(x) / f(x) (the "elasticity") -- accepting either a scalar or
-a numpy array of positive abscissae.
+a numpy array of positive abscissae.  ``validate`` screens a spec against
+those hypotheses and raises Inadmissible at the first one it breaks.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import (
     CsvFormatError,
     DomainExceeded,
+    Inadmissible,
     NonPositiveInput,
     NonPositiveValue,
 )
@@ -27,7 +29,6 @@ __all__ = [
     "PerturbedPowerLaw",
     "Custom",
     "Tabulated",
-    "ValidationReport",
     "validate",
     "load_tabulated_csv",
 ]
@@ -266,19 +267,6 @@ class Tabulated(FunctionSpec):
         return c[1] + 2.0 * c[2] * dt + 3.0 * c[3] * (dt * dt)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of the admissibility screen.
-
-    ``failed`` is None when ok, otherwise the name of the first violated
-    hypothesis ("positivity" or "f(0+)=0").
-    """
-
-    ok: bool
-    failed: str | None = None
-    detail: str = ""
-
-
 _PROBE_COUNT = 80
 _DECAY_PROBES = 27  # dyadic probes reach 2**-26 ~ 1.5e-8
 _DECAY_TAIL = 8
@@ -299,33 +287,32 @@ def validate(spec):
 
     Checks, in order: parameter sanity for the parametric families, strict
     positivity on a log-spaced probe grid, and monotone decay toward zero on
-    the smallest dyadic probes.  Returns a ValidationReport naming the first
-    violated hypothesis; probing is the best a finite procedure can do, so a
-    passing report is evidence, not proof.
+    the smallest dyadic probes.  Returns None if every check passes, and
+    otherwise raises Inadmissible naming the first violated hypothesis
+    ("positivity" or "f(0+)=0") with the detail in parentheses; probing is
+    the best a finite procedure can do, so passing is evidence, not proof.
     """
     if isinstance(spec, (PowerLaw, PerturbedPowerLaw)):
         # NaN passes every comparison below, so name it here
         for name in ("p", "amp", "eps"):
             value = getattr(spec, name, 0.0)
             if not math.isfinite(value):
-                return ValidationReport(
-                    False, "positivity", f"{name}={value:g} is not finite"
-                )
+                raise Inadmissible(f"positivity ({name}={value:g} is not finite)")
         if spec.amp <= 0.0:
-            return ValidationReport(False, "positivity", "amp must be positive")
+            raise Inadmissible("positivity (amp must be positive)")
         if isinstance(spec, PerturbedPowerLaw) and abs(spec.eps) >= 1.0:
-            return ValidationReport(
-                False, "positivity", "|eps| >= 1 lets 1 + eps*sin(log x) vanish"
+            raise Inadmissible(
+                "positivity (|eps| >= 1 lets 1 + eps*sin(log x) vanish)"
             )
         if spec.p <= 0.0:
-            return ValidationReport(
-                False, "f(0+)=0", f"exponent p={spec.p:g} does not decay at 0"
-            )
+            raise Inadmissible(f"f(0+)=0 (exponent p={spec.p:g} does not decay at 0)")
 
     try:
         spec.eval(_probe_grid(spec))
+        if not isinstance(spec, Tabulated):
+            vals = spec.eval(2.0 ** -np.arange(_DECAY_PROBES, dtype=float))
     except NonPositiveValue as exc:
-        return ValidationReport(False, "positivity", str(exc))
+        raise Inadmissible(f"positivity ({exc})") from None
 
     if isinstance(spec, Tabulated):
         # Decay below the hull is unobservable; require the recorded head of
@@ -333,28 +320,16 @@ def validate(spec):
         k = min(_DECAY_TAIL, spec.f.size)
         head = spec.f[:k]
         if np.any(np.diff(head) < -_HULL_SLACK * head[:-1]):
-            return ValidationReport(
-                False, "f(0+)=0", "table head does not decay toward x=0"
-            )
-        return ValidationReport(True)
+            raise Inadmissible("f(0+)=0 (table head does not decay toward x=0)")
+        return
 
-    probes = 2.0 ** -np.arange(_DECAY_PROBES, dtype=float)
-    try:
-        vals = spec.eval(probes)
-    except NonPositiveValue as exc:
-        return ValidationReport(False, "positivity", str(exc))
     tail = vals[-_DECAY_TAIL:]  # f at the smallest probes, largest x first
     if np.any(tail[1:] > tail[:-1] * (1.0 + _HULL_SLACK)):
-        return ValidationReport(
-            False, "f(0+)=0", "no monotone decay on the smallest dyadic probes"
-        )
+        raise Inadmissible("f(0+)=0 (no monotone decay on the smallest dyadic probes)")
     # Monotone alone cannot separate decay to zero from decay to a positive
     # floor, so the tail of probes must also keep losing ground overall.
     if tail[-1] > tail[0] * (1.0 - _DECAY_DROP):
-        return ValidationReport(
-            False, "f(0+)=0", "values level off instead of heading to zero"
-        )
-    return ValidationReport(True)
+        raise Inadmissible("f(0+)=0 (values level off instead of heading to zero)")
 
 
 def load_tabulated_csv(path):

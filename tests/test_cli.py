@@ -549,15 +549,51 @@ def test_sample_on_a_table_spanning_float64_ends_cleanly(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("detect", "--family", "power", "--p", "2", "--a-count", "1000000000000000"),
     ("sample", "--family", "power", "--p", "2", "--a", "1", "--n", "1000000000000000"),
-], ids=["detect-grid", "sample-draws"])
+    ("detect", "--family", "power", "--p", "2", "--a-count", str(2**60 - 1)),
+    ("detect", "--family", "power", "--p", "2", "--a-count", str(2**63 - 1)),
+    ("detect", "--family", "power", "--p", "2", "--a-count", str(10**30)),
+    ("sample", "--family", "power", "--p", "2", "--a", "1", "--n", str(2**60)),
+    ("sample", "--family", "power", "--p", "2", "--a", "1", "--n", str(10**30)),
+], ids=["detect-grid", "sample-draws", "detect-grid-2^60-1", "detect-grid-2^63-1",
+        "detect-grid-10^30", "sample-draws-2^60", "sample-draws-10^30"])
 def test_out_of_memory_ends_in_one_line(argv):
     # 10^15 float64 values are 7.1 PiB: no machine can allocate them, so the
-    # request fails at once without touching memory
+    # request fails at once without touching memory; numpy cannot even name
+    # 2^60 or more of them as a MemoryError, so those are refused up front
     proc = subprocess.run([sys.executable, "-m", "gsp_lab.cli", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: out of memory")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--family", "power", "--p", "0.5", "--a-min", "1e300",
+     "--a-max", "1.7976931348623157e308"),
+    ("detect", "--family", "power", "--p", "0.5", "--a-min", "1e-300",
+     "--a-max", "1.7976931348623157e308"),
+], ids=["sweep", "detect"])
+def test_grid_up_to_the_float64_top_ends_in_one_line(argv, capsys):
+    # np.geomspace overflows inside on its way to the largest double, but the
+    # grid it returns is finite; only the moments' unit check may speak
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli(*argv, "--out", os.devnull)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: unit ") and err.count("\n") == 1
+    assert caught == []
+
+
+def test_table_with_tied_log_abscissae_is_inadmissible(tmp_path, capsys):
+    # the loader sees three distinct x, but their logs are equal, so Tabulated
+    # refuses the table; the refusal is the spec's, not the run's
+    path = tmp_path / "tie.csv"
+    path.write_text("x,f\n1e300,1\n1.0000000000000002e300,2\n1.0000000000000004e300,3\n")
+    assert run_cli("detect", "--csv", str(path)) == 3
+    assert capsys.readouterr().err == (
+        "inadmissible spec: tabulated: x must be strictly increasing\n"
+    )
 
 
 def test_main_builds_no_parser(monkeypatch, capsys):

@@ -9,6 +9,7 @@ from gsp_lab import (
     CsvFormatError,
     Custom,
     DomainExceeded,
+    Inadmissible,
     NonPositiveInput,
     NonPositiveValue,
     PerturbedPowerLaw,
@@ -144,26 +145,22 @@ def test_tabulated_matches_scipy_pchip_bit_for_bit(kind, n):
 def test_validate_accepts_gallery_members():
     for spec in (PowerLaw(p=2.0), PerturbedPowerLaw(p=1.0, eps=0.1),
                  make_tabulated_power()):
-        report = validate(spec)
-        assert report.ok, report
+        assert validate(spec) is None
 
 
 def test_validate_flags_non_decaying_exponent():
-    report = validate(PowerLaw(p=-0.5))
-    assert not report.ok
-    assert report.failed == "f(0+)=0"
+    with pytest.raises(Inadmissible, match=r"^f\(0\+\)=0 \("):
+        validate(PowerLaw(p=-0.5))
 
 
 def test_validate_flags_oversized_wobble():
-    report = validate(PerturbedPowerLaw(p=1.0, eps=1.2))
-    assert not report.ok
-    assert report.failed == "positivity"
+    with pytest.raises(Inadmissible, match=r"^positivity \("):
+        validate(PerturbedPowerLaw(p=1.0, eps=1.2))
 
 
 def test_validate_flags_negative_amplitude():
-    report = validate(PowerLaw(p=1.0, amp=-3.0))
-    assert not report.ok
-    assert report.failed == "positivity"
+    with pytest.raises(Inadmissible, match=r"^positivity \("):
+        validate(PowerLaw(p=1.0, amp=-3.0))
 
 
 @pytest.mark.parametrize("spec, name", [
@@ -176,20 +173,20 @@ def test_validate_flags_negative_amplitude():
 ], ids=["p-nan", "p-inf", "amp-nan", "amp-inf", "eps-nan", "perturbed-p-nan"])
 def test_validate_names_a_non_finite_parameter(spec, name):
     # NaN passes every sign test, and the probe evaluation would then blame
-    # positivity on the values; the report must name the parameter
+    # positivity on the values; the message must name the parameter
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = validate(spec)
-    assert not report.ok
-    assert report.failed == "positivity"
-    assert report.detail.startswith(f"{name}=") and "not finite" in report.detail
+        with pytest.raises(Inadmissible) as info:
+            validate(spec)
+    failed, detail = str(info.value).split(" (", 1)
+    assert failed == "positivity"
+    assert detail.startswith(f"{name}=") and "not finite" in detail
 
 
 def test_validate_flags_nonzero_limit_at_origin():
     spec = Custom(lambda x: 1.0 + x, lambda x: 1.0)
-    report = validate(spec)
-    assert not report.ok
-    assert report.failed == "f(0+)=0"
+    with pytest.raises(Inadmissible, match=r"^f\(0\+\)=0 \("):
+        validate(spec)
 
 
 # ------------------------------------------------------------- CSV loader
