@@ -10,16 +10,10 @@ and the detector module turns that rigidity into a numerical test.
 
 from .errors import (
     CsvFormatError,
-    DegenerateFit,
-    DegenerateWeight,
     DomainExceeded,
     GspLabError,
     Inadmissible,
-    NegativeVariance,
-    NonPositiveExponent,
-    NonPositiveInput,
     NonPositiveValue,
-    ThetaOutOfRange,
     ToleranceNotReached,
 )
 from .functions import (

@@ -23,7 +23,8 @@ One function makes and checks every command's scale grid, one array: the
 log-spaced scales of the flags, strictly increasing, kept to the
 function's support and, for verify, to the scales whose finite-difference
 stencil fits inside it (the identities module owns the stencil).  Fewer
-than 5 scales left is a config error.  verify, detect and sweep integrate
+than 5 scales left is a config error, as is a sample scale outside the
+support (sample reads no grid flag).  verify, detect and sweep integrate
 over the whole grid at once, in one quadrature pass that gives the moments
 and the weight integrals at every scale (and, for verify, at every
 stencil scale), as arrays the rows are built from.
@@ -45,7 +46,7 @@ import numpy as np
 
 from ._g17 import _g17_lines
 from .detector import Verdict, classify, fit_lambda, gsp_residual_sweep
-from .errors import GspLabError, Inadmissible, NonPositiveInput, NonPositiveValue
+from .errors import GspLabError, Inadmissible
 from .functions import (
     PerturbedPowerLaw,
     PowerLaw,
@@ -117,11 +118,11 @@ _KEY_TYPES = {f.name: str if f.default is None else type(f.default)
 
 def _load_config_file(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON is UTF-8 text
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -136,7 +137,7 @@ def _load_config_file(path):
             if cast is bool and not isinstance(val, bool):
                 raise ValueError("expected true/false")
             out[key] = cast(val)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
     return out
 
@@ -222,12 +223,13 @@ def _check_config(cfg):
         raise ConfigError(f"unknown family {cfg.family!r}")
     if cfg.format not in (None, "csv", "json"):
         raise ConfigError(f"unknown format {cfg.format!r}")
-    if not (math.isfinite(cfg.a_min) and math.isfinite(cfg.a_max)):
-        raise ConfigError("grid bounds must be finite")
-    if cfg.a_min <= 0.0 or cfg.a_max <= cfg.a_min:
-        raise ConfigError("need 0 < a-min < a-max")
-    if cfg.a_count < _MIN_SCALES:
-        raise ConfigError(f"grid needs at least {_MIN_SCALES} scales")
+    if cfg.command != "sample":  # the only command that builds no grid
+        if not (math.isfinite(cfg.a_min) and math.isfinite(cfg.a_max)):
+            raise ConfigError("grid bounds must be finite")
+        if cfg.a_min <= 0.0 or cfg.a_max <= cfg.a_min:
+            raise ConfigError("need 0 < a-min < a-max")
+        if cfg.a_count < _MIN_SCALES:
+            raise ConfigError(f"grid needs at least {_MIN_SCALES} scales")
     if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
         raise ConfigError("tolerance must be positive")
     if cfg.command == "sample":
@@ -250,8 +252,6 @@ def _build_spec(cfg):
             return load_tabulated_csv(cfg.csv)
         except OSError as exc:
             raise ConfigError(str(exc)) from exc
-        except (NonPositiveInput, NonPositiveValue) as exc:  # Tabulated refused it
-            raise Inadmissible(str(exc)) from exc
     if cfg.family == "power":
         return PowerLaw(p=cfg.p, amp=cfg.amp)
     return PerturbedPowerLaw(p=cfg.p, eps=cfg.eps, amp=cfg.amp)
@@ -374,6 +374,10 @@ def cmd_sweep(cfg, spec):
 
 
 def cmd_sample(cfg, spec):
+    if not spec.in_support(cfg.a):
+        lo, hi = spec.support
+        raise ConfigError(f"sample scale a={cfg.a:g} lies outside the support "
+                          f"({lo:g}, {hi:g}]")
     state = SamplerState(spec, cfg.a, cfg.seed, tol=cfg.tol)
     if cfg.estimate:
         est = mc_estimates(state, cfg.n)

@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateFit, NonPositiveExponent
+from .errors import DomainExceeded, GspLabError
 from .functions import Tabulated
 from .moments import _median, moment_bundles
 
@@ -66,7 +66,7 @@ def lambda_of_p(p):
     scalar = arr.ndim == 0
     vec = np.atleast_1d(arr)
     if np.any(~np.isfinite(vec)) or np.any(vec <= 0.0):
-        raise NonPositiveExponent("exponent must be positive and finite")
+        raise DomainExceeded("exponent must be positive and finite")
     out = (vec + 1.0) / (2.0 * (2.0 * vec + 1.0)) * ((vec + 2.0) / (vec + 1.0)) ** vec
     return float(out[0]) if scalar else out
 
@@ -82,7 +82,7 @@ def invert_lambda(lam, p_range=(0.01, 10.0), grid_n=10_000):
     lam = float(lam)
     lo, hi = float(p_range[0]), float(p_range[1])
     if lo <= 0.0 or hi <= lo:
-        raise NonPositiveExponent("p_range must satisfy 0 < lo < hi")
+        raise DomainExceeded("p_range must satisfy 0 < lo < hi")
     ps = np.geomspace(lo, hi, int(grid_n))
     vals = lambda_of_p(ps) - lam
     roots = []
@@ -109,7 +109,7 @@ def gsp_residual_sweep(ybar, fx, lam):
     """Relative collapse residual |ybar - lam * f(xbar)| / ybar at every
     scale, from the arrays ybar and fx = f(xbar)."""
     if lam <= 0.0:
-        raise NonPositiveExponent("the proportionality constant must be positive")
+        raise DomainExceeded("the proportionality constant must be positive")
     return np.abs(ybar - lam * fx) / ybar
 
 
@@ -118,7 +118,7 @@ def fit_lambda(ybar, fx):
     The sums run left to right; ``np.sum`` adds pairwise and rounds otherwise."""
     den = np.cumsum(fx * fx)[-1]
     if den <= 0.0 or not math.isfinite(den):
-        raise DegenerateFit("sum of squares of f(xbar) vanished")
+        raise GspLabError("sum of squares of f(xbar) vanished")
     return float(np.cumsum(ybar * fx)[-1] / den)
 
 

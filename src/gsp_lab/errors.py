@@ -1,16 +1,20 @@
 """Exception types shared across the toolkit.
 
 Everything raised deliberately by this package derives from GspLabError, so
-callers can catch one base class at the boundary.  A spec that is not
-admissible raises Inadmissible (a CSV that does not parse is one); the CLI
-ends it in exit 3, its own ConfigError in exit 2 and any other error in 1.
+callers can catch one base class at the boundary.  The subclasses keep only
+the distinctions a caller acts on: DomainExceeded, an argument outside its
+domain (specs, quadrature, sampler, detector); NonPositiveValue, a value of
+f that is not positive (FunctionSpec.eval, Custom); ToleranceNotReached, a
+missed tolerance (quadrature, sampler); and Inadmissible, a spec that breaks
+the hypotheses (validate, Tabulated), with CsvFormatError for a CSV that
+does not parse.  Any other failed computation (moments, detector) raises
+GspLabError itself.  cli.main ends Inadmissible in exit 3, its own
+ConfigError in exit 2 and every other error in exit 1.
 """
 
 __all__ = [
-    "GspLabError", "NonPositiveInput", "DomainExceeded", "NonPositiveValue",
-    "ToleranceNotReached", "NegativeVariance", "DegenerateWeight",
-    "DegenerateFit", "ThetaOutOfRange", "NonPositiveExponent", "Inadmissible",
-    "CsvFormatError",
+    "GspLabError", "DomainExceeded", "NonPositiveValue", "ToleranceNotReached",
+    "Inadmissible", "CsvFormatError",
 ]
 
 
@@ -18,12 +22,9 @@ class GspLabError(Exception):
     """Base class for all errors raised by gsp_lab."""
 
 
-class NonPositiveInput(GspLabError):
-    """An abscissa or parameter was <= 0 where only positive values make sense."""
-
-
 class DomainExceeded(GspLabError):
-    """A point fell outside the domain an object was built on."""
+    """An argument outside its domain: an abscissa, scale, tolerance, count,
+    exponent or interval."""
 
 
 class NonPositiveValue(GspLabError):
@@ -41,26 +42,6 @@ class ToleranceNotReached(GspLabError):
     def __init__(self, message, result=None):
         super().__init__(message)
         self.result = result
-
-
-class NegativeVariance(GspLabError):
-    """A variance integral came out more negative than roundoff can explain."""
-
-
-class DegenerateWeight(GspLabError):
-    """The quadratic weight normalizer D(a) is numerically zero."""
-
-
-class DegenerateFit(GspLabError):
-    """A least-squares fit had nothing to fit against (zero normal matrix)."""
-
-
-class ThetaOutOfRange(GspLabError):
-    """A scale-free centroid landed outside the open interval (0, 1)."""
-
-
-class NonPositiveExponent(GspLabError):
-    """A power-law exponent must be strictly positive."""
 
 
 class Inadmissible(GspLabError):

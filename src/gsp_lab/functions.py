@@ -19,7 +19,6 @@ from .errors import (
     CsvFormatError,
     DomainExceeded,
     Inadmissible,
-    NonPositiveInput,
     NonPositiveValue,
 )
 
@@ -60,7 +59,7 @@ class FunctionSpec:
         if vec.size == 0:
             return vec, scalar
         if not np.all(np.isfinite(vec)) or np.any(vec <= 0.0):
-            raise NonPositiveInput(
+            raise DomainExceeded(
                 f"{self.family}: abscissae must be positive and finite"
             )
         lo, hi = self.support
@@ -107,7 +106,7 @@ class FunctionSpec:
         """``a`` as a float, once checked to be a truncation scale in the support."""
         a = float(a)
         if not math.isfinite(a) or a <= 0.0:
-            raise NonPositiveInput("scale a must be positive and finite")
+            raise DomainExceeded("scale a must be positive and finite")
         if not self.in_support(a):
             lo = self.support[0]
             raise DomainExceeded(f"a={a:g} beyond the function's support" if a > lo
@@ -227,6 +226,7 @@ class Tabulated(FunctionSpec):
     Fritsch-Butland harmonic-mean knot slopes: any exact power-law table (a
     straight line there) is reproduced without model bias.  The elasticity
     is the cubic's derivative; evaluation is confined to [x[0], x[-1]].
+    Samples it cannot interpolate raise Inadmissible, naming the fault.
     """
 
     family = "tabulated"
@@ -235,16 +235,16 @@ class Tabulated(FunctionSpec):
         x = np.asarray(x, dtype=float)
         f = np.asarray(f, dtype=float)
         if x.ndim != 1 or x.shape != f.shape:
-            raise NonPositiveInput("tabulated: x and f must be equal-length 1-d")
+            raise Inadmissible("tabulated: x and f must be equal-length 1-d")
         if x.size < 2:
-            raise NonPositiveInput("tabulated: need at least 2 samples")
+            raise Inadmissible("tabulated: need at least 2 samples")
         if not np.all(np.isfinite(x)) or not np.all(np.isfinite(f)):
-            raise NonPositiveInput("tabulated: samples must be finite")
+            raise Inadmissible("tabulated: samples must be finite")
         if np.any(x <= 0.0) or np.any(f <= 0.0):
-            raise NonPositiveValue("tabulated: samples must be positive")
+            raise Inadmissible("tabulated: samples must be positive")
         t = np.log(x)  # nondecreasing in x, so this also catches log x ties
         if np.any(np.diff(t) <= 0.0):
-            raise NonPositiveInput("tabulated: x must be strictly increasing")
+            raise Inadmissible("tabulated: x must be strictly increasing")
         self.x = x
         self.f = f
         self.support = (float(x[0]), float(x[-1]))

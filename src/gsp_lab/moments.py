@@ -37,12 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateWeight,
-    NegativeVariance,
-    NonPositiveValue,
-    ThetaOutOfRange,
-)
+from .errors import GspLabError
 from .quadrature import cumulative
 
 __all__ = ["Moments", "moment_bundles"]
@@ -114,15 +109,15 @@ def moment_bundles(spec, scales, tol=1e-10):
     positive and decays toward 0, so f(x[0]) bounds it there.  The values
     themselves are never silently corrected.
 
-    Raises NonPositiveValue, before integrating, if a scale-free unit
+    Raises GspLabError, before integrating, if a scale-free unit
     a f(a), a^2 f(a), a^3 f(a) or a f(a)^2 underflows to zero or
-    overflows: the normalizations divide by them.  Raises
-    ThetaOutOfRange if the scale-free centroid abscissa B/A falls
-    outside (0, 1) -- which cannot happen for an admissible spec and so
-    flags either an inadmissible input or a failed integration.  Raises
-    DegenerateWeight if D vanishes, and NegativeVariance if the variance is
-    negative beyond roundoff; tiny negative values are clamped to zero.
-    Each check names the smallest offending scale.
+    overflows ("unit ..."), since the normalizations divide by them.
+    Afterwards it raises GspLabError if B/A, the scale-free centroid
+    abscissa, falls outside (0, 1) ("theta=", which an admissible spec
+    cannot give, so it flags a bad input or a failed integration), if D
+    vanishes ("weight normalizer D=") or if the variance is negative
+    beyond roundoff ("variance integral"); tiny negative values are
+    clamped to zero.  Each check names the smallest offending scale.
     """
     scales = [spec.check_scale(a) for a in scales]
     cuts, where = np.unique(scales, return_inverse=True)
@@ -134,8 +129,8 @@ def moment_bundles(spec, scales, tol=1e-10):
     bad = np.argwhere(~((0.0 < unit) & (unit < np.inf)))
     if bad.size:
         i, j = bad[0]
-        raise NonPositiveValue(f"unit {_UNIT_NAMES[j]} = {unit[i, j]:g} at a={cuts[i]:g} "
-                               "is outside the float64 range")
+        raise GspLabError(f"unit {_UNIT_NAMES[j]} = {unit[i, j]:g} at a={cuts[i]:g} "
+                          "is outside the float64 range")
     e_ref = _median(spec.elasticity(cuts))
 
     def columns(x):
@@ -163,7 +158,7 @@ def moment_bundles(spec, scales, tol=1e-10):
     bad = np.flatnonzero(~((0.0 < theta) & (theta < 1.0)))
     if bad.size:
         i = bad[0]
-        raise ThetaOutOfRange(f"theta={theta[i]:g} outside (0, 1) at a={cuts[i]:g}")
+        raise GspLabError(f"theta={theta[i]:g} outside (0, 1) at a={cuts[i]:g}")
     # W_j = int (s - theta)^2 g (E - E_ref)^j ds, and the variance expands
     # around c = E(a theta) - E_ref
     c = spec.elasticity(cuts * theta) - e_ref
@@ -177,8 +172,8 @@ def moment_bundles(spec, scales, tol=1e-10):
     if bad.size:
         i = bad[0]
         if D[i] < _WEIGHT_FLOOR:
-            raise DegenerateWeight(f"weight normalizer D={D[i]:g} at a={cuts[i]:g}")
-        raise NegativeVariance(f"variance integral {variance[i]:g} at a={cuts[i]:g}")
+            raise GspLabError(f"weight normalizer D={D[i]:g} at a={cuts[i]:g}")
+        raise GspLabError(f"variance integral {variance[i]:g} at a={cuts[i]:g}")
     F, H, G = res.value[:, [0, 1, 9]].T
     # one row per requested scale, one column per field of Moments but errors
     table = np.column_stack((

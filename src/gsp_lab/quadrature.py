@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainExceeded, NonPositiveInput, ToleranceNotReached
+from .errors import DomainExceeded, ToleranceNotReached
 
 __all__ = ["QuadResult", "cumulative"]
 
@@ -195,7 +195,7 @@ def cumulative(integrand, lo, cuts, tol=1e-10, *, units=1.0, breakpoints=()):
     if cuts[0] <= lo or np.any(cuts[1:] <= cuts[:-1]):
         raise DomainExceeded(f"empty or inverted interval [{lo:g}, {cuts[0]:g}]")
     if not np.all(np.asarray(tol) > 0.0):
-        raise NonPositiveInput("tolerance must be positive")
+        raise DomainExceeded("tolerance must be positive")
 
     hi = float(cuts[-1])
     inner = np.asarray(breakpoints, dtype=float).ravel()

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox  # at import time, not on the first draw
 
-from .errors import DomainExceeded, NonPositiveInput, ToleranceNotReached
+from .errors import DomainExceeded, ToleranceNotReached
 from .functions import PowerLaw
 from .quadrature import cumulative
 # The raw 15-point rule is reused for local CDF refinements inside a table
@@ -205,7 +205,7 @@ class SamplerState:
     def draw(self, n):
         n = int(n)
         if n <= 0:
-            raise NonPositiveInput("draw count must be positive")
+            raise DomainExceeded("draw count must be positive")
         u = self._gen.random(n)
         # random() can emit exactly 0, whose quantile sits outside the open
         # support; nudge to the smallest positive double instead.
@@ -222,7 +222,7 @@ def mc_estimates(state, n):
     """
     n = int(n)
     if n < _MIN_ESTIMATE_N:
-        raise NonPositiveInput(
+        raise DomainExceeded(
             f"need at least {_MIN_ESTIMATE_N} draws for an estimate, got {n}"
         )
     xs = state.draw(n)

@@ -272,17 +272,23 @@ def _ci_table(path):
     ("outside-table", "only 1 grid scales fit inside the support (4, 5]"),
     ("stencil-trimmed", "need at least 5 scales, got 4"),
     ("a-count-4", "grid needs at least 5 scales"),
+    # sample's one scale is held to the support as a grid's scales are
+    ("sample-above-table", "sample scale a=20 lies outside the support (0.01, 10]"),
+    ("sample-below-table", "sample scale a=0.005 lies outside the support (0.01, 10]"),
 ])
 def test_grid_errors_are_one_line_config_errors(case, line, tmp_path, capsys):
     x45 = np.geomspace(4.0, 5.0, 30).tolist()
+    ci = _ci_table(tmp_path / "ci.csv")
     argv = {
         "ulps-wide": ("sweep", "--family", "power", "--p", "2", "--a-min", "1",
                       "--a-max", "1.0000000000000004", "--a-count", "9"),
         "outside-table": ("detect", "--csv", _x_f_table(tmp_path / "x15.csv", x45,
                                                         [v**1.5 for v in x45])),
-        "stencil-trimmed": ("verify", "--csv", _ci_table(tmp_path / "ci.csv"),
+        "stencil-trimmed": ("verify", "--csv", ci,
                             "--a-min", "9.99", "--a-max", "10", "--a-count", "5"),
         "a-count-4": ("sweep", "--family", "power", "--p", "2", "--a-count", "4"),
+        "sample-above-table": ("sample", "--csv", ci, "--a", "20", "--n", "10"),
+        "sample-below-table": ("sample", "--csv", ci, "--a", "0.005", "--n", "10"),
     }[case]
     assert run_cli(*argv) == 2
     assert capsys.readouterr() == ("", f"config error: {line}\n")
@@ -333,6 +339,17 @@ def test_sample_estimate_json(tmp_path):
 def test_sample_estimate_needs_enough_draws():
     assert run_cli("sample", "--family", "power", "--p", "1",
                    "--n", "10", "--estimate") == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ("--a-count", "3"), ("--a-min", "5", "--a-max", "1"),
+], ids=["a-count-3", "inverted-bounds"])
+def test_sample_reads_no_grid_flag(flags, tmp_path):
+    plain, flagged = tmp_path / "plain.txt", tmp_path / "flagged.txt"
+    base = ("sample", "--family", "power", "--p", "2", "--a", "1", "--n", "5")
+    assert run_cli(*base, "--out", str(plain)) == 0
+    assert run_cli(*base, *flags, "--out", str(flagged)) == 0
+    assert flagged.read_bytes() == plain.read_bytes()
 
 
 def _exact_ties(rng):
@@ -442,6 +459,25 @@ def test_unknown_config_key_is_config_error(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"familly": "power"}))
     assert run_cli("detect", "--config", str(path)) == 2
+
+
+@pytest.mark.parametrize("command, text, line", [
+    ("detect", b'{"p": "\xff"}', "config file is not valid JSON: 'utf-8' codec can't "
+     "decode byte 0xff in position 7: invalid start byte"),
+    # JSON's Infinity is a float, and int() of it overflows
+    ("detect", b'{"a_count": Infinity}',
+     "bad value for 'a_count': cannot convert float infinity to integer"),
+    ("detect", b'{"seed": Infinity}',
+     "bad value for 'seed': cannot convert float infinity to integer"),
+    ("sample", b'{"n": Infinity}',
+     "bad value for 'n': cannot convert float infinity to integer"),
+], ids=["non-utf8", "a_count-inf", "seed-inf", "n-inf"])
+def test_config_file_faults_are_one_line_config_errors(command, text, line, tmp_path,
+                                                       capsys):
+    path = tmp_path / "c.json"
+    path.write_bytes(text)
+    assert run_cli(command, "--config", str(path)) == 2
+    assert capsys.readouterr() == ("", f"config error: {line}\n")
 
 
 def test_missing_csv_is_config_error(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gsp_lab import (
-    NonPositiveExponent,
+    DomainExceeded,
     PerturbedPowerLaw,
     PowerLaw,
     Verdict,
@@ -54,7 +54,7 @@ def test_curve_minimum_and_limit():
 
 def test_curve_rejects_bad_exponents():
     for bad in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(NonPositiveExponent):
+        with pytest.raises(DomainExceeded, match="exponent must be positive"):
             lambda_of_p(bad)
 
 
@@ -101,7 +101,7 @@ def test_inverse_respects_requested_range():
     assert invert_lambda(0.49, p_range=(0.5, 10.0)) == pytest.approx(
         (ROOTS_049[1],), abs=1e-9
     )
-    with pytest.raises(NonPositiveExponent):
+    with pytest.raises(DomainExceeded, match="p_range must satisfy"):
         invert_lambda(0.5, p_range=(-1.0, 2.0))
 
 

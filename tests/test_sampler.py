@@ -8,7 +8,7 @@ from scipy import integrate as sp_integrate
 from gsp_lab import sampler
 from gsp_lab import (
     Custom,
-    NonPositiveInput,
+    DomainExceeded,
     PerturbedPowerLaw,
     PowerLaw,
     SamplerState,
@@ -228,7 +228,7 @@ def test_table_draw_memory_is_bounded():
 
 def test_estimate_needs_enough_draws():
     state = SamplerState(PowerLaw(p=1.0), 1.0, seed=0)
-    with pytest.raises(NonPositiveInput):
+    with pytest.raises(DomainExceeded, match="need at least 100 draws"):
         mc_estimates(state, 99)
 
 
