@@ -55,7 +55,7 @@ from .functions import (
 )
 from .identities import identity_reports, stencil_fits
 from .moments import moment_bundles
-from .sampler import _MIN_ESTIMATE_N, SamplerState, mc_estimates
+from .sampler import _MIN_ESTIMATE_N, _SEED_LIMIT, SamplerState, mc_estimates
 
 __all__ = ["RunConfig", "ConfigError", "main"]
 
@@ -86,7 +86,8 @@ class ConfigError(GspLabError):
 class RunConfig:
     """Everything a run needs; round-trips losslessly through flat JSON.
 
-    A key's type in a config file is its default's (str where that is None).
+    A key's type in a config file is its default's (str where that is None);
+    an int key refuses a float with a fraction rather than truncate it.
     """
 
     command: str
@@ -137,6 +138,9 @@ def _load_config_file(path):
             if cast is bool and not isinstance(val, bool):
                 raise ValueError("expected true/false")
             out[key] = cast(val)
+            if cast is int and isinstance(val, float) and out[key] != val:
+                # int() truncates; the flag itself refuses a fraction
+                raise ValueError(f"{val!r} is not an integer")
         except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
     return out
@@ -237,6 +241,8 @@ def _check_config(cfg):
             raise ConfigError("sample scale a must be positive")
         if cfg.n < 1:
             raise ConfigError("need at least 1 draw")
+        if not 0 <= cfg.seed < _SEED_LIMIT:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {cfg.seed}")
         if cfg.estimate and cfg.n < _MIN_ESTIMATE_N:
             raise ConfigError(
                 f"estimates need n >= {_MIN_ESTIMATE_N}, got {cfg.n}"

@@ -6,23 +6,37 @@ centroid ordinate, G/F.  Draws come from inverse-CDF transform of uniform
 variates, so a stream of uniforms maps deterministically to a stream of
 draws.
 
-Power laws invert in closed form.  Every other spec goes through a table
-of cumulative masses on 256 knot intervals, built once per (spec, a, tol)
-by one cumulative quadrature pass; the sampling state holds the table and
-applies either inverse itself.  A draw starts from a cubic Hermite
-interpolant of the inverse CDF on its knot interval, with exact end slopes
-1/g (the PINV idea of Derflinger, Hoermann and Leydold, ACM TOMACS 20(4),
-2010); its CDF residual is then checked with one 15-point Kronrod panel
-from the interval's left knot, and only draws that miss the tolerance take
-bracketed Newton steps.  Each draw's arithmetic depends on its own uniform
-alone, never on the rest of the batch, so a batch is solved in blocks of
-2**14 draws: the working arrays stay near 2 MB for any batch size, and the
-draws are bit-identical to one unblocked solve.  The table's masses are
-computed to min(1e-12, tol / 100), but no tighter than the 1e-14 the
-kernel can reach.
+Power laws invert in closed form.  Every other spec goes through a checked
+model of its CDF, built once per (spec, a, tol); the sampling state holds
+it and applies either inverse itself.  One cumulative quadrature pass
+gives the mass up to each of 256 knots, computed to min(1e-12, tol / 100)
+but no tighter than the 1e-14 the kernel can reach.  On each knot
+interval, g is interpolated at 16 Chebyshev points and the interpolant
+integrated exactly, so the CDF there is the mass at the left knot plus a
+Chebyshev series (Trefethen, Approximation Theory and Approximation
+Practice, 2013).  Each model is checked once, at build time, against the
+adaptive kernel: at its interval's mass and at its midpoint, to a tenth of
+a draw's tolerance (or the kernel's own target, if that is looser).  An
+interval that fails is split and its parts checked again: the first
+interval of an analytic spec geometrically toward 0, where g ~ s**p is not
+smooth, and any other at the table's knots inside it, or at its geometric
+mean if it holds none.  A model that cannot pass raises
+ToleranceNotReached before any draw.
 
-Randomness is counter-based (Philox) and keyed by the seed: states with
-equal seeds produce identical draws on any machine.
+A draw finds its piece through a guide table and starts from a cubic
+Hermite interpolant of the inverse CDF on it, with exact end slopes 1/g
+(the PINV idea of Derflinger, Hoermann and Leydold, ACM TOMACS 20(4),
+2010).  Its CDF residual is read off the piece's model by Clenshaw's
+recurrence, and only draws whose residual misses tol times the total mass
+take bracketed Newton steps, with the slope from the model's derivative:
+no draw evaluates the spec.  Each draw's arithmetic depends on its own
+uniform alone, never on the rest of the batch, so a batch is solved in
+blocks of 2**14 draws: the working arrays stay near 2 MB for any batch
+size, and the draws are bit-identical to one unblocked solve.
+
+Randomness is counter-based (Philox) and keyed by the seed, one 64-bit
+word: states with equal seeds produce identical draws on any machine, and
+a seed outside [0, 2**64) is refused rather than wrapped onto another.
 """
 
 from __future__ import annotations
@@ -36,14 +50,11 @@ from numpy.random import Generator, Philox  # at import time, not on the first d
 from .errors import DomainExceeded, ToleranceNotReached
 from .functions import PowerLaw
 from .quadrature import cumulative
-# The raw 15-point rule is reused for local CDF refinements inside a table
-# interval; its nodes are strictly interior, so x = 0 is never touched.
-from .quadrature import _WGK, _XGK
 
 __all__ = ["SamplerState", "MCEstimate", "mc_estimates"]
 
 _TABLE_INTERVALS = 256
-# Draws per quantile solve: (2**14, 15) float64 node arrays are 2 MB.
+# Draws per quantile solve: the (17, 2**14) coefficient gathers are 2 MB.
 _QUANTILE_BLOCK = 2**14
 # The tightest relative tolerance the K15 kernel meets on O(1) masses (it
 # stalls near 5e-15); a draw's own residual is held to max(tol, 1e-9).
@@ -52,16 +63,61 @@ _TABLE_TOL_FLOOR = 1e-14
 # fallbacks from a 2**-8 wide knot interval down to ~2**-58.
 _NEWTON_STEPS = 50
 _MIN_ESTIMATE_N = 100
+# Philox's key word: a seed is one uint64, so no two seeds share a stream.
+_SEED_LIMIT = 2**64
+
+# The CDF model of a piece interpolates g at the _CHEB_N Chebyshev points of
+# the first kind, which are interior: x = 0 is never evaluated.
+_CHEB_N = 16
+_THETA = (2.0 * np.arange(_CHEB_N)[::-1] + 1.0) * np.pi / (2.0 * _CHEB_N)
+_CHEB_NODES = np.cos(_THETA)  # ascending on (-1, 1)
+_TINY = math.ulp(0.0)  # the smallest positive double
+
+
+def _model_maps():
+    """Matrices taking g at the nodes to the Chebyshev coefficients of its
+    interpolant (n of them) and of the interpolant's integral from -1 (n + 1)."""
+    n = _CHEB_N
+    to_g = (2.0 / n) * np.cos(np.outer(np.arange(n), _THETA))
+    to_g[0] *= 0.5
+    # integral of T_0 is T_1; of T_k, T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1))
+    integ = np.zeros((n + 1, n))
+    integ[1, 0] = 1.0
+    for k in range(1, n):
+        integ[k + 1, k] = 0.5 / (k + 1)
+        integ[k - 1, k] -= 0.5 / (k - 1) if k > 1 else 0.0
+    # zero at x = -1, where T_k = (-1)**k; einsum, not matmul: a first BLAS
+    # call at import would add ~0.4 MB of buffers to every process
+    integ[0] = -np.einsum("k,kj->j", (-1.0) ** np.arange(1, n + 1), integ[1:])
+    return to_g, np.einsum("ik,kj->ij", integ, to_g)
+
+
+_TO_G, _TO_P = _model_maps()
+
+
+def _clenshaw(coef, x):
+    """sum_k coef[k] T_k(x), column by column (Clenshaw's recurrence)."""
+    x2 = 2.0 * x
+    b1, b2, tmp = np.array(coef[-1], dtype=float), np.zeros_like(x2), np.empty_like(x2)
+    for c in coef[-2:0:-1]:
+        np.multiply(x2, b1, out=tmp)
+        np.add(c, tmp, out=tmp)
+        tmp -= b2
+        b1, b2, tmp = tmp, b1, b2
+    return coef[0] + x * b1 - b2
 
 
 class _CdfTable:
-    """Cumulative integrals of the profile g(s) = f(a s)/f(a) on a knot grid.
+    """A checked model of the CDF of the profile g(s) = f(a s)/f(a).
 
     Working in profile units keeps every entry O(1) regardless of the
     spec's amplitude or the scale, so the quadrature's absolute floor stays
-    meaningful.  Each interval also stores the cubic Hermite
-    interpolant of its inverse CDF s(t), whose end slopes ds/dt = 1/g come
-    from g at the knots; it supplies the starting guess of every quantile.
+    meaningful.  Each piece -- a knot interval, or a part of one that failed
+    its check -- stores the cumulative mass at its edges, the Chebyshev
+    coefficients of g and of g's integral from its left edge (its CDF
+    model), and the cubic Hermite interpolant of its inverse CDF s(t), whose
+    end slopes ds/dt = 1/g come from g at the edges; that interpolant
+    supplies the starting guess of every quantile.
     """
 
     def __init__(self, spec, a, tol):
@@ -69,66 +125,184 @@ class _CdfTable:
         self.a = a
         self.fa = spec.eval(a)
         lo = spec.support[0]
-        self.s_lo = lo / a
-        if self.s_lo == 0.0 < lo:
+        s_lo = lo / a
+        if s_lo == 0.0 < lo:
             raise DomainExceeded(
                 f"a={a:g}: the table floor {lo:g} underflows to 0 in units of a"
             )
-        self.knots = np.linspace(self.s_lo, 1.0, _TABLE_INTERVALS + 1)
-        # One pass gives the mass up to every knot, each within
-        # min(1e-12, 0.01 tol) but no tighter than the kernel reaches: the
-        # masses are at most 1 in profile units.  Knots that overflow in
-        # those units lie above 1, where the pass drops them.
+        # Knots that overflow in units of a lie above 1, where the kernel
+        # drops them.
         with np.errstate(over="ignore"):
-            breakpoints = spec.knots / a
-        res = cumulative(self._g, self.s_lo, self.knots[1:],
-                         max(_TABLE_TOL_FLOOR, min(1e-12, 0.01 * tol)),
-                         breakpoints=breakpoints)
+            self._breaks = spec.knots / a
+        # The masses are at most 1 in profile units: the kernel computes them
+        # to min(1e-12, 0.01 tol), but no tighter than it reaches.  A model
+        # must match the kernel to a tenth of a draw's tolerance, or to the
+        # kernel's own target if that is looser.
+        self._kernel_tol = max(_TABLE_TOL_FLOOR, min(1e-12, 0.01 * tol))
+        self._model_tol = max(0.1 * tol, self._kernel_tol)
+
+        self.edges = np.linspace(s_lo, 1.0, _TABLE_INTERVALS + 1)
+        res = cumulative(self._g, s_lo, self.edges[1:], self._kernel_tol,
+                         breakpoints=self._breaks)
         self.cum = np.concatenate(([0.0], res.value[:, 0]))
         self.total = float(self.cum[-1])
-        masses = np.diff(self.cum)
+        self._g_edges = np.full(self.edges.size, np.nan)
+        if s_lo == 0.0:
+            self._g_edges[0] = 0.0  # g(0+) = 0 for an admissible analytic spec
+        self._p_coef = np.empty((_CHEB_N + 1, _TABLE_INTERVALS))
+        self._g_coef = np.empty((_CHEB_N, _TABLE_INTERVALS))
+        todo = np.ones(_TABLE_INTERVALS, dtype=bool)
+        while todo.any():
+            todo = self._refine(todo)
 
-        # Hermite coefficients in tau = (t - cum_k) / mass_k on each interval:
+        self._mid = 0.5 * (self.edges[:-1] + self.edges[1:])
+        self._half = 0.5 * np.diff(self.edges)
+        # The guide table: cell k of the masses starts in piece _guide[k],
+        # the last piece whose left mass falls in a lower cell.
+        pieces = self._half.size
+        self._cell_scale = pieces / self.total
+        self._upper = np.append(self.cum[1:-1], np.inf)
+        self._guide = np.maximum(
+            np.searchsorted(self._cell(self.cum), np.arange(pieces)) - 1, 0)
+        # Hermite coefficients in tau = (t - cum_k) / mass_k on each piece:
         # s = s_k + tau (d0 + tau (c2 + tau c3)), with end tangents
         # d = mass_k / g in s units.  An analytic spec has g(0+) = 0 at the
-        # first knot, whose tangent falls back to the chord.
-        width = np.diff(self.knots)
-        if self.s_lo > 0.0:
-            g_knots = self._g(self.knots)
-            self._d0 = masses / g_knots[:-1]
-        else:
-            g_knots = np.concatenate(([0.0], self._g(self.knots[1:])))
-            self._d0 = np.concatenate(([width[0]], masses[1:] / g_knots[1:-1]))
-        d1 = masses / g_knots[1:]
+        # first edge, whose tangent falls back to the chord.
+        masses = self._mass = np.diff(self.cum)
+        width = np.diff(self.edges)
+        with np.errstate(divide="ignore"):
+            self._d0 = masses / self._g_edges[:-1]
+        if s_lo == 0.0:
+            self._d0[0] = width[0]
+        d1 = masses / self._g_edges[1:]
         self._c2 = 3.0 * width - 2.0 * self._d0 - d1
         self._c3 = self._d0 + d1 - 2.0 * width
 
     def _g(self, s):
         return np.asarray(self.spec.eval(self.a * s)) / self.fa
 
-    def _local_cdf(self, base_idx, s):
-        """cum at left knot plus a single K15 panel from that knot to s."""
-        left = self.knots[base_idx]
-        center = 0.5 * (left + s)
-        half = 0.5 * (s - left)
-        nodes = center[:, None] + half[:, None] * _XGK[None, :]
-        # Guard the degenerate s == left case; nodes collapse to the knot.
-        np.maximum(nodes, np.nextafter(self.s_lo, 1.0), out=nodes)
-        gv = self._g(nodes.ravel()).reshape(nodes.shape)
-        # einsum, not a BLAS gemv: a fixed per-row summation order that does
-        # not depend on the row count, and no BLAS threads for a 15-wide dot.
-        return self.cum[base_idx] + half * np.einsum("ij,j->i", gv, _WGK)
+    def _cell(self, t):
+        """The guide-table cell of each mass t: equal shares of the total."""
+        return np.minimum((t * self._cell_scale).astype(np.intp), self._half.size - 1)
+
+    def _locate(self, t):
+        """The piece of each mass t, ``searchsorted(cum, t, "right") - 1``
+        clipped to the pieces, through the guide table (the indexed search of
+        Chen and Asau, 1974): from the piece its cell starts in, a draw steps
+        up past every piece that ends at or below it, a few steps at most."""
+        idx = self._guide[self._cell(t)]
+        act = np.flatnonzero(self._upper[idx] <= t)
+        while act.size:
+            idx[act] += 1
+            act = act[self._upper[idx[act]] <= t[act]]
+        return idx
+
+    def _refine(self, todo):
+        """Model and check the pieces marked ``todo``; split those that fail,
+        and return the mask of the pieces still to model.
+
+        One spec evaluation gives g at the pieces' nodes and at the edges
+        not yet evaluated.  One kernel pass gives the CDF at their left
+        edges and midpoints; a new edge's mass is the kernel's difference
+        from the nearest edge below it whose mass is known, which is the
+        left edge of a piece modelled in this round.
+        """
+        i = np.flatnonzero(todo)
+        edges = self.edges
+        left, half = edges[i], 0.5 * (edges[i + 1] - edges[i])
+        nodes = (left + half)[:, None] + half[:, None] * _CHEB_NODES
+        fresh = np.flatnonzero(np.isnan(self._g_edges))
+        values = self._g(np.concatenate((nodes.ravel(), edges[fresh])))
+        self._g_edges[fresh] = values[nodes.size:]
+        values = values[:nodes.size].reshape(nodes.shape)
+
+        pts = np.column_stack((left, left + half)).ravel()
+        res = cumulative(self._g, pts[0], pts[1:], self._kernel_tol,
+                         breakpoints=self._breaks)
+        kernel = np.concatenate(([0.0], res.value[:, 0])).reshape(-1, 2)
+        known = ~np.isnan(self.cum)
+        at_edge = np.full(edges.size, np.nan)
+        at_edge[i] = kernel[:, 0]
+        base = np.maximum.accumulate(np.where(known, np.arange(edges.size), 0))
+        cum = np.where(known, self.cum, self.cum[base] + (at_edge - at_edge[base]))
+        self.cum = cum
+
+        # einsum, not a BLAS gemm: a fixed summation order per piece
+        self._g_coef[:, i] = np.einsum("pj,kj->kp", values, _TO_G)
+        p_coef = self._p_coef[:, i] = half * np.einsum("pj,kj->kp", values, _TO_P)
+        mass = cum[i + 1] - cum[i]
+        to_mid = kernel[:, 1] - kernel[:, 0]
+        err = np.maximum(np.abs(_clenshaw(p_coef, np.ones(i.size)) - mass),
+                         np.abs(_clenshaw(p_coef, np.zeros(i.size)) - to_mid))
+        err /= self.total
+        todo[i] = False
+        bad = np.flatnonzero(err > self._model_tol)
+        if not bad.size:
+            return todo
+        with np.errstate(divide="ignore"):
+            growth = mass[bad] / to_mid[bad]
+        inner = [self._split(edges[i[b]], edges[i[b] + 1], err[b], growth[k])
+                 for k, b in enumerate(bad)]
+        at = np.repeat(i[bad] + 1, [len(x) for x in inner])
+        self.edges = np.insert(edges, at, np.concatenate(inner))
+        self.cum = np.insert(cum, at, np.nan)
+        self._g_edges = np.insert(self._g_edges, at, np.nan)
+        self._p_coef = np.insert(self._p_coef, at, 0.0, axis=1)
+        self._g_coef = np.insert(self._g_coef, at, 0.0, axis=1)
+        todo = np.insert(todo, at, True)
+        todo[i[bad] + np.searchsorted(at, i[bad], side="right")] = True
+        return todo
+
+    def _split(self, left, right, err, growth):
+        """The inner edges that split the failing piece (left, right], whose
+        model is off by ``err`` of the total and whose mass is ``growth``
+        times its mass up to its midpoint.
+
+        The piece at 0 of an analytic spec is cut geometrically, as the
+        kernel cuts its panel at 0: if its mass, and its model's error with
+        it, shrink like width**rate, the error needs ``want`` halvings.  The
+        cuts stop where the new piece's lowest node would underflow in x.
+        Any other piece is split at the table's knots inside it, and one
+        with none (a table segment that spans decades, or an undeclared
+        kink) at its geometric mean.
+        """
+        if left == 0.0:
+            rate = math.log2(growth) if 1.0 < growth < math.inf else 0.0
+            want = math.log2(err / self._model_tol) / rate if rate > 0.0 else 1.0
+            lowest = 0.5 * (1.0 + float(_CHEB_NODES[0])) * self.a * right
+            deepest = (math.floor(math.log2(lowest) - math.log2(_TINY))
+                       if lowest > 0.0 else 0)
+            depth = min(max(1, math.ceil(want)), deepest)
+            if depth >= 1:
+                return right * 2.0 ** -np.arange(depth, 0, -1, dtype=float)
+        else:
+            inner = self._breaks[(self._breaks > left) & (self._breaks < right)]
+            if inner.size:
+                return inner
+            cut = math.sqrt(left) * math.sqrt(right)
+            if left < cut < right:
+                return np.array([cut])
+        raise ToleranceNotReached(
+            f"CDF model error {err:.3e} above tolerance on "
+            f"({self.a * left:g}, {self.a * right:g}]"
+        )
 
     def quantiles(self, u, tol):
         """Solve int_{s_lo}^{s} g = u * total for each u, vectorized.
 
-        Every draw starts from the interval's Hermite guess and has its
-        residual checked once; only the draws that miss ``tol * total`` take
-        safeguarded Newton steps inside their shrinking bracket.  Draws are
-        solved in blocks of ``_QUANTILE_BLOCK``, which bounds the (block, 15)
-        node arrays of the residual checks at 2 MB whatever the draw count;
-        since a draw's arithmetic never depends on its neighbours, blocking
-        does not change a bit of the result.
+        A draw's piece is a knot interval, or one of the parts a failing
+        interval was split into, whose CDF model matched the kernel at build
+        time to a tenth of the tolerance the table was built for (or the
+        kernel's floor).  Every draw starts from its piece's Hermite guess
+        and has its residual, read off the model, checked once; only the
+        draws that miss ``tol * total`` take safeguarded Newton steps on the
+        model inside their shrinking bracket, and none evaluates the spec.
+        A residual above ``max(tol, 1e-9) * total`` after them raises
+        ToleranceNotReached.  Draws are solved in blocks of
+        ``_QUANTILE_BLOCK``, which bounds the gathered coefficient arrays at
+        2 MB whatever the draw count; since a draw's arithmetic never
+        depends on its neighbours, blocking does not change a bit of the
+        result.
         """
         t = np.asarray(u, dtype=float) * self.total
         s = np.empty_like(t)
@@ -145,32 +319,39 @@ class _CdfTable:
 
     def _solve_block(self, t, tol):
         """Quantiles of the masses t and their CDF residuals."""
-        idx = np.searchsorted(self.cum, t, side="right") - 1
-        idx = np.clip(idx, 0, _TABLE_INTERVALS - 1)
-        lo = self.knots[idx]
-        hi = self.knots[idx + 1]
-        tau = (t - self.cum[idx]) / (self.cum[idx + 1] - self.cum[idx])
+        idx = self._locate(t)
+        lo = self.edges[idx]
+        hi = self.edges[idx + 1]
+        base = self.cum[idx]
+        tau = (t - base) / self._mass[idx]
         s = lo + tau * (self._d0[idx] + tau * (self._c2[idx] + tau * self._c3[idx]))
         np.clip(s, lo, hi, out=s)
-        resid = self._local_cdf(idx, s) - t
+        mid, half = self._mid[idx], self._half[idx]
+        coef = self._p_coef[:, idx]
+        resid = base + _clenshaw(coef, (s - mid) / half) - t
 
         goal = tol * self.total
         act = np.flatnonzero(np.abs(resid) > goal)
         lo, hi, sa, ra = lo[act], hi[act], s[act], resid[act]
+        mid, half, base, coef = mid[act], half[act], base[act], coef[:, act]
+        slope = self._g_coef[:, idx[act]]
         for _ in range(_NEWTON_STEPS):
             if not act.size:
                 break
             above = ra > 0.0
             hi = np.where(above, sa, hi)
             lo = np.where(above, lo, sa)
-            step = sa - ra / self._g(sa)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = sa - ra / _clenshaw(slope, (sa - mid) / half)
             new = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-            ra = self._local_cdf(idx[act], new) - t[act]
+            ra = base + _clenshaw(coef, (new - mid) / half) - t[act]
             s[act] = new
             resid[act] = ra
             # A bracket too narrow to halve cannot move the draw any more.
             keep = (np.abs(ra) > goal) & (new != sa)
             act, lo, hi, sa, ra = act[keep], lo[keep], hi[keep], new[keep], ra[keep]
+            mid, half, base = mid[keep], half[keep], base[keep]
+            coef, slope = coef[:, keep], slope[:, keep]
         return s, resid
 
 
@@ -188,15 +369,17 @@ class MCEstimate:
 class SamplerState:
     """Deterministic sampling state for one (spec, a) pair.
 
-    The seed fully determines the draw sequence.  A power law inverts in
-    closed form, a * u**(1/(p+1)); any other spec gets its CDF table, built
-    once, here.
+    The seed, an integer in [0, 2**64), fully determines the draw
+    sequence.  A power law inverts in closed form, a * u**(1/(p+1)); any
+    other spec gets its CDF model, built once, here.
     """
 
     def __init__(self, spec, a, seed, tol=1e-10):
         self.spec = spec
         self.a = spec.check_scale(a)
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.seed = int(seed)
+        if not 0 <= self.seed < _SEED_LIMIT:
+            raise DomainExceeded(f"seed must lie in [0, 2**64), got {self.seed}")
         key = np.array([self.seed, 0], dtype=np.uint64)
         self._gen = Generator(Philox(key=key))
         self._tol = tol

@@ -471,13 +471,35 @@ def test_unknown_config_key_is_config_error(tmp_path):
      "bad value for 'seed': cannot convert float infinity to integer"),
     ("sample", b'{"n": Infinity}',
      "bad value for 'n': cannot convert float infinity to integer"),
-], ids=["non-utf8", "a_count-inf", "seed-inf", "n-inf"])
+    # int() would truncate 9.7 to a 9-scale grid, as the flag never does
+    ("sweep", b'{"a_count": 9.7}', "bad value for 'a_count': 9.7 is not an integer"),
+    # a seed is one uint64; 1e30 would alias a seed inside it
+    ("sample", b'{"seed": 1e30}',
+     "seed must lie in [0, 2**64), got 1000000000000000019884624838656"),
+], ids=["non-utf8", "a_count-inf", "seed-inf", "n-inf", "a_count-fraction",
+        "seed-1e30"])
 def test_config_file_faults_are_one_line_config_errors(command, text, line, tmp_path,
                                                        capsys):
     path = tmp_path / "c.json"
     path.write_bytes(text)
     assert run_cli(command, "--config", str(path)) == 2
     assert capsys.readouterr() == ("", f"config error: {line}\n")
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seed_outside_64_bits_is_a_config_error(seed, capsys):
+    # 2**64 wrote the bytes of seed 0, and -1 those of 2**64 - 1
+    assert run_cli("sample", "--family", "power", "--p", "2", "--a", "1",
+                   "--n", "2", "--seed", seed) == 2
+    assert capsys.readouterr() == (
+        "", f"config error: seed must lie in [0, 2**64), got {seed}\n")
+
+
+def test_largest_seed_draws(capsys):
+    assert run_cli("sample", "--family", "power", "--p", "2", "--a", "1",
+                   "--n", "2", "--seed", str(2**64 - 1)) == 0
+    assert capsys.readouterr().err == (
+        "sample: wrote 2 draws (seed=18446744073709551615)\n")
 
 
 def test_missing_csv_is_config_error(tmp_path):

@@ -12,6 +12,7 @@ from gsp_lab import (
     PerturbedPowerLaw,
     PowerLaw,
     SamplerState,
+    Tabulated,
     mc_estimates,
     moment_bundles,
 )
@@ -93,25 +94,49 @@ def _reference_cdf(spec, lo, xs):
     return F
 
 
+def _coarse_kinked_table():
+    """12 knots of x (1 + 0.5 sin(log x)): few knots, each a strong kink."""
+    x = np.geomspace(0.01, 10.0, 12)
+    return Tabulated(x, x * (1.0 + 0.5 * np.sin(np.log(x))))
+
+
 @pytest.mark.parametrize(
     "name, a",
     [("perturbed", 1.0), ("steep_custom", 1.0), ("tab_x15", 10.0),
-     ("kinked_table", 10.0)],
+     ("kinked_table", 10.0), ("perturbed_p0.05", 1.0), ("perturbed_p0.3", 1.0),
+     ("perturbed_p3", 1.0), ("coarse_kinked_table", 10.0)],
 )
 def test_quantile_u_error_against_scipy(name, a, tab_x15, perturbed_table):
     # the sampler's accuracy gate: F(x(u)) / F(a) gives u back to 2e-10;
     # x^20 has a steep head, where the Hermite starting guess is weakest,
-    # and the perturbed table's log-log slope kinks at every knot
+    # the perturbed table's log-log slope kinks at every knot, and a wide
+    # wobble on a small exponent bends g hardest in the first interval
     spec = {
         "perturbed": PerturbedPowerLaw(p=1.0, eps=0.1),
         "steep_custom": Custom(lambda x: x**20, lambda x: 20.0 * x**19),
         "tab_x15": tab_x15,
         "kinked_table": perturbed_table,
+        "perturbed_p0.05": PerturbedPowerLaw(p=0.05, eps=0.5),
+        "perturbed_p0.3": PerturbedPowerLaw(p=0.3, eps=0.5),
+        "perturbed_p3": PerturbedPowerLaw(p=3.0, eps=0.5),
+        "coarse_kinked_table": _coarse_kinked_table(),
     }[name]
     u = np.random.default_rng(2024).random(50)
     x = quantiles(spec, a, u, 1e-10)
     F = _reference_cdf(spec, spec.support[0], np.append(x, a))
     assert np.max(np.abs(F[:-1] / F[-1] - u)) <= 2e-10
+
+
+@pytest.mark.parametrize("p", [0.05, 0.3, 1.0])
+def test_first_interval_draws_match_the_exact_cdf(p):
+    # f = x^p through the table path: the CDF is u = s^(p+1) exactly.  On
+    # the first knot interval g ~ s^p is not smooth at 0, which one 15-point
+    # panel from 0 could not resolve (1.8e-7 at p = 0.05)
+    spec = PerturbedPowerLaw(p=p, eps=0.0)
+    first = (1.0 / sampler._TABLE_INTERVALS) ** (p + 1.0)
+    u = first * np.random.default_rng(16).random(200)
+    s = quantiles(spec, 1.0, u, 1e-10)
+    assert np.max(np.abs(s ** (p + 1.0) - u)) <= 2e-10
 
 
 def test_quantiles_increase_with_u():
@@ -187,6 +212,13 @@ def test_batching_does_not_change_the_stream(draw_spec):
         assert np.array_equal(whole, parts)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_is_refused(seed):
+    # Philox's key is one uint64: a wider seed would alias one inside it
+    with pytest.raises(DomainExceeded, match=r"seed must lie in \[0, 2\*\*64\)"):
+        SamplerState(PowerLaw(p=1.0), 1.0, seed=seed)
+
+
 def test_streams_and_seeds_decorrelate():
     base = SamplerState(PowerLaw(p=1.0), 1.0, seed=7)
     other_seed = SamplerState(PowerLaw(p=1.0), 1.0, seed=8)
@@ -211,9 +243,54 @@ def test_table_draws_stay_cheap(monkeypatch):
     assert sum(points) <= 40 * n
 
 
+@pytest.mark.parametrize(
+    "name, a", [("perturbed", 1.0), ("steep_custom", 1.0), ("kinked_table", 10.0)])
+def test_draws_evaluate_no_spec(name, a, perturbed_table, monkeypatch):
+    # every spec evaluation happens while the state is built
+    spec = {
+        "perturbed": PerturbedPowerLaw(p=1.0, eps=0.1),
+        "steep_custom": Custom(lambda x: x**20, lambda x: 20.0 * x**19),
+        "kinked_table": perturbed_table,
+    }[name]
+    state = SamplerState(spec, a, seed=4)
+    calls = []
+    plain_eval = FunctionSpec.eval
+
+    def counting_eval(self, x):
+        calls.append(1)
+        return plain_eval(self, x)
+
+    monkeypatch.setattr(FunctionSpec, "eval", counting_eval)
+    state.draw(20_000)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "name, a",
+    [("perturbed_p3", 1.0), ("perturbed_p0.05", 1.0), ("kinked_table", 10.0)])
+def test_guide_table_finds_the_searchsorted_piece(name, a, perturbed_table):
+    # many pieces share the first cells where the mass starts slowly (p = 3),
+    # the piece at 0 is split geometrically at p = 0.05, and a table's
+    # pieces are uneven; every cum value is probed, with both neighbours
+    spec = {
+        "perturbed_p3": PerturbedPowerLaw(p=3.0, eps=0.5),
+        "perturbed_p0.05": PerturbedPowerLaw(p=0.05, eps=0.5),
+        "kinked_table": perturbed_table,
+    }[name]
+    table = sampler._CdfTable(spec, a, 1e-10)
+    cum = table.cum
+    t = np.concatenate((
+        cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf),
+        table.total * np.random.default_rng(3).random(5000),
+    ))
+    t = t[(t >= 0.0) & (t <= table.total)]
+    want = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, cum.size - 2)
+    assert np.array_equal(table._locate(t), want)
+
+
 def test_table_draw_memory_is_bounded():
-    # the quantile solve works in blocks, so its (draws, 15) node arrays do
-    # not grow with the batch: 68 MB for one unblocked solve of 1e5 draws
+    # the quantile solve works in blocks, so its working arrays do not grow
+    # with the batch
     state = SamplerState(PerturbedPowerLaw(p=1.0, eps=0.1), 1.0, seed=4)
     tracemalloc.start()
     try:
