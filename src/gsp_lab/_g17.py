@@ -1,13 +1,14 @@
 """Exact ``%.17g`` text for float64 arrays, in a fixed number of numpy steps
-per block of values.
+per array.
 
 ``sample`` writes up to millions of draws; one Python f-string per draw
 cost more than drawing them.  Here the decimal digits of values in
 [1e-4, 2**50) come from exact integer arithmetic (the binary-to-decimal
 conversion of Steele & White, PLDI 1990, and Gay, AT&T 1990, specialised
 to 17 digits), and every other value is formatted by Python, so the bytes
-always equal ``f"{x:.17g}"``.  Kept out of ``cli`` so that compiling the
-command-line module stays small.
+always equal ``f"{x:.17g}"``.  The working arrays take about 230 bytes per
+value, so ``sample`` formats its draws one block at a time.  Kept out of
+``cli`` so that compiling the command-line module stays small.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ _DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 _DIGITS4 = np.stack(np.meshgrid(_DIGIT, _DIGIT, _DIGIT, _DIGIT, indexing="ij"),
                     axis=-1).view(np.uint32).ravel()
 _TEXT = 24  # longest %.17g text, "-2.2250738585072014e-308"
-_FORMAT_BLOCK = 2**14
 
 
 def _scaled17(mant, exp2, dexp):
@@ -51,15 +51,7 @@ def _scaled17(mant, exp2, dexp):
 
 
 def _g17_lines(values):
-    """``"".join(f"{v:.17g}\\n" for v in values)``, in numpy steps per block
-    of ``_FORMAT_BLOCK`` values, which bounds the working arrays."""
-    v = np.asarray(values, dtype=float).ravel()
-    return "".join(_g17_block(v[i:i + _FORMAT_BLOCK])
-                   for i in range(0, v.size, _FORMAT_BLOCK))
-
-
-def _g17_block(v):
-    """``_g17_lines`` of the float64 vector v.
+    """``"".join(f"{v:.17g}\\n" for v in values)`` for a float64 array.
 
     Values in [1e-4, 2**50) are printed in %g's fixed notation, exactly:
     the 17-digit decimal D = round(v * 10**(16 - X)) comes from integer
@@ -71,6 +63,7 @@ def _g17_block(v):
     padding, the leading zeros %g does not print, the trailing zeros it
     strips and a point with nothing after it.
     """
+    v = np.asarray(values, dtype=float).ravel()
     n = v.size
     # v >= float(1e-4) > 1e-4 gives X >= -4, and v < 2**50 < 1e16 gives X <= 15
     fast = (v >= 1e-4) & (v < 2.0**50)

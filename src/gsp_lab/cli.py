@@ -55,7 +55,7 @@ from .functions import (
 )
 from .identities import identity_reports, stencil_fits
 from .moments import moment_bundles
-from .sampler import _MIN_ESTIMATE_N, _SEED_LIMIT, SamplerState, mc_estimates
+from .sampler import _BLOCK, _MIN_ESTIMATE_N, _SEED_LIMIT, SamplerState, mc_estimates
 
 __all__ = ["RunConfig", "ConfigError", "main"]
 
@@ -281,15 +281,18 @@ def _grid_for(cfg, spec):
     return scales
 
 
-def _emit(text, out):
+def _emit(text, out, blocks=()):
+    """Write text, then each string of blocks in turn, to out or stdout."""
     if out:
         try:
             with open(out, "w") as fh:
                 fh.write(text)
+                fh.writelines(blocks)
         except OSError as exc:
             raise ConfigError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
 
 
 def _say(msg):
@@ -390,7 +393,11 @@ def cmd_sample(cfg, spec):
         _emit(json.dumps(asdict(est), indent=2) + "\n", cfg.out)
         _say(f"sample: n={est.n} mean_x={est.mean_x:.10g}")
         return EXIT_PASS
-    _emit("x\n" + _g17_lines(state.draw(cfg.n)), cfg.out)
+    # every draw is solved before the first byte is written; the text is
+    # formatted one block at a time, as it is written
+    x = state.draw(cfg.n)
+    blocks = (_g17_lines(x[i:i + _BLOCK]) for i in range(0, x.size, _BLOCK))
+    _emit("x\n", cfg.out, blocks)
     _say(f"sample: wrote {cfg.n} draws (seed={cfg.seed})")
     return EXIT_PASS
 

@@ -98,6 +98,9 @@ _WG = np.array(
 )
 
 _EPS = float(np.finfo(float).eps)
+# No panel's error estimate is below this share of its integral of |f|, so
+# no output's error sum is below this share of its integral of |f| either.
+_ERROR_FLOOR = 50.0 * _EPS
 _DEFAULT_BUDGET = 10_000
 # Panels per integrand call: bounds the (panels, 15, columns) working arrays.
 _CHUNK = 128
@@ -145,7 +148,7 @@ def _rule(integrand, lo, hi):
     err[damp] = resasc[damp] * np.minimum(
         1.0, (200.0 * err[damp] / resasc[damp]) ** 1.5
     )
-    return resk, np.maximum(err, 50.0 * _EPS * resabs)
+    return resk, np.maximum(err, _ERROR_FLOOR * resabs)
 
 
 def _wide(plo, phi, min_width):

@@ -10,18 +10,18 @@ Power laws invert in closed form.  Every other spec goes through a checked
 model of its CDF, built once per (spec, a, tol); the sampling state holds
 it and applies either inverse itself.  One cumulative quadrature pass
 gives the mass up to each of 256 knots, computed to min(1e-12, tol / 100)
-but no tighter than the 1e-14 the kernel can reach.  On each knot
-interval, g is interpolated at 16 Chebyshev points and the interpolant
-integrated exactly, so the CDF there is the mass at the left knot plus a
-Chebyshev series (Trefethen, Approximation Theory and Approximation
-Practice, 2013).  Each model is checked once, at build time, against the
-adaptive kernel: at its interval's mass and at its midpoint, to a tenth of
-a draw's tolerance (or the kernel's own target, if that is looser).  An
-interval that fails is split and its parts checked again: the first
-interval of an analytic spec geometrically toward 0, where g ~ s**p is not
-smooth, and any other at the table's knots inside it, or at its geometric
-mean if it holds none.  A model that cannot pass raises
-ToleranceNotReached before any draw.
+but no tighter than twice the kernel's error floor, 100 machine epsilons
+of the masses' unit, 1.  On each knot interval, g is interpolated at 16
+Chebyshev points and the interpolant integrated exactly, so the CDF there
+is the mass at the left knot plus a Chebyshev series (Trefethen,
+Approximation Theory and Approximation Practice, 2013).  Each model is
+checked once, at build time, against the adaptive kernel: at its
+interval's mass and at its midpoint, to a tenth of a draw's tolerance (or
+twice the kernel's target, if that is looser).  An interval that fails is
+split and its parts checked again: the first interval of an analytic spec
+geometrically toward 0, where g ~ s**p is not smooth, and any other at the
+table's knots inside it, or at its geometric mean if it holds none.  A
+model that cannot pass raises ToleranceNotReached before any draw.
 
 A draw finds its piece through a guide table and starts from a cubic
 Hermite interpolant of the inverse CDF on it, with exact end slopes 1/g
@@ -29,10 +29,14 @@ Hermite interpolant of the inverse CDF on it, with exact end slopes 1/g
 2010).  Its CDF residual is read off the piece's model by Clenshaw's
 recurrence, and only draws whose residual misses tol times the total mass
 take bracketed Newton steps, with the slope from the model's derivative:
-no draw evaluates the spec.  Each draw's arithmetic depends on its own
-uniform alone, never on the rest of the batch, so a batch is solved in
-blocks of 2**14 draws: the working arrays stay near 2 MB for any batch
-size, and the draws are bit-identical to one unblocked solve.
+no draw evaluates the spec.
+
+Every run works one block of 2**14 draws at a time, from the uniforms to
+the output, and each draw's arithmetic depends on its own uniform alone, so
+the draws are bit-identical whatever the blocking.  ``draw`` holds its n
+draws, 8 bytes each, plus one block's working arrays (under 5 MB);
+``mc_estimates`` holds one block's working arrays alone, whatever n, since
+it reduces each block to its moments before drawing the next.
 
 Randomness is counter-based (Philox) and keyed by the seed, one 64-bit
 word: states with equal seeds produce identical draws on any machine, and
@@ -49,16 +53,19 @@ from numpy.random import Generator, Philox  # at import time, not on the first d
 
 from .errors import DomainExceeded, ToleranceNotReached
 from .functions import PowerLaw
-from .quadrature import cumulative
+from .quadrature import _ERROR_FLOOR, cumulative
 
 __all__ = ["SamplerState", "MCEstimate", "mc_estimates"]
 
 _TABLE_INTERVALS = 256
-# Draws per quantile solve: the (17, 2**14) coefficient gathers are 2 MB.
-_QUANTILE_BLOCK = 2**14
-# The tightest relative tolerance the K15 kernel meets on O(1) masses (it
-# stalls near 5e-15); a draw's own residual is held to max(tol, 1e-9).
-_TABLE_TOL_FLOOR = 1e-14
+# Draws per block, in every mode: a block's (17, 2**14) coefficient gathers
+# take 2 MB, its %.17g formatting ~4 MB and its text at most 0.4 MB.
+_BLOCK = 2**14
+# The kernel's error sum on a mass never falls below _ERROR_FLOOR of it, and
+# the masses are at most ~1 in profile units, the unit of its target: twice
+# that leaves the refinement room to meet it at any exponent.  A draw's own
+# residual is held to max(tol, 1e-9).
+_TABLE_TOL_FLOOR = 2.0 * _ERROR_FLOOR
 # Newton converges in a few steps; the cap also covers a run of bisection
 # fallbacks from a 2**-8 wide knot interval down to ~2**-58.
 _NEWTON_STEPS = 50
@@ -136,10 +143,11 @@ class _CdfTable:
             self._breaks = spec.knots / a
         # The masses are at most 1 in profile units: the kernel computes them
         # to min(1e-12, 0.01 tol), but no tighter than it reaches.  A model
-        # must match the kernel to a tenth of a draw's tolerance, or to the
-        # kernel's own target if that is looser.
+        # must match the kernel to a tenth of a draw's tolerance, or, if that
+        # is looser, to twice the kernel's target: it is checked against the
+        # difference of two kernel values, each off by up to that target.
         self._kernel_tol = max(_TABLE_TOL_FLOOR, min(1e-12, 0.01 * tol))
-        self._model_tol = max(0.1 * tol, self._kernel_tol)
+        self._model_tol = max(0.1 * tol, 2.0 * self._kernel_tol)
 
         self.edges = np.linspace(s_lo, 1.0, _TABLE_INTERVALS + 1)
         res = cumulative(self._g, s_lo, self.edges[1:], self._kernel_tol,
@@ -288,7 +296,8 @@ class _CdfTable:
         )
 
     def quantiles(self, u, tol):
-        """Solve int_{s_lo}^{s} g = u * total for each u, vectorized.
+        """Solve int_{s_lo}^{s} g = u * total for each u of a block, and
+        return the solutions and their CDF residuals.
 
         A draw's piece is a knot interval, or one of the parts a failing
         interval was split into, whose CDF model matched the kernel at build
@@ -297,28 +306,10 @@ class _CdfTable:
         and has its residual, read off the model, checked once; only the
         draws that miss ``tol * total`` take safeguarded Newton steps on the
         model inside their shrinking bracket, and none evaluates the spec.
-        A residual above ``max(tol, 1e-9) * total`` after them raises
-        ToleranceNotReached.  Draws are solved in blocks of
-        ``_QUANTILE_BLOCK``, which bounds the gathered coefficient arrays at
-        2 MB whatever the draw count; since a draw's arithmetic never
-        depends on its neighbours, blocking does not change a bit of the
-        result.
+        The gathered coefficient arrays are (17, u.size): callers pass one
+        block at a time.
         """
-        t = np.asarray(u, dtype=float) * self.total
-        s = np.empty_like(t)
-        worst = 0.0
-        for start in range(0, t.size, _QUANTILE_BLOCK):
-            block = slice(start, start + _QUANTILE_BLOCK)
-            s[block], resid = self._solve_block(t[block], tol)
-            worst = np.maximum(worst, np.max(np.abs(resid)))
-        if worst > max(tol, 1e-9) * self.total:
-            raise ToleranceNotReached(
-                f"quantile residual {worst:.3e} above tolerance"
-            )
-        return s
-
-    def _solve_block(self, t, tol):
-        """Quantiles of the masses t and their CDF residuals."""
+        t = u * self.total
         idx = self._locate(t)
         lo = self.edges[idx]
         hi = self.edges[idx + 1]
@@ -386,34 +377,75 @@ class SamplerState:
         self._table = None if isinstance(spec, PowerLaw) else _CdfTable(spec, self.a, tol)
 
     def draw(self, n):
+        """The next n draws, as one array."""
         n = int(n)
         if n <= 0:
             raise DomainExceeded("draw count must be positive")
-        u = self._gen.random(n)
-        # random() can emit exactly 0, whose quantile sits outside the open
-        # support; nudge to the smallest positive double instead.
-        u[u == 0.0] = np.nextafter(0.0, 1.0)
-        if self._table is None:
-            return self.a * u ** (1.0 / (self.spec.p + 1.0))
-        return self.a * self._table.quantiles(u, self._tol)
+        x = np.empty(n)
+        start = 0
+        for s in self._blocks(n):
+            np.multiply(self.a, s, out=x[start:start + s.size])
+            start += s.size
+        return x
+
+    def _blocks(self, n):
+        """The next n draws in units of a, one block of ``_BLOCK`` at a time.
+
+        A table's draws whose CDF residual stays above ``max(tol, 1e-9)``
+        of the mass raise ToleranceNotReached, naming the worst, once the
+        last block is drawn: the check reads every block, as on one solve.
+        """
+        worst = 0.0
+        for start in range(0, n, _BLOCK):
+            u = self._gen.random(min(_BLOCK, n - start))
+            # random() can emit exactly 0, whose quantile sits outside the
+            # open support; nudge to the smallest positive double instead.
+            u[u == 0.0] = _TINY
+            if self._table is None:
+                yield u ** (1.0 / (self.spec.p + 1.0))
+                continue
+            s, resid = self._table.quantiles(u, self._tol)
+            worst = np.maximum(worst, np.max(np.abs(resid)))
+            yield s
+        if self._table is not None and worst > max(self._tol, 1e-9) * self._table.total:
+            raise ToleranceNotReached(
+                f"quantile residual {worst:.3e} above tolerance"
+            )
 
 
 def mc_estimates(state, n):
     """Means of x and f(x) over n fresh draws, with standard errors.
 
-    Requires n >= 100 so the standard errors mean something.
+    Requires n >= 100 so the standard errors mean something.  The draws
+    are those of ``state.draw(n)``, but never held together: each block is
+    reduced to the count, means and summed squared deviations of x/a and
+    f(x)/f(a), merged into the running ones by the pairwise update of Chan,
+    Golub and LeVeque (Am. Stat. 37(3), 1983).  The memory is one block's
+    for any n, and the profile units keep the squares inside the float64
+    range at any scale and amplitude; the results are scaled back at the end.
     """
     n = int(n)
     if n < _MIN_ESTIMATE_N:
         raise DomainExceeded(
             f"need at least {_MIN_ESTIMATE_N} draws for an estimate, got {n}"
         )
-    xs = state.draw(n)
-    fxs = np.asarray(state.spec.eval(xs), dtype=float)
+    a, spec = state.a, state.spec
+    fa = float(spec.eval(a))
+    count, mean, m2 = 0, np.zeros(2), np.zeros(2)
+    for s in state._blocks(n):
+        y = np.stack((s, np.asarray(spec.eval(a * s), dtype=float) / fa))
+        k = s.size
+        block_mean = y.mean(axis=1)
+        y -= block_mean[:, None]
+        delta = block_mean - mean
+        mean += delta * (k / (count + k))
+        m2 += np.square(y, out=y).sum(axis=1) + delta**2 * (count * k / (count + k))
+        count += k
+    stderr = np.sqrt(m2 / (n - 1)) / math.sqrt(n)
     return MCEstimate(
-        mean_x=float(np.mean(xs)),
-        mean_fx=float(np.mean(fxs)),
-        stderr_x=float(np.std(xs, ddof=1) / math.sqrt(n)),
-        stderr_fx=float(np.std(fxs, ddof=1) / math.sqrt(n)),
+        mean_x=float(a * mean[0]),
+        mean_fx=float(fa * mean[1]),
+        stderr_x=float(a * stderr[0]),
+        stderr_fx=float(fa * stderr[1]),
         n=n,
     )

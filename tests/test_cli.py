@@ -12,6 +12,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+from gsp_lab import PerturbedPowerLaw, PowerLaw, SamplerState
 from gsp_lab._g17 import _g17_lines
 from gsp_lab.cli import RunConfig, main
 
@@ -336,6 +337,23 @@ def test_sample_estimate_json(tmp_path):
     assert abs(est["mean_x"] - 0.75) <= 4.0 * est["stderr_x"]
 
 
+@pytest.mark.parametrize("a", ["1e300", "1e-300"])
+def test_sample_estimate_at_the_float64_ends_is_finite(tmp_path, capsys, a):
+    # the moments are taken in units of a and f(a): in x units the squared
+    # deviations overflow near 1e300 and underflow to 0 near 1e-300
+    out = tmp_path / "e.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli("sample", "--family", "perturbed", "--p", "1", "--eps", "0.1",
+                     "--a", a, "--n", "300", "--estimate", "--out", str(out))
+    assert rc == 0 and caught == []
+    est = json.loads(out.read_text())
+    for key in ("stderr_x", "stderr_fx"):
+        assert math.isfinite(est[key]) and est[key] > 0.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("sample: n=300 mean_x=")
+
+
 def test_sample_estimate_needs_enough_draws():
     assert run_cli("sample", "--family", "power", "--p", "1",
                    "--n", "10", "--estimate") == 2
@@ -407,14 +425,37 @@ def test_sample_lines_are_shortest_17_digit_text(tmp_path, family, a):
     assert all(f"{float(line):.17g}" == line for line in lines[1:])
 
 
-@pytest.mark.parametrize("tol", ["1e-13", "1e-15", "1e-20"])
-def test_sample_below_the_kernel_floor_still_draws(tmp_path, tol):
-    # the CDF table is held to the quadrature's reach, not to 0.01 tol
+@pytest.mark.parametrize("p, eps, tol", [
+    *(pytest.param("1", "0.1", tol, id=tol) for tol in ("1e-13", "1e-15", "1e-20")),
+    *(pytest.param("0.05", "0.04", tol, id=f"p0.05-{tol}")
+      for tol in ("1e-12", "1e-13", "1e-15", "1e-20")),
+])
+def test_sample_below_the_kernel_floor_still_draws(tmp_path, p, eps, tol):
+    # the CDF table is held to the quadrature's reach, not to 0.01 tol; at
+    # p = 0.05 the masses near 1 put the kernel's error floor above 1e-14
     out = tmp_path / "draws.csv"
-    assert run_cli("sample", "--family", "perturbed", "--p", "1", "--eps",
-                   "0.1", "--a", "1", "--n", "200", "--seed", "3",
+    assert run_cli("sample", "--family", "perturbed", "--p", p, "--eps",
+                   eps, "--a", "1", "--n", "200", "--seed", "3",
                    "--tol", tol, "--out", str(out)) == 0
     assert len(read_csv_columns(out)["x"]) == 200
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("spec, flags", [
+    (PowerLaw(p=2.0), ("--family", "power", "--p", "2")),
+    (PerturbedPowerLaw(p=1.0, eps=0.1),
+     ("--family", "perturbed", "--p", "1", "--eps", "0.1")),
+], ids=["power", "perturbed"])
+def test_sample_writes_every_block_of_draws(tmp_path, capsys, spec, flags, to_file):
+    # three blocks of 2**14 draws and a short one, each formatted as written
+    n = 3 * 2**14 + 5
+    out = tmp_path / "draws.txt"
+    dest = ("--out", str(out)) if to_file else ()
+    assert run_cli("sample", *flags, "--a", "1", "--n", str(n), "--seed", "9",
+                   *dest) == 0
+    text = out.read_text() if to_file else capsys.readouterr().out
+    draws = SamplerState(spec, 1.0, seed=9).draw(n).tolist()
+    assert text == "x\n" + "".join(f"{v:.17g}\n" for v in draws)
 
 
 # ------------------------------------------------------------ config file

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -13,6 +14,7 @@ from gsp_lab import (
     PowerLaw,
     SamplerState,
     Tabulated,
+    ToleranceNotReached,
     mc_estimates,
     moment_bundles,
 )
@@ -26,7 +28,7 @@ def quantiles(spec, a, u, tol=1e-10):
     u = np.asarray(u, dtype=float)
     if isinstance(spec, PowerLaw):
         return a * u ** (1.0 / (spec.p + 1.0))
-    return a * sampler._CdfTable(spec, a, tol).quantiles(u, tol)
+    return a * sampler._CdfTable(spec, a, tol).quantiles(u, tol)[0]
 
 
 def test_power_law_quantile_closed_form():
@@ -327,3 +329,59 @@ def test_estimates_through_generic_solver():
     assert abs(est.mean_x - m.xbar[0]) <= 4.0 * est.stderr_x
     assert abs(0.5 * est.mean_fx - m.ybar[0]) <= 2.0 * est.stderr_fx
 
+
+_ESTIMATE_SPECS = pytest.mark.parametrize(
+    "spec", [PowerLaw(p=2.0), PerturbedPowerLaw(p=1.0, eps=0.1)],
+    ids=["power", "perturbed"])
+
+
+@pytest.mark.parametrize("n", [100, 2**14, 3 * 2**14 + 5, 10**6])
+@_ESTIMATE_SPECS
+def test_streamed_estimate_matches_the_whole_draw(spec, n):
+    # the blocks' moments, merged pairwise in units of a and f(a), are those
+    # of the same seed's draws held at once, up to the reordered sums
+    est = mc_estimates(SamplerState(spec, 1.0, seed=13), n)
+    x = SamplerState(spec, 1.0, seed=13).draw(n)
+    fx = spec.eval(x)
+    want = (np.mean(x), np.mean(fx),
+            np.std(x, ddof=1) / math.sqrt(n), np.std(fx, ddof=1) / math.sqrt(n))
+    got = (est.mean_x, est.mean_fx, est.stderr_x, est.stderr_fx)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    assert est.n == n
+
+
+@_ESTIMATE_SPECS
+def test_estimate_memory_does_not_grow_with_n(spec):
+    # a million draws would take 8 MB each for x and f(x); the estimate
+    # holds one block of 2**14 at a time
+    state = SamplerState(spec, 1.0, seed=4)
+    tracemalloc.start()
+    try:
+        mc_estimates(state, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+
+
+def test_a_residual_miss_in_any_block_raises_after_the_last(monkeypatch):
+    # the check reads every block and names the worst residual, not the
+    # first miss, whether the draws are held (draw) or reduced as they come
+    # (mc_estimates)
+    solve = sampler._CdfTable.quantiles
+    sizes = []
+
+    def missing(self, u, tol):
+        s, resid = solve(self, u, tol)
+        sizes.append(u.size)
+        resid[-1] = {1: 0.125, 2: 0.25}.get(len(sizes), resid[-1])
+        return s, resid
+
+    state = SamplerState(PerturbedPowerLaw(p=1.0, eps=0.1), 1.0, seed=4)
+    monkeypatch.setattr(sampler._CdfTable, "quantiles", missing)
+    n = 2 * sampler._BLOCK + 5
+    for run in (state.draw, lambda n: mc_estimates(state, n)):
+        sizes.clear()
+        with pytest.raises(ToleranceNotReached, match=r"quantile residual 2\.500e-01"):
+            run(n)
+        assert sizes == [sampler._BLOCK, sampler._BLOCK, 5]
