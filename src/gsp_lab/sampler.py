@@ -119,17 +119,20 @@ class _CdfTable:
 
     Working in profile units keeps every entry O(1) regardless of the
     spec's amplitude or the scale, so the quadrature's absolute floor stays
-    meaningful.  Each piece -- a knot interval, or a part of one that failed
-    its check -- stores the cumulative mass at its edges, the Chebyshev
-    coefficients of g and of g's integral from its left edge (its CDF
-    model), and the cubic Hermite interpolant of its inverse CDF s(t), whose
-    end slopes ds/dt = 1/g come from g at the edges; that interpolant
-    supplies the starting guess of every quantile.
+    meaningful.  It keeps the tolerance it was built for and the piece edges
+    with the cumulative mass at each; each piece -- a knot interval, or a
+    part of one that failed its check -- keeps the Chebyshev coefficients of
+    g and of g's integral from its left edge (its CDF model), and the cubic
+    Hermite interpolant of its inverse CDF s(t), whose end slopes ds/dt =
+    1/g come from g at the final edges; that interpolant supplies the
+    starting guess of every quantile.  Midpoints, widths and masses are
+    recomputed from the edges and cumulative masses where they are needed.
     """
 
     def __init__(self, spec, a, tol):
         self.spec = spec
         self.a = a
+        self.tol = tol
         self.fa = spec.eval(a)
         lo = spec.support[0]
         s_lo = lo / a
@@ -154,20 +157,15 @@ class _CdfTable:
                          breakpoints=self._breaks)
         self.cum = np.concatenate(([0.0], res.value[:, 0]))
         self.total = float(self.cum[-1])
-        self._g_edges = np.full(self.edges.size, np.nan)
-        if s_lo == 0.0:
-            self._g_edges[0] = 0.0  # g(0+) = 0 for an admissible analytic spec
         self._p_coef = np.empty((_CHEB_N + 1, _TABLE_INTERVALS))
         self._g_coef = np.empty((_CHEB_N, _TABLE_INTERVALS))
         todo = np.ones(_TABLE_INTERVALS, dtype=bool)
         while todo.any():
             todo = self._refine(todo)
 
-        self._mid = 0.5 * (self.edges[:-1] + self.edges[1:])
-        self._half = 0.5 * np.diff(self.edges)
         # The guide table: cell k of the masses starts in piece _guide[k],
         # the last piece whose left mass falls in a lower cell.
-        pieces = self._half.size
+        pieces = self.edges.size - 1
         self._cell_scale = pieces / self.total
         self._upper = np.append(self.cum[1:-1], np.inf)
         self._guide = np.maximum(
@@ -176,13 +174,15 @@ class _CdfTable:
         # s = s_k + tau (d0 + tau (c2 + tau c3)), with end tangents
         # d = mass_k / g in s units.  An analytic spec has g(0+) = 0 at the
         # first edge, whose tangent falls back to the chord.
-        masses = self._mass = np.diff(self.cum)
+        first = int(s_lo == 0.0)
+        g_edges = np.concatenate((np.zeros(first), self._g(self.edges[first:])))
+        masses = np.diff(self.cum)
         width = np.diff(self.edges)
         with np.errstate(divide="ignore"):
-            self._d0 = masses / self._g_edges[:-1]
-        if s_lo == 0.0:
+            self._d0 = masses / g_edges[:-1]
+        if first:
             self._d0[0] = width[0]
-        d1 = masses / self._g_edges[1:]
+        d1 = masses / g_edges[1:]
         self._c2 = 3.0 * width - 2.0 * self._d0 - d1
         self._c3 = self._d0 + d1 - 2.0 * width
 
@@ -191,7 +191,7 @@ class _CdfTable:
 
     def _cell(self, t):
         """The guide-table cell of each mass t: equal shares of the total."""
-        return np.minimum((t * self._cell_scale).astype(np.intp), self._half.size - 1)
+        return np.minimum((t * self._cell_scale).astype(np.intp), self.edges.size - 2)
 
     def _locate(self, t):
         """The piece of each mass t, ``searchsorted(cum, t, "right") - 1``
@@ -209,20 +209,19 @@ class _CdfTable:
         """Model and check the pieces marked ``todo``; split those that fail,
         and return the mask of the pieces still to model.
 
-        One spec evaluation gives g at the pieces' nodes and at the edges
-        not yet evaluated.  One kernel pass gives the CDF at their left
-        edges and midpoints; a new edge's mass is the kernel's difference
-        from the nearest edge below it whose mass is known, which is the
-        left edge of a piece modelled in this round.
+        A round updates the table's edges, the masses at them and the
+        pieces' Chebyshev coefficients, and nothing else: g at the edges is
+        evaluated once they are final.  One spec evaluation gives g at the
+        pieces' nodes.  One kernel pass gives the CDF at their left edges
+        and midpoints; a new edge's mass is the kernel's difference from the
+        nearest edge below it whose mass is known, which is the left edge of
+        a piece modelled in this round.
         """
         i = np.flatnonzero(todo)
         edges = self.edges
         left, half = edges[i], 0.5 * (edges[i + 1] - edges[i])
         nodes = (left + half)[:, None] + half[:, None] * _CHEB_NODES
-        fresh = np.flatnonzero(np.isnan(self._g_edges))
-        values = self._g(np.concatenate((nodes.ravel(), edges[fresh])))
-        self._g_edges[fresh] = values[nodes.size:]
-        values = values[:nodes.size].reshape(nodes.shape)
+        values = self._g(nodes.ravel()).reshape(nodes.shape)
 
         pts = np.column_stack((left, left + half)).ravel()
         res = cumulative(self._g, pts[0], pts[1:], self._kernel_tol,
@@ -254,7 +253,6 @@ class _CdfTable:
         at = np.repeat(i[bad] + 1, [len(x) for x in inner])
         self.edges = np.insert(edges, at, np.concatenate(inner))
         self.cum = np.insert(cum, at, np.nan)
-        self._g_edges = np.insert(self._g_edges, at, np.nan)
         self._p_coef = np.insert(self._p_coef, at, 0.0, axis=1)
         self._g_coef = np.insert(self._g_coef, at, 0.0, axis=1)
         todo = np.insert(todo, at, True)
@@ -272,7 +270,9 @@ class _CdfTable:
         cuts stop where the new piece's lowest node would underflow in x.
         Any other piece is split at the table's knots inside it, and one
         with none (a table segment that spans decades, or an undeclared
-        kink) at its geometric mean.
+        kink) at its geometric mean.  A cut is taken only if every part
+        keeps its midpoint strictly inside it, as the next round's kernel
+        pass needs; a piece too narrow for that cannot be split further.
         """
         if left == 0.0:
             rate = math.log2(growth) if 1.0 < growth < math.inf else 0.0
@@ -281,68 +281,66 @@ class _CdfTable:
             deepest = (math.floor(math.log2(lowest) - math.log2(_TINY))
                        if lowest > 0.0 else 0)
             depth = min(max(1, math.ceil(want)), deepest)
-            if depth >= 1:
-                return right * 2.0 ** -np.arange(depth, 0, -1, dtype=float)
+            cuts = right * 2.0 ** -np.arange(depth, 0, -1, dtype=float)
         else:
-            inner = self._breaks[(self._breaks > left) & (self._breaks < right)]
-            if inner.size:
-                return inner
-            cut = math.sqrt(left) * math.sqrt(right)
-            if left < cut < right:
-                return np.array([cut])
+            cuts = self._breaks[(self._breaks > left) & (self._breaks < right)]
+            if not cuts.size:
+                cuts = np.array([math.sqrt(left) * math.sqrt(right)])
+        ends = np.concatenate(([left], cuts, [right]))
+        mid = ends[:-1] + 0.5 * np.diff(ends)
+        if cuts.size and np.all((ends[:-1] < mid) & (mid < ends[1:])):
+            return cuts
         raise ToleranceNotReached(
             f"CDF model error {err:.3e} above tolerance on "
             f"({self.a * left:g}, {self.a * right:g}]"
         )
 
-    def quantiles(self, u, tol):
+    def quantiles(self, u):
         """Solve int_{s_lo}^{s} g = u * total for each u of a block, and
         return the solutions and their CDF residuals.
 
         A draw's piece is a knot interval, or one of the parts a failing
         interval was split into, whose CDF model matched the kernel at build
-        time to a tenth of the tolerance the table was built for (or the
-        kernel's floor).  Every draw starts from its piece's Hermite guess
-        and has its residual, read off the model, checked once; only the
-        draws that miss ``tol * total`` take safeguarded Newton steps on the
-        model inside their shrinking bracket, and none evaluates the spec.
-        The gathered coefficient arrays are (17, u.size): callers pass one
-        block at a time.
+        time to a tenth of the table's tolerance (or the kernel's floor).
+        Every draw starts from its piece's Hermite guess and has its
+        residual, read off the model, checked once; only the draws that miss
+        ``tol * total`` take safeguarded Newton steps on the model inside
+        their shrinking bracket, gathering their pieces afresh at each step,
+        and none evaluates the spec.  The gathered coefficient arrays are
+        (17, u.size): callers pass one block at a time.
         """
         t = u * self.total
         idx = self._locate(t)
         lo = self.edges[idx]
         hi = self.edges[idx + 1]
         base = self.cum[idx]
-        tau = (t - base) / self._mass[idx]
+        tau = (t - base) / (self.cum[idx + 1] - base)
         s = lo + tau * (self._d0[idx] + tau * (self._c2[idx] + tau * self._c3[idx]))
         np.clip(s, lo, hi, out=s)
-        mid, half = self._mid[idx], self._half[idx]
-        coef = self._p_coef[:, idx]
-        resid = base + _clenshaw(coef, (s - mid) / half) - t
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        resid = base + _clenshaw(self._p_coef[:, idx], (s - mid) / half) - t
 
-        goal = tol * self.total
+        goal = self.tol * self.total
         act = np.flatnonzero(np.abs(resid) > goal)
-        lo, hi, sa, ra = lo[act], hi[act], s[act], resid[act]
-        mid, half, base, coef = mid[act], half[act], base[act], coef[:, act]
-        slope = self._g_coef[:, idx[act]]
+        lo, hi = lo[act], hi[act]
         for _ in range(_NEWTON_STEPS):
             if not act.size:
                 break
+            k, sa, ra, ta = idx[act], s[act], resid[act], t[act]
+            left, right = self.edges[k], self.edges[k + 1]
+            mid, half = 0.5 * (left + right), 0.5 * (right - left)
             above = ra > 0.0
             hi = np.where(above, sa, hi)
             lo = np.where(above, lo, sa)
             with np.errstate(divide="ignore", invalid="ignore"):
-                step = sa - ra / _clenshaw(slope, (sa - mid) / half)
+                step = sa - ra / _clenshaw(self._g_coef[:, k], (sa - mid) / half)
             new = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-            ra = base + _clenshaw(coef, (new - mid) / half) - t[act]
+            ra = self.cum[k] + _clenshaw(self._p_coef[:, k], (new - mid) / half) - ta
             s[act] = new
             resid[act] = ra
             # A bracket too narrow to halve cannot move the draw any more.
             keep = (np.abs(ra) > goal) & (new != sa)
-            act, lo, hi, sa, ra = act[keep], lo[keep], hi[keep], new[keep], ra[keep]
-            mid, half, base = mid[keep], half[keep], base[keep]
-            coef, slope = coef[:, keep], slope[:, keep]
+            act, lo, hi = act[keep], lo[keep], hi[keep]
         return s, resid
 
 
@@ -373,7 +371,6 @@ class SamplerState:
             raise DomainExceeded(f"seed must lie in [0, 2**64), got {self.seed}")
         key = np.array([self.seed, 0], dtype=np.uint64)
         self._gen = Generator(Philox(key=key))
-        self._tol = tol
         self._table = None if isinstance(spec, PowerLaw) else _CdfTable(spec, self.a, tol)
 
     def draw(self, n):
@@ -391,23 +388,23 @@ class SamplerState:
     def _blocks(self, n):
         """The next n draws in units of a, one block of ``_BLOCK`` at a time.
 
-        A table's draws whose CDF residual stays above ``max(tol, 1e-9)``
-        of the mass raise ToleranceNotReached, naming the worst, once the
-        last block is drawn: the check reads every block, as on one solve.
+        A table's draws whose CDF residual stays above ``max(table.tol,
+        1e-9)`` of the mass raise ToleranceNotReached, naming the worst, once
+        the last block is drawn: the check reads every block, as on one solve.
         """
-        worst = 0.0
+        worst, table = 0.0, self._table
         for start in range(0, n, _BLOCK):
             u = self._gen.random(min(_BLOCK, n - start))
             # random() can emit exactly 0, whose quantile sits outside the
             # open support; nudge to the smallest positive double instead.
             u[u == 0.0] = _TINY
-            if self._table is None:
+            if table is None:
                 yield u ** (1.0 / (self.spec.p + 1.0))
                 continue
-            s, resid = self._table.quantiles(u, self._tol)
+            s, resid = table.quantiles(u)
             worst = np.maximum(worst, np.max(np.abs(resid)))
             yield s
-        if self._table is not None and worst > max(self._tol, 1e-9) * self._table.total:
+        if table is not None and worst > max(table.tol, 1e-9) * table.total:
             raise ToleranceNotReached(
                 f"quantile residual {worst:.3e} above tolerance"
             )

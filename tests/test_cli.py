@@ -212,6 +212,22 @@ def test_detect_tabulated_csv(tmp_path, x15_csv):
     assert abs(result["p_theta"] - 1.5) <= 0.01
 
 
+def test_detect_csv_writes_the_per_scale_statistics(tmp_path):
+    # one row per grid scale, the same numbers the JSON report carries
+    out, ref = tmp_path / "d.csv", tmp_path / "d.json"
+    argv = ("detect", "--family", "perturbed", "--p", "1", "--eps", "0.1")
+    assert run_cli(*argv, "--format", "csv", "--out", str(out)) == 1
+    assert run_cli(*argv, "--out", str(ref)) == 1
+    lines = out.read_text().splitlines()
+    assert lines[0] == "a,gsp_residual,variance"
+    assert len(lines) == 1 + 17
+    cols = read_csv_columns(out)
+    result = json.loads(ref.read_text())
+    assert cols["a"].tolist() == result["scales"]
+    assert cols["gsp_residual"].tolist() == result["gsp_residuals"]
+    assert cols["variance"].tolist() == result["variances"]
+
+
 def test_detect_wobble_is_rejected(tmp_path):
     out = tmp_path / "d.json"
     code = run_cli("detect", "--family", "perturbed", "--p", "1",

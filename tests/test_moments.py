@@ -305,9 +305,10 @@ def test_kinked_elasticity_moments_match_closed_forms():
         assert np.max(rel) <= 1e-12, (name, DEFAULT_SCALES[np.argmax(rel)], np.max(rel))
 
 
-@pytest.mark.xfail(strict=True, reason="the damped K15-G7 error estimate of a panel "
-                   "that holds the kink of f'' close to its edge reads ~1e-14 while "
-                   "the error is ~1e-10, so the panel is never split")
+@pytest.mark.xfail(strict=True, reason="the kink of f'' at x = 1 falls in the 0.427% "
+                   "end gap of its panel that the K15 nodes never sample, so the 15 "
+                   "values are those of a smooth function and no estimate from them "
+                   "can see the ~1e-10 error; the panel is never split")
 def test_kinked_elasticity_moments_next_to_the_kink():
     scales = np.array([0.1, 0.3, 1.001, 3.0, 10.0])
     m = moment_bundles(_kinked(), scales, 1e-12)

@@ -117,6 +117,32 @@ def test_budget_exhaustion_can_return_flagged_result(monkeypatch):
     assert res.error_estimate[0, 0] > 0.0
 
 
+def test_budget_limited_round_splits_the_worst_panels(monkeypatch):
+    # four knot panels, each holding a sqrt kink, are all marked, but the
+    # budget leaves room for two splits: the two largest errors take them,
+    # and the panel count stops at the budget
+    monkeypatch.setattr(quadrature, "_DEFAULT_BUDGET", 3)
+    weights = (1.0, 3.0, 2.0, 1.5)
+    fn = lambda x: sum(w * np.sqrt(np.abs(x - (0.1 + 0.25 * k)))
+                       for k, w in enumerate(weights))
+    edges = np.linspace(0.0, 1.0, 5)
+    _, err = quadrature._panels(fn, edges[:-1], edges[1:])
+    err = err[:, 0]
+    assert np.all(err >= quadrature._MARK * err.max())
+    calls = []
+
+    def recording(x):
+        calls.append(np.array(x))
+        return fn(x)
+
+    with pytest.raises(ToleranceNotReached) as info:
+        cumulative(recording, 0.0, 1.0, 1e-13, breakpoints=edges[1:-1])
+    assert info.value.result.subdivisions == 4 + 3 - 1
+    assert len(calls) == 2
+    split = set(np.floor(4.0 * calls[1]).astype(int).tolist())
+    assert split == set(np.argsort(-err)[:2].tolist())
+
+
 def test_bad_intervals_rejected():
     with pytest.raises(DomainExceeded):
         cumulative(lambda x: x, 1.0, 1.0)

@@ -28,7 +28,7 @@ def quantiles(spec, a, u, tol=1e-10):
     u = np.asarray(u, dtype=float)
     if isinstance(spec, PowerLaw):
         return a * u ** (1.0 / (spec.p + 1.0))
-    return a * sampler._CdfTable(spec, a, tol).quantiles(u, tol)[0]
+    return a * sampler._CdfTable(spec, a, tol).quantiles(u)[0]
 
 
 def test_power_law_quantile_closed_form():
@@ -214,6 +214,12 @@ def test_batching_does_not_change_the_stream(draw_spec):
         assert np.array_equal(whole, parts)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_draw_count_must_be_positive(n):
+    with pytest.raises(DomainExceeded, match="draw count must be positive"):
+        SamplerState(PowerLaw(p=1.0), 1.0, seed=0).draw(n)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_outside_64_bits_is_refused(seed):
     # Philox's key is one uint64: a wider seed would alias one inside it
@@ -303,6 +309,19 @@ def test_table_draw_memory_is_bounded():
     assert peak <= 20e6
 
 
+@pytest.mark.parametrize("left", [0.5, 0.3])
+@pytest.mark.parametrize("ulps", [2, 3])
+def test_a_piece_too_narrow_to_halve_ends_in_the_model_error(left, ulps):
+    # a cut that leaves a part whose midpoint rounds onto one of its edges
+    # would hand the next kernel pass a repeated cut
+    table = sampler._CdfTable(PerturbedPowerLaw(p=1.0, eps=0.1), 1.0, 1e-10)
+    right = left + ulps * math.ulp(left)
+    with pytest.raises(ToleranceNotReached, match="CDF model error 1.000e-03"):
+        table._split(left, right, 1e-3, 2.0)
+    wide = left + 4 * math.ulp(left)
+    assert table._split(left, wide, 1e-3, 2.0).tolist() == [left + 2 * math.ulp(left)]
+
+
 # ------------------------------------------------------------- estimates
 
 def test_estimate_needs_enough_draws():
@@ -371,8 +390,8 @@ def test_a_residual_miss_in_any_block_raises_after_the_last(monkeypatch):
     solve = sampler._CdfTable.quantiles
     sizes = []
 
-    def missing(self, u, tol):
-        s, resid = solve(self, u, tol)
+    def missing(self, u):
+        s, resid = solve(self, u)
         sizes.append(u.size)
         resid[-1] = {1: 0.125, 2: 0.25}.get(len(sizes), resid[-1])
         return s, resid
