@@ -6,9 +6,11 @@ cost more than drawing them.  Here the decimal digits of values in
 [1e-4, 2**50) come from exact integer arithmetic (the binary-to-decimal
 conversion of Steele & White, PLDI 1990, and Gay, AT&T 1990, specialised
 to 17 digits), and every other value is formatted by Python, so the bytes
-always equal ``f"{x:.17g}"``.  The working arrays take about 230 bytes per
-value, so ``sample`` formats its draws one block at a time.  Kept out of
-``cli`` so that compiling the command-line module stays small.
+always equal ``f"{x:.17g}"``.  The text comes back as ASCII bytes, which
+``sample`` writes as they are.  The working arrays take about 230 bytes per
+value (310 where Python formats them), so ``sample`` formats its draws one
+block at a time.  Kept out of ``cli`` so that compiling the command-line
+module stays small.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ def _scaled17(mant, exp2, dexp):
 
 
 def _g17_lines(values):
-    """``"".join(f"{v:.17g}\\n" for v in values)`` for a float64 array.
+    """``"".join(f"{v:.17g}\\n" for v in values)`` for a float64 array, as
+    ASCII bytes.
 
     Values in [1e-4, 2**50) are printed in %g's fixed notation, exactly:
     the 17-digit decimal D = round(v * 10**(16 - X)) comes from integer
@@ -114,4 +117,4 @@ def _g17_lines(values):
         rows = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _TEXT)
         canvas[slow, :_TEXT] = rows
         keep[slow, :_TEXT] = rows != ord(" ")
-    return canvas[keep].tobytes().decode("ascii")
+    return canvas[keep].tobytes()

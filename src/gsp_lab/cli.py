@@ -282,17 +282,23 @@ def _grid_for(cfg, spec):
 
 
 def _emit(text, out, blocks=()):
-    """Write text, then each string of blocks in turn, to out or stdout."""
+    """Write text, then each block of ASCII bytes in blocks, to out or stdout."""
     if out:
         try:
-            with open(out, "w") as fh:
-                fh.write(text)
+            with open(out, "wb") as fh:
+                fh.write(text.encode())
                 fh.writelines(blocks)
         except OSError as exc:
             raise ConfigError(f"cannot write output: {exc}") from exc
+        return
+    sys.stdout.write(text)
+    raw = getattr(sys.stdout, "buffer", None)
+    if raw is None:  # an io.StringIO, as under contextlib.redirect_stdout
+        sys.stdout.writelines(block.decode("ascii") for block in blocks)
     else:
-        sys.stdout.write(text)
-        sys.stdout.writelines(blocks)
+        sys.stdout.flush()  # the text goes out before the blocks
+        raw.writelines(blocks)
+        raw.flush()  # and the blocks before anything said on stderr
 
 
 def _say(msg):

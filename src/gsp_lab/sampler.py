@@ -34,7 +34,7 @@ no draw evaluates the spec.
 Every run works one block of 2**14 draws at a time, from the uniforms to
 the output, and each draw's arithmetic depends on its own uniform alone, so
 the draws are bit-identical whatever the blocking.  ``draw`` holds its n
-draws, 8 bytes each, plus one block's working arrays (under 5 MB);
+draws, 8 bytes each, plus one block's working arrays (2.6-4.1 MB);
 ``mc_estimates`` holds one block's working arrays alone, whatever n, since
 it reduces each block to its moments before drawing the next.
 
@@ -58,8 +58,8 @@ from .quadrature import _ERROR_FLOOR, cumulative
 __all__ = ["SamplerState", "MCEstimate", "mc_estimates"]
 
 _TABLE_INTERVALS = 256
-# Draws per block, in every mode: a block's (17, 2**14) coefficient gathers
-# take 2 MB, its %.17g formatting ~4 MB and its text at most 0.4 MB.
+# Draws per block, in every mode: a block's quantile solve takes 2.2-3.7 MB,
+# its %.17g formatting 3.7-5.1 MB and its text at most 0.4 MB.
 _BLOCK = 2**14
 # The kernel's error sum on a mass never falls below _ERROR_FLOOR of it, and
 # the masses are at most ~1 in profile units, the unit of its target: twice
@@ -102,16 +102,16 @@ def _model_maps():
 _TO_G, _TO_P = _model_maps()
 
 
-def _clenshaw(coef, x):
-    """sum_k coef[k] T_k(x), column by column (Clenshaw's recurrence)."""
+def _clenshaw(coef, idx, x):
+    """sum_k coef[k, idx] T_k(x) (Clenshaw's recurrence), one row of coef at a time."""
     x2 = 2.0 * x
-    b1, b2, tmp = np.array(coef[-1], dtype=float), np.zeros_like(x2), np.empty_like(x2)
+    b1, b2, tmp = coef[-1, idx], np.zeros_like(x2), np.empty_like(x2)
     for c in coef[-2:0:-1]:
         np.multiply(x2, b1, out=tmp)
-        np.add(c, tmp, out=tmp)
+        np.add(c[idx], tmp, out=tmp)
         tmp -= b2
         b1, b2, tmp = tmp, b1, b2
-    return coef[0] + x * b1 - b2
+    return coef[0, idx] + x * b1 - b2
 
 
 class _CdfTable:
@@ -236,11 +236,11 @@ class _CdfTable:
 
         # einsum, not a BLAS gemm: a fixed summation order per piece
         self._g_coef[:, i] = np.einsum("pj,kj->kp", values, _TO_G)
-        p_coef = self._p_coef[:, i] = half * np.einsum("pj,kj->kp", values, _TO_P)
+        self._p_coef[:, i] = half * np.einsum("pj,kj->kp", values, _TO_P)
         mass = cum[i + 1] - cum[i]
         to_mid = kernel[:, 1] - kernel[:, 0]
-        err = np.maximum(np.abs(_clenshaw(p_coef, np.ones(i.size)) - mass),
-                         np.abs(_clenshaw(p_coef, np.zeros(i.size)) - to_mid))
+        err = np.maximum(np.abs(_clenshaw(self._p_coef, i, np.ones(i.size)) - mass),
+                         np.abs(_clenshaw(self._p_coef, i, np.zeros(i.size)) - to_mid))
         err /= self.total
         todo[i] = False
         bad = np.flatnonzero(err > self._model_tol)
@@ -305,9 +305,9 @@ class _CdfTable:
         Every draw starts from its piece's Hermite guess and has its
         residual, read off the model, checked once; only the draws that miss
         ``tol * total`` take safeguarded Newton steps on the model inside
-        their shrinking bracket, gathering their pieces afresh at each step,
-        and none evaluates the spec.  The gathered coefficient arrays are
-        (17, u.size): callers pass one block at a time.
+        their shrinking bracket, reading their pieces' coefficients afresh
+        at each step, and none evaluates the spec.  The working arrays are
+        17 to 28 float arrays of u's size: callers pass one block at a time.
         """
         t = u * self.total
         idx = self._locate(t)
@@ -318,7 +318,7 @@ class _CdfTable:
         s = lo + tau * (self._d0[idx] + tau * (self._c2[idx] + tau * self._c3[idx]))
         np.clip(s, lo, hi, out=s)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        resid = base + _clenshaw(self._p_coef[:, idx], (s - mid) / half) - t
+        resid = base + _clenshaw(self._p_coef, idx, (s - mid) / half) - t
 
         goal = self.tol * self.total
         act = np.flatnonzero(np.abs(resid) > goal)
@@ -333,9 +333,9 @@ class _CdfTable:
             hi = np.where(above, sa, hi)
             lo = np.where(above, lo, sa)
             with np.errstate(divide="ignore", invalid="ignore"):
-                step = sa - ra / _clenshaw(self._g_coef[:, k], (sa - mid) / half)
+                step = sa - ra / _clenshaw(self._g_coef, k, (sa - mid) / half)
             new = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-            ra = self.cum[k] + _clenshaw(self._p_coef[:, k], (new - mid) / half) - ta
+            ra = self.cum[k] + _clenshaw(self._p_coef, k, (new - mid) / half) - ta
             s[act] = new
             resid[act] = ra
             # A bracket too narrow to halve cannot move the draw any more.

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -412,7 +414,8 @@ def test_g17_lines_matches_python_formatting():
         [0.5, 1.0, 2.0**53 + 2, 0.99999999999999994, 0.0],
         ties,
     ])
-    assert _g17_lines(values) == "".join(f"{x:.17g}\n" for x in values.tolist())
+    text = "".join(f"{x:.17g}\n" for x in values.tolist())
+    assert _g17_lines(values) == text.encode("ascii")
 
 
 def _scaled_table(tmp_path, a):
@@ -456,22 +459,63 @@ def test_sample_below_the_kernel_floor_still_draws(tmp_path, p, eps, tol):
     assert len(read_csv_columns(out)["x"]) == 200
 
 
-@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("target", ["stdout", "out", "process", "stringio"])
 @pytest.mark.parametrize("spec, flags", [
     (PowerLaw(p=2.0), ("--family", "power", "--p", "2")),
     (PerturbedPowerLaw(p=1.0, eps=0.1),
      ("--family", "perturbed", "--p", "1", "--eps", "0.1")),
 ], ids=["power", "perturbed"])
-def test_sample_writes_every_block_of_draws(tmp_path, capsys, spec, flags, to_file):
-    # three blocks of 2**14 draws and a short one, each formatted as written
+def test_sample_writes_every_block_of_draws(tmp_path, capsys, spec, flags, target):
+    # three blocks of 2**14 draws and a short one, each formatted as written,
+    # to pytest's capture, a file, a real process's stdout and an io.StringIO
     n = 3 * 2**14 + 5
-    out = tmp_path / "draws.txt"
-    dest = ("--out", str(out)) if to_file else ()
-    assert run_cli("sample", *flags, "--a", "1", "--n", str(n), "--seed", "9",
-                   *dest) == 0
-    text = out.read_text() if to_file else capsys.readouterr().out
+    argv = ("sample", *flags, "--a", "1", "--n", str(n), "--seed", "9")
+    if target == "stdout":
+        assert run_cli(*argv) == 0
+        text = capsys.readouterr().out
+    elif target == "out":
+        out = tmp_path / "draws.txt"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        text = out.read_bytes().decode("ascii")
+    elif target == "process":
+        proc = subprocess.run([sys.executable, "-m", "gsp_lab.cli", *argv],
+                              capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        text = proc.stdout.decode("ascii")
+    else:
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink):
+            assert run_cli(*argv) == 0
+        text = sink.getvalue()
     draws = SamplerState(spec, 1.0, seed=9).draw(n).tolist()
     assert text == "x\n" + "".join(f"{v:.17g}\n" for v in draws)
+
+
+def test_sample_on_a_terminal_writes_its_draws_before_its_summary():
+    # a terminal's text layer is line-buffered but its binary buffer is not
+    # (unless PYTHONUNBUFFERED is set): the blocks must still reach it
+    # before the stderr line
+    import pty
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    master, slave = pty.openpty()
+    proc = subprocess.Popen([sys.executable, "-m", "gsp_lab.cli", "sample", "--family",
+                             "power", "--p", "2", "--a", "1", "--n", "3", "--seed", "1"],
+                            stdout=slave, stderr=slave, env=env)
+    os.close(slave)
+    chunks = []
+    while True:
+        try:
+            chunk = os.read(master, 4096)
+        except OSError:  # EIO once the child has closed the terminal
+            break
+        if not chunk:
+            break
+        chunks.append(chunk)
+    os.close(master)
+    assert proc.wait() == 0
+    draws = SamplerState(PowerLaw(p=2.0), 1.0, seed=1).draw(3).tolist()
+    lines = b"".join(chunks).decode("ascii").splitlines()
+    assert lines == ["x", *(f"{v:.17g}" for v in draws), "sample: wrote 3 draws (seed=1)"]
 
 
 # ------------------------------------------------------------ config file

@@ -273,6 +273,31 @@ def test_draws_evaluate_no_spec(name, a, perturbed_table, monkeypatch):
     assert calls == []
 
 
+def _gathered_clenshaw(coef, x):
+    """The recurrence over a gathered (rows, points) coefficient matrix: the
+    reference the row-at-a-time ``sampler._clenshaw`` must match bit for bit."""
+    x2 = 2.0 * x
+    b1, b2, tmp = np.array(coef[-1], dtype=float), np.zeros_like(x2), np.empty_like(x2)
+    for c in coef[-2:0:-1]:
+        np.multiply(x2, b1, out=tmp)
+        np.add(c, tmp, out=tmp)
+        tmp -= b2
+        b1, b2, tmp = tmp, b1, b2
+    return coef[0] + x * b1 - b2
+
+
+@pytest.mark.parametrize("name", ["_p_coef", "_g_coef"])
+def test_clenshaw_reads_the_rows_it_would_gather(name):
+    table = sampler._CdfTable(PerturbedPowerLaw(p=1.0, eps=0.1), 1.0, 1e-10)
+    coef = getattr(table, name)
+    rng = np.random.default_rng(19)
+    idx = rng.integers(0, coef.shape[1], 5000)
+    x = np.concatenate(([-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, 4997)))
+    got = sampler._clenshaw(coef, idx, x)
+    want = _gathered_clenshaw(coef[:, idx], x)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize(
     "name, a",
     [("perturbed_p3", 1.0), ("perturbed_p0.05", 1.0), ("kinked_table", 10.0)])
