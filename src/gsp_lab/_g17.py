@@ -1,16 +1,16 @@
 """Exact ``%.17g`` text for float64 arrays, in a fixed number of numpy steps
 per array.
 
-``sample`` writes up to millions of draws; one Python f-string per draw
-cost more than drawing them.  Here the decimal digits of values in
-[1e-4, 2**50) come from exact integer arithmetic (the binary-to-decimal
-conversion of Steele & White, PLDI 1990, and Gay, AT&T 1990, specialised
-to 17 digits), and every other value is formatted by Python, so the bytes
-always equal ``f"{x:.17g}"``.  The text comes back as ASCII bytes, which
-``sample`` writes as they are.  The working arrays take about 230 bytes per
-value (310 where Python formats them), so ``sample`` formats its draws one
-block at a time.  Kept out of ``cli`` so that compiling the command-line
-module stays small.
+``sample`` writes up to millions of draws, and one Python f-string per draw
+cost more than drawing them.  The decimal digits of values in [1e-4, 2**50)
+come from exact integer arithmetic (the binary-to-decimal conversion of
+Steele & White, PLDI 1990, and Gay, AT&T 1990, specialised to 17 digits);
+every other value is formatted by Python, so the bytes always equal
+``f"{x:.17g}"``.  Each value fills a fixed-width byte row whose unprinted
+bytes are 0, and one ``bytes.translate`` deletes them.  The working arrays
+peak at about 160 bytes per value, so ``sample`` formats its draws one block
+at a time and writes the ASCII as it is.  Kept out of ``cli`` so that compiling
+the command-line module stays small.
 """
 
 from __future__ import annotations
@@ -20,12 +20,15 @@ import numpy as np
 # 5**k for the decimal scalings 10**(16 - X) = 5**k * 2**k, X in [-4, 15]
 _POW5 = np.uint64(5) ** np.arange(21, dtype=np.uint64)
 _LOW32 = np.uint64(0xFFFFFFFF)
-# ASCII of 0000..9999, four bytes per entry read as one uint32 (built from
-# uint8 grids: int64 temporaries would leave ~1 MB resident after import)
+_TEXT = 24  # longest %.17g text, "-2.2250738585072014e-308"
+# ASCII of 0000..9999 as uint32 words, then each with its trailing "0"s as 0
+# bytes: byte j stays if the word XOR "0000", read little-endian, has a bit
+# from byte j up (uint8 grids: int64 temporaries would stay ~1 MB resident)
 _DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 _DIGITS4 = np.stack(np.meshgrid(_DIGIT, _DIGIT, _DIGIT, _DIGIT, indexing="ij"),
-                    axis=-1).view(np.uint32).ravel()
-_TEXT = 24  # longest %.17g text, "-2.2250738585072014e-308"
+                    axis=-1).reshape(-1, 4)
+_DIGITS4 = np.concatenate((_DIGITS4, _DIGITS4 * ((_DIGITS4.view("<u4") ^ 0x30303030)
+                          >> np.uint32([0, 8, 16, 24]) != 0))).view(np.uint32).ravel()
 
 
 def _scaled17(mant, exp2, dexp):
@@ -57,24 +60,23 @@ def _g17_lines(values):
     ASCII bytes.
 
     Values in [1e-4, 2**50) are printed in %g's fixed notation, exactly:
-    the 17-digit decimal D = round(v * 10**(16 - X)) comes from integer
-    arithmetic (``_scaled17``), with the decimal exponent X from log10
-    corrected by the digit count of the unrounded D; ASCII digits come from
-    a 4-digit table.  Every other value (0, negatives, e-notation,
-    non-finite, the top of the fixed range) is formatted by Python.  Each
-    row is laid out in a padded byte matrix and one boolean mask drops the
-    padding, the leading zeros %g does not print, the trailing zeros it
-    strips and a point with nothing after it.
+    D = round(v * 10**(16 - X)) comes from ``_scaled17``, with the decimal
+    exponent X from log10 corrected by the digit count of the unrounded D.
+    Its 20-digit zero-padded text comes from a 4-digit table whose trimmed
+    half, read from D's last nonzero group on, holds the zeros %g strips as
+    0 bytes.  A value below 1 then needs only "0." written over the padding;
+    one with an integer part has it moved a column left, per distinct X.
+    Python formats every other value (0, negatives, e-notation, non-finite,
+    the top of the fixed range) into its own row.
     """
     v = np.asarray(values, dtype=float).ravel()
     n = v.size
     # v >= float(1e-4) > 1e-4 gives X >= -4, and v < 2**50 < 1e16 gives X <= 15
     fast = (v >= 1e-4) & (v < 2.0**50)
-    w = np.where(fast, v, 1.0)
-    frac, exp2 = np.frexp(w)
-    mant = (frac * 2.0**53).astype(np.uint64)
-    exp2 = exp2.astype(np.int64) - 53
-    guess = np.clip(np.floor(np.log10(w)), -4, 15).astype(np.int64)
+    bits = np.where(fast, v, 0.5).view(np.uint64)  # 0.5: no integer part
+    mant = (bits & np.uint64(2**52 - 1)) | np.uint64(2**52)
+    exp2 = (bits >> np.uint64(52)).astype(np.int64) - 1075
+    guess = np.clip(np.floor(np.log10(bits.view(float))), -4, 15).astype(np.int64)
     q, up = _scaled17(mant, exp2, guess)
     dexp = guess + (q >= 10**17) - (q < 10**16)
     redo = np.flatnonzero(dexp != guess)
@@ -83,38 +85,36 @@ def _g17_lines(values):
     # D never rounds up to 10**17 here: that needs a double below 10**X within
     # 5e-17 relative, and 10**0..10**15 are doubles with neighbours 1.1e-16
     # away, while the doubles nearest 10**-4..10**-1 lie above them
-    d = q + up
-
-    # z: "0" and the 20-digit zero-padded D, so z[4] is D's first digit
-    groups = np.empty((n, 5), np.intp)
-    for i, p in enumerate((10**16, 10**12, 10**8, 10**4)):
-        groups[:, i] = quo = d // np.uint64(p)
-        d = d - quo * np.uint64(p)
-    groups[:, 4] = d
-    z = np.empty((n, 21), np.uint8)
-    z[:, 0] = ord("0")
-    z[:, 1:] = _DIGITS4[groups].view(np.uint8)
-    units = (dexp + 4).astype(np.int8)  # z index of the units digit
-    last = (20 - np.argmax(z[:, 20:0:-1] != ord("0"), axis=1)).astype(np.int8)
-
-    # column c holds z[c] up to the units digit, then the point, then z[c - 1];
-    # the row keeps columns from the integer part's first digit (z[4], or
-    # the "0" of "0.") to the last nonzero digit or the units digit
-    width = _TEXT + 1
-    canvas = np.empty((n, width), np.uint8)
-    canvas[:, 1:22] = z
-    cols = np.arange(width, dtype=np.int8)
-    np.copyto(canvas[:, :21], z, where=cols[:21] <= units[:, None])
-    canvas.reshape(-1)[np.arange(n) * width + units + 1] = ord(".")
+    d = (q + up).view(np.int64)
+    del bits, mant, exp2, guess, q, up  # freed before the layout
+    # D's 20-digit zero-padded text, four digits a group: a group with no
+    # nonzero group after it reads the trimmed half of _DIGITS4
+    digits = np.empty((n, 5), np.uint32)
+    for i, p in enumerate((10**16, 10**12, 10**8, 10**4, 1)):
+        quo = d // p
+        d = d - quo * p
+        digits[:, i] = _DIGITS4[quo + 10**4 * (d == 0)]
+    digits = digits.view(np.uint8)  # D's first digit in column 3
+    # digit j goes to column 2 + j; X < 0 puts "0." at columns X + 4, X + 5
+    canvas = np.zeros((n, _TEXT + 1), np.uint8)
+    canvas[:, 2:22] = digits
     canvas[:, _TEXT] = ord("\n")
-    end = np.where(last > units, last + 1, units)
-    keep = (cols >= np.minimum(units, 4)[:, None]) & (cols <= end[:, None])
-    keep[:, _TEXT] = True
-
+    at = np.arange(n) * (_TEXT + 1) + (dexp + 4)
+    canvas.reshape(-1)[at] = ord("0")
+    canvas.reshape(-1)[at + 1] = ord(".")
+    canvas[dexp == -1, 2] = 0  # the padding left of its "0."
+    # X >= 0: the integer part, its zeros restored ("0" is 0x30), moves to
+    # columns 4..X + 4, then a point if a fractional digit is left
+    ints = np.flatnonzero(dexp >= 0)
+    xs = dexp[ints]
+    for x in np.flatnonzero(np.bincount(xs)).tolist():
+        rows = ints[xs == x]
+        head = np.zeros((rows.size, x + 4), np.uint8)
+        head[:, 2:x + 3] = digits[rows, 3:x + 4] | ord("0")
+        head[:, x + 3] = (digits[rows, x + 4] != 0) * ord(".")
+        canvas[rows, 2:x + 6] = head
     slow = np.flatnonzero(~fast)
-    if slow.size:
-        text = "".join(f"{x:<{_TEXT}.17g}" for x in v[slow].tolist())
-        rows = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _TEXT)
-        canvas[slow, :_TEXT] = rows
-        keep[slow, :_TEXT] = rows != ord(" ")
-    return canvas[keep].tobytes()
+    text = (f"%-{_TEXT}.17g" * slow.size) % tuple(v[slow].tolist())
+    text = text.replace(" ", "\0").encode("ascii")
+    canvas[slow, :_TEXT] = np.frombuffer(text, np.uint8).reshape(-1, _TEXT)
+    return canvas.tobytes().translate(None, b"\0")

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import asdict
 from decimal import Decimal
@@ -400,22 +401,71 @@ def _exact_ties(rng):
     return np.concatenate(ties)
 
 
+def _fixed_layout(x):
+    """(X, k) of a value %.17g prints in fixed notation: its decimal
+    exponent and the number of trailing zeros of its 17-digit D."""
+    whole, _, frac = f"{x:.17g}".partition(".")
+    exp = len(whole) - 1 if whole != "0" else len(frac.lstrip("0")) - len(frac) - 1
+    return exp, 17 - len((whole + frac).strip("0"))
+
+
+def _trailing_zero_values(rng):
+    """One double for every decimal exponent X in [-4, 15] and every count
+    k in 0..16 of trailing zeros of its 17-digit D."""
+    found = {}
+    for exp in range(-4, 16):
+        top = min(10**17, 2**50 * 10**(16 - exp))
+        for k in range(17):
+            for m in (rng.integers(10**16, top, 400) // 10**k * 10**k).tolist():
+                x = float(f"{m}e{exp - 16}")
+                if 1e-4 <= x < 2.0**50 and _fixed_layout(x) == (exp, k):
+                    found[exp, k] = x
+                    break
+    assert len(found) == 20 * 17
+    return np.array(list(found.values()))
+
+
 def test_g17_lines_matches_python_formatting():
+    # every layout the formatter tells apart, interleaved in one call: each
+    # count of trailing zeros at each fixed-notation exponent, integers (no
+    # point), the fast range's edges and the values Python formats
     rng = np.random.default_rng(8)
     binades = np.repeat(np.arange(-1074, 1024), 20)
     decades = 10.0 ** np.arange(-8, 19)
+    edges = np.array([1e-4, 1.0, 2.0**50])
     ties = _exact_ties(rng)
     for x in ties[:50].tolist():
         digits = Decimal(x).as_tuple().digits
         assert len(digits) == 18 and digits[-1] == 5
+    integers = np.concatenate([np.floor(2.0 ** rng.uniform(0, 50, 2000)),
+                               2.0 ** np.arange(50), [2.0**50 - 1, 123000.0]])
+    assert not any("." in f"{x:.17g}" for x in integers.tolist())
     values = np.concatenate([
         np.ldexp(1.0 + rng.random(binades.size), binades),
         decades, np.nextafter(decades, 0.0), np.nextafter(decades, np.inf),
         [0.5, 1.0, 2.0**53 + 2, 0.99999999999999994, 0.0],
-        ties,
+        ties, _trailing_zero_values(rng), integers,
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+        [-0.0, -1.5, -1e-4, -2.0**49, np.nan, np.inf, -np.inf],
     ])
-    text = "".join(f"{x:.17g}\n" for x in values.tolist())
-    assert _g17_lines(values) == text.encode("ascii")
+    rng.shuffle(values)
+    for part in (values, values[:0], values[:1]):
+        text = "".join(f"{x:.17g}\n" for x in part.tolist())
+        assert _g17_lines(part) == text.encode("ascii")
+
+
+@pytest.mark.parametrize("kind", ["unit", "decades"])
+def test_g17_lines_working_set_per_value(kind):
+    rng = np.random.default_rng(6)
+    values = rng.random(2**14) if kind == "unit" else 10.0 ** rng.uniform(-6, 17, 2**14)
+    _g17_lines(values[:10])  # one-time allocations are not the working set
+    tracemalloc.start()
+    try:
+        _g17_lines(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / values.size <= 240
 
 
 def _scaled_table(tmp_path, a):
@@ -429,7 +479,7 @@ def _scaled_table(tmp_path, a):
     return ["--csv", str(path)]
 
 
-@pytest.mark.parametrize("a", ["1e-300", "1e-3", "1", "1e300"])
+@pytest.mark.parametrize("a", ["1e-300", "1e-3", "1", "7", "1e12", "1e300"])
 @pytest.mark.parametrize("family", ["power", "perturbed", "table"])
 def test_sample_lines_are_shortest_17_digit_text(tmp_path, family, a):
     spec_args = {
