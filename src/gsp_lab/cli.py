@@ -101,20 +101,24 @@ class RunConfig:
     a_count: int = 17
     tol: float = 1e-10
     seed: int = 0
+    out: str | None = None
+    format: str | None = None
     a: float = 1.0
     n: int = 1000
     estimate: bool = False
-    out: str | None = None
-    format: str | None = None
-
-    def merged_with(self, overrides):
-        d = asdict(self)
-        d.update({k: v for k, v in overrides.items() if v is not None})
-        return RunConfig(**d)
 
 
+# Each key is a flag of the same name (dashes for underscores), listed in
+# --help in field order; the last three are flags of sample alone.
 _KEY_TYPES = {f.name: str if f.default is None else type(f.default)
               for f in fields(RunConfig) if f.name != "command"}
+_SAMPLE_ONLY = ("a", "n", "estimate")
+_HELP = {"csv": "tabulated spec from a two-column CSV", "a": "truncation scale",
+         "n": "number of draws",
+         "estimate": "emit Monte Carlo means instead of raw draws"}
+# a family builds its spec from the config keys named as its fields
+_FAMILIES = {"power": PowerLaw, "perturbed": PerturbedPowerLaw}
+_CHOICES = {"family": _FAMILIES, "format": ("csv", "json")}
 
 
 def _load_config_file(path):
@@ -147,20 +151,17 @@ def _load_config_file(path):
 
 
 def _build_parser():
+    def add_flag(parser, key):
+        cast = _KEY_TYPES[key]
+        kind = ({"action": "store_true", "default": None} if cast is bool
+                else {"type": cast, "choices": _CHOICES.get(key)})
+        parser.add_argument("--" + key.replace("_", "-"), help=_HELP.get(key), **kind)
+
     # the flags every subcommand shares, declared once
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--family", choices=("power", "perturbed"))
-    common.add_argument("--p", type=float)
-    common.add_argument("--amp", type=float)
-    common.add_argument("--eps", type=float)
-    common.add_argument("--csv", help="tabulated spec from a two-column CSV")
-    common.add_argument("--a-min", dest="a_min", type=float)
-    common.add_argument("--a-max", dest="a_max", type=float)
-    common.add_argument("--a-count", dest="a_count", type=int)
-    common.add_argument("--tol", type=float)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out")
-    common.add_argument("--format", choices=("csv", "json"))
+    for key in _KEY_TYPES:
+        if key not in _SAMPLE_ONLY:
+            add_flag(common, key)
     common.add_argument("--config", help="flat JSON config file")
 
     parser = argparse.ArgumentParser(
@@ -169,26 +170,12 @@ def _build_parser():
         "scale sweeps, and reproducible sampling.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("verify", "run the identity suite over a scale grid"),
-        ("detect", "classify the function as power law / not / inconclusive"),
-        ("sweep", "emit per-scale moments and residuals as plot-ready data"),
-        ("sample", "draw from the normalized measure at one scale"),
-    ):
+    for name, (_, helptext) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=helptext, parents=[common])
         if name == "sample":
-            cmd.add_argument("--a", type=float, help="truncation scale")
-            cmd.add_argument("--n", type=int, help="number of draws")
-            cmd.add_argument(
-                "--estimate", action="store_true", default=None,
-                help="emit Monte Carlo means instead of raw draws",
-            )
+            for key in _SAMPLE_ONLY:
+                add_flag(cmd, key)
     return parser
-
-
-# Built once, at import: each flag costs a HelpFormatter, while help and
-# error text are formatted when printed, so their bytes stay the same.
-_PARSER = _build_parser()
 
 
 def _join_negative_values(argv):
@@ -198,7 +185,7 @@ def _join_negative_values(argv):
     never reach the checks that name the bad value."""
     command = next((word for word in argv if not word.startswith("-")), None)
     flags = {"--" + k.replace("_", "-") for k, cast in _KEY_TYPES.items()
-             if cast is float and (k != "a" or command == "sample")}
+             if cast is float and (k not in _SAMPLE_ONLY or command == "sample")}
     out = []
     for word in argv:
         if out and out[-1] in flags and word.startswith("-"):
@@ -213,19 +200,18 @@ def _join_negative_values(argv):
 
 
 def _config_from_args(args):
-    overrides = {k: getattr(args, k, None) for k in _KEY_TYPES}
-    cfg = RunConfig(command=args.command)
-    if args.config:
-        cfg = cfg.merged_with(_load_config_file(args.config))
-    cfg = cfg.merged_with(overrides)
+    values = _load_config_file(args.config) if args.config else {}
+    values.update({k: v for k, v in vars(args).items()
+                   if k in _KEY_TYPES and v is not None})
+    cfg = RunConfig(command=args.command, **values)
     _check_config(cfg)
     return cfg
 
 
 def _check_config(cfg):
-    if cfg.csv is None and cfg.family not in ("power", "perturbed"):
+    if cfg.csv is None and cfg.family not in _FAMILIES:
         raise ConfigError(f"unknown family {cfg.family!r}")
-    if cfg.format not in (None, "csv", "json"):
+    if cfg.format is not None and cfg.format not in _CHOICES["format"]:
         raise ConfigError(f"unknown format {cfg.format!r}")
     if cfg.command != "sample":  # the only command that builds no grid
         if not (math.isfinite(cfg.a_min) and math.isfinite(cfg.a_max)):
@@ -244,9 +230,7 @@ def _check_config(cfg):
         if not 0 <= cfg.seed < _SEED_LIMIT:
             raise ConfigError(f"seed must lie in [0, 2**64), got {cfg.seed}")
         if cfg.estimate and cfg.n < _MIN_ESTIMATE_N:
-            raise ConfigError(
-                f"estimates need n >= {_MIN_ESTIMATE_N}, got {cfg.n}"
-            )
+            raise ConfigError(f"estimates need n >= {_MIN_ESTIMATE_N}, got {cfg.n}")
     count = cfg.n if cfg.command == "sample" else cfg.a_count
     if count > _MAX_COUNT:
         raise MemoryError(f"cannot allocate {count} float64 values")
@@ -258,9 +242,8 @@ def _build_spec(cfg):
             return load_tabulated_csv(cfg.csv)
         except OSError as exc:
             raise ConfigError(str(exc)) from exc
-    if cfg.family == "power":
-        return PowerLaw(p=cfg.p, amp=cfg.amp)
-    return PerturbedPowerLaw(p=cfg.p, eps=cfg.eps, amp=cfg.amp)
+    family = _FAMILIES[cfg.family]
+    return family(**{f.name: getattr(cfg, f.name) for f in fields(family)})
 
 
 def _grid_for(cfg, spec):
@@ -305,9 +288,15 @@ def _say(msg):
     print(msg, file=sys.stderr)
 
 
-def _csv_lines(header, rows):
-    body = "".join(",".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows)
-    return ",".join(header) + "\n" + body
+def _write_rows(cfg, default, header, rows, payload):
+    """Write payload as JSON, or header and rows as 17-digit CSV, as --format
+    says, or else as the command's default format says."""
+    if (cfg.format or default) == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        text = ",".join(header) + "\n" + "".join(
+            ",".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows)
+    _emit(text, cfg.out)
 
 
 # ---------------------------------------------------------------- commands
@@ -335,11 +324,8 @@ def cmd_verify(cfg, spec):
     ok = checks.all(axis=1)
     rows = np.column_stack((rep.a, rep.reduction, closed, fin, rep.wm, rep.variance,
                             rep.weight_normalizer, ok)).tolist()
-    if cfg.format == "json":
-        payload = [dict(zip(_VERIFY_HEADER, row)) for row in rows]
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
-    else:
-        _emit(_csv_lines(_VERIFY_HEADER, rows), cfg.out)
+    _write_rows(cfg, "csv", _VERIFY_HEADER, rows,
+                [dict(zip(_VERIFY_HEADER, row)) for row in rows])
     if not ok.all():
         for a, passed in zip(rep.a[~ok], checks[~ok]):
             bad = [name for name, good in zip(_CHECK_NAMES, passed) if not good]
@@ -351,20 +337,13 @@ def cmd_verify(cfg, spec):
 
 def cmd_detect(cfg, spec):
     result = classify(spec, _grid_for(cfg, spec), cfg.tol)
-    if cfg.format == "csv":
-        rows = list(zip(result.scales, result.gsp_residuals, result.variances))
-        _emit(_csv_lines(("a", "gsp_residual", "variance"), rows), cfg.out)
-    else:
-        _emit(json.dumps(result.to_dict(), indent=2) + "\n", cfg.out)
-    _say(
-        f"detect: {result.verdict.value} "
-        f"(p_theta={result.p_theta:.6g}, lambda_hat={result.lambda_hat:.6g})"
-    )
-    if result.verdict is Verdict.POWER_LAW:
-        return EXIT_PASS
-    if result.verdict is Verdict.NOT_POWER_LAW:
-        return EXIT_FAIL
-    return EXIT_INCONCLUSIVE
+    _write_rows(cfg, "json", ("a", "gsp_residual", "variance"),
+                zip(result.scales, result.gsp_residuals, result.variances),
+                result.to_dict())
+    _say(f"detect: {result.verdict.value} "
+         f"(p_theta={result.p_theta:.6g}, lambda_hat={result.lambda_hat:.6g})")
+    return {Verdict.POWER_LAW: EXIT_PASS, Verdict.NOT_POWER_LAW: EXIT_FAIL,
+            Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE}[result.verdict]
 
 
 def cmd_sweep(cfg, spec):
@@ -376,14 +355,8 @@ def cmd_sweep(cfg, spec):
               "gsp_residual", "variance")
     rows = np.column_stack((m.a, m.xbar, m.ybar, m.theta, m.A, m.B, m.C,
                             residuals, m.variance)).tolist()
-    if cfg.format == "json":
-        payload = {
-            "lambda_hat": lam_hat,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
-    else:
-        _emit(_csv_lines(header, rows), cfg.out)
+    _write_rows(cfg, "csv", header, rows, {
+        "lambda_hat": lam_hat, "rows": [dict(zip(header, row)) for row in rows]})
     _say(f"sweep: {len(rows)} scales, lambda_hat={lam_hat:.10g}")
     return EXIT_PASS
 
@@ -409,11 +382,15 @@ def cmd_sample(cfg, spec):
 
 
 _COMMANDS = {
-    "verify": cmd_verify,
-    "detect": cmd_detect,
-    "sweep": cmd_sweep,
-    "sample": cmd_sample,
+    "verify": (cmd_verify, "run the identity suite over a scale grid"),
+    "detect": (cmd_detect, "classify the function as power law / not / inconclusive"),
+    "sweep": (cmd_sweep, "emit per-scale moments and residuals as plot-ready data"),
+    "sample": (cmd_sample, "draw from the normalized measure at one scale"),
 }
+
+# Built once, at import: each flag costs a HelpFormatter, while help and
+# error text are formatted when printed, so their bytes stay the same.
+_PARSER = _build_parser()
 
 
 def main(argv=None):
@@ -423,7 +400,7 @@ def main(argv=None):
         cfg = _config_from_args(args)
         spec = _build_spec(cfg)
         validate(spec)
-        return _COMMANDS[cfg.command](cfg, spec)
+        return _COMMANDS[cfg.command][0](cfg, spec)
     except ConfigError as exc:
         _say(f"config error: {exc}")
         return EXIT_CONFIG

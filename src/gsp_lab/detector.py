@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _ELASTICITY_PROBES = 33
+_INVERT_GRID = 10_000  # exponents invert_lambda scans for sign changes
 _MARGIN_FACTOR = 10.0  # how many quadrature-error widths count as "on the line"
 # (tol_gsp, tol_var): the thresholds on the collapse residual and the
 # variance functional, looser on a table, where interpolation and the
@@ -71,7 +72,7 @@ def lambda_of_p(p):
     return float(out[0]) if scalar else out
 
 
-def invert_lambda(lam, p_range=(0.01, 10.0), grid_n=10_000):
+def invert_lambda(lam, p_range=(0.01, 10.0)):
     """All exponents in p_range whose constant equals lam, in ascending order.
 
     The constant is scanned on a log-spaced grid and each sign change is
@@ -83,7 +84,7 @@ def invert_lambda(lam, p_range=(0.01, 10.0), grid_n=10_000):
     lo, hi = float(p_range[0]), float(p_range[1])
     if lo <= 0.0 or hi <= lo:
         raise DomainExceeded("p_range must satisfy 0 < lo < hi")
-    ps = np.geomspace(lo, hi, int(grid_n))
+    ps = np.geomspace(lo, hi, _INVERT_GRID)
     vals = lambda_of_p(ps) - lam
     roots = []
     for k in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:

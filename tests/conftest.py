@@ -1,5 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# property tests draw the same examples on every run, and keep no database
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 from gsp_lab import Custom, PerturbedPowerLaw, PowerLaw, Tabulated
 

@@ -14,6 +14,8 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsp_lab import PerturbedPowerLaw, PowerLaw, SamplerState
 from gsp_lab._g17 import _g17_lines
@@ -454,6 +456,12 @@ def test_g17_lines_matches_python_formatting():
         assert _g17_lines(part) == text.encode("ascii")
 
 
+@settings(max_examples=300)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=64))
+def test_g17_lines_matches_python_formatting_on_any_floats(values):
+    assert _g17_lines(np.array(values)) == "".join(f"{x:.17g}\n" for x in values).encode()
+
+
 @pytest.mark.parametrize("kind", ["unit", "decades"])
 def test_g17_lines_working_set_per_value(kind):
     rng = np.random.default_rng(6)
@@ -600,9 +608,7 @@ def test_config_round_trips_losslessly(tmp_path):
                     eps=0.05, tol=3e-11, seed=99)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(_file_keys(cfg)))
-    reparsed = RunConfig(command="detect").merged_with(
-        json.loads(path.read_text())
-    )
+    reparsed = RunConfig(command="detect", **json.loads(path.read_text()))
     assert reparsed == cfg
 
 
@@ -627,14 +633,41 @@ def test_unknown_config_key_is_config_error(tmp_path):
     # a seed is one uint64; 1e30 would alias a seed inside it
     ("sample", b'{"seed": 1e30}',
      "seed must lie in [0, 2**64), got 1000000000000000019884624838656"),
+    ("detect", b'{"family": "cubic"}', "unknown family 'cubic'"),
+    ("detect", b'{"format": "xml"}', "unknown format 'xml'"),
+    ("detect", b'[1]', "config file must hold a JSON object"),
+    ("sample", b'{"estimate": 1}', "bad value for 'estimate': expected true/false"),
+    ("detect", b'{"a_min": Infinity}', "grid bounds must be finite"),
+    ("detect", b'{"a_min": 5, "a_max": 1}', "need 0 < a-min < a-max"),
+    # None: the path names a directory
+    ("detect", None, "cannot read config file: [Errno 21] Is a directory: {path!r}"),
 ], ids=["non-utf8", "a_count-inf", "seed-inf", "n-inf", "a_count-fraction",
-        "seed-1e30"])
+        "seed-1e30", "family", "format", "not-an-object", "estimate-int",
+        "a_min-inf", "a_min-above-a_max", "directory"])
 def test_config_file_faults_are_one_line_config_errors(command, text, line, tmp_path,
                                                        capsys):
     path = tmp_path / "c.json"
-    path.write_bytes(text)
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_bytes(text)
     assert run_cli(command, "--config", str(path)) == 2
-    assert capsys.readouterr() == ("", f"config error: {line}\n")
+    assert capsys.readouterr() == ("", f"config error: {line.format(path=str(path))}\n")
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (("detect", "--tol", "0"), 2, "config error: tolerance must be positive"),
+    (("sample", "--a", "0"), 2, "config error: sample scale a must be positive"),
+    (("sample", "--n", "0"), 2, "config error: need at least 1 draw"),
+    # one past the largest count a run may ask for
+    (("detect", "--a-count", "1125899906842625"), 1,
+     "error: out of memory (cannot allocate 1125899906842625 float64 values)"),
+    (("sample", "--n", "1125899906842625"), 1,
+     "error: out of memory (cannot allocate 1125899906842625 float64 values)"),
+], ids=["tol-0", "sample-a-0", "sample-n-0", "a-count-2^50+1", "n-2^50+1"])
+def test_flag_faults_end_in_one_line(argv, code, line, capsys):
+    assert run_cli(*argv) == code
+    assert capsys.readouterr() == ("", f"{line}\n")
 
 
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])

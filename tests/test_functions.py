@@ -54,6 +54,8 @@ def test_scalar_in_scalar_out():
 def test_non_positive_abscissa_rejected(bad):
     with pytest.raises(DomainExceeded, match="abscissae must be positive and finite"):
         PowerLaw(p=1.0).eval(bad)
+    with pytest.raises(DomainExceeded, match="scale a must be positive and finite"):
+        PowerLaw(p=1.0).check_scale(bad)
 
 
 def test_negative_custom_value_rejected():
@@ -95,6 +97,10 @@ def test_tabulated_structural_checks():
         Tabulated([1.0, 2.0], [1.0, -2.0])
     with pytest.raises(Inadmissible, match="need at least 2 samples"):
         Tabulated([1.0], [1.0])
+    with pytest.raises(Inadmissible, match="x and f must be equal-length 1-d"):
+        Tabulated([1.0, 2.0, 3.0], [1.0, 2.0])
+    with pytest.raises(Inadmissible, match="samples must be finite"):
+        Tabulated([1.0, 2.0], [1.0, math.inf])
     with pytest.raises(Inadmissible, match="x must be strictly increasing"):
         # distinct x, equal log x
         Tabulated([1.0, 1e300, np.nextafter(1e300, np.inf)], [1.0, 2.0, 3.0])
@@ -187,6 +193,13 @@ def test_validate_flags_nonzero_limit_at_origin():
     spec = Custom(lambda x: 1.0 + x, lambda x: 1.0)
     with pytest.raises(Inadmissible, match=r"^f\(0\+\)=0 \("):
         validate(spec)
+    # a wobble that outgrows x^p on the dyadic probes, and a table whose head rises
+    with pytest.raises(Inadmissible, match=r"^f\(0\+\)=0 \(no monotone decay on the "
+                       r"smallest dyadic probes\)$"):
+        validate(PerturbedPowerLaw(p=0.05, eps=0.5))
+    with pytest.raises(Inadmissible, match=r"^f\(0\+\)=0 \(table head does not decay "
+                       r"toward x=0\)$"):
+        validate(Tabulated([1, 2, 3, 4], [3, 2, 2.5, 4]))
 
 
 # ------------------------------------------------------------- CSV loader
@@ -218,3 +231,10 @@ def test_csv_reports_offending_line(tmp_path):
     with pytest.raises(CsvFormatError) as info:
         load_tabulated_csv(bad)
     assert info.value.line == 1
+
+    for text, message in (("x,f\n1,nan\n2,3\n", "line 2: non-finite sample"),
+                          ("x,f\n1,-2\n2,3\n", "line 2: samples must be positive"),
+                          ("x,f\n1,2\n", "line 1: need at least 2 data rows")):
+        bad.write_text(text)
+        with pytest.raises(CsvFormatError, match=f"^{message}$"):
+            load_tabulated_csv(bad)
