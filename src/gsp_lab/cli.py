@@ -252,13 +252,13 @@ def _grid_for(cfg, spec):
         scales = np.geomspace(cfg.a_min, cfg.a_max, cfg.a_count)
     if np.any(scales[1:] <= scales[:-1]):
         raise ConfigError("scales must be strictly increasing")
-    scales = scales[[spec.in_support(a) for a in scales]]
+    scales = scales[spec.in_support(scales)]
     if scales.size < _MIN_SCALES:
         lo, hi = spec.support
         raise ConfigError(f"only {scales.size} grid scales fit inside the support "
                           f"({lo:g}, {hi:g}]")
     if cfg.command == "verify":
-        scales = scales[[stencil_fits(spec, a) for a in scales]]
+        scales = scales[stencil_fits(spec, scales)]
         if scales.size < _MIN_SCALES:
             raise ConfigError(f"need at least {_MIN_SCALES} scales, got {scales.size}")
     return scales

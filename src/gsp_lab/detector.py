@@ -62,14 +62,12 @@ class Verdict(str, Enum):
 
 
 def lambda_of_p(p):
-    """The centroid proportionality constant for exponent p (> 0)."""
-    arr = np.asarray(p, dtype=float)
-    scalar = arr.ndim == 0
-    vec = np.atleast_1d(arr)
-    if np.any(~np.isfinite(vec)) or np.any(vec <= 0.0):
+    """The centroid constant for exponent p > 0: a float, or elementwise an array."""
+    p = np.asarray(p, dtype=float)
+    if not ((0.0 < p) & (p < np.inf)).all():  # NaN fails both comparisons
         raise DomainExceeded("exponent must be positive and finite")
-    out = (vec + 1.0) / (2.0 * (2.0 * vec + 1.0)) * ((vec + 2.0) / (vec + 1.0)) ** vec
-    return float(out[0]) if scalar else out
+    out = (p + 1.0) / (2.0 * (2.0 * p + 1.0)) * ((p + 2.0) / (p + 1.0)) ** p
+    return out if out.ndim else float(out)
 
 
 def invert_lambda(lam, p_range=(0.01, 10.0)):

@@ -97,10 +97,10 @@ class FunctionSpec:
         return self._ret(self._elast(vec), scalar)
 
     def in_support(self, a):
-        """Whether the positive float ``a`` is a truncation scale in the
-        support: above its floor, and at most its top plus the hull slack."""
+        """Whether the positive scale ``a`` (elementwise, for an array) is a truncation
+        scale in the support: above its floor, and at most its top plus the hull slack."""
         lo, hi = self.support
-        return lo < a <= hi * (1.0 + _HULL_SLACK)
+        return (lo < a) & (a <= hi * (1.0 + _HULL_SLACK))
 
     def check_scale(self, a):
         """``a`` as a float, once checked to be a truncation scale in the support."""
@@ -186,16 +186,6 @@ class Custom(FunctionSpec):
         return x * np.asarray(self._dfn(x), dtype=float) / f
 
 
-def _end_slope(h0, h1, m0, m1):
-    """One-sided three-point slope at a table end, kept shape-preserving."""
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
 def _pchip_coefficients(t, y):
     """Rows c0..c3 of the PCHIP cubics c0 + c1 dt + c2 dt^2 + c3 dt^3, dt = t - t_i.
 
@@ -213,8 +203,13 @@ def _pchip_coefficients(t, y):
         with np.errstate(divide="ignore", invalid="ignore"):  # m = 0 gives 1/inf = 0
             inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
         inner[np.sign(m[1:]) != np.sign(m[:-1])] = 0.0
-        d = np.concatenate(([_end_slope(h[0], h[1], m[0], m[1])], inner,
-                            [_end_slope(h[-1], h[-2], m[-1], m[-2])]))
+        # one-sided three-point slopes at both ends, kept shape-preserving
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        ends = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        steep = (np.sign(m0) != np.sign(m1)) & (np.abs(ends) > 3.0 * np.abs(m0))
+        ends = np.where(np.sign(ends) != np.sign(m0), 0.0,
+                        np.where(steep, 3.0 * m0, ends))
+        d = np.concatenate((ends[:1], inner, ends[1:]))
     c = (d[:-1] + d[1:] - 2.0 * m) / h
     return np.stack((y[:-1], d[:-1], (m - d[:-1]) / h - c, c / h))
 
@@ -271,6 +266,7 @@ _PROBE_COUNT = 80
 _DECAY_PROBES = 27  # dyadic probes reach 2**-26 ~ 1.5e-8
 _DECAY_TAIL = 8
 _DECAY_DROP = 1e-3  # required cumulative loss across the tail probes
+_DECAY_SLACK = 1e-12  # relative rise a decay check forgives between neighbours
 
 
 def _probe_grid(spec):
@@ -319,12 +315,12 @@ def validate(spec):
         # the table itself to be nondecreasing in x.
         k = min(_DECAY_TAIL, spec.f.size)
         head = spec.f[:k]
-        if np.any(np.diff(head) < -_HULL_SLACK * head[:-1]):
+        if np.any(np.diff(head) < -_DECAY_SLACK * head[:-1]):
             raise Inadmissible("f(0+)=0 (table head does not decay toward x=0)")
         return
 
     tail = vals[-_DECAY_TAIL:]  # f at the smallest probes, largest x first
-    if np.any(tail[1:] > tail[:-1] * (1.0 + _HULL_SLACK)):
+    if np.any(tail[1:] > tail[:-1] * (1.0 + _DECAY_SLACK)):
         raise Inadmissible("f(0+)=0 (no monotone decay on the smallest dyadic probes)")
     # Monotone alone cannot separate decay to zero from decay to a positive
     # floor, so the tail of probes must also keep losing ground overall.

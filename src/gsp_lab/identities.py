@@ -68,10 +68,10 @@ class IdentityReport:
 
 
 def stencil_fits(spec, a):
-    """Whether the finite-difference stencil around the scale a lies in the
-    support, so that ``identity_reports`` can be asked for a."""
+    """Whether the finite-difference stencil around the scale a (elementwise,
+    for an array) lies in the support, so ``identity_reports`` can be asked for a."""
     h = _FD_STEP * a
-    return spec.in_support(a - h) and spec.in_support(a + h)
+    return spec.in_support(a - h) & spec.in_support(a + h)
 
 
 def identity_reports(spec, scales, tol=1e-10):
@@ -95,7 +95,7 @@ def identity_reports(spec, scales, tol=1e-10):
     beyond what central differencing should leave behind, the Richardson
     combination (4 d_{h/2} - d_h) / 3 is taken instead of either.
     """
-    a = np.array([float(v) for v in scales])
+    a = np.array(scales, dtype=float)
     h = _FD_STEP * a
     points = np.column_stack((a, a - h, a - 0.5 * h, a + 0.5 * h, a + h))
     m = moment_bundles(spec, points.ravel(), min(tol, _TIGHT_TOL))

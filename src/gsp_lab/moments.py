@@ -109,9 +109,10 @@ def moment_bundles(spec, scales, tol=1e-10):
     positive and decays toward 0, so f(x[0]) bounds it there.  The values
     themselves are never silently corrected.
 
-    Raises GspLabError, before integrating, if a scale-free unit
-    a f(a), a^2 f(a), a^3 f(a) or a f(a)^2 underflows to zero or
-    overflows ("unit ..."), since the normalizations divide by them.
+    A scale outside the support raises ``check_scale``'s DomainExceeded (the
+    first one, in the order given).  Raises GspLabError, before integrating,
+    if a scale-free unit a f(a), a^2 f(a), a^3 f(a) or a f(a)^2 underflows
+    to zero or overflows ("unit ..."), since the normalizations divide by them.
     Afterwards it raises GspLabError if B/A, the scale-free centroid
     abscissa, falls outside (0, 1) ("theta=", which an admissible spec
     cannot give, so it flags a bad input or a failed integration), if D
@@ -119,7 +120,10 @@ def moment_bundles(spec, scales, tol=1e-10):
     beyond roundoff ("variance integral"); tiny negative values are
     clamped to zero.  Each check names the smallest offending scale.
     """
-    scales = [spec.check_scale(a) for a in scales]
+    scales = np.asarray(scales, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(scales) & spec.in_support(scales)))
+    if bad.size:
+        spec.check_scale(scales[bad[0]])  # raises, naming the first bad scale
     cuts, where = np.unique(scales, return_inverse=True)
     fa = np.asarray(spec.eval(cuts))
     with np.errstate(over="ignore", under="ignore"):

@@ -6,6 +6,7 @@ import pytest
 
 from gsp_lab import (
     DomainExceeded,
+    GspLabError,
     PerturbedPowerLaw,
     PowerLaw,
     Verdict,
@@ -17,6 +18,7 @@ from gsp_lab import (
     moment_bundles,
     recover_p,
 )
+from gsp_lab import detector
 from gsp_lab.functions import FunctionSpec
 from gsp_lab.quadrature import _DEFAULT_BUDGET
 from conftest import DEFAULT_SCALES, make_perturbed_table, make_tabulated_power
@@ -63,6 +65,13 @@ def test_curve_is_vectorized():
     out = lambda_of_p(p)
     assert out.shape == (3,)
     assert out[1] == 0.5
+    # a 0-d input answers a float, the array's element to the last bit but
+    # at p = 2, where numpy squares a 0-d base instead of calling pow
+    for v, want in zip(p.tolist(), out.tolist()):
+        for scalar in (v, np.float64(v), np.array(v)):
+            got = lambda_of_p(scalar)
+            assert type(got) is float
+            assert got == want or (v == 2.0 and abs(got - want) == np.spacing(want))
 
 
 # -------------------------------------------------------------- inversion
@@ -121,6 +130,15 @@ def test_residual_with_wrong_constant_is_the_offset():
     m = moment_bundles(spec, DEFAULT_SCALES)
     res = gsp_residual_sweep(m.ybar, spec.eval(m.xbar), 0.46875)
     assert np.allclose(res, 0.0625, atol=1e-9)
+
+
+def test_sweep_and_fit_refuse_degenerate_input():
+    ones = np.ones(3)
+    for lam in (0.0, -0.5):
+        with pytest.raises(DomainExceeded, match="constant must be positive"):
+            gsp_residual_sweep(ones, ones, lam)
+    with pytest.raises(GspLabError, match="sum of squares of f\\(xbar\\) vanished"):
+        fit_lambda(ones, np.zeros(3))
 
 
 @pytest.mark.parametrize("p", [0.5, 2.0])
@@ -199,6 +217,20 @@ def test_loose_tolerance_yields_inconclusive():
     result = classify(PowerLaw(p=1.3), DEFAULT_SCALES, tol=1e-4)
     assert result.verdict is Verdict.INCONCLUSIVE
     assert result.notes != ""
+
+
+def test_variance_on_its_threshold_is_inconclusive(monkeypatch):
+    # a variance that sits on its threshold is within any quadrature margin
+    # of it, so the verdict cannot be told apart from the other side
+    spec = PerturbedPowerLaw(p=1.0, eps=0.1)
+    measured = classify(spec, DEFAULT_SCALES)
+    assert measured.verdict is Verdict.NOT_POWER_LAW
+    monkeypatch.setattr(detector, "_ANALYTIC_THRESHOLDS",
+                        (measured.tol_gsp, measured.variance_max))
+    result = classify(spec, DEFAULT_SCALES)
+    assert result.verdict is Verdict.INCONCLUSIVE
+    assert result.tol_var == result.variance_max == measured.variance_max
+    assert result.notes.startswith("variance within quadrature margin of threshold")
 
 
 def test_result_serializes_to_json():

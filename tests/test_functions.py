@@ -17,6 +17,7 @@ from gsp_lab import (
     load_tabulated_csv,
     validate,
 )
+from gsp_lab.functions import _pchip_coefficients
 from conftest import make_tabulated_power
 
 
@@ -48,6 +49,9 @@ def test_scalar_in_scalar_out():
     assert isinstance(spec.eval(2.0), float)
     out = spec.eval(np.array([1.0, 2.0]))
     assert isinstance(out, np.ndarray) and out.shape == (2,)
+    for method in (spec.eval, spec.elasticity):
+        empty = method(np.empty(0))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
@@ -69,6 +73,11 @@ def test_custom_elasticity_quotient():
     x = 0.8
     want = x * (2 * x + 3 * x**2) / (x**2 + x**3)
     assert abs(spec.elasticity(x) - want) < 1e-15
+    # a positive f too small to divide by is refused, not turned into inf
+    tiny = Custom(lambda x: 1e-305 * x, lambda x: 1e-305 * np.ones_like(x))
+    assert tiny.eval(0.5) > 0.0
+    with pytest.raises(NonPositiveValue, match=r"^custom: \|f\| too small"):
+        tiny.elasticity(0.5)
 
 
 # ------------------------------------------------------------- tabulated
@@ -146,6 +155,40 @@ def test_tabulated_matches_scipy_pchip_bit_for_bit(kind, n):
     assert np.array_equal(spec.elasticity(q), slope)
 
 
+def _end_slope(h0, h1, m0, m1):
+    """The one-sided three-point slope at a table end, kept shape-preserving,
+    one end at a time: the reference for the ends of the knot slopes."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def test_end_slopes_match_scipy_and_the_one_end_rule_on_random_tables():
+    # random walks in log-log whose secants change sign anywhere, the two
+    # ends included; every branch of the end rule is taken at both ends
+    rng = np.random.default_rng(22)
+    branches = set()
+    for _ in range(300):
+        n = int(rng.integers(3, 9))
+        t = np.cumsum(rng.uniform(0.05, 1.0, n)) - 3.0
+        y = rng.standard_normal(n)
+        c = _pchip_coefficients(t, y)
+        assert np.array_equal(c, PchipInterpolator(t, y).c[::-1])
+        h, m = np.diff(t), np.diff(y) / np.diff(t)
+        # the last knot's slope is the first of the mirrored table, negated
+        last = -_pchip_coefficients(-t[::-1], y[::-1])[1, 0]
+        ends = ((c[1, 0], (h[0], h[1], m[0], m[1])),
+                (last, (h[-1], h[-2], m[-1], m[-2])))
+        for side, (end, (h0, h1, m0, m1)) in enumerate(ends):
+            want = _end_slope(h0, h1, m0, m1)
+            assert end == want
+            branches.add((side, 0 if want == 0.0 else 3 if want == 3.0 * m0 else 1))
+    assert branches == {(side, b) for side in (0, 1) for b in (0, 1, 3)}
+
+
 # ------------------------------------------------------------- validation
 
 def test_validate_accepts_gallery_members():
@@ -204,10 +247,15 @@ def test_validate_flags_nonzero_limit_at_origin():
 
 # ------------------------------------------------------------- CSV loader
 
-def test_csv_round_trip(x15_csv):
+def test_csv_round_trip(x15_csv, tmp_path):
     spec = load_tabulated_csv(x15_csv)
     assert spec.support == (1e-4, 1e2)
     assert abs(spec.eval(1.0) - 4.0) < 1e-12
+    # blank rows, and rows of blank cells, between the data are skipped
+    gaps = tmp_path / "gaps.csv"
+    gaps.write_text("x,f\n1,1\n\n2,4\n , \n4,16\n\n")
+    spec = load_tabulated_csv(gaps)
+    assert spec.x.tolist() == [1.0, 2.0, 4.0] and spec.f.tolist() == [1.0, 4.0, 16.0]
 
 
 def test_csv_reports_offending_line(tmp_path):
@@ -221,6 +269,11 @@ def test_csv_reports_offending_line(tmp_path):
     with pytest.raises(CsvFormatError) as info:
         load_tabulated_csv(bad)
     assert info.value.line == 3
+
+    bad.write_text("x,f\n1.0,2.0\n\n0.5,1.0\n")  # a skipped blank line still counts
+    with pytest.raises(CsvFormatError) as info:
+        load_tabulated_csv(bad)
+    assert info.value.line == 4
 
     bad.write_text("x,f\n1.0,2.0,3.0\n")
     with pytest.raises(CsvFormatError) as info:

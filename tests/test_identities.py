@@ -115,6 +115,28 @@ def test_stencil_must_fit_the_support():
         identity_reports(spec, [1.0, 10.0])
 
 
+def test_support_and_stencil_checks_work_elementwise():
+    # scales at, just inside and just past both ends of a table's hull, the
+    # top within the hull slack (1e-12) and beyond it: an array gets each
+    # scalar answer in its place
+    x = np.geomspace(0.01, 10.0, 50)
+    table = Tabulated(x, x**1.5)
+    lo, hi = table.support
+    a = np.array([lo * (1 - 2e-12), lo * (1 - 5e-13), lo, lo * (1 + 5e-13),
+                  lo * (1 + 2e-5), 1.0, hi * (1 - 2e-5), hi * (1 - 5e-13), hi,
+                  hi * (1 + 5e-13), hi * (1 + 2e-12)])
+    in_table = [False, False, False, True, True, True, True, True, True, True, False]
+    fits_table = [False, False, False, False, True, True, True, False, False,
+                  False, False]
+    for spec, in_want, fits_want in (
+            (table, in_table, fits_table),
+            (PowerLaw(p=1.0), [True] * a.size, [True] * a.size)):
+        assert spec.in_support(a).tolist() == in_want
+        assert stencil_fits(spec, a).tolist() == fits_want
+        assert [spec.in_support(float(v)) for v in a] == in_want
+        assert [stencil_fits(spec, float(v)) for v in a] == fits_want
+
+
 # ------------------------------------------------ weighted mean / variance
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])

@@ -1,16 +1,20 @@
 import dataclasses
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
 from gsp_lab import (
     Custom,
+    DomainExceeded,
     GspLabError,
     Moments,
     PerturbedPowerLaw,
     PowerLaw,
+    Tabulated,
     Verdict,
     classify,
     identity_reports,
@@ -97,6 +101,54 @@ def test_primitives_are_accurate_relative_to_their_size(spec, p, eps, a):
     m = moment_bundles(spec, [a], 1e-10)
     for got, want in zip((m.F[0], m.H[0], m.G[0]), _closed_primitives(p, eps, a)):
         assert abs(got - want) <= 1e-9 * want
+
+
+def _mp_profile_moments(p, eps, a):
+    """A, theta, wm and the variance of amp x^p (1 + eps sin ln x) at the
+    scale a, from 30-digit tanh-sinh quadratures of the profile g over
+    (0, 1]; amp cancels from all four."""
+    with mpmath.workdps(30):
+        p, eps, a = mpmath.mpf(p), mpmath.mpf(eps), mpmath.mpf(a)
+
+        def E(x):
+            t = mpmath.log(x)
+            return p + eps * mpmath.cos(t) / (1 + eps * mpmath.sin(t))
+
+        def g(s):
+            return s**p * (1 + eps * mpmath.sin(mpmath.log(a * s))) / (
+                1 + eps * mpmath.sin(mpmath.log(a)))
+
+        def quad(fn):
+            return mpmath.quad(fn, [0, 1])
+
+        A = quad(g)
+        theta = quad(lambda s: s * g(s)) / A
+        w = lambda s: (s - theta) ** 2 * g(s)
+        e_theta = E(a * theta)
+        wm = quad(lambda s: w(s) * E(a * s)) / quad(w) - e_theta
+        variance = quad(lambda s: w(s) * (E(a * s) - e_theta) ** 2)
+        return [float(v) for v in (A, theta, wm, variance)]
+
+
+@pytest.mark.parametrize("p, eps", [(1.0, 0.1), (0.3, 0.2)])
+def test_perturbed_moments_match_closed_forms_and_mpmath(p, eps):
+    # F, H, G against their closed forms, and the scale-free A, theta, wm
+    # and variance against 30-digit quadratures, across two decades of a
+    amp, scales = 2.5, [0.1, 1.0, 10.0]
+    m = moment_bundles(PerturbedPowerLaw(p=p, eps=eps, amp=amp), scales, 1e-12)
+    for i, a in enumerate(scales):
+        F, H, G = _closed_primitives(p, eps, a)
+        for name, want in (("F", amp * F), ("H", amp * H), ("G", amp * amp * G)):
+            got = getattr(m, name)[i]
+            assert abs(got - want) <= 1e-12 * want, (name, a, got, want)
+        A, theta, wm, variance = _mp_profile_moments(p, eps, a)
+        # the reference and the closed forms agree: A = F / (a f(a))
+        assert A == pytest.approx(F / (a * a**p * (1.0 + eps * math.sin(math.log(a)))),
+                                  rel=1e-14)
+        for name, want in (("A", A), ("theta", theta), ("wm", wm),
+                           ("variance", variance)):
+            got = getattr(m, name)[i]
+            assert abs(got - want) <= 1e-12 * abs(want), (name, a, got, want)
 
 
 def test_quad_error_fields_are_present_and_small():
@@ -189,6 +241,31 @@ def test_unit_check_names_the_smallest_offending_scale(amp, scales, message):
     with pytest.raises(GspLabError, match="^unit ") as info:
         moment_bundles(PowerLaw(p=2.0, amp=amp), scales)
     assert str(info.value) == message + "is outside the float64 range"
+
+
+_TABLE_X = np.geomspace(0.01, 10.0, 50)
+_NOT_A_SCALE = "scale a must be positive and finite"
+
+
+@pytest.mark.parametrize("spec, scales, message", [
+    (PowerLaw(p=2.0), [1.0, math.nan, 2.0, -1.0], _NOT_A_SCALE),
+    (PowerLaw(p=2.0), [1.0, 2.0, -1.0, math.inf], _NOT_A_SCALE),
+    (PowerLaw(p=2.0), [1.0, math.inf, 2.0], _NOT_A_SCALE),
+    (Tabulated(_TABLE_X, _TABLE_X**1.5), [1.0, 20.0, 0.005, 2.0],
+     "a=20 beyond the function's support"),
+    (Tabulated(_TABLE_X, _TABLE_X**1.5), [1.0, 0.01, 20.0],
+     "a=0.01 at or below the support floor 0.01"),
+    (Tabulated(_TABLE_X, _TABLE_X**1.5), [10.0 * (1.0 + 2e-12), 1.0],
+     "a=10 beyond the function's support"),
+], ids=["nan", "negative", "inf", "above", "floor", "past-slack"])
+def test_scale_check_names_the_first_bad_scale(spec, scales, message):
+    # the first bad scale in the order given gets check_scale's message
+    with pytest.raises(DomainExceeded) as info:
+        moment_bundles(spec, scales)
+    assert str(info.value) == message
+    first_bad = next(a for a in scales if not (math.isfinite(a) and spec.in_support(a)))
+    with pytest.raises(DomainExceeded, match=f"^{re.escape(message)}$"):
+        spec.check_scale(first_bad)
 
 
 def _doctor_pass(monkeypatch, edits):
