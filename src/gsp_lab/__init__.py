@@ -31,7 +31,6 @@ from .identities import IdentityReport, identity_reports, stencil_fits
 from .sampler import MCEstimate, SamplerState, mc_estimates
 from .detector import (
     DetectionResult,
-    ExponentEstimates,
     Verdict,
     classify,
     fit_lambda,

@@ -18,7 +18,7 @@ the grid is the caller's job (the CLI's grid builder).
 lambda is not injective: it dips from 1/2 at p -> 0 to a minimum of about
 0.48202 near p = 0.3266, climbs back through 1/2 at p = 1, and tends to
 e/4 from below as p grows.  Inverting it therefore returns a set of
-exponents (possibly empty, possibly two).
+exponents (possibly empty, possibly two), one from each monotone branch.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .moments import _median, moment_bundles
 
 __all__ = [
     "Verdict",
-    "ExponentEstimates",
     "DetectionResult",
     "lambda_of_p",
     "invert_lambda",
@@ -46,7 +45,6 @@ __all__ = [
 ]
 
 _ELASTICITY_PROBES = 33
-_INVERT_GRID = 10_000  # exponents invert_lambda scans for sign changes
 _MARGIN_FACTOR = 10.0  # how many quadrature-error widths count as "on the line"
 # (tol_gsp, tol_var): the thresholds on the collapse residual and the
 # variance functional, looser on a table, where interpolation and the
@@ -70,38 +68,50 @@ def lambda_of_p(p):
     return out if out.ndim else float(out)
 
 
+def _dlog_lambda(p):
+    """d log(lambda)/dp: negative below the curve's one minimum, positive above."""
+    q = p + 1.0
+    return math.log1p(1.0 / q) - 1.0 / (q * (2.0 * p + 1.0)) - p / (q * (p + 2.0))
+
+
+def _bisect(fn, a, b):
+    """Where fn, of opposite signs at a and b, changes sign: [a, b] is halved
+    until no float lies between its ends, and a is returned."""
+    rising = fn(a) < fn(b)
+    while a < (m := 0.5 * (a + b)) < b:
+        if (fn(m) > 0.0) != rising:
+            a = m
+        else:
+            b = m
+    return a
+
+
 def invert_lambda(lam, p_range=(0.01, 10.0)):
     """All exponents in p_range whose constant equals lam, in ascending order.
 
-    The constant is scanned on a log-spaced grid and each sign change is
-    bisected to ~1e-12.  Because the curve has a single interior minimum,
-    the answer has 0, 1, or 2 elements; tangency exactly at the minimum can
-    escape a sign-change scan, which is the price of a finite probe.
+    The curve falls to its one minimum, near p = 0.3266 where
+    d log(lambda)/dp changes sign, and rises after it, so the minimum is
+    bisected first and then each monotone branch inside p_range that
+    reaches lam, each to the last float: the answer has 0, 1 or 2 elements.
+    Within 8 ulps of the minimum, where float64 cannot tell the curve from
+    flat, the minimizer alone is returned.  A lam that is not finite has no
+    root.
     """
     lam = float(lam)
     lo, hi = float(p_range[0]), float(p_range[1])
     if lo <= 0.0 or hi <= lo:
         raise DomainExceeded("p_range must satisfy 0 < lo < hi")
-    ps = np.geomspace(lo, hi, _INVERT_GRID)
-    vals = lambda_of_p(ps) - lam
-    roots = []
-    for k in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
-        a, b = ps[k], ps[k + 1]
-        fa = vals[k]
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            fm = lambda_of_p(m) - lam
-            if fm == 0.0 or (b - a) <= 1e-12 * max(1.0, m):
-                a = b = m
-                break
-            if (fa < 0) == (fm < 0):
-                a, fa = m, fm
-            else:
-                b = m
-        roots.append(float(0.5 * (a + b)))
-    for k in np.nonzero(vals == 0.0)[0]:
-        roots.append(float(ps[k]))
-    return tuple(sorted(set(roots)))
+    if not math.isfinite(lam):
+        return ()
+    p_min = min(max(_bisect(_dlog_lambda, 0.1, 1.0), lo), hi)
+
+    def gap(p):
+        return lambda_of_p(p) - lam
+
+    if lo < p_min < hi and abs(gap(p_min)) <= 8.0 * math.ulp(lam):
+        return (p_min,)
+    return tuple(_bisect(gap, a, b) for a, b in ((lo, p_min), (p_min, hi))
+                 if a < b and gap(a) * gap(b) <= 0.0)
 
 
 def gsp_residual_sweep(ybar, fx, lam):
@@ -121,17 +131,9 @@ def fit_lambda(ybar, fx):
     return float(np.cumsum(ybar * fx)[-1] / den)
 
 
-@dataclass(frozen=True)
-class ExponentEstimates:
-    """Two independent exponent estimates plus an amplitude."""
-
-    p_theta: float
-    p_elasticity: float
-    amp: float
-
-
 def recover_p(spec, moments):
-    """Estimate the exponent two ways, and the amplitude on top.
+    """Estimate the exponent two ways, and the amplitude on top, as
+    ``(p_theta, p_elasticity, amp)``.
 
     Route one maps the normalized centroid theta at each scale through
     p = (2 theta - 1) / (1 - theta) and takes the median over the grid.
@@ -146,7 +148,7 @@ def recover_p(spec, moments):
     p_elast = _median(np.asarray(spec.elasticity(xs)))
     logf = np.log(np.asarray(spec.eval(xs)))
     amp = float(np.exp(np.mean(logf - p_theta * np.log(xs))))
-    return ExponentEstimates(p_theta=p_theta, p_elasticity=p_elast, amp=amp)
+    return p_theta, p_elast, amp
 
 
 @dataclass(frozen=True)
@@ -198,7 +200,7 @@ def classify(spec, scales, tol=1e-10):
     fx = spec.eval(m.xbar)
     lam_hat = fit_lambda(m.ybar, fx)
     residuals = gsp_residual_sweep(m.ybar, fx, lam_hat)
-    est = recover_p(spec, m)
+    p_theta, p_elast, amp = recover_p(spec, m)
 
     i_r = int(np.argmax(residuals))
     r_max = float(residuals[i_r])
@@ -208,9 +210,7 @@ def classify(spec, scales, tol=1e-10):
     margin_r = _MARGIN_FACTOR * _residual_margin(spec, m, fx, lam_hat)[i_r]
     margin_v = _MARGIN_FACTOR * m.variance_error[i_v]
 
-    p_consistent = abs(est.p_theta - est.p_elasticity) <= 0.01 * max(
-        1.0, abs(est.p_theta)
-    )
+    p_consistent = abs(p_theta - p_elast) <= 0.01 * max(1.0, abs(p_theta))
     passes = r_max <= tol_gsp and v_max <= tol_var and p_consistent
     near_r = abs(r_max - tol_gsp) <= margin_r
     near_v = abs(v_max - tol_var) <= margin_v
@@ -222,8 +222,8 @@ def classify(spec, scales, tol=1e-10):
         notes.append("variance within quadrature margin of threshold")
     if not p_consistent:
         notes.append(
-            f"exponent routes disagree: theta {est.p_theta:.6g} vs "
-            f"elasticity {est.p_elasticity:.6g}"
+            f"exponent routes disagree: theta {p_theta:.6g} vs "
+            f"elasticity {p_elast:.6g}"
         )
 
     if near_r or near_v:
@@ -236,9 +236,9 @@ def classify(spec, scales, tol=1e-10):
     return DetectionResult(
         verdict=verdict,
         lambda_hat=lam_hat,
-        p_theta=est.p_theta,
-        p_elasticity=est.p_elasticity,
-        amp=est.amp,
+        p_theta=p_theta,
+        p_elasticity=p_elast,
+        amp=amp,
         gsp_residual_max=r_max,
         variance_max=v_max,
         tol_gsp=tol_gsp,

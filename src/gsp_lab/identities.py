@@ -53,15 +53,13 @@ class IdentityReport:
 
     ``reduction`` holds the three reduction residuals; ``closed`` and
     ``finite_diff`` are d/da of (A, B, C, theta), from the closed forms and
-    from central differences; ``dtheta_integral`` is theta' from its
-    integral form.
+    from central differences.
     """
 
     a: np.ndarray
     reduction: np.ndarray
     closed: np.ndarray
     finite_diff: np.ndarray
-    dtheta_integral: np.ndarray
     wm: np.ndarray
     variance: np.ndarray
     weight_normalizer: np.ndarray
@@ -82,14 +80,15 @@ def identity_reports(spec, scales, tol=1e-10):
     the derivatives, compared near cancellation, need the tighter
     tolerance, and the reductions share it.
 
-    The reductions' left-hand sides are honest quadratures of the
-    profile-elasticity moments and their right-hand sides come from the
-    normalized moments; the two routes share no algebra, so agreement is a
-    real check on both.  On a table the profile starts at s0 = x0 / a > 0,
-    and integrating by parts from there leaves the boundary terms
-    s0 g(s0), s0^2 g(s0) and s0 g(s0)^2 / 2 on the right-hand sides, and
-    s0 g(s0) (theta - s0) in the integral form of theta',
-    (1 / (a A)) int (s - theta) g E ds = (BE - theta AE) / (a A).
+    The reductions' left-hand sides come from honest quadratures of the
+    profile-elasticity moments: M_10 and M_11, the integrals of g (E - E_ref)
+    and s g (E - E_ref), with E_ref A and E_ref B added back, and
+    int g**2 E ds.  Their right-hand sides come from the normalized moments,
+    so the first two test M_10 and M_11 against A and B: the routes share
+    no algebra, and agreement is a real check on both.  On a table the
+    profile starts at s0 = x0 / a > 0, and integrating by parts from there
+    leaves the boundary terms s0 g(s0), s0^2 g(s0) and s0 g(s0)^2 / 2 on the
+    right-hand sides.
 
     The central differences use steps h and h/2; where the two disagree
     beyond what central differencing should leave behind, the Richardson
@@ -101,7 +100,7 @@ def identity_reports(spec, scales, tol=1e-10):
     m = moment_bundles(spec, points.ravel(), min(tol, _TIGHT_TOL))
     # q[k, j] = (A, B, C, theta) at point j of scale k's stencil
     q = np.column_stack((m.A, m.B, m.C, m.theta)).reshape(len(a), 5, 4)
-    A, B, C, theta = q[:, 0].T
+    A, B, C = q[:, 0, :3].T
     fa, AE, BE, CE = (v[0::5] for v in (m.fa, m.AE, m.BE, m.CE))
 
     x0 = spec.support[0]
@@ -112,7 +111,6 @@ def identity_reports(spec, scales, tol=1e-10):
         np.abs(BE - (1.0 - 2.0 * B - s0 * s0 * g0)),
         np.abs(CE - (1.0 - C - s0 * g0 * g0) / 2.0),
     ))
-    dtheta_integral = (BE - theta * AE - s0 * g0 * (theta - s0)) / (a * A)
 
     ea = spec.elasticity(a)
     dA = (1.0 - (1.0 + ea) * A) / a
@@ -127,6 +125,5 @@ def identity_reports(spec, scales, tol=1e-10):
     finite_diff = np.where(rough[:, None], (4.0 * d_h2 - d_h) / 3.0, d_h2)
 
     return IdentityReport(a=a, reduction=reduction, closed=closed,
-                          finite_diff=finite_diff, dtheta_integral=dtheta_integral,
-                          wm=m.wm[0::5], variance=m.variance[0::5],
-                          weight_normalizer=m.D[0::5])
+                          finite_diff=finite_diff, wm=m.wm[0::5],
+                          variance=m.variance[0::5], weight_normalizer=m.D[0::5])

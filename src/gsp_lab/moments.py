@@ -9,23 +9,24 @@ and the scale-free versions divide out powers of a and f(a):
     A = F / (a f(a)),   B = H / (a^2 f(a)),   C = G / (a f(a)^2),
     theta = B / A.
 
-With the profile g(s) = f(a s)/f(a) and the elasticity E, the same units
-give the elasticity-weighted moments the integration-by-parts reductions
-need:
+With the profile g(s) = f(a s)/f(a), the elasticity E and one shift E_ref
+for the whole grid (the median of E at the scales), the moments
+M_jk = int s^k g (E - E_ref)^j ds, j, k in {0, 1, 2}, serve every scale
+(the shifted-data method of Chan, Golub & LeVeque, Am. Stat. 37(3), 1983).
+They give the elasticity-weighted moments the integration-by-parts
+reductions need,
 
-    AE = int g E ds,   BE = int s g E ds,   CE = int g**2 E ds.
+    AE = int g E ds = M_10 + E_ref A,   BE = int s g E ds = M_11 + E_ref B,
 
-With the quadratic weight w(s) = (s - theta)^2 g(s), the weighted-mean and
-variance identities need D = int w ds, wm = int w E ds / D - E(a theta) and
-variance = int w (E(a s) - E(a theta))^2 ds.  With one shift E_ref for the
-whole grid (the median of E at the scales) these expand into the moments
-M_jk = int s^k g (E - E_ref)^j ds, j, k in {0, 1, 2}, that every scale
-shares (the shifted-data method of Chan, Golub & LeVeque, Am. Stat. 37(3),
-1983).  So everything comes from one quadrature pass over x for any number
-of scales: the 13 columns f, x f, x^2 f, their products with (E - E_ref)
-and (E - E_ref)^2, and f**2, f E, x f E, f**2 E are integrated up to every
-scale at once, each held to its tolerance in its scale-free unit
-a^(k+1) f(a) or a f(a)^2.
+so the reductions test M_10 and M_11, honest quadratures of g (E - E_ref)
+and s g (E - E_ref), against A and B.  Beside CE = int g**2 E ds, they give,
+with the quadratic weight w(s) = (s - theta)^2 g(s), D = int w ds,
+wm = int w E ds / D - E(a theta) and the variance
+int w (E(a s) - E(a theta))^2 ds.  So everything comes from one quadrature
+pass over x for any number of scales: the 11 columns f, x f, x^2 f, their
+products with (E - E_ref) and (E - E_ref)^2, f**2 and f**2 E are
+integrated up to every scale at once, each held to its tolerance in its
+scale-free unit a^(k+1) f(a) or a f(a)^2.
 
 The centroid of the region under f on [0, a] sits at (H/F, G/(2F)); theta
 is its abscissa in units of a.  All of it comes as one ``Moments`` of arrays.
@@ -99,9 +100,10 @@ def moment_bundles(spec, scales, tol=1e-10):
 
     The scales may come in any order and repeat; the fields follow them,
     so one scale is ``moment_bundles(spec, [a], tol).F[0]`` and so on.
-    Each of F, H, G, AE, BE, CE meets ``tol`` relative to its scale-free
-    value, with an absolute floor of ``tol`` in scale-free units; the
-    shifted columns behind D, wm and the variance meet 1e-12.
+    Each of F, H, G, CE meets ``tol`` relative to its scale-free value,
+    with an absolute floor of ``tol`` in scale-free units; the shifted
+    columns behind AE, BE, D, wm and the variance meet 1e-12, so AE and BE
+    carry the error of M_10 and M_11 plus |E_ref| times that of A and B.
 
     For tabulated specs, whose support starts at x[0] > 0, the integrals run
     from x[0] and the unobservable head (0, x[0]] is accounted for by adding
@@ -143,11 +145,11 @@ def moment_bundles(spec, scales, tol=1e-10):
         m0 = np.column_stack((f, xf, x * xf))
         d = (e - e_ref)[:, None]
         return np.hstack((m0, m0 * d, m0 * (d * d),
-                          np.column_stack((f * f, f * e, xf * e, f * f * e))))
+                          np.column_stack((f * f, f * f * e))))
 
     m_unit, c_unit = unit[:, :3], unit[:, 3:]
-    units = np.hstack((m_unit, m_unit, m_unit, c_unit, m_unit[:, :2], c_unit))
-    tols = np.repeat([tol, _TIGHT_TOL, _TIGHT_TOL, tol], [3, 3, 3, 4])
+    units = np.hstack((m_unit, m_unit, m_unit, c_unit, c_unit))
+    tols = np.repeat([tol, _TIGHT_TOL, _TIGHT_TOL, tol], [3, 3, 3, 2])
     lo = spec.support[0]
     res = cumulative(columns, lo, cuts, tols, units=units, breakpoints=spec.knots)
     errors = res.error_estimate[:, [0, 1, 9]]
@@ -182,7 +184,8 @@ def moment_bundles(spec, scales, tol=1e-10):
     # one row per requested scale, one column per field of Moments but errors
     table = np.column_stack((
         cuts, fa, F, H, G, scaled[:, [0, 1, 9]], theta, H / F, G / (2.0 * F),
-        scaled[:, 10:], D, W[:, 1] / D - c, np.maximum(variance, 0.0),
+        M[:, 1, :2] + e_ref * M[:, 0, :2], scaled[:, 10], D, W[:, 1] / D - c,
+        np.maximum(variance, 0.0),
         np.einsum("ijk,ij,ik->i", dM, np.abs(alpha), np.abs(beta)),
     ))[where]
     return Moments(*np.ascontiguousarray(table.T), errors=errors[where])

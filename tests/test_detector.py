@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -106,10 +107,44 @@ def test_inverse_round_trip(p):
     assert min(abs(r - p) for r in roots) <= 1e-9
 
 
+def _lambda_minimum():
+    """The curve's minimizer and its minimum, from a 30-digit root of
+    d log(lambda)/dp taken by mpmath's numerical derivative."""
+    with mpmath.workdps(30):
+        def lam(p):
+            return (p + 1) / (2 * (2 * p + 1)) * ((p + 2) / (p + 1)) ** p
+
+        p_min = mpmath.findroot(lambda p: mpmath.diff(lambda q: mpmath.log(lam(q)), p),
+                                0.3266)
+        return float(p_min), float(lam(p_min))
+
+
+def test_inverse_at_and_just_above_the_minimum():
+    # the minimum is a tangency with one root; just above it the two roots
+    # lie ~7e-7, ~7e-6 and ~7e-5 apart, between two points of any practical
+    # scan
+    p_min, lam_min = _lambda_minimum()
+    roots = invert_lambda(lam_min)
+    assert len(roots) == 1
+    assert roots[0] == pytest.approx(p_min, abs=1e-12)
+    for lam in (lam_min + 1e-14, lam_min + 1e-12, lam_min + 1e-10):
+        roots = invert_lambda(lam)
+        assert len(roots) == 2
+        assert roots[0] < p_min < roots[1]
+        for r in roots:
+            assert abs(lambda_of_p(r) - lam) <= 1e-15, (lam, r)
+
+
 def test_inverse_respects_requested_range():
     assert invert_lambda(0.49, p_range=(0.5, 10.0)) == pytest.approx(
         (ROOTS_049[1],), abs=1e-9
     )
+    # both roots of 0.484 lie outside these ranges, which miss the minimum
+    assert invert_lambda(0.484, p_range=(0.5, 10.0)) == ()
+    assert invert_lambda(0.484, p_range=(0.01, 0.15)) == ()
+    # a value no float exponent reaches
+    for lam in (math.inf, -math.inf, math.nan):
+        assert invert_lambda(lam) == ()
     with pytest.raises(DomainExceeded, match="p_range must satisfy"):
         invert_lambda(0.5, p_range=(-1.0, 2.0))
 
@@ -151,18 +186,18 @@ def test_fitted_constant_matches_curve(p):
 
 def test_exponent_recovery_routes_agree_on_power_law():
     spec = PowerLaw(p=2.0, amp=7.0)
-    est = recover_p(spec, moment_bundles(spec, DEFAULT_SCALES))
-    assert est.p_theta == pytest.approx(2.0, abs=1e-9)
-    assert est.p_elasticity == pytest.approx(2.0, abs=1e-12)
-    assert est.amp == pytest.approx(7.0, rel=1e-8)
+    p_theta, p_elasticity, amp = recover_p(spec, moment_bundles(spec, DEFAULT_SCALES))
+    assert p_theta == pytest.approx(2.0, abs=1e-9)
+    assert p_elasticity == pytest.approx(2.0, abs=1e-12)
+    assert amp == pytest.approx(7.0, rel=1e-8)
 
 
 def test_exponent_recovery_flags_drift_for_wobble():
     spec = PerturbedPowerLaw(p=1.0, eps=0.1)
-    est = recover_p(spec, moment_bundles(spec, DEFAULT_SCALES))
+    p_theta, p_elasticity, _ = recover_p(spec, moment_bundles(spec, DEFAULT_SCALES))
     # both estimates hover near 1 but the theta route absorbs the wobble
-    assert abs(est.p_theta - 1.0) < 0.1
-    assert abs(est.p_elasticity - 1.0) < 0.1
+    assert abs(p_theta - 1.0) < 0.1
+    assert abs(p_elasticity - 1.0) < 0.1
 
 
 # ---------------------------------------------------------------- verdicts

@@ -104,9 +104,10 @@ def test_primitives_are_accurate_relative_to_their_size(spec, p, eps, a):
 
 
 def _mp_profile_moments(p, eps, a):
-    """A, theta, wm and the variance of amp x^p (1 + eps sin ln x) at the
-    scale a, from 30-digit tanh-sinh quadratures of the profile g over
-    (0, 1]; amp cancels from all four."""
+    """A, theta, wm, the variance, and AE, BE, CE (int g E, int s g E and
+    int g^2 E) of amp x^p (1 + eps sin ln x) at the scale a, from 30-digit
+    tanh-sinh quadratures of the profile g over (0, 1]; amp cancels from
+    all seven."""
     with mpmath.workdps(30):
         p, eps, a = mpmath.mpf(p), mpmath.mpf(eps), mpmath.mpf(a)
 
@@ -127,13 +128,17 @@ def _mp_profile_moments(p, eps, a):
         e_theta = E(a * theta)
         wm = quad(lambda s: w(s) * E(a * s)) / quad(w) - e_theta
         variance = quad(lambda s: w(s) * (E(a * s) - e_theta) ** 2)
-        return [float(v) for v in (A, theta, wm, variance)]
+        AE = quad(lambda s: g(s) * E(a * s))
+        BE = quad(lambda s: s * g(s) * E(a * s))
+        CE = quad(lambda s: g(s) ** 2 * E(a * s))
+        return [float(v) for v in (A, theta, wm, variance, AE, BE, CE)]
 
 
 @pytest.mark.parametrize("p, eps", [(1.0, 0.1), (0.3, 0.2)])
 def test_perturbed_moments_match_closed_forms_and_mpmath(p, eps):
-    # F, H, G against their closed forms, and the scale-free A, theta, wm
-    # and variance against 30-digit quadratures, across two decades of a
+    # F, H, G against their closed forms, and the scale-free A, theta, wm,
+    # variance, AE, BE and CE against 30-digit quadratures, across two
+    # decades of a
     amp, scales = 2.5, [0.1, 1.0, 10.0]
     m = moment_bundles(PerturbedPowerLaw(p=p, eps=eps, amp=amp), scales, 1e-12)
     for i, a in enumerate(scales):
@@ -141,12 +146,12 @@ def test_perturbed_moments_match_closed_forms_and_mpmath(p, eps):
         for name, want in (("F", amp * F), ("H", amp * H), ("G", amp * amp * G)):
             got = getattr(m, name)[i]
             assert abs(got - want) <= 1e-12 * want, (name, a, got, want)
-        A, theta, wm, variance = _mp_profile_moments(p, eps, a)
+        A, theta, wm, variance, AE, BE, CE = _mp_profile_moments(p, eps, a)
         # the reference and the closed forms agree: A = F / (a f(a))
         assert A == pytest.approx(F / (a * a**p * (1.0 + eps * math.sin(math.log(a)))),
                                   rel=1e-14)
         for name, want in (("A", A), ("theta", theta), ("wm", wm),
-                           ("variance", variance)):
+                           ("variance", variance), ("AE", AE), ("BE", BE), ("CE", CE)):
             got = getattr(m, name)[i]
             assert abs(got - want) <= 1e-12 * abs(want), (name, a, got, want)
 
