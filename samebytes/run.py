@@ -3,13 +3,17 @@
     python samebytes/run.py --base REF [--head REF] [--group NAME ...]
                             [--expect FILE]
 
-Each run of ``matrix.RUNS`` is ``python -m gsp_lab.cli`` with the run's
-words, once against each tree's ``src``: the base is REF's ``src`` as
-``git archive`` writes it into a temporary directory, and the head is the
-working tree's, or REF's when --head names one.  Both trees read the same
-input files, get the caller's environment (so ``NAME=VALUE python
-samebytes/run.py ...`` reaches both) and run in directories at the same
-relative place, so paths in messages match.
+Each run of ``matrix.RUNS`` is ``gsp_lab.cli.main`` with the run's words,
+once against each tree's ``src``: the base is REF's ``src`` as ``git
+archive`` writes it into a temporary directory, and the head is the working
+tree's, or REF's when --head names one.  Each tree gets one worker process,
+the two side by side, that imports its ``gsp_lab.cli`` once and runs every
+run in a forked child (``perfbench/isolate.run``), with stdout and stderr
+in files in the run's directory; a worker that cannot import it fails every
+run of its tree.  Both trees read the same input files, get the caller's
+environment (so ``NAME=VALUE python samebytes/run.py ...`` reaches both)
+and run in directories at the same relative place, so paths in messages
+match.
 
 A run is identical when its exit code, stdout, stderr and ``--out`` file
 are; a traceback is compared by its last line, since its frames name the
@@ -25,8 +29,7 @@ passes only when its exit code and stderr are identical and every number
 of its stdout and ``--out`` file moved by at most 1e-12 * max(1, |base
 value|), with the text around them unchanged.  The exit status is 1 when a
 run differs and is not expected, or exceeds that bound, or is expected but
-identical, or timed out; else 0.  Runs are spread over up to four worker
-threads, each waiting on its child process.
+identical, or timed out, or its worker failed; else 0.
 """
 
 from __future__ import annotations
@@ -34,15 +37,16 @@ from __future__ import annotations
 import argparse
 import difflib
 import hashlib
+import json
 import math
 import os
 import re
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import matrix
@@ -110,20 +114,32 @@ def _expand(text, places):
             for word in shlex.split(text)]
 
 
-def _run(src, argv, cwd, env):
-    """(exit code, stdout, stderr, --out bytes or None) of one run."""
-    cwd.mkdir(parents=True)
-    env = {**env, "PYTHONPATH": str(src)}
-    try:
-        proc = subprocess.run([sys.executable, "-m", "gsp_lab.cli", *argv], cwd=cwd,
-                              env=env, capture_output=True, timeout=_TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return ("timeout", b"", b"", None)
-    err = proc.stderr
+def _serve(jobs):
+    """A worker: each (words, directory) of the JSON file jobs runs in a
+    forked child of this process, which has imported its tree's gsp_lab.cli,
+    and the run's exit code, or "timed out", goes to the file rc beside its
+    stdout and stderr."""
+    import gsp_lab.cli  # noqa: F401  (once, before the forks)
+    import isolate
+
+    for argv, cwd in json.loads(Path(jobs).read_text()):
+        os.makedirs(cwd)
+        os.chdir(cwd)
+        rc = isolate.run(argv, "stdout", "stderr", None, 0, _TIMEOUT_S).rc
+        Path("rc").write_text(json.dumps("timed out" if rc == -signal.SIGKILL else rc))
+
+
+def _result(cwd):
+    """(exit code, stdout, stderr, --out bytes or None) of the run in cwd,
+    with the exit code "no worker" when no worker ran it."""
+    if not (cwd / "rc").exists():
+        return ("no worker", b"", b"", None)
+    err = (cwd / "stderr").read_bytes()
     if _TRACEBACK.encode() in err:
         err = err.rstrip().rsplit(b"\n", 1)[-1]
     out = cwd / "out.txt"
-    return (proc.returncode, proc.stdout, err, out.read_bytes() if out.exists() else None)
+    return (json.loads((cwd / "rc").read_text()), (cwd / "stdout").read_bytes(), err,
+            out.read_bytes() if out.exists() else None)
 
 
 def _largest_change(base, head):
@@ -202,19 +218,30 @@ def main(argv=None):
                           else ROOT / "src")}
         places = _write_inputs(tmp / "files")
 
-        def both(k):
-            words = _expand(runs[k], places)
-            return tuple(_run(src, words, tmp / side / str(k), env)
-                         for side, src in trees.items())
-
-        with ThreadPoolExecutor(min(4, os.cpu_count() or 1)) as pool:
-            results = list(pool.map(both, range(len(runs))))
+        workers = {}
+        for side, src in trees.items():
+            (tmp / f"{side}.json").write_text(json.dumps(
+                [(_expand(text, places), str(tmp / side / str(k)))
+                 for k, text in enumerate(runs)]))
+            path = os.pathsep.join((str(src), str(HERE), str(ROOT / "perfbench")))
+            with open(tmp / f"{side}.log", "wb") as log:
+                workers[side] = subprocess.Popen(
+                    [sys.executable, "-c", "import sys, run; run._serve(sys.argv[1])",
+                     f"{side}.json"], cwd=tmp, env={**env, "PYTHONPATH": path},
+                    stdout=log, stderr=subprocess.STDOUT)
+        for side, worker in workers.items():
+            if worker.wait():
+                log = (tmp / f"{side}.log").read_bytes().rstrip().splitlines() or [b""]
+                print(f"WORKER FAILED  {side}: {log[-1].decode(errors='replace')}")
+        results = [[_result(tmp / side / str(k)) for side in trees]
+                   for k in range(len(runs))]
 
     digest = hashlib.sha256()
     same = failed = 0
     for name, (base, head) in zip(runs, results):
-        if "timeout" in (base[0], head[0]):
-            print(f"TIMED OUT  {name}")
+        trouble = [r[0] for r in (base, head) if isinstance(r[0], str)]
+        if trouble:
+            print(f"{trouble[0].upper()}  {name}")
             failed += 1
         elif base == head:
             same += 1

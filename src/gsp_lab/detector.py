@@ -145,8 +145,8 @@ def recover_p(spec, moments):
     theta = moments.theta
     p_theta = _median((2.0 * theta - 1.0) / (1.0 - theta))
     xs = np.geomspace(moments.a[0], moments.a[-1], _ELASTICITY_PROBES)
-    p_elast = _median(np.asarray(spec.elasticity(xs)))
-    logf = np.log(np.asarray(spec.eval(xs)))
+    p_elast = _median(spec.elasticity(xs))
+    logf = np.log(spec.eval(xs))
     amp = float(np.exp(np.mean(logf - p_theta * np.log(xs))))
     return p_theta, p_elast, amp
 

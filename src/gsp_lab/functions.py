@@ -38,10 +38,10 @@ _HULL_SLACK = 1e-12  # relative slack when checking tabulated bounds
 class FunctionSpec:
     """Common behaviour for every function family.
 
-    Subclasses implement ``_value`` and ``_elast`` on 1-d float arrays;
-    this base class handles input checking, scalar/array round-trip, and
-    the positivity guarantee on evaluation.  Instances are immutable
-    after construction and safe to share across threads.
+    Subclasses implement ``_value`` and ``_elast`` on float arrays of any
+    shape; this base class handles input checking and the positivity
+    guarantee on evaluation.  A 0-d input gives numpy's float scalar, an
+    array gives an array.  Instances are immutable after construction.
     """
 
     family = "abstract"
@@ -54,27 +54,19 @@ class FunctionSpec:
 
     def _check_x(self, x):
         arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        vec = np.atleast_1d(arr)
-        if vec.size == 0:
-            return vec, scalar
-        if not np.all(np.isfinite(vec)) or np.any(vec <= 0.0):
+        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
             raise DomainExceeded(
                 f"{self.family}: abscissae must be positive and finite"
             )
         lo, hi = self.support
         if lo > 0.0 or math.isfinite(hi):
-            if np.any(vec < lo * (1.0 - _HULL_SLACK)) or np.any(
-                vec > hi * (1.0 + _HULL_SLACK)
+            if np.any(arr < lo * (1.0 - _HULL_SLACK)) or np.any(
+                arr > hi * (1.0 + _HULL_SLACK)
             ):
                 raise DomainExceeded(
                     f"{self.family}: abscissa outside [{lo:g}, {hi:g}]"
                 )
-        return vec, scalar
-
-    @staticmethod
-    def _ret(values, scalar):
-        return float(values[0]) if scalar else values
+        return arr
 
     def eval(self, x):
         """f(x).  Raises NonPositiveValue if the result is not positive.
@@ -82,19 +74,18 @@ class FunctionSpec:
         A value that overflows or underflows fails that check, which is then
         the only report: numpy's floating-point warnings are silenced.
         """
-        vec, scalar = self._check_x(x)
+        arr = self._check_x(x)
         with np.errstate(over="ignore", under="ignore"):
-            out = self._value(vec)
-        if out.size and (not np.all(np.isfinite(out)) or np.any(out <= 0.0)):
+            out = self._value(arr)
+        if not np.all(np.isfinite(out)) or np.any(out <= 0.0):
             raise NonPositiveValue(
                 f"{self.family}: evaluation produced a non-positive value"
             )
-        return self._ret(out, scalar)
+        return out[()]
 
     def elasticity(self, x):
         """x f'(x) / f(x) -- the local power-law exponent."""
-        vec, scalar = self._check_x(x)
-        return self._ret(self._elast(vec), scalar)
+        return self._elast(self._check_x(x))[()]
 
     def in_support(self, a):
         """Whether the positive scale ``a`` (elementwise, for an array) is a truncation
@@ -103,15 +94,17 @@ class FunctionSpec:
         return (lo < a) & (a <= hi * (1.0 + _HULL_SLACK))
 
     def check_scale(self, a):
-        """``a`` as a float, once checked to be a truncation scale in the support."""
-        a = float(a)
-        if not math.isfinite(a) or a <= 0.0:
-            raise DomainExceeded("scale a must be positive and finite")
-        if not self.in_support(a):
-            lo = self.support[0]
-            raise DomainExceeded(f"a={a:g} beyond the function's support" if a > lo
-                                 else f"a={a:g} at or below the support floor {lo:g}")
-        return a
+        """``a`` as floats, once each scale is checked to be a truncation scale in
+        the support; the first that is not, in the order given, raises."""
+        a = np.asarray(a, dtype=float)
+        bad = np.flatnonzero(~(np.isfinite(a) & self.in_support(a)))
+        if bad.size:
+            b, lo = a.flat[bad[0]], self.support[0]
+            if not math.isfinite(b) or b <= 0.0:
+                raise DomainExceeded("scale a must be positive and finite")
+            raise DomainExceeded(f"a={b:g} beyond the function's support" if b > lo
+                                 else f"a={b:g} at or below the support floor {lo:g}")
+        return a[()]
 
     def _value(self, x):
         raise NotImplementedError
@@ -179,7 +172,7 @@ class Custom(FunctionSpec):
 
     def _elast(self, x):
         f = self._value(x)
-        if f.size and np.any(np.abs(f) < 1e-300):
+        if np.any(np.abs(f) < 1e-300):
             raise NonPositiveValue(
                 "custom: |f| too small to form the elasticity quotient"
             )

@@ -122,12 +122,9 @@ def moment_bundles(spec, scales, tol=1e-10):
     beyond roundoff ("variance integral"); tiny negative values are
     clamped to zero.  Each check names the smallest offending scale.
     """
-    scales = np.asarray(scales, dtype=float)
-    bad = np.flatnonzero(~(np.isfinite(scales) & spec.in_support(scales)))
-    if bad.size:
-        spec.check_scale(scales[bad[0]])  # raises, naming the first bad scale
+    scales = spec.check_scale(scales)
     cuts, where = np.unique(scales, return_inverse=True)
-    fa = np.asarray(spec.eval(cuts))
+    fa = spec.eval(cuts)
     with np.errstate(over="ignore", under="ignore"):
         # a f(a)^2 as cuts * (fa * fa): another order rounds differently
         unit = np.column_stack((cuts * fa, cuts * cuts * fa, cuts * cuts * cuts * fa,

@@ -192,7 +192,7 @@ class _CdfTable:
         self._c3 = self._d0 + d1 - 2.0 * width
 
     def _g(self, s):
-        return np.asarray(self.spec.eval(self.a * s)) / self.fa
+        return self.spec.eval(self.a * s) / self.fa
 
     def _cell(self, t):
         """The guide-table cell of each mass t: equal shares of the total."""
@@ -432,10 +432,10 @@ def mc_estimates(state, n):
             f"need at least {_MIN_ESTIMATE_N} draws for an estimate, got {n}"
         )
     a, spec = state.a, state.spec
-    fa = float(spec.eval(a))
+    fa = spec.eval(a)
     count, mean, m2 = 0, np.zeros(2), np.zeros(2)
     for s in state._blocks(n):
-        y = np.stack((s, np.asarray(spec.eval(a * s), dtype=float) / fa))
+        y = np.stack((s, spec.eval(a * s) / fa))
         k = s.size
         block_mean = y.mean(axis=1)
         y -= block_mean[:, None]

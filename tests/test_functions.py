@@ -18,7 +18,7 @@ from gsp_lab import (
     validate,
 )
 from gsp_lab.functions import _pchip_coefficients
-from conftest import make_tabulated_power
+from conftest import gallery, make_tabulated_power
 
 
 def test_power_law_closed_forms():
@@ -45,13 +45,18 @@ def test_perturbed_matches_hand_formulas():
 
 
 def test_scalar_in_scalar_out():
-    spec = PowerLaw(p=1.5)
-    assert isinstance(spec.eval(2.0), float)
-    out = spec.eval(np.array([1.0, 2.0]))
-    assert isinstance(out, np.ndarray) and out.shape == (2,)
-    for method in (spec.eval, spec.elasticity):
-        empty = method(np.empty(0))
-        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    # on every family, a 0-d input gives a float (PowerLaw's constant
+    # elasticity, made by np.full_like, included), equal to the array
+    # path's value
+    for name, spec in gallery():
+        for method in (spec.eval, spec.elasticity):
+            for x in (2.0, np.float64(2.0), np.array(2.0)):
+                assert isinstance(method(x), float), (name, method.__name__, x)
+                assert method(x) == method(np.array([2.0]))[0], (name, method.__name__)
+            out = method(np.array([1.0, 2.0]))
+            assert isinstance(out, np.ndarray) and out.shape == (2,)
+            empty = method(np.empty(0))
+            assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])

@@ -103,24 +103,21 @@ def test_primitives_are_accurate_relative_to_their_size(spec, p, eps, a):
         assert abs(got - want) <= 1e-9 * want
 
 
-def _mp_profile_moments(p, eps, a):
+def _mp_profile_moments(f, E, a, kink=None):
     """A, theta, wm, the variance, and AE, BE, CE (int g E, int s g E and
-    int g^2 E) of amp x^p (1 + eps sin ln x) at the scale a, from 30-digit
-    tanh-sinh quadratures of the profile g over (0, 1]; amp cancels from
-    all seven."""
+    int g^2 E) of f, whose elasticity is E, at the scale a, from 30-digit
+    tanh-sinh quadratures of the profile g(s) = f(a s) / f(a) over (0, 1],
+    split at kink / a when a > kink; f and E take and give mpf."""
     with mpmath.workdps(30):
-        p, eps, a = mpmath.mpf(p), mpmath.mpf(eps), mpmath.mpf(a)
-
-        def E(x):
-            t = mpmath.log(x)
-            return p + eps * mpmath.cos(t) / (1 + eps * mpmath.sin(t))
+        a = mpmath.mpf(a)
+        fa = f(a)
+        nodes = [0, kink / a, 1] if kink is not None and a > kink else [0, 1]
 
         def g(s):
-            return s**p * (1 + eps * mpmath.sin(mpmath.log(a * s))) / (
-                1 + eps * mpmath.sin(mpmath.log(a)))
+            return f(a * s) / fa
 
         def quad(fn):
-            return mpmath.quad(fn, [0, 1])
+            return mpmath.quad(fn, nodes)
 
         A = quad(g)
         theta = quad(lambda s: s * g(s)) / A
@@ -132,6 +129,23 @@ def _mp_profile_moments(p, eps, a):
         BE = quad(lambda s: s * g(s) * E(a * s))
         CE = quad(lambda s: g(s) ** 2 * E(a * s))
         return [float(v) for v in (A, theta, wm, variance, AE, BE, CE)]
+
+
+_MOMENT_NAMES = ("A", "theta", "wm", "variance", "AE", "BE", "CE")
+
+
+def _mp_perturbed(p, eps):
+    """x^p (1 + eps sin ln x) and its elasticity, in mpf."""
+    p, eps = mpmath.mpf(p), mpmath.mpf(eps)
+
+    def f(x):
+        return x**p * (1 + eps * mpmath.sin(mpmath.log(x)))
+
+    def E(x):
+        t = mpmath.log(x)
+        return p + eps * mpmath.cos(t) / (1 + eps * mpmath.sin(t))
+
+    return f, E
 
 
 @pytest.mark.parametrize("p, eps", [(1.0, 0.1), (0.3, 0.2)])
@@ -146,12 +160,11 @@ def test_perturbed_moments_match_closed_forms_and_mpmath(p, eps):
         for name, want in (("F", amp * F), ("H", amp * H), ("G", amp * amp * G)):
             got = getattr(m, name)[i]
             assert abs(got - want) <= 1e-12 * want, (name, a, got, want)
-        A, theta, wm, variance, AE, BE, CE = _mp_profile_moments(p, eps, a)
+        ref = _mp_profile_moments(*_mp_perturbed(p, eps), a)
         # the reference and the closed forms agree: A = F / (a f(a))
-        assert A == pytest.approx(F / (a * a**p * (1.0 + eps * math.sin(math.log(a)))),
-                                  rel=1e-14)
-        for name, want in (("A", A), ("theta", theta), ("wm", wm),
-                           ("variance", variance), ("AE", AE), ("BE", BE), ("CE", CE)):
+        assert ref[0] == pytest.approx(
+            F / (a * a**p * (1.0 + eps * math.sin(math.log(a)))), rel=1e-14)
+        for name, want in zip(_MOMENT_NAMES, ref):
             got = getattr(m, name)[i]
             assert abs(got - want) <= 1e-12 * abs(want), (name, a, got, want)
 
@@ -264,13 +277,21 @@ _NOT_A_SCALE = "scale a must be positive and finite"
      "a=10 beyond the function's support"),
 ], ids=["nan", "negative", "inf", "above", "floor", "past-slack"])
 def test_scale_check_names_the_first_bad_scale(spec, scales, message):
-    # the first bad scale in the order given gets check_scale's message
+    # the first bad scale in the order given gets check_scale's message,
+    # whether the scales come as an array or one at a time
     with pytest.raises(DomainExceeded) as info:
         moment_bundles(spec, scales)
     assert str(info.value) == message
+    with pytest.raises(DomainExceeded, match=f"^{re.escape(message)}$"):
+        spec.check_scale(scales)
     first_bad = next(a for a in scales if not (math.isfinite(a) and spec.in_support(a)))
     with pytest.raises(DomainExceeded, match=f"^{re.escape(message)}$"):
         spec.check_scale(first_bad)
+    # the scales before it are clean, and come back as their floats
+    clean = scales[:scales.index(first_bad)]
+    checked = spec.check_scale(clean)
+    assert isinstance(checked, np.ndarray) and checked.dtype == float
+    assert checked.tolist() == clean
 
 
 def _doctor_pass(monkeypatch, edits):
@@ -379,12 +400,31 @@ def _kinked_exact(scales):
                                 ("G", 2.0 * p + 1.0, 2.0 * q))}
 
 
+def _mp_kinked():
+    """The kinked f and its elasticity, in mpf."""
+    p, k = mpmath.mpf(_KINK_P), mpmath.mpf(_KINK_K)
+
+    def f(x):
+        t = min(mpmath.log(x), 0)
+        return x**p * mpmath.exp(k * t * t / 2)
+
+    return f, lambda x: p + k * min(mpmath.log(x), 0)
+
+
 def test_kinked_elasticity_moments_match_closed_forms():
+    # F, H, G against their closed forms at every default scale, and the
+    # scale-free A, theta, wm, variance, AE, BE and CE against 30-digit
+    # quadratures split at the kink, at every fourth
     assert DEFAULT_SCALES[0] < 1.0 < DEFAULT_SCALES[-1]
     m = moment_bundles(_kinked(), DEFAULT_SCALES, 1e-12)
     for name, exact in _kinked_exact(DEFAULT_SCALES).items():
         rel = np.abs(getattr(m, name) - exact) / exact
         assert np.max(rel) <= 1e-12, (name, DEFAULT_SCALES[np.argmax(rel)], np.max(rel))
+    for i in range(0, DEFAULT_SCALES.size, 4):
+        a = DEFAULT_SCALES[i]
+        for name, want in zip(_MOMENT_NAMES, _mp_profile_moments(*_mp_kinked(), a, kink=1)):
+            got = getattr(m, name)[i]
+            assert abs(got - want) <= 1e-12 * abs(want), (name, a, got, want)
 
 
 @pytest.mark.xfail(strict=True, reason="the kink of f'' at x = 1 falls in the 0.427% "
