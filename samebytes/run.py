@@ -7,10 +7,11 @@ Each run of ``matrix.RUNS`` is ``gsp_lab.cli.main`` with the run's words,
 once against each tree's ``src``: the base is REF's ``src`` as ``git
 archive`` writes it into a temporary directory, and the head is the working
 tree's, or REF's when --head names one.  Each tree gets one worker process,
-the two side by side, that imports its ``gsp_lab.cli`` once and runs every
-run in a forked child (``perfbench/isolate.run``), with stdout and stderr
-in files in the run's directory; a worker that cannot import it fails every
-run of its tree.  Both trees read the same input files, get the caller's
+the two side by side, that imports its ``gsp_lab.cli`` and ``numpy.random``
+(which a ``sample`` run's first state imports) once and runs every run in a
+forked child (``perfbench/isolate.run``), with stdout and stderr in files
+in the run's directory; a worker that cannot import them fails every run of
+its tree.  Both trees read the same input files, get the caller's
 environment (so ``NAME=VALUE python samebytes/run.py ...`` reaches both)
 and run in directories at the same relative place, so paths in messages
 match.
@@ -120,6 +121,7 @@ def _serve(jobs):
     and the run's exit code, or "timed out", goes to the file rc beside its
     stdout and stderr."""
     import gsp_lab.cli  # noqa: F401  (once, before the forks)
+    import numpy.random  # noqa: F401  (a sample run's first state would import it)
     import isolate
 
     for argv, cwd in json.loads(Path(jobs).read_text()):

@@ -8,6 +8,14 @@ proportional to f at the centroid abscissa across every truncation scale,
 and the detector module turns that rigidity into a numerical test.
 """
 
+import os
+import sys
+
+# No gsp_lab code calls BLAS, yet OpenBLAS's thread pool is half of numpy's
+# import; a value the user set, or numpy loaded first, keeps its threads.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (
     CsvFormatError,
     DomainExceeded,

@@ -53,7 +53,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox  # at import time, not on the first draw
 
 from .errors import DomainExceeded, ToleranceNotReached
 from .functions import PowerLaw
@@ -374,6 +373,9 @@ class SamplerState:
         self.seed = int(seed)
         if not 0 <= self.seed < _SEED_LIMIT:
             raise DomainExceeded(f"seed must lie in [0, 2**64), got {self.seed}")
+        # Here, not at import: numpy.random costs ~10 ms and 6 MB, which only
+        # a process that draws should pay.
+        from numpy.random import Generator, Philox
         key = np.array([self.seed, 0], dtype=np.uint64)
         self._gen = Generator(Philox(key=key))
         self._table = None if isinstance(spec, PowerLaw) else _CdfTable(spec, self.a, tol)
@@ -435,13 +437,14 @@ def mc_estimates(state, n):
     fa = spec.eval(a)
     count, mean, m2 = 0, np.zeros(2), np.zeros(2)
     for s in state._blocks(n):
-        y = np.stack((s, spec.eval(a * s) / fa))
+        rows = (s, spec.eval(a * s) / fa)
         k = s.size
-        block_mean = y.mean(axis=1)
-        y -= block_mean[:, None]
+        block_mean = np.array([y.mean() for y in rows])
+        ss = np.array([np.square(np.subtract(y, m, out=y), out=y).sum()
+                       for y, m in zip(rows, block_mean)])
         delta = block_mean - mean
         mean += delta * (k / (count + k))
-        m2 += np.square(y, out=y).sum(axis=1) + delta**2 * (count * k / (count + k))
+        m2 += ss + delta**2 * (count * k / (count + k))
         count += k
     stderr = np.sqrt(m2 / (n - 1)) / math.sqrt(n)
     return MCEstimate(
