@@ -31,16 +31,19 @@ stencil scale), as arrays the rows are built from.
 Numbers are serialized with 17 significant digits, which makes reruns
 byte-diffable; sample's draws go through a vectorized formatter whose
 bytes equal Python's f"{x:.17g}".
+
+A well-formed command line (the command, then each flag in full with its
+value) is read straight from the flag tables below.  Anything else, help
+and every usage error included, goes to argparse, which is imported and
+built only then, so it alone writes help and usage text, with exit code 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import locale  # noqa: F401  or argparse's gettext imports it on the first parse
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -151,6 +154,8 @@ def _load_config_file(path):
 
 
 def _build_parser():
+    import argparse
+
     def add_flag(parser, key):
         cast = _KEY_TYPES[key]
         kind = ({"action": "store_true", "default": None} if cast is bool
@@ -180,9 +185,9 @@ def _build_parser():
 
 def _join_negative_values(argv):
     """``argv`` with ``--p -1e-3`` written ``--p=-1e-3`` for each float flag
-    of the command: argparse reads a word that starts with '-' as an option
-    unless it is a plain decimal like -1, so ``-1e-3`` or ``-inf`` would
-    never reach the checks that name the bad value."""
+    of the command, for the parser: argparse reads a word that starts with
+    '-' as an option unless it is a plain decimal like -1, so ``-1e-3`` or
+    ``-inf`` would never reach the checks that name the bad value."""
     command = next((word for word in argv if not word.startswith("-")), None)
     flags = {"--" + k.replace("_", "-") for k, cast in _KEY_TYPES.items()
              if cast is float and (k not in _SAMPLE_ONLY or command == "sample")}
@@ -199,11 +204,45 @@ def _join_negative_values(argv):
     return out
 
 
+def _read_argv(argv):
+    """The mapping argparse's namespace gives for ``argv``, read from the flag
+    tables when each item is well formed: a flag of the command spelled in
+    full, then a value of its key's type and choices, or ``--estimate``
+    alone.  A value may start with '-' only after a float flag, and only
+    where float() reads it, as _join_negative_values joins it.  The last of
+    a repeated flag wins.  Anything else gives None, for the parser."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    types = {k: cast for k, cast in _KEY_TYPES.items()
+             if k not in _SAMPLE_ONLY or argv[0] == "sample"}
+    types["config"] = str
+    flags = {"--" + k.replace("_", "-"): k for k in types}
+    args = {"command": argv[0], **dict.fromkeys(types)}
+    words = iter(argv[1:])
+    for word in words:
+        key = flags.get(word)
+        if key is None:
+            return None
+        cast = types[key]
+        if cast is bool:
+            args[key] = True
+            continue
+        word = next(words, None)
+        if word is None or (word.startswith("-") and cast is not float):
+            return None
+        try:
+            args[key] = cast(word)
+        except ValueError:
+            return None
+        if key in _CHOICES and args[key] not in _CHOICES[key]:
+            return None
+    return args
+
+
 def _config_from_args(args):
-    values = _load_config_file(args.config) if args.config else {}
-    values.update({k: v for k, v in vars(args).items()
-                   if k in _KEY_TYPES and v is not None})
-    cfg = RunConfig(command=args.command, **values)
+    values = _load_config_file(args["config"]) if args["config"] else {}
+    values.update({k: v for k, v in args.items() if k in _KEY_TYPES and v is not None})
+    cfg = RunConfig(command=args["command"], **values)
     _check_config(cfg)
     return cfg
 
@@ -369,7 +408,7 @@ def cmd_sample(cfg, spec):
     state = SamplerState(spec, cfg.a, cfg.seed, tol=cfg.tol)
     if cfg.estimate:
         est = mc_estimates(state, cfg.n)
-        _emit(json.dumps(asdict(est), indent=2) + "\n", cfg.out)
+        _emit(json.dumps(vars(est), indent=2) + "\n", cfg.out)
         _say(f"sample: n={est.n} mean_x={est.mean_x:.10g}")
         return EXIT_PASS
     # every draw is solved before the first byte is written; the text is
@@ -388,14 +427,11 @@ _COMMANDS = {
     "sample": (cmd_sample, "draw from the normalized measure at one scale"),
 }
 
-# Built once, at import: each flag costs a HelpFormatter, while help and
-# error text are formatted when printed, so their bytes stay the same.
-_PARSER = _build_parser()
-
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _PARSER.parse_args(_join_negative_values(argv))
+    args = (_read_argv(argv)
+            or vars(_build_parser().parse_args(_join_negative_values(argv))))
     try:
         cfg = _config_from_args(args)
         spec = _build_spec(cfg)

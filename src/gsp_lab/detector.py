@@ -24,7 +24,7 @@ exponents (possibly empty, possibly two), one from each monotone branch.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -170,7 +170,7 @@ class DetectionResult:
     notes: str = ""
 
     def to_dict(self):
-        return {**asdict(self), "verdict": self.verdict.value}
+        return {**vars(self), "verdict": self.verdict.value}
 
 
 def _residual_margin(spec, moments, fx, lam):

@@ -5,19 +5,22 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
 import warnings
 from dataclasses import asdict
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsp_lab import PerturbedPowerLaw, PowerLaw, SamplerState
+from gsp_lab import PerturbedPowerLaw, PowerLaw, SamplerState, cli
 from gsp_lab._g17 import _g17_lines
 from gsp_lab.cli import RunConfig, main
 
@@ -839,18 +842,23 @@ def test_table_with_tied_log_abscissae_is_inadmissible(tmp_path, capsys):
 
 
 def test_main_builds_no_parser(monkeypatch, capsys):
-    # the parser is built once, at import; a call only parses
+    # a well-formed command line is read from the flag tables; the parser is
+    # built only for a line it must word an error or help for
     built = []
     init = argparse.ArgumentParser.__init__
 
     def counting(self, *args, **kwargs):
-        built.append(1)
+        built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     for _ in range(2):
         assert run_cli("detect", "--family", "power", "--p", "2", "--out", os.devnull) == 0
     assert built == []
+    with pytest.raises(SystemExit) as info:
+        run_cli("detect", "--bogus")
+    assert info.value.code == 2
+    assert built.count("gsp-lab") == 1
 
 
 def test_unknown_family_rejected_by_parser():
@@ -927,6 +935,94 @@ def test_other_dashed_words_keep_the_parser_errors(argv, message, capsys):
         run_cli(*argv)
     assert info.value.code == 2
     assert f"gsp-lab detect: error: {message}" in capsys.readouterr().err
+
+
+_COMMAND_NAMES = ["verify", "detect", "sweep", "sample"]
+_FLAG_NAMES = sorted({"--" + key.replace("_", "-") for key in cli._KEY_TYPES} | {"--config"})
+# every flag, and prefixes and underscore spellings argparse reads or refuses
+_FLAGS = st.sampled_from(_FLAG_NAMES + ["--fam", "--a-m", "--es", "--a_min", "--a_count"])
+_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["-inf", "nan", "1e999", "9.5", "-1", "-1e3", "-x", "",
+                     "power", "perturbed", "cubic", "csv", "json", "xml", "table.csv"]),
+)
+_WORDS = st.one_of(
+    st.sampled_from(_COMMAND_NAMES), _FLAGS, _VALUES,
+    st.sampled_from(["-h", "--help", "--", "bogus"]),
+    st.builds("{}={}".format, _FLAGS, _VALUES),
+)
+# "{:_}" spells -1000 "-1_000", which int() reads and argparse takes for a flag
+_TYPED = {float: st.floats().map(repr),
+          int: st.integers(-2**70, 2**70).flatmap(
+              lambda i: st.sampled_from([str(i), f"{i:_}"])),
+          str: st.sampled_from(["power", "perturbed", "csv", "json", "table.csv"])}
+
+
+def _item(flag):
+    """The flag, then a value of its key's type or any value; --estimate alone."""
+    cast = cli._KEY_TYPES.get(flag[2:].replace("-", "_"), str)
+    if cast is bool:
+        return st.just((flag,))
+    return st.tuples(st.just(flag), st.one_of(_TYPED[cast], _VALUES))
+
+
+def _lines(items, most):
+    """A command, then up to ``most`` items, cut to six words."""
+    return st.builds(lambda command, drawn: [command, *(w for i in drawn for w in i)][:6],
+                     st.sampled_from(_COMMAND_NAMES), st.lists(items, max_size=most))
+
+
+_ITEMS = _FLAGS.flatmap(_item)
+_ARGV = st.one_of(_lines(_ITEMS, 2), _lines(st.one_of(_ITEMS, st.tuples(_WORDS)), 3),
+                  st.lists(_WORDS, max_size=6))
+_PARSER = cli._build_parser()
+
+
+def _parsed(argv):
+    """vars() of argparse's namespace for argv, or the code it exits with."""
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            return vars(_PARSER.parse_args(cli._join_negative_values(argv)))
+    except SystemExit as exc:
+        return exc.code
+
+
+@settings(max_examples=1000)
+@given(_ARGV)
+def test_flag_tables_read_what_argparse_reads(argv):
+    # repr, so that nan equals nan and 1 is not 1.0
+    read, parsed = cli._read_argv(argv), _parsed(argv)
+    if read is not None:
+        assert isinstance(parsed, dict)
+        assert {k: repr(v) for k, v in read.items()} == {k: repr(v) for k, v in parsed.items()}
+    if not isinstance(parsed, dict):
+        assert read is None
+
+
+def test_flag_tables_read_every_benchmark_and_same_bytes_run(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    sys.path[:0] = [str(root / "perfbench"), str(root / "samebytes")]
+    try:
+        import inputs
+        import matrix
+    finally:
+        del sys.path[:2]
+    argvs = [list(inv.argv) for workload in inputs.WORKLOADS
+             for inv in inputs.make_inputs(workload, 1, str(tmp_path)).batch]
+    assert len(argvs) == 13
+    assert all(cli._read_argv(argv) is not None for argv in argvs)
+    runs = dict.fromkeys(text for _, text in matrix.RUNS)  # as samebytes/run.py counts
+    refused = [text for text in runs
+               if cli._read_argv([re.sub(r"\{[^}]+\}", "file", word)
+                                  for word in shlex.split(text)]) is None]
+    assert len(runs) == 876
+    # the runs whose help or usage error argparse writes, and a seed of -1,
+    # which argparse reads and the config check refuses
+    assert refused == ["sample --family power --p 2 --a 1 --seed -1",
+                       "detect --family cubic", "", "detect --bogus",
+                       "detect --a-count 9.5", "--help"]
 
 
 def test_console_script_entry_point(tmp_path):

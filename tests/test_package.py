@@ -47,6 +47,13 @@ def test_cli_import_leaves_numpy_random_out():
     assert _fresh_python(code) == "False"
 
 
+def test_cli_import_leaves_argparse_out():
+    # argparse, and the gettext and locale it loads, come only with a parser
+    code = ("import sys, gsp_lab.cli; "
+            "print([m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])")
+    assert _fresh_python(code) == "[]"
+
+
 # gsp_lab makes no BLAS call, so a process that loads numpy through it asks
 # OpenBLAS for one thread; a preset value, or numpy loaded first, is kept.
 _BLAS_THREADS = """
