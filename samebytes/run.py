@@ -22,15 +22,18 @@ tree.  Each differing run is printed with a diff and, where only numbers
 moved, the largest change relative to max(1, |base value|).  Then the
 count of identical runs and the sha256 of their results, in matrix order.
 
---expect FILE names the runs a change alters on purpose, one run's text a
-line ('#' starts a comment), after a first line ``base SHA`` naming the
-commit they differ from; against any other base the file expects nothing,
-so its entries do not carry over to the next change.  An expected run
-passes only when its exit code and stderr are identical and every number
-of its stdout and ``--out`` file moved by at most 1e-12 * max(1, |base
-value|), with the text around them unchanged.  The exit status is 1 when a
-run differs and is not expected, or exceeds that bound, or is expected but
-identical, or timed out, or its worker failed; else 0.
+--expect FILE names the runs a change alters on purpose, one entry a line
+('#' starts a comment), after a first line ``base SHA`` naming the commit
+they differ from; against any other base the file expects nothing, so its
+entries do not carry over to the next change.  An entry is a run's text or
+``changed`` and a run's text.  A run named plainly passes only when its
+exit code and stderr are identical and every number of its stdout and
+``--out`` file moved by at most 1e-12 * max(1, |base value|), with the
+text around them unchanged; a ``changed`` run passes when it differs in
+any way.  Every expected run is printed with its diff.  The exit status is
+1 when a run differs and is not expected, or a plain entry exceeds that
+bound, or an expected run is identical, or a run timed out, or its worker
+failed; else 0.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 _DIFF_LINES = 40
 _TIMEOUT_S = 600
 _BOUND = 1e-12  # an expected run's largest change, relative to max(1, |base value|)
+_CHANGED = "changed "  # an expect entry for a run that may change in any way
 
 
 def _checkout(ref, dest):
@@ -95,19 +99,20 @@ def _commit(ref):
 
 
 def _expected(path, base):
-    """The runs path expects to differ from base: none when its base line
+    """The runs path expects to differ from base, each mapped to whether it
+    may change in any way (a ``changed`` entry): none when its base line
     names another commit."""
     names = [line.strip() for line in path.read_text().splitlines()
              if line.strip() and not line.lstrip().startswith("#")]
     if not names:
-        return set()
+        return {}
     word, _, sha = names[0].partition(" ")
     if word != "base" or not sha.strip():
         sys.exit(f"{path}: the first entry must be 'base SHA'")
     if _commit(sha.strip()) != _commit(base):
         print(f"{path} names base {sha.strip()}, not {base}: no run is expected to differ")
-        return set()
-    return set(names[1:])
+        return {}
+    return {name.removeprefix(_CHANGED): name.startswith(_CHANGED) for name in names[1:]}
 
 
 def _expand(text, places):
@@ -208,7 +213,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     env = dict(os.environ)
-    expected = _expected(args.expect, args.base) if args.expect else set()
+    expected = _expected(args.expect, args.base) if args.expect else {}
     runs = list(dict.fromkeys(text for group, text in matrix.RUNS
                               if args.group is None or group in args.group))
 
@@ -256,7 +261,7 @@ def main(argv=None):
             if name not in expected:
                 print("  (not in the expect file)")
                 failed += 1
-            elif not _within_bound(base, head):
+            elif not expected[name] and not _within_bound(base, head):
                 print(f"  (expected, but not a change of numbers by at most {_BOUND:g})")
                 failed += 1
     print(f"{len(runs)} runs: {same} identical (sha256 {digest.hexdigest()}), "

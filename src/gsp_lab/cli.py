@@ -293,9 +293,8 @@ def _grid_for(cfg, spec):
         raise ConfigError("scales must be strictly increasing")
     scales = scales[spec.in_support(scales)]
     if scales.size < _MIN_SCALES:
-        lo, hi = spec.support
         raise ConfigError(f"only {scales.size} grid scales fit inside the support "
-                          f"({lo:g}, {hi:g}]")
+                          f"(0, {spec.top:g}]")
     if cfg.command == "verify":
         scales = scales[stencil_fits(spec, scales)]
         if scales.size < _MIN_SCALES:
@@ -402,9 +401,8 @@ def cmd_sweep(cfg, spec):
 
 def cmd_sample(cfg, spec):
     if not spec.in_support(cfg.a):
-        lo, hi = spec.support
         raise ConfigError(f"sample scale a={cfg.a:g} lies outside the support "
-                          f"({lo:g}, {hi:g}]")
+                          f"(0, {spec.top:g}]")
     state = SamplerState(spec, cfg.a, cfg.seed, tol=cfg.tol)
     if cfg.estimate:
         est = mc_estimates(state, cfg.n)

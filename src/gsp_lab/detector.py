@@ -47,8 +47,8 @@ __all__ = [
 _ELASTICITY_PROBES = 33
 _MARGIN_FACTOR = 10.0  # how many quadrature-error widths count as "on the line"
 # (tol_gsp, tol_var): the thresholds on the collapse residual and the
-# variance functional, looser on a table, where interpolation and the
-# missing head below the hull put a floor under both statistics.
+# variance functional, looser on a table, where the interpolation's kinks
+# at its knots put a floor under both statistics.
 _ANALYTIC_THRESHOLDS = (1e-6, 1e-9)
 _TABLE_THRESHOLDS = (1e-3, 1e-5)
 

@@ -1,16 +1,18 @@
-"""Function families on (0, inf) and their admissibility checks.
+"""Function families on (0, top] and their admissibility checks.
 
-A spec represents a positive function f on (0, inf) with f -> 0 at 0+.  All
-families expose the same two operations -- the value and the logarithmic
-derivative x f'(x) / f(x) (the "elasticity") -- accepting either a scalar or
-a numpy array of positive abscissae.  ``validate`` screens a spec against
-those hypotheses and raises Inadmissible at the first one it breaks.
+A spec represents a positive function f on (0, top] with f -> 0 at 0+; top
+is inf but for a table, whose top is its last sample.  All families expose
+the same two operations -- the value and the logarithmic derivative
+x f'(x) / f(x) (the "elasticity") -- accepting either a scalar or a numpy
+array of positive abscissae.  ``validate`` screens a spec against those
+hypotheses and raises Inadmissible at the first one it breaks.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,9 @@ __all__ = [
     "load_tabulated_csv",
 ]
 
-_HULL_SLACK = 1e-12  # relative slack when checking tabulated bounds
+_HULL_SLACK = 1e-12  # relative slack when checking a table's top
+_HEAD_DEPTH = np.arange(20.0, 0.0, -1.0)  # k of a table's head breakpoints x[0] 2^-k
+_TINY_NORMAL = sys.float_info.min  # the smallest normal double
 
 
 class FunctionSpec:
@@ -45,9 +49,9 @@ class FunctionSpec:
     """
 
     family = "abstract"
-    #: (lo, hi) abscissa range the function can be evaluated on.  Analytic
-    #: families use (0, inf); tabulated data is confined to its sample hull.
-    support = (0.0, math.inf)
+    #: the largest abscissa the function is defined at: it lives on (0, top].
+    #: Analytic families have no top; a table's is its last sample.
+    top = math.inf
     #: abscissae where f may be non-smooth (a table's sample points); the
     #: quadratures split at them.  Analytic families are smooth everywhere.
     knots = np.empty(0)
@@ -58,14 +62,8 @@ class FunctionSpec:
             raise DomainExceeded(
                 f"{self.family}: abscissae must be positive and finite"
             )
-        lo, hi = self.support
-        if lo > 0.0 or math.isfinite(hi):
-            if np.any(arr < lo * (1.0 - _HULL_SLACK)) or np.any(
-                arr > hi * (1.0 + _HULL_SLACK)
-            ):
-                raise DomainExceeded(
-                    f"{self.family}: abscissa outside [{lo:g}, {hi:g}]"
-                )
+        if np.any(arr > self.top * (1.0 + _HULL_SLACK)):
+            raise DomainExceeded(f"{self.family}: abscissa outside (0, {self.top:g}]")
         return arr
 
     def eval(self, x):
@@ -88,10 +86,9 @@ class FunctionSpec:
         return self._elast(self._check_x(x))[()]
 
     def in_support(self, a):
-        """Whether the positive scale ``a`` (elementwise, for an array) is a truncation
-        scale in the support: above its floor, and at most its top plus the hull slack."""
-        lo, hi = self.support
-        return (lo < a) & (a <= hi * (1.0 + _HULL_SLACK))
+        """Whether the scale ``a`` (elementwise, for an array) is a truncation scale in
+        the support: positive, and at most its top plus the hull slack."""
+        return (0.0 < a) & (a <= self.top * (1.0 + _HULL_SLACK))
 
     def check_scale(self, a):
         """``a`` as floats, once each scale is checked to be a truncation scale in
@@ -99,11 +96,10 @@ class FunctionSpec:
         a = np.asarray(a, dtype=float)
         bad = np.flatnonzero(~(np.isfinite(a) & self.in_support(a)))
         if bad.size:
-            b, lo = a.flat[bad[0]], self.support[0]
+            b = a.flat[bad[0]]
             if not math.isfinite(b) or b <= 0.0:
                 raise DomainExceeded("scale a must be positive and finite")
-            raise DomainExceeded(f"a={b:g} beyond the function's support" if b > lo
-                                 else f"a={b:g} at or below the support floor {lo:g}")
+            raise DomainExceeded(f"a={b:g} beyond the function's support")
         return a[()]
 
     def _value(self, x):
@@ -208,12 +204,16 @@ def _pchip_coefficients(t, y):
 
 
 class Tabulated(FunctionSpec):
-    """Positive samples (x_i, f_i) interpolated monotonically in log-log.
+    """Positive samples (x_i, f_i) interpolated monotonically in log-log, on (0, x[-1]].
 
-    Interpolation is the shape-preserving PCHIP through (log x, log f), with
-    Fritsch-Butland harmonic-mean knot slopes: any exact power-law table (a
-    straight line there) is reproduced without model bias.  The elasticity
-    is the cubic's derivative; evaluation is confined to [x[0], x[-1]].
+    On [x[0], x[-1]] the interpolant is the shape-preserving PCHIP through
+    (log x, log f), with Fritsch-Butland harmonic-mean knot slopes: any
+    exact power-law table (a straight line there) is reproduced without
+    model bias.  Below x[0] it continues the floor's power law: log f is
+    the straight line through the first sample with the cubic's first knot
+    slope c1, so the elasticity there is c1.  A table's ``PowerLaw``
+    verdict therefore means "consistent with a power law on (0, a] that
+    continues the floor".  The elasticity is the cubic's derivative.
     Samples it cannot interpolate raise Inadmissible, naming the fault.
     """
 
@@ -235,16 +235,28 @@ class Tabulated(FunctionSpec):
             raise Inadmissible("tabulated: x must be strictly increasing")
         self.x = x
         self.f = f
-        self.support = (float(x[0]), float(x[-1]))
-        self.knots = x
+        self.top = float(x[-1])
         self._t = t
-        self._c = _pchip_coefficients(t, np.log(f))
+        # column 0 is the head's line, column i + 1 the cubic from knot i;
+        # _left[j] is the knot that column j's offset dt is taken from
+        c = _pchip_coefficients(t, np.log(f))
+        self._c = np.column_stack(([c[0, 0], c[1, 0], 0.0, 0.0], c))
+        self._left = np.concatenate((t[:1], t[:-1]))
+        # The head's dyadic breakpoints x[0] 2^-k mesh it geometrically
+        # toward 0 from the start, so the quadratures spend no round there.
+        # They go as deep as the head's mass below them, 2^-k(c1 + 1) of
+        # its mass below x[0], is above machine epsilon: a steep head gets
+        # few, which keeps the kernel's nodes where f does not underflow.
+        # Subnormal ones would give panels whose nodes round to 0.
+        k = _HEAD_DEPTH[_HEAD_DEPTH * (c[1, 0] + 1.0) <= 52.0]
+        head = x[0] * 2.0 ** -k
+        self.knots = np.concatenate((head[head >= _TINY_NORMAL], x))
 
     def _locate(self, x):
-        # each point's cubic and offset dt; the hull's slack extends the end cubics
+        # each point's column and offset dt; the hull's slack extends the last cubic
         t = np.log(x)
-        i = np.clip(np.searchsorted(self._t, t, side="right") - 1, 0, self._t.size - 2)
-        return self._c[:, i], t - self._t[i]
+        j = np.minimum(np.searchsorted(self._t, t, side="right"), self._t.size - 1)
+        return self._c[:, j], t - self._left[j]
 
     def _value(self, x):
         c, dt = self._locate(x)
@@ -263,9 +275,10 @@ _DECAY_SLACK = 1e-12  # relative rise a decay check forgives between neighbours
 
 
 def _probe_grid(spec):
-    """Log-spaced probes on the support's part of [1e-6, 1e6], or on the
-    whole support (a table's hull) when the two do not meet."""
-    lo, hi = spec.support
+    """Log-spaced probes on the support's part of [1e-6, 1e6], or on a table's
+    whole hull [x[0], x[-1]] when the two do not meet: the probes reach no
+    lower than x[0], below which a table is its floor's power law."""
+    lo, hi = (spec.x[0] if isinstance(spec, Tabulated) else 0.0), spec.top
     if lo < 1e6 and hi > 1e-6:
         lo, hi = max(lo, 1e-6), min(hi, 1e6)
     return np.geomspace(lo, hi, _PROBE_COUNT)
@@ -276,7 +289,8 @@ def validate(spec):
 
     Checks, in order: parameter sanity for the parametric families, strict
     positivity on a log-spaced probe grid, and monotone decay toward zero on
-    the smallest dyadic probes.  Returns None if every check passes, and
+    the smallest dyadic probes, or, for a table, a positive floor slope c1
+    (so its head's power law decays).  Returns None if every check passes, and
     otherwise raises Inadmissible naming the first violated hypothesis
     ("positivity" or "f(0+)=0") with the detail in parentheses; probing is
     the best a finite procedure can do, so passing is evidence, not proof.
@@ -304,12 +318,10 @@ def validate(spec):
         raise Inadmissible(f"positivity ({exc})") from None
 
     if isinstance(spec, Tabulated):
-        # Decay below the hull is unobservable; require the recorded head of
-        # the table itself to be nondecreasing in x.
-        k = min(_DECAY_TAIL, spec.f.size)
-        head = spec.f[:k]
-        if np.any(np.diff(head) < -_DECAY_SLACK * head[:-1]):
-            raise Inadmissible("f(0+)=0 (table head does not decay toward x=0)")
+        slope = spec._c[1, 0]  # the head's exponent, read off its line
+        if slope <= 0.0:
+            raise Inadmissible(f"f(0+)=0 (table floor slope {slope:g} does not "
+                               "decay toward x=0)")
         return
 
     tail = vals[-_DECAY_TAIL:]  # f at the smallest probes, largest x first

@@ -85,10 +85,7 @@ def identity_reports(spec, scales, tol=1e-10):
     and s g (E - E_ref), with E_ref A and E_ref B added back, and
     int g**2 E ds.  Their right-hand sides come from the normalized moments,
     so the first two test M_10 and M_11 against A and B: the routes share
-    no algebra, and agreement is a real check on both.  On a table the
-    profile starts at s0 = x0 / a > 0, and integrating by parts from there
-    leaves the boundary terms s0 g(s0), s0^2 g(s0) and s0 g(s0)^2 / 2 on the
-    right-hand sides.
+    no algebra, and agreement is a real check on both.
 
     The central differences use steps h and h/2; where the two disagree
     beyond what central differencing should leave behind, the Richardson
@@ -101,16 +98,10 @@ def identity_reports(spec, scales, tol=1e-10):
     # q[k, j] = (A, B, C, theta) at point j of scale k's stencil
     q = np.column_stack((m.A, m.B, m.C, m.theta)).reshape(len(a), 5, 4)
     A, B, C = q[:, 0, :3].T
-    fa, AE, BE, CE = (v[0::5] for v in (m.fa, m.AE, m.BE, m.CE))
+    AE, BE, CE = (v[0::5] for v in (m.AE, m.BE, m.CE))
 
-    x0 = spec.support[0]
-    s0 = x0 / a
-    g0 = (spec.eval(x0) if x0 > 0.0 else 0.0) / fa
-    reduction = np.column_stack((
-        np.abs(AE - (1.0 - A - s0 * g0)),
-        np.abs(BE - (1.0 - 2.0 * B - s0 * s0 * g0)),
-        np.abs(CE - (1.0 - C - s0 * g0 * g0) / 2.0),
-    ))
+    reduction = np.column_stack((np.abs(AE - (1.0 - A)), np.abs(BE - (1.0 - 2.0 * B)),
+                                 np.abs(CE - (1.0 - C) / 2.0)))
 
     ea = spec.elasticity(a)
     dA = (1.0 - (1.0 + ea) * A) / a

@@ -105,12 +105,6 @@ def moment_bundles(spec, scales, tol=1e-10):
     columns behind AE, BE, D, wm and the variance meet 1e-12, so AE and BE
     carry the error of M_10 and M_11 plus |E_ref| times that of A and B.
 
-    For tabulated specs, whose support starts at x[0] > 0, the integrals run
-    from x[0] and the unobservable head (0, x[0]] is accounted for by adding
-    an elementary bound on its mass to each error estimate of F, H, G: f is
-    positive and decays toward 0, so f(x[0]) bounds it there.  The values
-    themselves are never silently corrected.
-
     A scale outside the support raises ``check_scale``'s DomainExceeded (the
     first one, in the order given).  Raises GspLabError, before integrating,
     if a scale-free unit a f(a), a^2 f(a), a^3 f(a) or a f(a)^2 underflows
@@ -147,12 +141,8 @@ def moment_bundles(spec, scales, tol=1e-10):
     m_unit, c_unit = unit[:, :3], unit[:, 3:]
     units = np.hstack((m_unit, m_unit, m_unit, c_unit, c_unit))
     tols = np.repeat([tol, _TIGHT_TOL, _TIGHT_TOL, tol], [3, 3, 3, 2])
-    lo = spec.support[0]
-    res = cumulative(columns, lo, cuts, tols, units=units, breakpoints=spec.knots)
+    res = cumulative(columns, 0.0, cuts, tols, units=units, breakpoints=spec.knots)
     errors = res.error_estimate[:, [0, 1, 9]]
-    if lo > 0.0:
-        flo = spec.eval(lo)
-        errors = errors + np.array([lo * flo, lo * lo * flo, lo * flo * flo])
     scaled = res.value / units
     # M[:, j, k] is the scale-free int s^k g (E - E_ref)^j ds, dM its error
     M = scaled[:, :9].reshape(-1, 3, 3)

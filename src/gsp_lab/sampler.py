@@ -18,10 +18,10 @@ Approximation Theory and Approximation Practice, 2013).  Each model is
 checked once, at build time, against the adaptive kernel: at its
 interval's mass and at its midpoint, to a tenth of a draw's tolerance (or
 twice the kernel's target, if that is looser).  An interval that fails is
-split and its parts checked again: the first interval of an analytic spec
-geometrically toward 0, where g ~ s**p is not smooth, and any other at the
-table's knots inside it, or at its geometric mean if it holds none.  A
-model that cannot pass raises ToleranceNotReached before any draw.
+split and its parts checked again: the first interval geometrically toward
+0, where g ~ s**p is not smooth, and any other at the table's knots inside
+it, or at its geometric mean if it holds none.  A model that cannot pass
+raises ToleranceNotReached before any draw.
 
 A draw finds its piece through a guide table and starts from a cubic
 Hermite interpolant of the inverse CDF on it, with exact end slopes 1/g
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainExceeded, ToleranceNotReached
-from .functions import PowerLaw
+from .functions import _TINY_NORMAL, PowerLaw
 from .quadrature import _ERROR_FLOOR, cumulative
 
 __all__ = ["SamplerState", "MCEstimate", "mc_estimates"]
@@ -138,16 +138,11 @@ class _CdfTable:
         self.a = a
         self.tol = tol
         self.fa = spec.eval(a)
-        lo = spec.support[0]
-        s_lo = lo / a
-        if s_lo == 0.0 < lo:
-            raise DomainExceeded(
-                f"a={a:g}: the table floor {lo:g} underflows to 0 in units of a"
-            )
         # Knots that overflow in units of a lie above 1, where the kernel
-        # drops them.
+        # drops them; subnormal ones would give panels whose nodes round to 0.
         with np.errstate(over="ignore"):
             self._breaks = spec.knots / a
+        self._breaks = self._breaks[self._breaks >= _TINY_NORMAL]
         # The masses are at most 1 in profile units: the kernel computes them
         # to min(1e-12, 0.01 tol), but no tighter than it reaches.  A model
         # must match the kernel to a tenth of a draw's tolerance, or, if that
@@ -156,8 +151,8 @@ class _CdfTable:
         self._kernel_tol = max(_TABLE_TOL_FLOOR, min(1e-12, 0.01 * tol))
         self._model_tol = max(0.1 * tol, 2.0 * self._kernel_tol)
 
-        self.edges = np.linspace(s_lo, 1.0, _TABLE_INTERVALS + 1)
-        res = cumulative(self._g, s_lo, self.edges[1:], self._kernel_tol,
+        self.edges = np.linspace(0.0, 1.0, _TABLE_INTERVALS + 1)
+        res = cumulative(self._g, 0.0, self.edges[1:], self._kernel_tol,
                          breakpoints=self._breaks)
         self.cum = np.concatenate(([0.0], res.value[:, 0]))
         self.total = float(self.cum[-1])
@@ -176,17 +171,13 @@ class _CdfTable:
             np.searchsorted(self._cell(self.cum), np.arange(pieces)) - 1, 0)
         # Hermite coefficients in tau = (t - cum_k) / mass_k on each piece:
         # s = s_k + tau (d0 + tau (c2 + tau c3)), with end tangents
-        # d = mass_k / g in s units.  An analytic spec has g(0+) = 0 at the
-        # first edge, whose tangent falls back to the chord.
-        first = int(s_lo == 0.0)
-        g_edges = np.concatenate((np.zeros(first), self._g(self.edges[first:])))
+        # d = mass_k / g in s units.  g(0+) = 0 at the first edge, whose
+        # tangent falls back to the chord.
+        g_right = self._g(self.edges[1:])
         masses = np.diff(self.cum)
         width = np.diff(self.edges)
-        with np.errstate(divide="ignore"):
-            self._d0 = masses / g_edges[:-1]
-        if first:
-            self._d0[0] = width[0]
-        d1 = masses / g_edges[1:]
+        self._d0 = np.concatenate((width[:1], masses[1:] / g_right[:-1]))
+        d1 = masses / g_right
         self._c2 = 3.0 * width - 2.0 * self._d0 - d1
         self._c3 = self._d0 + d1 - 2.0 * width
 
@@ -268,10 +259,10 @@ class _CdfTable:
         model is off by ``err`` of the total and whose mass is ``growth``
         times its mass up to its midpoint.
 
-        The piece at 0 of an analytic spec is cut geometrically, as the
-        kernel cuts its panel at 0: if its mass, and its model's error with
-        it, shrink like width**rate, the error needs ``want`` halvings.  The
-        cuts stop where the new piece's lowest node would underflow in x.
+        The piece at 0 is cut geometrically, as the kernel cuts its panel
+        at 0: if its mass, and its model's error with it, shrink like
+        width**rate, the error needs ``want`` halvings.  The cuts stop where
+        the new piece's lowest node would underflow in x.
         Any other piece is split at the table's knots inside it, and one
         with none (a table segment that spans decades, or an undeclared
         kink) at its geometric mean.  A cut is taken only if every part
@@ -300,7 +291,7 @@ class _CdfTable:
         )
 
     def quantiles(self, u):
-        """Solve int_{s_lo}^{s} g = u * total for each u of a block, and
+        """Solve int_0^s g = u * total for each u of a block, and
         return the solutions and their CDF residuals.
 
         A draw's piece is a knot interval, or one of the parts a failing

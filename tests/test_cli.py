@@ -128,8 +128,8 @@ def test_one_quadrature_pass_per_command(command, source, monkeypatch, x15_csv):
 def test_grid_commands_evaluate_the_spec_on_arrays(command, source, monkeypatch,
                                                    x15_csv):
     # f and E at the centroids, the fit, the residuals and their margins are
-    # array expressions over the grid: an analytic spec is never evaluated at
-    # a single point, and a table only at its head, f(x0)
+    # array expressions over the grid: no spec, a table included, is ever
+    # evaluated at a single point
     from gsp_lab.functions import FunctionSpec
 
     scalar = []
@@ -147,11 +147,7 @@ def test_grid_commands_evaluate_the_spec_on_arrays(command, source, monkeypatch,
             "table": ["--csv", str(x15_csv)]}[source]
     rc = run_cli(command, *spec, "--format", "json", "--out", os.devnull)
     assert rc == (1 if (command, source) == ("detect", "perturbed") else 0)
-    if source == "table":
-        x0 = float(x15_csv.read_text().splitlines()[1].split(",")[0])
-        assert scalar == [("eval", x0)]
-    else:
-        assert scalar == []
+    assert scalar == []
 
 
 def _kernel_calls(monkeypatch):
@@ -294,26 +290,24 @@ def _ci_table(path):
 
 @pytest.mark.parametrize("case, line", [
     ("ulps-wide", "scales must be strictly increasing"),
-    ("outside-table", "only 1 grid scales fit inside the support (4, 5]"),
+    ("outside-table", "only 1 grid scales fit inside the support (0, 0.12]"),
     ("stencil-trimmed", "need at least 5 scales, got 4"),
     ("a-count-4", "grid needs at least 5 scales"),
     # sample's one scale is held to the support as a grid's scales are
-    ("sample-above-table", "sample scale a=20 lies outside the support (0.01, 10]"),
-    ("sample-below-table", "sample scale a=0.005 lies outside the support (0.01, 10]"),
+    ("sample-above-table", "sample scale a=20 lies outside the support (0, 10]"),
 ])
 def test_grid_errors_are_one_line_config_errors(case, line, tmp_path, capsys):
-    x45 = np.geomspace(4.0, 5.0, 30).tolist()
+    low = np.geomspace(0.05, 0.12, 30).tolist()
     ci = _ci_table(tmp_path / "ci.csv")
     argv = {
         "ulps-wide": ("sweep", "--family", "power", "--p", "2", "--a-min", "1",
                       "--a-max", "1.0000000000000004", "--a-count", "9"),
-        "outside-table": ("detect", "--csv", _x_f_table(tmp_path / "x15.csv", x45,
-                                                        [v**1.5 for v in x45])),
+        "outside-table": ("detect", "--csv", _x_f_table(tmp_path / "x15.csv", low,
+                                                        [v**1.5 for v in low])),
         "stencil-trimmed": ("verify", "--csv", ci,
                             "--a-min", "9.99", "--a-max", "10", "--a-count", "5"),
         "a-count-4": ("sweep", "--family", "power", "--p", "2", "--a-count", "4"),
         "sample-above-table": ("sample", "--csv", ci, "--a", "20", "--n", "10"),
-        "sample-below-table": ("sample", "--csv", ci, "--a", "0.005", "--n", "10"),
     }[case]
     assert run_cli(*argv) == 2
     assert capsys.readouterr() == ("", f"config error: {line}\n")
@@ -750,7 +744,7 @@ def _sqrt_table(path, lo, hi, n):
 
 
 @pytest.mark.parametrize("lo,hi,grid,code", [
-    (1e10, 1e20, ("--a-min", "1e11", "--a-max", "1e19"), 4),
+    (1e10, 1e20, ("--a-min", "1e11", "--a-max", "1e19"), 0),
     (1e-300, 1e-290, (), 2),
     (1e-300, 1e-290, ("--a-min", "1e-299", "--a-max", "1e-291"), 1),
     (1e-305, 1e305, ("--a-min", "1e100", "--a-max", "1e300"), 1),
@@ -773,22 +767,41 @@ def test_table_outside_the_probe_window_ends_in_one_line(tmp_path, capsys, lo, h
         assert err.startswith("error: unit ") and "outside the float64 range" in err
 
 
+def test_sample_estimate_on_a_table_reaches_into_its_head(tmp_path, capsys):
+    # x^1.5 sampled on [0.01, 10], drawn at a = 0.02: the head below the
+    # first sample holds (1/2)^2.5 = 18% of the mass, and the means of x and
+    # f(x) land on the closed-form centroid H/F and G/F
+    x = np.geomspace(0.01, 10.0, 200).tolist()
+    table = _x_f_table(tmp_path / "x15.csv", x, [v**1.5 for v in x])
+    out = tmp_path / "estimate.json"
+    assert run_cli("sample", "--csv", table, "--a", "0.02", "--n", "20000",
+                   "--seed", "3", "--estimate", "--out", str(out)) == 0
+    est = json.loads(out.read_text())
+    a, p = 0.02, 1.5
+    assert abs(est["mean_x"] - a * (p + 1) / (p + 2)) <= 5.0 * est["stderr_x"]
+    assert abs(est["mean_fx"] - a**p * (p + 1) / (2 * p + 1)) <= 5.0 * est["stderr_fx"]
+
+
 def test_sample_on_a_table_spanning_float64_ends_cleanly(tmp_path, capsys):
     # at a=1e-300 the top knots overflow in profile units and are dropped
-    # without a warning; at a=1e300 the table floor underflows to 0 there
+    # without a warning; at a=1e300 the knots below the smallest normal
+    # double in units of a are dropped, as their panels' nodes would round
+    # to 0, and the draws still sample the sqrt law: mean x/a = theta = 0.6
     table = _sqrt_table(tmp_path / "t.csv", 1e-305, 1e305, 200)
+    out = tmp_path / "estimate.json"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         small = run_cli("sample", "--csv", table, "--a", "1e-300", "--n", "100",
                         "--out", os.devnull)
-        big = run_cli("sample", "--csv", table, "--a", "1e300", "--n", "100",
-                      "--out", os.devnull)
-    assert (small, big) == (0, 1)
+        big = run_cli("sample", "--csv", table, "--a", "1e300", "--n", "20000",
+                      "--estimate", "--out", str(out))
+    assert (small, big) == (0, 0)
     assert caught == []
-    assert capsys.readouterr().err == (
-        "sample: wrote 100 draws (seed=0)\n"
-        "error: a=1e+300: the table floor 1e-305 underflows to 0 in units of a\n"
-    )
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == "sample: wrote 100 draws (seed=0)"
+    assert err[1].startswith("sample: n=20000 mean_x=")
+    est = json.loads(out.read_text())
+    assert abs(est["mean_x"] / 1e300 - 0.6) <= 5.0 * est["stderr_x"] / 1e300
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,6 +10,7 @@ from gsp_lab import (
     GspLabError,
     PerturbedPowerLaw,
     PowerLaw,
+    Tabulated,
     Verdict,
     classify,
     fit_lambda,
@@ -220,6 +221,40 @@ def test_classify_accepts_tabulated_power_law(tab_x15):
     result = classify(tab_x15, DEFAULT_SCALES)
     assert result.verdict is Verdict.POWER_LAW
     assert result.p_theta == pytest.approx(1.5, abs=0.01)
+
+
+@pytest.mark.parametrize("floor", [0.01, 0.1])
+@pytest.mark.parametrize("law, verdict", [
+    ("x^1.5", Verdict.POWER_LAW),
+    ("eps=0.1", Verdict.NOT_POWER_LAW),
+    ("eps=0.01", Verdict.NOT_POWER_LAW),
+    ("x+x^3/100", Verdict.NOT_POWER_LAW),
+])
+def test_table_verdicts_follow_the_data_not_the_floor(floor, law, verdict):
+    # 200 log-spaced samples on [floor, 10] over the default grid, whose
+    # lowest scale is 0.1: the head below the floor continues its power
+    # law, so the verdict no longer sits on the margin of a truncated head
+    x = np.geomspace(floor, 10.0, 200)
+    f = {"x^1.5": x**1.5, "eps=0.1": x * (1.0 + 0.1 * np.sin(np.log(x))),
+         "eps=0.01": x * (1.0 + 0.01 * np.sin(np.log(x))),
+         "x+x^3/100": x + x**3 / 100.0}[law]
+    result = classify(Tabulated(x, f), DEFAULT_SCALES)
+    assert result.verdict is verdict, result.notes
+    if verdict is Verdict.POWER_LAW:
+        assert result.p_theta == pytest.approx(1.5, abs=1e-12)
+        assert result.lambda_hat == pytest.approx(lambda_of_p(1.5), rel=1e-12)
+
+
+def test_steep_table_head_meshes_no_deeper_than_it_needs():
+    # x^40 on [0.01, 10]: 20 head breakpoints would put the kernel's nodes
+    # near 4e-11, where the head's f underflows to 0; the one it needs keeps
+    # them near 1e-5
+    x = np.geomspace(0.01, 10.0, 200)
+    spec = Tabulated(x, x**40)
+    assert spec.knots[0] == 0.005
+    result = classify(spec, DEFAULT_SCALES)
+    assert result.verdict is Verdict.POWER_LAW
+    assert result.p_theta == pytest.approx(40.0, rel=1e-12)
 
 
 def test_classify_on_a_kinked_table_stays_cheap(perturbed_table, monkeypatch):

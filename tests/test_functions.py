@@ -95,11 +95,16 @@ def test_tabulated_reproduces_power_law_between_knots():
 
 
 def test_tabulated_hull_is_hard_boundary():
+    # the hull's top is a hard boundary; below its first sample a table
+    # continues the floor's power law down to 0
     spec = make_tabulated_power(lo=0.01, hi=10.0, n=50)
-    with pytest.raises(DomainExceeded):
-        spec.eval(0.005)
-    with pytest.raises(DomainExceeded):
+    with pytest.raises(DomainExceeded, match=r"abscissa outside \(0, 10\]"):
         spec.eval(10.5)
+    with pytest.raises(DomainExceeded, match="must be positive"):
+        spec.eval(0.0)
+    head = np.array([1e-200, 1e-5, 0.005])
+    assert np.allclose(spec.eval(head), 4.0 * head**1.5, rtol=1e-12)
+    assert np.allclose(spec.elasticity(head), 1.5, atol=1e-12)
     # endpoints themselves are fair game
     spec.eval(0.01), spec.eval(10.0)
 
@@ -152,12 +157,19 @@ def test_tabulated_matches_scipy_pchip_bit_for_bit(kind, n):
     q = np.concatenate((
         np.exp(rng.uniform(np.log(x[0]), np.log(x[-1]), 2000)),
         x,
-        x[[0, 0, -1, -1]] * (1.0 + np.array([-1e-13, 1e-13, -1e-13, 1e-13])),
+        x[[0, -1, -1]] * (1.0 + np.array([1e-13, -1e-13, 1e-13])),
     ))
     ref = PchipInterpolator(np.log(x), np.log(f))
     log_f, slope = ref(np.log(q)), ref.derivative()(np.log(q))
     assert np.array_equal(spec.eval(q), np.exp(log_f))
     assert np.array_equal(spec.elasticity(q), slope)
+    # below x[0] the table is the line through the first sample with the
+    # cubic's first knot slope, not the first cubic's extension
+    below = x[0] * (1.0 - 1e-13)
+    d0 = ref.derivative()(np.log(x[0]))
+    dt = np.log(below) - np.log(x[0])
+    assert spec.eval(below) == np.exp(np.log(f[0]) + d0 * dt)
+    assert spec.elasticity(below) == d0
 
 
 def _end_slope(h0, h1, m0, m1):
@@ -241,20 +253,22 @@ def test_validate_flags_nonzero_limit_at_origin():
     spec = Custom(lambda x: 1.0 + x, lambda x: 1.0)
     with pytest.raises(Inadmissible, match=r"^f\(0\+\)=0 \("):
         validate(spec)
-    # a wobble that outgrows x^p on the dyadic probes, and a table whose head rises
+    # a wobble that outgrows x^p on the dyadic probes, and tables whose floor
+    # slope, the exponent of their head's power law, is negative or zero
     with pytest.raises(Inadmissible, match=r"^f\(0\+\)=0 \(no monotone decay on the "
                        r"smallest dyadic probes\)$"):
         validate(PerturbedPowerLaw(p=0.05, eps=0.5))
-    with pytest.raises(Inadmissible, match=r"^f\(0\+\)=0 \(table head does not decay "
-                       r"toward x=0\)$"):
-        validate(Tabulated([1, 2, 3, 4], [3, 2, 2.5, 4]))
+    for f, slope in (([3, 2, 2.5, 4], r"-1\.30126"), ([2, 2, 3, 4], "0")):
+        with pytest.raises(Inadmissible, match=rf"^f\(0\+\)=0 \(table floor slope "
+                           rf"{slope} does not decay toward x=0\)$"):
+            validate(Tabulated([1, 2, 3, 4], f))
 
 
 # ------------------------------------------------------------- CSV loader
 
 def test_csv_round_trip(x15_csv, tmp_path):
     spec = load_tabulated_csv(x15_csv)
-    assert spec.support == (1e-4, 1e2)
+    assert (spec.x[0], spec.top) == (1e-4, 1e2)
     assert abs(spec.eval(1.0) - 4.0) < 1e-12
     # blank rows, and rows of blank cells, between the data are skipped
     gaps = tmp_path / "gaps.csv"

@@ -39,13 +39,13 @@ def test_reduction_residuals_vanish(label, spec, a):
     assert max(res) <= 1e-7, (label, a, res)
 
 
-def test_table_reductions_carry_the_boundary_terms():
-    # on a table the profile starts at s0 = x0 / a > 0; for exact x^1.5
-    # samples on [0.01, 10] the residual red_i1 without the boundary terms
-    # would be s0^2.5, 1e-5 at a = 1
+def test_table_reductions_hold_from_zero():
+    # a table's profile starts at 0, below x0 on its floor's power law: on
+    # exact x^1.5 samples on [0.01, 10] the plain reductions hold, below x0
+    # too, where a head cut at x0 would leave red_i1 = s0^2.5, 1e-5 at a = 1
     x = np.geomspace(0.01, 10.0, 200)
     spec = Tabulated(x, x**1.5)
-    scales = [a for a in DEFAULT_SCALES.tolist() if stencil_fits(spec, a)]
+    scales = [0.001, 0.005] + [a for a in DEFAULT_SCALES.tolist() if stencil_fits(spec, a)]
     rep = identity_reports(spec, scales)
     for a, red in zip(rep.a, rep.reduction):
         assert max(red) <= 1e-12, a
@@ -87,13 +87,9 @@ def test_closed_form_matches_finite_difference(label, spec, a):
 
 def _dtheta_integral(spec, scales):
     """theta' from its integral form (1 / (a A)) int (s - theta) g E ds
-    = (BE - theta AE) / (a A), less s0 g(s0) (theta - s0) / (a A) where the
-    profile starts at s0 = x0 / a > 0."""
+    = (BE - theta AE) / (a A)."""
     m = moment_bundles(spec, scales, 1e-12)
-    x0 = spec.support[0]
-    s0 = x0 / m.a
-    g0 = (spec.eval(x0) if x0 > 0.0 else 0.0) / m.fa
-    return (m.BE - m.theta * m.AE - s0 * g0 * (m.theta - s0)) / (m.a * m.A)
+    return (m.BE - m.theta * m.AE) / (m.a * m.A)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
@@ -103,47 +99,49 @@ def test_theta_prime_two_routes_agree(a):
     assert abs(rep.closed[0, 3] - _dtheta_integral(spec, [a])[0]) < 1e-9
 
 
-def test_theta_prime_integral_form_carries_the_table_boundary_term():
-    # on a table the integral form needs -s0 g(s0) (theta - s0) / (a A);
-    # without it, it reads ~1e-15 on exact x^1.5 samples where the quotient
-    # rule gives -0.0489 at a = 0.1
+def test_theta_prime_integral_form_holds_on_a_table():
+    # on exact x^1.5 samples on [0.01, 10] both routes give theta' = 0, at
+    # scales below x0 as well as above it, to roundoff in the scale-free
+    # a theta'
     x = np.geomspace(0.01, 10.0, 200)
     spec = Tabulated(x, x**1.5)
-    scales = (0.05, 0.1, 1.0, 5.0)
+    scales = (0.001, 0.005, 0.05, 0.1, 1.0, 5.0)
     rep = identity_reports(spec, scales)
     integrals = _dtheta_integral(spec, scales)
     for a, quotient, integral in zip(rep.a, rep.closed[:, 3], integrals):
-        assert abs(quotient - integral) <= 1e-13, (a, quotient, integral)
+        assert a * abs(quotient - integral) <= 1e-14, (a, quotient, integral)
 
 
 def test_stencil_must_fit_the_support():
-    # the stencil reaches a -+ 1e-5 a: on a table on [0.01, 10] it leaves
-    # the hull at both ends, and a scale whose stencil leaves it is refused
+    # the stencil reaches a -+ 1e-5 a: on a table on (0, 10] it leaves the
+    # support at the top alone, and a scale whose stencil leaves it is refused
     x = np.geomspace(0.01, 10.0, 50)
     spec = Tabulated(x, x**1.5)
-    assert [stencil_fits(spec, a) for a in (0.01000001, 0.0100002, 9.9999, 10.0)] == [
-        False, True, True, False]
+    assert [stencil_fits(spec, a) for a in (1e-300, 0.01, 9.9999, 10.0)] == [
+        True, True, True, False]
     assert stencil_fits(PowerLaw(p=1.0), 1e-300)
     with pytest.raises(DomainExceeded):
         identity_reports(spec, [1.0, 10.0])
 
 
 def test_support_and_stencil_checks_work_elementwise():
-    # scales at, just inside and just past both ends of a table's hull, the
-    # top within the hull slack (1e-12) and beyond it: an array gets each
+    # 0, the smallest double, scales around the table's first sample (no
+    # edge of its support), and scales at, just inside and just past its
+    # top, within the hull slack (1e-12) and beyond it: an array gets each
     # scalar answer in its place
     x = np.geomspace(0.01, 10.0, 50)
     table = Tabulated(x, x**1.5)
-    lo, hi = table.support
-    a = np.array([lo * (1 - 2e-12), lo * (1 - 5e-13), lo, lo * (1 + 5e-13),
-                  lo * (1 + 2e-5), 1.0, hi * (1 - 2e-5), hi * (1 - 5e-13), hi,
-                  hi * (1 + 5e-13), hi * (1 + 2e-12)])
-    in_table = [False, False, False, True, True, True, True, True, True, True, False]
-    fits_table = [False, False, False, False, True, True, True, False, False,
-                  False, False]
+    lo, hi = table.x[0], table.top
+    a = np.array([0.0, 5e-324, lo * (1 - 2e-12), lo, lo * (1 + 2e-5), 1.0,
+                  hi * (1 - 2e-5), hi * (1 - 5e-13), hi, hi * (1 + 5e-13),
+                  hi * (1 + 2e-12)])
+    in_table = [False, True, True, True, True, True, True, True, True, True, False]
+    fits_table = [False, True, True, True, True, True, True, False, False, False,
+                  False]
     for spec, in_want, fits_want in (
             (table, in_table, fits_table),
-            (PowerLaw(p=1.0), [True] * a.size, [True] * a.size)):
+            (PowerLaw(p=1.0), [False] + [True] * (a.size - 1),
+             [False] + [True] * (a.size - 1))):
         assert spec.in_support(a).tolist() == in_want
         assert stencil_fits(spec, a).tolist() == fits_want
         assert [spec.in_support(float(v)) for v in a] == in_want

@@ -22,7 +22,7 @@ from gsp_lab import (
 )
 from gsp_lab import moments
 from gsp_lab.moments import _median
-from conftest import DEFAULT_SCALES, make_cubic_custom
+from conftest import DEFAULT_SCALES, make_cubic_custom, make_perturbed_table
 
 
 def test_spec_example_values():
@@ -192,9 +192,27 @@ def test_theta_stays_in_unit_interval_across_gallery():
     from conftest import gallery
 
     for label, spec in gallery():
-        hi = min(spec.support[1], 8.0)
+        hi = min(spec.top, 8.0)
         m = moment_bundles(spec, [hi], 1e-10)
         assert 0.0 < m.theta[0] < 1.0, label
+
+
+@pytest.mark.parametrize("table", ["perturbed", "x^1.5"])
+def test_table_moment_pass_takes_no_refinement_round(table, monkeypatch):
+    # the head's breakpoints x0 2^-k mesh (0, x0] geometrically from the
+    # start: the 200-knot pass at tol 1e-10 is its initial panels alone, 2
+    # kernel calls of at most 128 panels, with no round at the head
+    from gsp_lab import quadrature
+
+    x = np.geomspace(0.01, 10.0, 200)
+    spec = (make_perturbed_table() if table == "perturbed"
+            else Tabulated(x, x**1.5))
+    calls = []
+    plain = quadrature._rule
+    monkeypatch.setattr(quadrature, "_rule",
+                        lambda *args: calls.append(1) or plain(*args))
+    moment_bundles(spec, DEFAULT_SCALES, 1e-10)
+    assert len(calls) == 2
 
 
 def test_tabulated_bundle_tracks_the_sampled_law(tab_x15):
@@ -271,8 +289,9 @@ _NOT_A_SCALE = "scale a must be positive and finite"
     (PowerLaw(p=2.0), [1.0, math.inf, 2.0], _NOT_A_SCALE),
     (Tabulated(_TABLE_X, _TABLE_X**1.5), [1.0, 20.0, 0.005, 2.0],
      "a=20 beyond the function's support"),
-    (Tabulated(_TABLE_X, _TABLE_X**1.5), [1.0, 0.01, 20.0],
-     "a=0.01 at or below the support floor 0.01"),
+    # a table's support reaches down to 0, below its first sample 0.01: the
+    # floor of (0, 10] is the first scale refused
+    (Tabulated(_TABLE_X, _TABLE_X**1.5), [0.005, 1e-300, 0.0, 20.0], _NOT_A_SCALE),
     (Tabulated(_TABLE_X, _TABLE_X**1.5), [10.0 * (1.0 + 2e-12), 1.0],
      "a=10 beyond the function's support"),
 ], ids=["nan", "negative", "inf", "above", "floor", "past-slack"])

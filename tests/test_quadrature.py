@@ -268,8 +268,9 @@ def test_cuts_must_increase_above_lo():
 
 def _knot_split_reference(spec, scales, moments):
     """Scale-free A, B, C and the variance at every scale, from one
-    scipy.integrate.quad_vec pass in x that splits at the table knots and
-    the scales; the rows vanish beyond each scale."""
+    scipy.integrate.quad_vec pass in x from 0 that splits at the table
+    knots, its head's among them, and the scales; the rows vanish beyond
+    each scale."""
     a = np.asarray(scales)
     fa, theta = moments.fa, moments.theta
     e_center = spec.elasticity(a * theta)
@@ -280,8 +281,8 @@ def _knot_split_reference(spec, scales, moments):
                         (s - theta) ** 2 * f / fa * (e - e_center) ** 2 / a])
         return np.where(x < a, out, 0.0)
 
-    points = np.union1d(spec.x[1:-1], a[:-1])
-    ref, err = sp_integrate.quad_vec(rows, spec.x[0], a[-1], points=points,
+    points = np.union1d(spec.knots[:-1], a[:-1])
+    ref, err = sp_integrate.quad_vec(rows, 0.0, a[-1], points=points,
                                      epsabs=1e-300, epsrel=1e-14, norm="max")
     assert err <= 1e-12
     return ref
@@ -355,22 +356,24 @@ def test_moment_x_form_reductions_for_custom_spec():
     assert abs(i3 - 0.5 * (a * fa * fa - G)) < 1e-10
 
 
-def test_tabulated_moment_reports_head_truncation():
-    spec = make_tabulated_power(amp=4.0, p=1.5)
-    m = moment_bundles(spec, [1.0], 1e-10)
-    x_min = spec.support[0]
-    head_bound = x_min * spec.eval(x_min)
-    true_head = 4.0 * x_min**2.5 / 2.5
-    # the estimate owns up to at least the omitted head, value is untouched
-    assert m.errors[0, 0] >= true_head
-    assert m.errors[0, 0] >= head_bound
-    exact_from_floor = 4.0 / 2.5 * (1.0 - x_min**2.5)
-    assert abs(m.F[0] - exact_from_floor) < 1e-9
+@pytest.mark.parametrize("x0", [1e-4, 1e-2, 0.09])
+@pytest.mark.parametrize("p", [0.05, 0.3, 1.5, 3.0])
+def test_exact_power_tables_match_the_closed_forms_from_zero(p, x0):
+    # 4 x^p sampled on [x0, 10]: below x0 the table continues its floor's
+    # power law, so F, H and G on (0, a] are the closed forms, at a scale
+    # below the first sample as well as above it
+    spec = make_tabulated_power(amp=4.0, p=p, lo=x0, hi=10.0, n=200)
+    a = np.array([0.5 * x0, 0.1, 1.0, 10.0])
+    m = moment_bundles(spec, a, 1e-10)
+    for got, k, amp in ((m.F, p + 1.0, 4.0), (m.H, p + 2.0, 4.0),
+                        (m.G, 2.0 * p + 1.0, 16.0)):
+        want = amp * a**k / k
+        assert np.all(np.abs(got - want) <= 1e-12 * want), (got / want - 1.0)
 
 
 def test_moment_beyond_tabulated_hull_rejected():
     spec = make_tabulated_power(lo=0.01, hi=10.0, n=80)
     with pytest.raises(DomainExceeded):
         moment_bundles(spec, [11.0])
-    with pytest.raises(DomainExceeded):
-        moment_bundles(spec, [0.005])
+    # below the first sample is the head's power law, not outside the support
+    assert moment_bundles(spec, [0.005]).theta[0] == pytest.approx(2.5 / 3.5, rel=1e-12)
