@@ -35,7 +35,7 @@ from .functions import (
 )
 from .quadrature import QuadResult, cumulative
 from .moments import Moments, moment_bundles
-from .identities import IdentityReport, identity_reports, stencil_fits
+from .identities import IdentityReport, identity_reports
 from .sampler import MCEstimate, SamplerState, mc_estimates
 from .detector import (
     DetectionResult,

@@ -19,15 +19,14 @@ maps its kind to its code in one handler, one stderr line each: ConfigError
 2, Inadmissible 3, any other error 1 (a run too large to allocate among
 them, and a count of scales or draws that no array can hold).
 
-One function makes and checks every command's scale grid, one array: the
-log-spaced scales of the flags, strictly increasing, kept to the
-function's support and, for verify, to the scales whose finite-difference
-stencil fits inside it (the identities module owns the stencil).  Fewer
-than 5 scales left is a config error, as is a sample scale outside the
-support (sample reads no grid flag).  verify, detect and sweep integrate
-over the whole grid at once, in one quadrature pass that gives the moments
-and the weight integrals at every scale (and, for verify, at every
-stencil scale), as arrays the rows are built from.
+One function makes and checks the scale grid of verify, detect and sweep,
+one array: the log-spaced scales of the flags, strictly increasing, kept
+to the function's support.  Fewer than 5 scales left is a config error, as
+is a sample scale outside the support (sample reads no grid flag).  Each
+of the three integrates over the whole grid at once, in one quadrature
+pass that gives the moments and the weight integrals at every scale (and,
+for verify, at the finite-difference stencil below it, which the
+identities module owns), as arrays the rows are built from.
 Numbers are serialized with 17 significant digits, which makes reruns
 byte-diffable; sample's draws go through a vectorized formatter whose
 bytes equal Python's f"{x:.17g}".
@@ -56,7 +55,7 @@ from .functions import (
     load_tabulated_csv,
     validate,
 )
-from .identities import identity_reports, stencil_fits
+from .identities import identity_reports
 from .moments import moment_bundles
 from .sampler import _BLOCK, _MIN_ESTIMATE_N, _SEED_LIMIT, SamplerState, mc_estimates
 
@@ -286,7 +285,7 @@ def _build_spec(cfg):
 
 
 def _grid_for(cfg, spec):
-    """The command's scale grid, made and checked as the module says."""
+    """The scale grid, made and checked as the module says."""
     with np.errstate(over="ignore"):  # near the float64 top; the grid is finite
         scales = np.geomspace(cfg.a_min, cfg.a_max, cfg.a_count)
     if np.any(scales[1:] <= scales[:-1]):
@@ -295,10 +294,6 @@ def _grid_for(cfg, spec):
     if scales.size < _MIN_SCALES:
         raise ConfigError(f"only {scales.size} grid scales fit inside the support "
                           f"(0, {spec.top:g}]")
-    if cfg.command == "verify":
-        scales = scales[stencil_fits(spec, scales)]
-        if scales.size < _MIN_SCALES:
-            raise ConfigError(f"need at least {_MIN_SCALES} scales, got {scales.size}")
     return scales
 
 

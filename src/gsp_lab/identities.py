@@ -26,10 +26,16 @@ hold with equality to zero of the variance exactly on power laws; for any
 other admissible spec the variance is strictly positive at some scale.
 All residuals below are reported so that "zero" means the identity holds.
 
+The closed forms are checked against finite differences of (A, B, C,
+theta) over the one-sided stencil a - 2h, a - h, a with h = 1e-5 a, by the
+second-order backward weights (3 q(a) - 4 q(a - h) + q(a - 2h)) / (2h)
+(Fornberg, Math. Comp. 51(184), 1988).  The stencil lies in (0, a], so it
+fits the support wherever the scale does.
+
 Every quantity comes from the one quadrature pass of the moments module,
 which serves any number of scales: it gives the normalized moments, the
 left-hand sides of the reductions, the weight integrals (expanded into
-moments every scale shares) and the finite-difference stencils.
+moments every scale shares) and the values on the stencils.
 """
 
 from __future__ import annotations
@@ -40,10 +46,10 @@ import numpy as np
 
 from .moments import _TIGHT_TOL, moment_bundles
 
-__all__ = ["IdentityReport", "identity_reports", "stencil_fits"]
+__all__ = ["IdentityReport", "identity_reports"]
 
-# Relative step of the central differences: the stencil of a scale a is
-# a - h, a - h/2, a + h/2, a + h with h = _FD_STEP * a.
+# Relative step of the backward differences: the stencil of a scale a is
+# a - 2h, a - h, a with h = _FD_STEP * a.
 _FD_STEP = 1e-5
 
 
@@ -53,7 +59,7 @@ class IdentityReport:
 
     ``reduction`` holds the three reduction residuals; ``closed`` and
     ``finite_diff`` are d/da of (A, B, C, theta), from the closed forms and
-    from central differences.
+    from backward differences.
     """
 
     a: np.ndarray
@@ -65,20 +71,13 @@ class IdentityReport:
     weight_normalizer: np.ndarray
 
 
-def stencil_fits(spec, a):
-    """Whether the finite-difference stencil around the scale a (elementwise,
-    for an array) lies in the support, so ``identity_reports`` can be asked for a."""
-    h = _FD_STEP * a
-    return spec.in_support(a - h) & spec.in_support(a + h)
-
-
 def identity_reports(spec, scales, tol=1e-10):
     """Every identity diagnostic at every scale, from one quadrature pass.
 
-    The pass integrates the moments up to every scale and every
-    finite-difference stencil scale around it.  It runs at min(tol, 1e-12):
-    the derivatives, compared near cancellation, need the tighter
-    tolerance, and the reductions share it.
+    The pass integrates the moments up to every scale and the two stencil
+    scales below it.  It runs at min(tol, 1e-12): the derivatives, compared
+    near cancellation, need the tighter tolerance, and the reductions share
+    it.
 
     The reductions' left-hand sides come from honest quadratures of the
     profile-elasticity moments: M_10 and M_11, the integrals of g (E - E_ref)
@@ -86,19 +85,15 @@ def identity_reports(spec, scales, tol=1e-10):
     int g**2 E ds.  Their right-hand sides come from the normalized moments,
     so the first two test M_10 and M_11 against A and B: the routes share
     no algebra, and agreement is a real check on both.
-
-    The central differences use steps h and h/2; where the two disagree
-    beyond what central differencing should leave behind, the Richardson
-    combination (4 d_{h/2} - d_h) / 3 is taken instead of either.
     """
     a = np.array(scales, dtype=float)
     h = _FD_STEP * a
-    points = np.column_stack((a, a - h, a - 0.5 * h, a + 0.5 * h, a + h))
+    points = np.column_stack((a, a - h, a - 2.0 * h))
     m = moment_bundles(spec, points.ravel(), min(tol, _TIGHT_TOL))
-    # q[k, j] = (A, B, C, theta) at point j of scale k's stencil
-    q = np.column_stack((m.A, m.B, m.C, m.theta)).reshape(len(a), 5, 4)
+    # q[k, j] = (A, B, C, theta) at a_k - j h_k, point j of scale k's stencil
+    q = np.column_stack((m.A, m.B, m.C, m.theta)).reshape(len(a), 3, 4)
     A, B, C = q[:, 0, :3].T
-    AE, BE, CE = (v[0::5] for v in (m.AE, m.BE, m.CE))
+    AE, BE, CE = (v[0::3] for v in (m.AE, m.BE, m.CE))
 
     reduction = np.column_stack((np.abs(AE - (1.0 - A)), np.abs(BE - (1.0 - 2.0 * B)),
                                  np.abs(CE - (1.0 - C) / 2.0)))
@@ -108,13 +103,8 @@ def identity_reports(spec, scales, tol=1e-10):
     dB = (1.0 - (2.0 + ea) * B) / a
     dC = (1.0 - (1.0 + 2.0 * ea) * C) / a
     closed = np.column_stack((dA, dB, dC, (dB * A - B * dA) / (A * A)))
-
-    d_h = (q[:, 4] - q[:, 1]) / (2.0 * h)[:, None]
-    d_h2 = (q[:, 3] - q[:, 2]) / h[:, None]
-    gap = np.max(np.abs(d_h - d_h2), axis=1)
-    rough = gap > 1e-7 * np.maximum(1.0, np.max(np.abs(d_h2), axis=1))
-    finite_diff = np.where(rough[:, None], (4.0 * d_h2 - d_h) / 3.0, d_h2)
+    finite_diff = (3.0 * q[:, 0] - 4.0 * q[:, 1] + q[:, 2]) / (2.0 * h)[:, None]
 
     return IdentityReport(a=a, reduction=reduction, closed=closed,
-                          finite_diff=finite_diff, wm=m.wm[0::5],
-                          variance=m.variance[0::5], weight_normalizer=m.D[0::5])
+                          finite_diff=finite_diff, wm=m.wm[0::3],
+                          variance=m.variance[0::3], weight_normalizer=m.D[0::3])

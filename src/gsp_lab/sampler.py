@@ -85,6 +85,12 @@ _CHEB_NODES = np.cos(_THETA)  # ascending on (-1, 1)
 _TINY = math.ulp(0.0)  # the smallest positive double
 
 
+def _lowest(a):
+    """The floor of a draw in units of a: a times it rounds to a positive
+    double, and it is at most 1, so every draw a s lies in (0, a]."""
+    return _TINY / min(a, 1.0)
+
+
 def _model_maps():
     """Matrices taking g at the nodes to the Chebyshev coefficients of its
     interpolant (n of them) and of the interpolant's integral from -1 (n + 1)."""
@@ -336,6 +342,8 @@ class _CdfTable:
             # A bracket too narrow to halve cannot move the draw any more.
             keep = (np.abs(ra) > goal) & (new != sa)
             act, lo, hi = act[keep], lo[keep], hi[keep]
+        # a mass that underflows (u = 5e-324) solves to s = 0, outside (0, 1]
+        np.maximum(s, _lowest(self.a), out=s)
         return s, resid
 
 
@@ -397,7 +405,8 @@ class SamplerState:
             # open support; nudge to the smallest positive double instead.
             u[u == 0.0] = _TINY
             if table is None:
-                yield u ** (1.0 / (self.spec.p + 1.0))
+                s = u ** (1.0 / (self.spec.p + 1.0))
+                yield np.maximum(s, _lowest(self.a), out=s)
                 continue
             s, resid = table.quantiles(u)
             worst = np.maximum(worst, np.max(np.abs(resid)))

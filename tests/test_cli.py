@@ -65,20 +65,34 @@ def test_verify_rejects_non_decaying_exponent():
 
 
 def test_verify_table_ending_at_a_max_writes_rows(tmp_path, capsys):
-    # the finite-difference stencil around a=10 would leave a hull ending at
-    # x=10, so that scale is dropped instead of aborting the whole run; the
-    # exact power-law table then passes every check
+    # the finite-difference stencil of a = 10 lies below it, inside a table
+    # ending at x = 10, so the grid keeps its top scale; the exact power-law
+    # table passes every check there too
     x = np.geomspace(0.01, 10.0, 200)
     table = tmp_path / "t.csv"
     table.write_text("x,f\n" + "".join(f"{v:.17g},{v**1.5:.17g}\n" for v in x))
     out = tmp_path / "v.csv"
     code = run_cli("verify", "--csv", str(table), "--out", str(out))
     cols = read_csv_columns(out)
-    assert len(cols["a"]) == 16
-    assert cols["a"].max() < 10.0
+    assert len(cols["a"]) == 17
+    assert cols["a"].max() == 10.0
     assert np.all(cols["row_pass"] == 1.0)
     assert code == 0
-    assert capsys.readouterr().err == "verify: PASS (16 scales)\n"
+    assert capsys.readouterr().err == "verify: PASS (17 scales)\n"
+
+
+def test_grid_commands_walk_one_grid_on_a_table_ending_at_a_max(tmp_path):
+    # verify, detect and sweep report the same scales, a = 10 included, on
+    # the CI's table on [0.01, 10]
+    ci = _ci_table(tmp_path / "ci.csv")
+    scales = {}
+    for command in ("verify", "detect", "sweep"):
+        out = tmp_path / f"{command}.csv"
+        run_cli(command, "--csv", ci, "--format", "csv", "--out", str(out))
+        scales[command] = read_csv_columns(out)["a"].tolist()
+    assert len(scales["verify"]) == 17
+    assert scales["verify"][-1] == 10.0
+    assert scales["verify"] == scales["detect"] == scales["sweep"]
 
 
 def test_verify_stays_cheap(monkeypatch):
@@ -291,7 +305,6 @@ def _ci_table(path):
 @pytest.mark.parametrize("case, line", [
     ("ulps-wide", "scales must be strictly increasing"),
     ("outside-table", "only 1 grid scales fit inside the support (0, 0.12]"),
-    ("stencil-trimmed", "need at least 5 scales, got 4"),
     ("a-count-4", "grid needs at least 5 scales"),
     # sample's one scale is held to the support as a grid's scales are
     ("sample-above-table", "sample scale a=20 lies outside the support (0, 10]"),
@@ -304,8 +317,6 @@ def test_grid_errors_are_one_line_config_errors(case, line, tmp_path, capsys):
                       "--a-max", "1.0000000000000004", "--a-count", "9"),
         "outside-table": ("detect", "--csv", _x_f_table(tmp_path / "x15.csv", low,
                                                         [v**1.5 for v in low])),
-        "stencil-trimmed": ("verify", "--csv", ci,
-                            "--a-min", "9.99", "--a-max", "10", "--a-count", "5"),
         "a-count-4": ("sweep", "--family", "power", "--p", "2", "--a-count", "4"),
         "sample-above-table": ("sample", "--csv", ci, "--a", "20", "--n", "10"),
     }[case]
@@ -1014,14 +1025,21 @@ def test_flag_tables_read_what_argparse_reads(argv):
         assert read is None
 
 
-def test_flag_tables_read_every_benchmark_and_same_bytes_run(tmp_path):
+def _benchmark_modules():
+    """perfbench's inputs and oracles, and samebytes' run matrix."""
     root = Path(__file__).resolve().parents[1]
     sys.path[:0] = [str(root / "perfbench"), str(root / "samebytes")]
     try:
         import inputs
         import matrix
+        import oracles
     finally:
         del sys.path[:2]
+    return inputs, matrix, oracles
+
+
+def test_flag_tables_read_every_benchmark_and_same_bytes_run(tmp_path):
+    inputs, matrix, _ = _benchmark_modules()
     argvs = [list(inv.argv) for workload in inputs.WORKLOADS
              for inv in inputs.make_inputs(workload, 1, str(tmp_path)).batch]
     assert len(argvs) == 13
@@ -1036,6 +1054,18 @@ def test_flag_tables_read_every_benchmark_and_same_bytes_run(tmp_path):
     assert refused == ["sample --family power --p 2 --a 1 --seed -1",
                        "detect --family cubic", "", "detect --bogus",
                        "detect --a-count 9.5", "--help"]
+
+
+@pytest.mark.parametrize("workload", ["analytic", "tabulated"])
+def test_benchmark_oracles_accept_the_output(workload, tmp_path):
+    # each grid command of the benchmark, run in process, passes the
+    # benchmark's own judge of its exit code and stdout
+    inputs, _, oracles = _benchmark_modules()
+    for inv in inputs.make_inputs(workload, 1, str(tmp_path)).batch:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(list(inv.argv))
+        assert oracles.check(inv, rc, False, out.getvalue()).failed == [], inv.label
 
 
 def test_console_script_entry_point(tmp_path):

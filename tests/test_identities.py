@@ -6,7 +6,6 @@ from scipy import integrate as sp_integrate
 
 from gsp_lab import (
     Custom,
-    DomainExceeded,
     PerturbedPowerLaw,
     PowerLaw,
     Tabulated,
@@ -14,7 +13,6 @@ from gsp_lab import (
     classify,
     identity_reports,
     moment_bundles,
-    stencil_fits,
 )
 from conftest import DEFAULT_SCALES, gallery
 
@@ -45,7 +43,7 @@ def test_table_reductions_hold_from_zero():
     # too, where a head cut at x0 would leave red_i1 = s0^2.5, 1e-5 at a = 1
     x = np.geomspace(0.01, 10.0, 200)
     spec = Tabulated(x, x**1.5)
-    scales = [0.001, 0.005] + [a for a in DEFAULT_SCALES.tolist() if stencil_fits(spec, a)]
+    scales = [0.001, 0.005] + DEFAULT_SCALES.tolist()
     rep = identity_reports(spec, scales)
     for a, red in zip(rep.a, rep.reduction):
         assert max(red) <= 1e-12, a
@@ -83,6 +81,9 @@ def test_closed_form_matches_finite_difference(label, spec, a):
     closed, fd = rep.closed[0], rep.finite_diff[0]
     tol = 1e-5 + 1e-4 * np.abs(closed)
     assert np.all(np.abs(closed - fd) <= tol), (label, a, closed, fd)
+    # the backward difference meets verify's bar with room to spare: its
+    # worst gap here is 6.7e-6 of the bar, and 7.2e-5 on power p = 40
+    assert np.all(np.abs(closed - fd) <= 1e-3 * tol), (label, a, closed, fd)
 
 
 def _dtheta_integral(spec, scales):
@@ -112,19 +113,7 @@ def test_theta_prime_integral_form_holds_on_a_table():
         assert a * abs(quotient - integral) <= 1e-14, (a, quotient, integral)
 
 
-def test_stencil_must_fit_the_support():
-    # the stencil reaches a -+ 1e-5 a: on a table on (0, 10] it leaves the
-    # support at the top alone, and a scale whose stencil leaves it is refused
-    x = np.geomspace(0.01, 10.0, 50)
-    spec = Tabulated(x, x**1.5)
-    assert [stencil_fits(spec, a) for a in (1e-300, 0.01, 9.9999, 10.0)] == [
-        True, True, True, False]
-    assert stencil_fits(PowerLaw(p=1.0), 1e-300)
-    with pytest.raises(DomainExceeded):
-        identity_reports(spec, [1.0, 10.0])
-
-
-def test_support_and_stencil_checks_work_elementwise():
+def test_support_check_works_elementwise():
     # 0, the smallest double, scales around the table's first sample (no
     # edge of its support), and scales at, just inside and just past its
     # top, within the hull slack (1e-12) and beyond it: an array gets each
@@ -136,16 +125,10 @@ def test_support_and_stencil_checks_work_elementwise():
                   hi * (1 - 2e-5), hi * (1 - 5e-13), hi, hi * (1 + 5e-13),
                   hi * (1 + 2e-12)])
     in_table = [False, True, True, True, True, True, True, True, True, True, False]
-    fits_table = [False, True, True, True, True, True, True, False, False, False,
-                  False]
-    for spec, in_want, fits_want in (
-            (table, in_table, fits_table),
-            (PowerLaw(p=1.0), [False] + [True] * (a.size - 1),
-             [False] + [True] * (a.size - 1))):
+    for spec, in_want in ((table, in_table),
+                          (PowerLaw(p=1.0), [False] + [True] * (a.size - 1))):
         assert spec.in_support(a).tolist() == in_want
-        assert stencil_fits(spec, a).tolist() == fits_want
         assert [spec.in_support(float(v)) for v in a] == in_want
-        assert [stencil_fits(spec, float(v)) for v in a] == fits_want
 
 
 # ------------------------------------------------ weighted mean / variance

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gsp_lab import (
     SamplerState,
     Tabulated,
     ToleranceNotReached,
+    load_tabulated_csv,
     mc_estimates,
     moment_bundles,
 )
@@ -187,6 +189,36 @@ def test_same_key_same_draws(draw_spec):
 def test_seed_draws_are_frozen(spec, want):
     # the Philox key is [seed, 0]: these bytes must never move
     assert SamplerState(spec, 1.0, seed=7).draw(3).tolist() == want
+
+
+class _ZeroFirst:
+    """A generator stub whose first uniform is exactly 0, the rest 1/2."""
+
+    def random(self, n):
+        u = np.full(n, 0.5)
+        u[0] = 0.0
+        return u
+
+
+_SEEDED_TABLE = Path(__file__).resolve().parents[1] / "samebytes" / "table.csv"
+
+
+@pytest.mark.parametrize("a", [1e-3, 1.0, 7.0])
+@pytest.mark.parametrize("spec", [
+    PerturbedPowerLaw(p=1.0, eps=0.1), load_tabulated_csv(_SEEDED_TABLE),
+    PowerLaw(p=0.001)], ids=["perturbed", "seeded-table", "power"])
+def test_no_draw_is_zero(spec, a):
+    # a uniform of 0 is nudged to 5e-324, whose mass underflows; its draw
+    # still lies in (0, a], where the estimate can evaluate f
+    if not isinstance(spec, PowerLaw):
+        s, _ = sampler._CdfTable(spec, a, 1e-10).quantiles(np.array([5e-324]))
+        assert 0.0 < a * s[0] <= a
+    state = SamplerState(spec, a, seed=7)
+    state._gen = _ZeroFirst()
+    x = state.draw(3)
+    assert np.all((0.0 < x) & (x <= a)), x
+    state._gen = _ZeroFirst()
+    assert mc_estimates(state, 100).mean_x > 0.0
 
 
 def test_table_is_built_once_per_state(monkeypatch):
