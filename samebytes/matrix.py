@@ -41,6 +41,14 @@ FILES = {
     "one_row.csv": b"x,f\n1.0,2.0\n",
     "decreasing_x.csv": b"x,f\n2.0,1.0\n1.0,0.5\n3.0,2.0\n",
     "three_column.csv": b"x,f,g\n1.0,2.0,3.0\n2.0,3.0,4.0\n",
+    # tables only csv.reader's row walk reads: quoted cells, CR LF line ends,
+    # blank rows and padded fields; a byte-order mark before a header and
+    # before data; a quoted cell that spans lines, before a row at fault
+    "odd_valid.csv": (b'x,f\r\n"0.01", 0.001\r\n\r\n 0.1 ,0.0316227766\r\n , \r\n'
+                      b'1,1\r\n"10",31.6227766\r\n'),
+    "bom_header.csv": b"\xef\xbb\xbfx,f\n0.01,0.001\n0.1,0.0316227766\n1,1\n10,31.6227766\n",
+    "bom_data.csv": b"\xef\xbb\xbf0.01,0.001\n0.1,0.0316\n1,1\n10,31.6\n",
+    "multiline_cell.csv": b'x,f\n"0.01",0.001\n0.1,"0.0316\n"\n1,-1\n10,31.6\n',
     # config files, good and bad
     "good.json": b'{"family": "power", "p": 2.0, "format": "json"}',
     "bad_json.json": b'{"p": 2.0,',
@@ -81,6 +89,8 @@ RUNS = [
         "negative.csv", "log_tie.csv", "non_numeric.csv", "headerless.csv",
         "non_utf8.csv", "non_decaying.csv", "one_row.csv", "decreasing_x.csv",
         "three_column.csv", "missing.csv", "dir")),
+    *(("cli", f"detect --csv {{{name}}}") for name in (
+        "odd_valid.csv", "bom_header.csv", "bom_data.csv", "multiline_cell.csv")),
     ("cli", "sample --csv {log_tie.csv} --a 1e300 --n 10"),
     # config files
     *(("cli", f"detect --config {{{name}}}") for name in _CONFIGS),

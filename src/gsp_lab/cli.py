@@ -52,6 +52,7 @@ from .errors import GspLabError, Inadmissible
 from .functions import (
     PerturbedPowerLaw,
     PowerLaw,
+    _geomspace,
     load_tabulated_csv,
     validate,
 )
@@ -287,8 +288,8 @@ def _build_spec(cfg):
 def _grid_for(cfg, spec):
     """The scale grid, made and checked as the module says."""
     with np.errstate(over="ignore"):  # near the float64 top; the grid is finite
-        scales = np.geomspace(cfg.a_min, cfg.a_max, cfg.a_count)
-    if np.any(scales[1:] <= scales[:-1]):
+        scales = _geomspace(cfg.a_min, cfg.a_max, cfg.a_count)
+    if (scales[1:] <= scales[:-1]).any():
         raise ConfigError("scales must be strictly increasing")
     scales = scales[spec.in_support(scales)]
     if scales.size < _MIN_SCALES:
@@ -328,7 +329,7 @@ def _write_rows(cfg, default, header, rows, payload):
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = ",".join(header) + "\n" + "".join(
-            ",".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows)
+            ",".join(map("{:.17g}".format, row)) + "\n" for row in rows)
     _emit(text, cfg.out)
 
 
@@ -348,15 +349,16 @@ def cmd_verify(cfg, spec):
     rep = identity_reports(spec, _grid_for(cfg, spec), cfg.tol)
     closed, fin = rep.closed, rep.finite_diff
     # checks[k, j]: whether scale k passes check j of _CHECK_NAMES
-    checks = np.column_stack((
-        np.max(rep.reduction, axis=1) <= _RED_TOL,
+    checks = np.array((
+        rep.reduction.max(axis=1) <= _RED_TOL,
         (np.abs(closed - fin) <= _ABC_ABS + _ABC_REL * np.abs(closed)).all(axis=1),
         np.abs(rep.wm) <= _WM_TOL,
         rep.variance <= _VAR_TOL,
-    ))
+    )).T
     ok = checks.all(axis=1)
-    rows = np.column_stack((rep.a, rep.reduction, closed, fin, rep.wm, rep.variance,
-                            rep.weight_normalizer, ok)).tolist()
+    rows = np.concatenate((rep.a[:, None], rep.reduction, closed, fin, rep.wm[:, None],
+                           rep.variance[:, None], rep.weight_normalizer[:, None],
+                           ok[:, None]), axis=1).tolist()
     _write_rows(cfg, "csv", _VERIFY_HEADER, rows,
                 [dict(zip(_VERIFY_HEADER, row)) for row in rows])
     if not ok.all():
@@ -386,8 +388,8 @@ def cmd_sweep(cfg, spec):
     residuals = gsp_residual_sweep(m.ybar, fx, lam_hat)
     header = ("a", "xbar", "ybar", "theta", "A", "B", "C",
               "gsp_residual", "variance")
-    rows = np.column_stack((m.a, m.xbar, m.ybar, m.theta, m.A, m.B, m.C,
-                            residuals, m.variance)).tolist()
+    rows = np.array((m.a, m.xbar, m.ybar, m.theta, m.A, m.B, m.C,
+                     residuals, m.variance)).T.tolist()
     _write_rows(cfg, "csv", header, rows, {
         "lambda_hat": lam_hat, "rows": [dict(zip(header, row)) for row in rows]})
     _say(f"sweep: {len(rows)} scales, lambda_hat={lam_hat:.10g}")

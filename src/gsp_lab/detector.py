@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainExceeded, GspLabError
-from .functions import Tabulated
+from .functions import Tabulated, _geomspace
 from .moments import _median, moment_bundles
 
 __all__ = [
@@ -125,10 +125,10 @@ def gsp_residual_sweep(ybar, fx, lam):
 def fit_lambda(ybar, fx):
     """Least-squares constant through the origin for ybar vs fx = f(xbar).
     The sums run left to right; ``np.sum`` adds pairwise and rounds otherwise."""
-    den = np.cumsum(fx * fx)[-1]
+    den = (fx * fx).cumsum()[-1]
     if den <= 0.0 or not math.isfinite(den):
         raise GspLabError("sum of squares of f(xbar) vanished")
-    return float(np.cumsum(ybar * fx)[-1] / den)
+    return float((ybar * fx).cumsum()[-1] / den)
 
 
 def recover_p(spec, moments):
@@ -144,7 +144,7 @@ def recover_p(spec, moments):
     """
     theta = moments.theta
     p_theta = _median((2.0 * theta - 1.0) / (1.0 - theta))
-    xs = np.geomspace(moments.a[0], moments.a[-1], _ELASTICITY_PROBES)
+    xs = _geomspace(moments.a[0], moments.a[-1], _ELASTICITY_PROBES)
     p_elast = _median(spec.elasticity(xs))
     logf = np.log(spec.eval(xs))
     amp = float(np.exp(np.mean(logf - p_theta * np.log(xs))))
@@ -176,8 +176,7 @@ class DetectionResult:
 def _residual_margin(spec, moments, fx, lam):
     """Propagated quadrature uncertainty of the collapse residual at every
     scale, with fx = f(xbar)."""
-    rel_f, rel_h, rel_g = (moments.errors
-                           / np.column_stack((moments.F, moments.H, moments.G))).T
+    rel_f, rel_h, rel_g = moments.errors.T / (moments.F, moments.H, moments.G)
     e_at = np.abs(spec.elasticity(moments.xbar))
     model = lam * fx / moments.ybar
     return (rel_g + rel_f) + model * e_at * (rel_h + rel_f)

@@ -11,7 +11,9 @@ hypotheses and raises Inadmissible at the first one it breaks.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -39,6 +41,19 @@ _HEAD_DEPTH = np.arange(20.0, 0.0, -1.0)  # k of a table's head breakpoints x[0]
 _TINY_NORMAL = sys.float_info.min  # the smallest normal double
 
 
+def _geomspace(lo, hi, n):
+    """``np.geomspace(lo, hi, n)`` for positive finite float ends and n >= 1,
+    bit for bit: numpy's own arithmetic, without its Python-level steps."""
+    t = np.log10(lo)
+    y = np.arange(0, n, dtype=float)
+    y *= (np.log10(hi) - t) / max(n - 1, 1)
+    y += t
+    out = np.power(10.0, y)
+    out[-1] = hi
+    out[0] = lo
+    return out
+
+
 class FunctionSpec:
     """Common behaviour for every function family.
 
@@ -58,11 +73,11 @@ class FunctionSpec:
 
     def _check_x(self, x):
         arr = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        if not np.isfinite(arr).all() or (arr <= 0.0).any():
             raise DomainExceeded(
                 f"{self.family}: abscissae must be positive and finite"
             )
-        if np.any(arr > self.top * (1.0 + _HULL_SLACK)):
+        if (arr > self.top * (1.0 + _HULL_SLACK)).any():
             raise DomainExceeded(f"{self.family}: abscissa outside (0, {self.top:g}]")
         return arr
 
@@ -75,7 +90,7 @@ class FunctionSpec:
         arr = self._check_x(x)
         with np.errstate(over="ignore", under="ignore"):
             out = self._value(arr)
-        if not np.all(np.isfinite(out)) or np.any(out <= 0.0):
+        if not np.isfinite(out).all() or (out <= 0.0).any():
             raise NonPositiveValue(
                 f"{self.family}: evaluation produced a non-positive value"
             )
@@ -168,7 +183,7 @@ class Custom(FunctionSpec):
 
     def _elast(self, x):
         f = self._value(x)
-        if np.any(np.abs(f) < 1e-300):
+        if (np.abs(f) < 1e-300).any():
             raise NonPositiveValue(
                 "custom: |f| too small to form the elasticity quotient"
             )
@@ -226,12 +241,12 @@ class Tabulated(FunctionSpec):
             raise Inadmissible("tabulated: x and f must be equal-length 1-d")
         if x.size < 2:
             raise Inadmissible("tabulated: need at least 2 samples")
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(f)):
+        if not (np.isfinite(x).all() and np.isfinite(f).all()):
             raise Inadmissible("tabulated: samples must be finite")
-        if np.any(x <= 0.0) or np.any(f <= 0.0):
+        if (x <= 0.0).any() or (f <= 0.0).any():
             raise Inadmissible("tabulated: samples must be positive")
         t = np.log(x)  # nondecreasing in x, so this also catches log x ties
-        if np.any(np.diff(t) <= 0.0):
+        if (t[1:] <= t[:-1]).any():
             raise Inadmissible("tabulated: x must be strictly increasing")
         self.x = x
         self.f = f
@@ -240,7 +255,7 @@ class Tabulated(FunctionSpec):
         # column 0 is the head's line, column i + 1 the cubic from knot i;
         # _left[j] is the knot that column j's offset dt is taken from
         c = _pchip_coefficients(t, np.log(f))
-        self._c = np.column_stack(([c[0, 0], c[1, 0], 0.0, 0.0], c))
+        self._c = np.concatenate(([[c[0, 0]], [c[1, 0]], [0.0], [0.0]], c), axis=1)
         self._left = np.concatenate((t[:1], t[:-1]))
         # The head's dyadic breakpoints x[0] 2^-k mesh it geometrically
         # toward 0 from the start, so the quadratures spend no round there.
@@ -281,7 +296,7 @@ def _probe_grid(spec):
     lo, hi = (spec.x[0] if isinstance(spec, Tabulated) else 0.0), spec.top
     if lo < 1e6 and hi > 1e-6:
         lo, hi = max(lo, 1e-6), min(hi, 1e6)
-    return np.geomspace(lo, hi, _PROBE_COUNT)
+    return _geomspace(lo, hi, _PROBE_COUNT)
 
 
 def validate(spec):
@@ -325,7 +340,7 @@ def validate(spec):
         return
 
     tail = vals[-_DECAY_TAIL:]  # f at the smallest probes, largest x first
-    if np.any(tail[1:] > tail[:-1] * (1.0 + _DECAY_SLACK)):
+    if (tail[1:] > tail[:-1] * (1.0 + _DECAY_SLACK)).any():
         raise Inadmissible("f(0+)=0 (no monotone decay on the smallest dyadic probes)")
     # Monotone alone cannot separate decay to zero from decay to a positive
     # floor, so the tail of probes must also keep losing ground overall.
@@ -333,46 +348,101 @@ def validate(spec):
         raise Inadmissible("f(0+)=0 (values level off instead of heading to zero)")
 
 
+# the body of a plain table: lines of exactly one comma each
+_PLAIN_BODY = re.compile(r"[^,\n]*,[^,\n]*(?:\n[^,\n]*,[^,\n]*)*")
+
+
+def _is_float(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _read_array(data):
+    """x and f of a plain table in ``data``, from one pass over its cells, or
+    None for a file this pass leaves to ``_read_rows``."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    head, _, body = text.partition("\n")
+    body = body.removesuffix("\n")
+    if ('"' in text or "\r" in text or _is_float(head.partition(",")[0])
+            or not _PLAIN_BODY.fullmatch(body)):
+        return None
+    try:
+        v = np.fromiter(map(float, body.replace("\n", ",").split(",")), float)
+    except ValueError:  # a cell float() refuses
+        return None
+    x, f = v.reshape(-1, 2).T.copy()
+    if x.size > 1 and np.isfinite(v).all() and (v > 0.0).all() and (x[1:] > x[:-1]).all():
+        return x, f
+    return None
+
+
+def _read_rows(text):
+    """x and f from the rows csv.reader reads in ``text``; the first row at
+    fault raises CsvFormatError, naming the line the row starts on."""
+    xs: list[float] = []
+    fs: list[float] = []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    line = 1  # where the next row starts
+    for row in reader:
+        lineno, line = line, reader.line_num + 1
+        try:
+            "".join(row).encode("utf-8")
+        except UnicodeEncodeError:
+            raise CsvFormatError(lineno, "bytes that are not UTF-8 text") from None
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if lineno == 1:
+            if _is_float(row[0]):
+                raise CsvFormatError(1, "expected a header row, found data")
+            continue  # the expected header row
+        if len(row) != 2:
+            raise CsvFormatError(lineno, f"expected 2 columns, got {len(row)}")
+        try:
+            xv = float(row[0])
+            fv = float(row[1])
+        except ValueError:
+            raise CsvFormatError(lineno, f"non-numeric row {row!r}") from None
+        if not (math.isfinite(xv) and math.isfinite(fv)):
+            raise CsvFormatError(lineno, "non-finite sample")
+        if xv <= 0.0 or fv <= 0.0:
+            raise CsvFormatError(lineno, "samples must be positive")
+        if xs and xv <= xs[-1]:
+            raise CsvFormatError(lineno, "x must be strictly increasing")
+        xs.append(xv)
+        fs.append(fv)
+    if len(xs) < 2:
+        raise CsvFormatError(1, "need at least 2 data rows")
+    return np.array(xs), np.array(fs)
+
+
 def load_tabulated_csv(path):
     """Read a two-column CSV (header row, then x, f pairs) into a Tabulated.
 
-    Structural problems, bytes that are not UTF-8 text among them, are
-    reported with the 1-based line number of the offending row.
+    The file is read once and decoded as UTF-8, a leading byte-order mark
+    dropped.  A plain table -- no quote or carriage return, a header whose
+    first cell is not a number, then lines of one comma each -- is read by
+    ``_read_array``: one ``float`` pass over the cells into one array, and
+    its checks (finite, positive, x strictly increasing, 2 rows or more)
+    as array operations.  Every other file, and every table that pass
+    refuses, goes to ``_read_rows``, the row-by-row walk over what
+    csv.reader reads (quoted cells, CR line ends, blank rows), which is the
+    reference: where both read a file they give the same bits, and only the
+    walk words a refusal.  Structural problems, bytes that are not UTF-8
+    text among them, are reported with the 1-based line number where the
+    offending row starts.
     """
-    xs: list[float] = []
-    fs: list[float] = []
-    # surrogateescape turns undecodable bytes into lone surrogates, so the
-    # row that holds them can be named instead of failing mid-read.
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            try:
-                "".join(row).encode("utf-8")
-            except UnicodeEncodeError:
-                raise CsvFormatError(lineno, "bytes that are not UTF-8 text") from None
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if lineno == 1:
-                try:
-                    float(row[0])
-                except ValueError:
-                    continue  # the expected header row
-                raise CsvFormatError(1, "expected a header row, found data")
-            if len(row) != 2:
-                raise CsvFormatError(lineno, f"expected 2 columns, got {len(row)}")
-            try:
-                xv = float(row[0])
-                fv = float(row[1])
-            except ValueError:
-                raise CsvFormatError(lineno, f"non-numeric row {row!r}") from None
-            if not (math.isfinite(xv) and math.isfinite(fv)):
-                raise CsvFormatError(lineno, "non-finite sample")
-            if xv <= 0.0 or fv <= 0.0:
-                raise CsvFormatError(lineno, "samples must be positive")
-            if xs and xv <= xs[-1]:
-                raise CsvFormatError(lineno, "x must be strictly increasing")
-            xs.append(xv)
-            fs.append(fv)
-    if len(xs) < 2:
-        raise CsvFormatError(1, "need at least 2 data rows")
-    return Tabulated(np.array(xs), np.array(fs))
+    with open(path, "rb") as fh:
+        # as the utf-8-sig codec drops it, without importing that codec
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")
+    xf = _read_array(data)
+    if xf is None:
+        # surrogateescape turns undecodable bytes into lone surrogates, so
+        # the row that holds them can be named
+        xf = _read_rows(data.decode("utf-8", "surrogateescape"))
+    return Tabulated(*xf)

@@ -88,21 +88,21 @@ def identity_reports(spec, scales, tol=1e-10):
     """
     a = np.array(scales, dtype=float)
     h = _FD_STEP * a
-    points = np.column_stack((a, a - h, a - 2.0 * h))
+    points = np.array((a, a - h, a - 2.0 * h)).T
     m = moment_bundles(spec, points.ravel(), min(tol, _TIGHT_TOL))
     # q[k, j] = (A, B, C, theta) at a_k - j h_k, point j of scale k's stencil
-    q = np.column_stack((m.A, m.B, m.C, m.theta)).reshape(len(a), 3, 4)
+    q = np.array((m.A, m.B, m.C, m.theta)).T.reshape(len(a), 3, 4)
     A, B, C = q[:, 0, :3].T
     AE, BE, CE = (v[0::3] for v in (m.AE, m.BE, m.CE))
 
-    reduction = np.column_stack((np.abs(AE - (1.0 - A)), np.abs(BE - (1.0 - 2.0 * B)),
-                                 np.abs(CE - (1.0 - C) / 2.0)))
+    reduction = np.array((np.abs(AE - (1.0 - A)), np.abs(BE - (1.0 - 2.0 * B)),
+                          np.abs(CE - (1.0 - C) / 2.0))).T
 
     ea = spec.elasticity(a)
     dA = (1.0 - (1.0 + ea) * A) / a
     dB = (1.0 - (2.0 + ea) * B) / a
     dC = (1.0 - (1.0 + 2.0 * ea) * C) / a
-    closed = np.column_stack((dA, dB, dC, (dB * A - B * dA) / (A * A)))
+    closed = np.array((dA, dB, dC, (dB * A - B * dA) / (A * A))).T
     finite_diff = (3.0 * q[:, 0] - 4.0 * q[:, 1] + q[:, 2]) / (2.0 * h)[:, None]
 
     return IdentityReport(a=a, reduction=reduction, closed=closed,

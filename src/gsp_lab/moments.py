@@ -116,13 +116,16 @@ def moment_bundles(spec, scales, tol=1e-10):
     beyond roundoff ("variance integral"); tiny negative values are
     clamped to zero.  Each check names the smallest offending scale.
     """
-    scales = spec.check_scale(scales)
-    cuts, where = np.unique(scales, return_inverse=True)
+    scales = spec.check_scale(scales).ravel()
+    # the distinct scales, ascending, and where each requested scale is among them
+    ranked = scales[scales.argsort()]
+    cuts = ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
+    where = cuts.searchsorted(scales)
     fa = spec.eval(cuts)
     with np.errstate(over="ignore", under="ignore"):
         # a f(a)^2 as cuts * (fa * fa): another order rounds differently
-        unit = np.column_stack((cuts * fa, cuts * cuts * fa, cuts * cuts * cuts * fa,
-                                cuts * (fa * fa)))
+        unit = np.array((cuts * fa, cuts * cuts * fa, cuts * cuts * cuts * fa,
+                         cuts * (fa * fa))).T
     bad = np.argwhere(~((0.0 < unit) & (unit < np.inf)))
     if bad.size:
         i, j = bad[0]
@@ -132,14 +135,16 @@ def moment_bundles(spec, scales, tol=1e-10):
 
     def columns(x):
         f, e = spec.eval(x), spec.elasticity(x)
-        xf = x * f
-        m0 = np.column_stack((f, xf, x * xf))
+        out = np.empty((x.size, 11))
+        m0 = out[:, :3]
+        m0[:, 0], m0[:, 1] = f, x * f
+        m0[:, 2] = x * m0[:, 1]
         d = (e - e_ref)[:, None]
-        return np.hstack((m0, m0 * d, m0 * (d * d),
-                          np.column_stack((f * f, f * f * e))))
+        out[:, 3:6], out[:, 6:9] = m0 * d, m0 * (d * d)
+        out[:, 9], out[:, 10] = f * f, f * f * e
+        return out
 
-    m_unit, c_unit = unit[:, :3], unit[:, 3:]
-    units = np.hstack((m_unit, m_unit, m_unit, c_unit, c_unit))
+    units = unit[:, [0, 1, 2, 0, 1, 2, 0, 1, 2, 3, 3]]
     tols = np.repeat([tol, _TIGHT_TOL, _TIGHT_TOL, tol], [3, 3, 3, 2])
     res = cumulative(columns, 0.0, cuts, tols, units=units, breakpoints=spec.knots)
     errors = res.error_estimate[:, [0, 1, 9]]
@@ -148,31 +153,32 @@ def moment_bundles(spec, scales, tol=1e-10):
     M = scaled[:, :9].reshape(-1, 3, 3)
     dM = (res.error_estimate[:, :9] / units[:, :9]).reshape(-1, 3, 3)
     theta = M[:, 0, 1] / M[:, 0, 0]
-    bad = np.flatnonzero(~((0.0 < theta) & (theta < 1.0)))
+    bad = (~((0.0 < theta) & (theta < 1.0))).nonzero()[0]
     if bad.size:
         i = bad[0]
         raise GspLabError(f"theta={theta[i]:g} outside (0, 1) at a={cuts[i]:g}")
     # W_j = int (s - theta)^2 g (E - E_ref)^j ds, and the variance expands
     # around c = E(a theta) - E_ref
     c = spec.elasticity(cuts * theta) - e_ref
-    beta = np.column_stack((theta * theta, -2.0 * theta, np.ones_like(theta)))
-    alpha = np.column_stack((c * c, -2.0 * c, np.ones_like(c)))
+    # C-ordered copies: einsum's summation order may follow its operands' layout
+    beta = np.array((theta * theta, -2.0 * theta, np.ones_like(theta))).T.copy()
+    alpha = np.array((c * c, -2.0 * c, np.ones_like(c))).T.copy()
     W = np.einsum("ijk,ik->ij", M, beta)
     variance = np.einsum("ij,ij->i", W, alpha)
     D = W[:, 0]
     # the first scale where D or, failing that, the variance is out of range
-    bad = np.flatnonzero((D < _WEIGHT_FLOOR) | (variance < _NEGATIVE_FLOOR))
+    bad = ((D < _WEIGHT_FLOOR) | (variance < _NEGATIVE_FLOOR)).nonzero()[0]
     if bad.size:
         i = bad[0]
         if D[i] < _WEIGHT_FLOOR:
             raise GspLabError(f"weight normalizer D={D[i]:g} at a={cuts[i]:g}")
         raise GspLabError(f"variance integral {variance[i]:g} at a={cuts[i]:g}")
     F, H, G = res.value[:, [0, 1, 9]].T
-    # one row per requested scale, one column per field of Moments but errors
-    table = np.column_stack((
-        cuts, fa, F, H, G, scaled[:, [0, 1, 9]], theta, H / F, G / (2.0 * F),
-        M[:, 1, :2] + e_ref * M[:, 0, :2], scaled[:, 10], D, W[:, 1] / D - c,
-        np.maximum(variance, 0.0),
-        np.einsum("ijk,ij,ik->i", dM, np.abs(alpha), np.abs(beta)),
-    ))[where]
-    return Moments(*np.ascontiguousarray(table.T), errors=errors[where])
+    # one row per field of Moments but errors, one column per requested scale
+    table = np.concatenate((
+        (cuts, fa, F, H, G), scaled[:, [0, 1, 9]].T, (theta, H / F, G / (2.0 * F)),
+        (M[:, 1, :2] + e_ref * M[:, 0, :2]).T,
+        (scaled[:, 10], D, W[:, 1] / D - c, np.maximum(variance, 0.0),
+         np.einsum("ijk,ij,ik->i", dM, np.abs(alpha), np.abs(beta))),
+    )).take(where, axis=1)
+    return Moments(*table, errors=errors[where])

@@ -193,11 +193,11 @@ def cumulative(integrand, lo, cuts, tol=1e-10, *, units=1.0, breakpoints=()):
     lo = float(lo)
     cuts = np.atleast_1d(np.asarray(cuts, dtype=float))
     if (cuts.ndim != 1 or not cuts.size or not math.isfinite(lo)
-            or not np.all(np.isfinite(cuts))):
+            or not np.isfinite(cuts).all()):
         raise DomainExceeded("integration bounds must be finite")
-    if cuts[0] <= lo or np.any(cuts[1:] <= cuts[:-1]):
+    if cuts[0] <= lo or (cuts[1:] <= cuts[:-1]).any():
         raise DomainExceeded(f"empty or inverted interval [{lo:g}, {cuts[0]:g}]")
-    if not np.all(np.asarray(tol) > 0.0):
+    if not (np.asarray(tol) > 0.0).all():
         raise DomainExceeded("tolerance must be positive")
 
     hi = float(cuts[-1])
@@ -216,8 +216,8 @@ def cumulative(integrand, lo, cuts, tol=1e-10, *, units=1.0, breakpoints=()):
     while True:
         ends = np.searchsorted(edges, cuts)  # panels below each cut
         starts = np.concatenate(([0], ends[:-1]))
-        value = np.cumsum(np.add.reduceat(val, starts), axis=0)
-        error = np.cumsum(np.add.reduceat(err, starts), axis=0)
+        value = np.add.reduceat(val, starts).cumsum(axis=0)
+        error = np.add.reduceat(err, starts).cumsum(axis=0)
         target = tol * np.maximum(units, np.abs(value))
         failing = error > target
         if not failing.any():
@@ -233,8 +233,8 @@ def cumulative(integrand, lo, cuts, tol=1e-10, *, units=1.0, breakpoints=()):
         thresh = np.where(failing & (peak > 0.0), _MARK * peak, np.inf)
         thresh = np.minimum.accumulate(thresh[::-1], axis=0)[::-1]
         ratio /= np.repeat(thresh, ends - starts, axis=0)
-        score = np.max(ratio, axis=1)
-        marked = np.flatnonzero(score >= 1.0)
+        score = ratio.max(axis=1)
+        marked = (score >= 1.0).nonzero()[0]
         room = budget - len(val)
         if not marked.size or room <= 0:
             worst = float(np.max(error[failing]))
@@ -272,6 +272,6 @@ def cumulative(integrand, lo, cuts, tol=1e-10, *, units=1.0, breakpoints=()):
         placed = at + np.arange(at.size)  # where the new edges landed
         fresh[placed - 1] = fresh[placed] = True
         fval, ferr = _panels(integrand, edges[:-1][fresh], edges[1:][fresh])
-        slots = np.flatnonzero(fresh) - np.arange(len(fval))  # old panels below
+        slots = fresh.nonzero()[0] - np.arange(len(fval))  # old panels below
         val = np.insert(np.delete(val, marked, axis=0), slots, fval, axis=0)
         err = np.insert(np.delete(err, marked, axis=0), slots, ferr, axis=0)

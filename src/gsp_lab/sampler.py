@@ -289,7 +289,7 @@ class _CdfTable:
                 cuts = np.array([math.sqrt(left) * math.sqrt(right)])
         ends = np.concatenate(([left], cuts, [right]))
         mid = ends[:-1] + 0.5 * np.diff(ends)
-        if cuts.size and np.all((ends[:-1] < mid) & (mid < ends[1:])):
+        if cuts.size and ((ends[:-1] < mid) & (mid < ends[1:])).all():
             return cuts
         raise ToleranceNotReached(
             f"CDF model error {err:.3e} above tolerance on "

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
@@ -836,6 +837,15 @@ def test_out_of_memory_ends_in_one_line(argv):
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+def test_a_grid_no_array_can_hold_fails_as_numpy_does(capsys):
+    # 10^15 scales are 7.1 PiB: the grid's allocation fails at once, with
+    # the message np.geomspace's gives
+    with pytest.raises(MemoryError) as info:
+        np.geomspace(0.1, 10.0, 10**15)
+    assert main(["detect", "--family", "power", "--p", "2", "--a-count", str(10**15)]) == 1
+    assert capsys.readouterr().err == f"error: out of memory ({info.value})\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("sweep", "--family", "power", "--p", "0.5", "--a-min", "1e300",
      "--a-max", "1.7976931348623157e308"),
@@ -1048,7 +1058,7 @@ def test_flag_tables_read_every_benchmark_and_same_bytes_run(tmp_path):
     refused = [text for text in runs
                if cli._read_argv([re.sub(r"\{[^}]+\}", "file", word)
                                   for word in shlex.split(text)]) is None]
-    assert len(runs) == 876
+    assert len(runs) == 880
     # the runs whose help or usage error argparse writes, and a seed of -1,
     # which argparse reads and the config check refuses
     assert refused == ["sample --family power --p 2 --a 1 --seed -1",
@@ -1066,6 +1076,33 @@ def test_benchmark_oracles_accept_the_output(workload, tmp_path):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             rc = main(list(inv.argv))
         assert oracles.check(inv, rc, False, out.getvalue()).failed == [], inv.label
+
+
+# numpy functions whose Python-level steps cost more than the arithmetic
+# they do for gsp_lab (a first call in a fresh process among them)
+_NUMPY_HELPERS = ("geomspace", "unique", "column_stack", "hstack", "all", "any")
+
+
+@pytest.mark.parametrize("workload", ["analytic", "tabulated"])
+def test_benchmark_commands_enter_no_numpy_helper(workload, tmp_path):
+    # the benchmark's grid commands, run in process, call numpy's kernels
+    # and array methods, never the Python-level helpers above
+    inputs, _, _ = _benchmark_modules()
+    helpers = {inspect.unwrap(getattr(np, name)).__code__: name for name in _NUMPY_HELPERS}
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in helpers:
+            entered.append(helpers[frame.f_code])
+
+    for inv in inputs.make_inputs(workload, 1, str(tmp_path)).batch:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            sys.setprofile(profile)
+            try:
+                main(list(inv.argv))
+            finally:
+                sys.setprofile(None)
+        assert entered == [], inv.label
 
 
 def test_console_script_entry_point(tmp_path):

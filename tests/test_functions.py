@@ -1,8 +1,12 @@
+import collections
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from gsp_lab import (
@@ -17,7 +21,7 @@ from gsp_lab import (
     load_tabulated_csv,
     validate,
 )
-from gsp_lab.functions import _pchip_coefficients
+from gsp_lab.functions import _geomspace, _pchip_coefficients, _read_array, _read_rows
 from conftest import gallery, make_tabulated_power
 
 
@@ -310,3 +314,128 @@ def test_csv_reports_offending_line(tmp_path):
         bad.write_text(text)
         with pytest.raises(CsvFormatError, match=f"^{message}$"):
             load_tabulated_csv(bad)
+
+
+def test_csv_drops_a_byte_order_mark(tmp_path):
+    # a UTF-8 BOM before the header changes nothing, and one before data no
+    # longer hides the missing header (it used to drop the first sample)
+    rows = "0.01,0.001\n0.1,0.0316\n1,1\n10,31.6\n"
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text("x,f\n" + rows)
+    want = load_tabulated_csv(plain)
+    for text in ("x,f\n" + rows, '"x",f\n' + rows):  # the array pass and the row walk
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        spec = load_tabulated_csv(bom)
+        assert (spec.x.tobytes(), spec.f.tobytes()) == (want.x.tobytes(), want.f.tobytes())
+    for text in (rows, '"0.01",0.001\n1,1\n'):
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        with pytest.raises(CsvFormatError, match="^line 1: expected a header row, found data$"):
+            load_tabulated_csv(bom)
+
+
+def test_csv_names_the_line_a_row_starts_on(tmp_path):
+    # a quoted cell that spans lines puts every later row past its row count
+    bad = tmp_path / "bad.csv"
+    for data, message in (
+        (b'x,f\n"0.01",0.001\n0.1,"0.0316\n"\n1,-1\n10,31.6\n',
+         "line 5: samples must be positive"),
+        (b'x,f\n"0.01\n\n",0.001\r\xff,1\n', "line 5: bytes that are not UTF-8 text"),
+        (b'x,f\n"0.01\n",0.001\n"1\n",2,3\n', "line 4: expected 2 columns, got 3"),
+    ):
+        bad.write_bytes(data)
+        with pytest.raises(CsvFormatError, match=f"^{message}$"):
+            load_tabulated_csv(bad)
+
+
+# cells that float() reads oddly or refuses, and the ways a row may end
+_ODD_CELLS = ("1_000", " 2 ", "\t3", "inf", "nan", "infinity", "-Infinity", "0x10", "-1",
+              "0", "", " ", "x", "1e999", "5e-324", "\udcff")
+_ENDS = ("\n", "\n", "\n", "\r\n", "\r")
+
+
+@st.composite
+def _csv_files(draw):
+    """Bytes of a CSV table: header or none, a BOM, blank rows, quoted and
+    padded cells, each line end, odd cells, 1-3 columns, x not always
+    increasing, 0-5 data rows and bytes that are not UTF-8.  One file in two
+    is plain, as the array pass reads it, but for its cells."""
+    plain = draw(st.booleans())
+    odd = st.integers(0, 39 if plain else 19)
+    lines = ["x,f" if plain else draw(st.sampled_from(["x,f", "x", "x,f,g", '"x",f', "",
+                                                      "1,2", " ,"]))]
+    x = 0.0
+    for _ in range(draw(st.integers(0, 5))):
+        if not plain and draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " , ", ",", "  "])))
+        x += draw(st.sampled_from([0.25, 1.0, 1e3] * 4 + [1e-300, 0.0, -0.5]))
+        row = [repr(x), repr(draw(st.floats(1e-3, 1e3)))]
+        if not plain:
+            row = [*row, "7"][:draw(st.sampled_from([2] * 8 + [1, 3]))]
+        for i, cell in enumerate(row):
+            way = draw(odd)
+            if way == 0:
+                cell = draw(st.sampled_from(_ODD_CELLS))
+            elif way == 1:
+                cell = f" {cell} "
+            elif way == 2 and not plain:
+                cell = f'"{cell}"'
+            elif way == 3 and not plain:
+                cell = f'"{cell}\n"'
+            row[i] = cell
+        lines.append(",".join(row))
+    ends = [("\n" if plain else draw(st.sampled_from(_ENDS))) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.removesuffix(ends[-1])
+    bom = draw(st.sampled_from([b"", b"", b"", b"\xef\xbb\xbf"]))
+    return bom + text.encode("utf-8", "surrogateescape")
+
+
+def _outcome(read):
+    """The bits of the table's x and f that ``read`` gives, or its error's
+    type and text."""
+    try:
+        spec = read()
+    except Inadmissible as exc:
+        return type(exc), str(exc)
+    return spec.x.tobytes(), spec.f.tobytes()
+
+
+def test_array_pass_reads_what_the_row_walk_reads(tmp_path):
+    # the loader, which tries the array pass first, and the row walk alone
+    # accept and refuse the same files, with the same bits and messages
+    path = tmp_path / "t.csv"
+    taken = collections.Counter()
+
+    @settings(max_examples=800)
+    @given(_csv_files())
+    def check(data):
+        path.write_bytes(data)
+        body = data.removeprefix(b"\xef\xbb\xbf")
+        walked = _outcome(lambda: Tabulated(*_read_rows(
+            body.decode("utf-8", "surrogateescape"))))
+        assert _outcome(lambda: load_tabulated_csv(path)) == walked
+        array = _read_array(body)
+        if array is not None:
+            assert _outcome(lambda: Tabulated(*array)) == walked
+        taken[array is not None, isinstance(walked[0], bytes)] += 1
+
+    check()
+    # each pass read a share of the files, and the array pass left every
+    # refusal to the walk
+    assert taken[True, True] >= 50 and taken[False, True] >= 20
+    assert taken[True, False] == 0 and taken[False, False] >= 200
+
+
+def test_geomspace_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(30)
+    top = sys.float_info.max
+    ends = 10.0 ** rng.uniform(-300.0, 300.0, (5000, 2))  # across 600 decades
+    cases = [(lo, hi, int(n)) for (lo, hi), n in zip(ends, rng.integers(1, 300, 5000))]
+    cases += [(1.0, 2.0, 1), (1.0, 2.0, 2), (0.1, 10.0, 2), (3.0, 3.0, 7), (3.0, 3.0, 1),
+              (10.0, 0.1, 17), (1e300, top, 9), (top, top, 3), (1e-300, top, 17),
+              (top, 1e-300, 50), (5e-324, top, 40)]
+    with np.errstate(over="ignore"):  # 10**log10(top) rounds past the top
+        for lo, hi, n in cases:
+            assert _geomspace(lo, hi, n).tobytes() == np.geomspace(lo, hi, n).tobytes(), (
+                lo, hi, n)
