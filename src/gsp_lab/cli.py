@@ -42,13 +42,12 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ._g17 import _g17_lines
 from .detector import Verdict, classify, fit_lambda, gsp_residual_sweep
-from .errors import GspLabError, Inadmissible
+from .errors import GspLabError, Inadmissible, _Record
 from .functions import (
     PerturbedPowerLaw,
     PowerLaw,
@@ -85,36 +84,36 @@ class ConfigError(GspLabError):
     """Bad flags, bad config file, or an impossible grid."""
 
 
-@dataclass
-class RunConfig:
+class RunConfig(_Record):
     """Everything a run needs; round-trips losslessly through flat JSON.
 
     A key's type in a config file is its default's (str where that is None);
     an int key refuses a float with a fraction rather than truncate it.
     """
 
-    command: str
-    family: str = "power"
-    p: float = 1.0
-    amp: float = 1.0
-    eps: float = 0.1
-    csv: str | None = None
-    a_min: float = 0.1
-    a_max: float = 10.0
-    a_count: int = 17
-    tol: float = 1e-10
-    seed: int = 0
-    out: str | None = None
-    format: str | None = None
-    a: float = 1.0
-    n: int = 1000
-    estimate: bool = False
+    fields = ("command", "family", "p", "amp", "eps", "csv", "a_min", "a_max",
+              "a_count", "tol", "seed", "out", "format", "a", "n", "estimate")
+    family = "power"
+    p = 1.0
+    amp = 1.0
+    eps = 0.1
+    csv = None
+    a_min = 0.1
+    a_max = 10.0
+    a_count = 17
+    tol = 1e-10
+    seed = 0
+    out = None
+    format = None
+    a = 1.0
+    n = 1000
+    estimate = False
 
 
 # Each key is a flag of the same name (dashes for underscores), listed in
 # --help in field order; the last three are flags of sample alone.
-_KEY_TYPES = {f.name: str if f.default is None else type(f.default)
-              for f in fields(RunConfig) if f.name != "command"}
+_KEY_TYPES = {k: str if v is None else type(v)
+              for k, v in vars(RunConfig(command=None)).items() if k != "command"}
 _SAMPLE_ONLY = ("a", "n", "estimate")
 _HELP = {"csv": "tabulated spec from a two-column CSV", "a": "truncation scale",
          "n": "number of draws",
@@ -282,7 +281,7 @@ def _build_spec(cfg):
         except OSError as exc:
             raise ConfigError(str(exc)) from exc
     family = _FAMILIES[cfg.family]
-    return family(**{f.name: getattr(cfg, f.name) for f in fields(family)})
+    return family(**{k: getattr(cfg, k) for k in family.fields})
 
 
 def _grid_for(cfg, spec):

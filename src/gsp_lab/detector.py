@@ -24,12 +24,11 @@ exponents (possibly empty, possibly two), one from each monotone branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import DomainExceeded, GspLabError
+from .errors import DomainExceeded, GspLabError, _Record
 from .functions import Tabulated, _geomspace
 from .moments import _median, moment_bundles
 
@@ -151,23 +150,13 @@ def recover_p(spec, moments):
     return p_theta, p_elast, amp
 
 
-@dataclass(frozen=True)
-class DetectionResult:
+class DetectionResult(_Record):
     """Verdict plus everything needed to audit it."""
 
-    verdict: Verdict
-    lambda_hat: float
-    p_theta: float
-    p_elasticity: float
-    amp: float
-    gsp_residual_max: float
-    variance_max: float
-    tol_gsp: float
-    tol_var: float
-    scales: tuple[float, ...]
-    gsp_residuals: tuple[float, ...]
-    variances: tuple[float, ...]
-    notes: str = ""
+    fields = ("verdict", "lambda_hat", "p_theta", "p_elasticity", "amp",
+              "gsp_residual_max", "variance_max", "tol_gsp", "tol_var", "scales",
+              "gsp_residuals", "variances", "notes")
+    notes = ""
 
     def to_dict(self):
         return {**vars(self), "verdict": self.verdict.value}

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the plain record base of
+its result carriers.
 
 Everything raised deliberately by this package derives from GspLabError, so
 callers can catch one base class at the boundary.  The subclasses keep only
@@ -58,3 +59,24 @@ class CsvFormatError(Inadmissible):
     def __init__(self, line, message):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class _Record:
+    """A plain record: ``fields`` names its attributes in order, and a class
+    attribute of the same name is a field's default.  ``__init__`` takes the
+    fields by position or by name and sets each on the instance, in order,
+    so ``vars()`` holds them all."""
+
+    fields = ()
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(self.fields, args))
+        if len(args) > len(self.fields) or given.keys() & kwargs.keys():
+            raise TypeError(f"{type(self).__name__}: too many or repeated arguments")
+        given.update(kwargs)
+        for name in self.fields:
+            if name not in given and not hasattr(self, name):
+                raise TypeError(f"{type(self).__name__}: missing field {name!r}")
+            setattr(self, name, given.pop(name) if name in given else getattr(self, name))
+        if given:
+            raise TypeError(f"{type(self).__name__}: unknown fields {sorted(given)}")

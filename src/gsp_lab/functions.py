@@ -10,12 +10,10 @@ hypotheses and raises Inadmissible at the first one it breaks.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +22,7 @@ from .errors import (
     DomainExceeded,
     Inadmissible,
     NonPositiveValue,
+    _Record,
 )
 
 __all__ = [
@@ -73,11 +72,13 @@ class FunctionSpec:
 
     def _check_x(self, x):
         arr = np.asarray(x, dtype=float)
-        if not np.isfinite(arr).all() or (arr <= 0.0).any():
+        # NaN carries through min and max; an empty array passes
+        lo, hi = arr.min(initial=math.inf), arr.max(initial=-math.inf)
+        if not (0.0 < lo and hi < math.inf):
             raise DomainExceeded(
                 f"{self.family}: abscissae must be positive and finite"
             )
-        if (arr > self.top * (1.0 + _HULL_SLACK)).any():
+        if hi > self.top * (1.0 + _HULL_SLACK):
             raise DomainExceeded(f"{self.family}: abscissa outside (0, {self.top:g}]")
         return arr
 
@@ -90,7 +91,8 @@ class FunctionSpec:
         arr = self._check_x(x)
         with np.errstate(over="ignore", under="ignore"):
             out = self._value(arr)
-        if not np.isfinite(out).all() or (out <= 0.0).any():
+        lo, hi = out.min(initial=math.inf), out.max(initial=-math.inf)
+        if not (0.0 < lo and hi < math.inf):
             raise NonPositiveValue(
                 f"{self.family}: evaluation produced a non-positive value"
             )
@@ -124,12 +126,11 @@ class FunctionSpec:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class PowerLaw(FunctionSpec):
+class PowerLaw(FunctionSpec, _Record):
     """f(x) = amp * x**p."""
 
-    p: float
-    amp: float = 1.0
+    fields = ("p", "amp")
+    amp = 1.0
     family = "power"
 
     def _value(self, x):
@@ -139,8 +140,7 @@ class PowerLaw(FunctionSpec):
         return np.full_like(x, self.p)
 
 
-@dataclass(frozen=True)
-class PerturbedPowerLaw(FunctionSpec):
+class PerturbedPowerLaw(FunctionSpec, _Record):
     """f(x) = amp * x**p * (1 + eps * sin(log x)).
 
     A log-periodic wobble around a pure power law; for |eps| < 1 the function
@@ -149,9 +149,8 @@ class PerturbedPowerLaw(FunctionSpec):
         E(x) = p + eps * cos(log x) / (1 + eps * sin(log x))
     """
 
-    p: float
-    eps: float
-    amp: float = 1.0
+    fields = ("p", "eps", "amp")
+    amp = 1.0
     family = "perturbed"
 
     def _wobble(self, x):
@@ -385,37 +384,42 @@ def _read_array(data):
 def _read_rows(text):
     """x and f from the rows csv.reader reads in ``text``; the first row at
     fault raises CsvFormatError, naming the line the row starts on."""
+    import csv  # here: only the files _read_array leaves reach this walk
+
     xs: list[float] = []
     fs: list[float] = []
     reader = csv.reader(io.StringIO(text, newline=""))
     line = 1  # where the next row starts
-    for row in reader:
-        lineno, line = line, reader.line_num + 1
-        try:
-            "".join(row).encode("utf-8")
-        except UnicodeEncodeError:
-            raise CsvFormatError(lineno, "bytes that are not UTF-8 text") from None
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if lineno == 1:
-            if _is_float(row[0]):
-                raise CsvFormatError(1, "expected a header row, found data")
-            continue  # the expected header row
-        if len(row) != 2:
-            raise CsvFormatError(lineno, f"expected 2 columns, got {len(row)}")
-        try:
-            xv = float(row[0])
-            fv = float(row[1])
-        except ValueError:
-            raise CsvFormatError(lineno, f"non-numeric row {row!r}") from None
-        if not (math.isfinite(xv) and math.isfinite(fv)):
-            raise CsvFormatError(lineno, "non-finite sample")
-        if xv <= 0.0 or fv <= 0.0:
-            raise CsvFormatError(lineno, "samples must be positive")
-        if xs and xv <= xs[-1]:
-            raise CsvFormatError(lineno, "x must be strictly increasing")
-        xs.append(xv)
-        fs.append(fv)
+    try:
+        for row in reader:
+            lineno, line = line, reader.line_num + 1
+            try:
+                "".join(row).encode("utf-8")
+            except UnicodeEncodeError:
+                raise CsvFormatError(lineno, "bytes that are not UTF-8 text") from None
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if lineno == 1:
+                if _is_float(row[0]):
+                    raise CsvFormatError(1, "expected a header row, found data")
+                continue  # the expected header row
+            if len(row) != 2:
+                raise CsvFormatError(lineno, f"expected 2 columns, got {len(row)}")
+            try:
+                xv = float(row[0])
+                fv = float(row[1])
+            except ValueError:
+                raise CsvFormatError(lineno, f"non-numeric row {row!r}") from None
+            if not (math.isfinite(xv) and math.isfinite(fv)):
+                raise CsvFormatError(lineno, "non-finite sample")
+            if xv <= 0.0 or fv <= 0.0:
+                raise CsvFormatError(lineno, "samples must be positive")
+            if xs and xv <= xs[-1]:
+                raise CsvFormatError(lineno, "x must be strictly increasing")
+            xs.append(xv)
+            fs.append(fv)
+    except csv.Error as exc:  # a cell longer than csv's field size limit
+        raise CsvFormatError(line, str(exc)) from None
     if len(xs) < 2:
         raise CsvFormatError(1, "need at least 2 data rows")
     return np.array(xs), np.array(fs)

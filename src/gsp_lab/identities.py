@@ -40,10 +40,9 @@ moments every scale shares) and the values on the stencils.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .errors import _Record
 from .moments import _TIGHT_TOL, moment_bundles
 
 __all__ = ["IdentityReport", "identity_reports"]
@@ -53,8 +52,7 @@ __all__ = ["IdentityReport", "identity_reports"]
 _FD_STEP = 1e-5
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Record):
     """All identity diagnostics, one row per scale in the order given.
 
     ``reduction`` holds the three reduction residuals; ``closed`` and
@@ -62,13 +60,8 @@ class IdentityReport:
     from backward differences.
     """
 
-    a: np.ndarray
-    reduction: np.ndarray
-    closed: np.ndarray
-    finite_diff: np.ndarray
-    wm: np.ndarray
-    variance: np.ndarray
-    weight_normalizer: np.ndarray
+    fields = ("a", "reduction", "closed", "finite_diff", "wm", "variance",
+              "weight_normalizer")
 
 
 def identity_reports(spec, scales, tol=1e-10):

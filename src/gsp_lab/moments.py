@@ -34,11 +34,9 @@ is its abscissa in units of a.  All of it comes as one ``Moments`` of arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import GspLabError
+from .errors import GspLabError, _Record
 from .quadrature import cumulative
 
 __all__ = ["Moments", "moment_bundles"]
@@ -62,8 +60,7 @@ _WEIGHT_FLOOR = 1e-14
 _UNIT_NAMES = ("a f(a)", "a^2 f(a)", "a^3 f(a)", "a f(a)^2")
 
 
-@dataclass(frozen=True)
-class Moments:
+class Moments(_Record):
     """Everything the identity and detection layers need, at every scale.
 
     Each field is a 1-d array over the requested scales, in their order;
@@ -73,25 +70,8 @@ class Moments:
     and shared by all normalizations.
     """
 
-    a: np.ndarray
-    fa: np.ndarray
-    F: np.ndarray
-    H: np.ndarray
-    G: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    theta: np.ndarray
-    xbar: np.ndarray
-    ybar: np.ndarray
-    AE: np.ndarray
-    BE: np.ndarray
-    CE: np.ndarray
-    D: np.ndarray
-    wm: np.ndarray
-    variance: np.ndarray
-    variance_error: np.ndarray
-    errors: np.ndarray
+    fields = ("a", "fa", "F", "H", "G", "A", "B", "C", "theta", "xbar", "ybar",
+              "AE", "BE", "CE", "D", "wm", "variance", "variance_error", "errors")
 
 
 def moment_bundles(spec, scales, tol=1e-10):

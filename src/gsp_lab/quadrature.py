@@ -34,11 +34,10 @@ Rabinowitz, 1984).  Where the end converges fast, that is one bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainExceeded, ToleranceNotReached
+from .errors import DomainExceeded, ToleranceNotReached, _Record
 
 __all__ = ["QuadResult", "cumulative"]
 
@@ -109,8 +108,7 @@ _CHUNK = 128
 _MARK = 0.25
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(_Record):
     """Values of the integrals together with the engine's own error bounds.
 
     ``value`` and ``error_estimate`` are (cuts, columns) arrays, and
@@ -120,10 +118,8 @@ class QuadResult:
     estimates are the best available.
     """
 
-    value: np.ndarray
-    error_estimate: np.ndarray
-    subdivisions: int
-    converged: bool = True
+    fields = ("value", "error_estimate", "subdivisions", "converged")
+    converged = True
 
 
 def _rule(integrand, lo, hi):

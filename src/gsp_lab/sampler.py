@@ -50,11 +50,10 @@ AVX-512 path and the path with AVX-512 off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainExceeded, ToleranceNotReached
+from .errors import DomainExceeded, ToleranceNotReached, _Record
 from .functions import _TINY_NORMAL, PowerLaw
 from .quadrature import _ERROR_FLOOR, cumulative
 
@@ -347,15 +346,10 @@ class _CdfTable:
         return s, resid
 
 
-@dataclass(frozen=True)
-class MCEstimate:
+class MCEstimate(_Record):
     """Monte Carlo means of x and f(x) with their standard errors."""
 
-    mean_x: float
-    mean_fx: float
-    stderr_x: float
-    stderr_fx: float
-    n: int
+    fields = ("mean_x", "mean_fx", "stderr_x", "stderr_fx", "n")
 
 
 class SamplerState:

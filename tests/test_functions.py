@@ -347,6 +347,20 @@ def test_csv_names_the_line_a_row_starts_on(tmp_path):
             load_tabulated_csv(bad)
 
 
+@pytest.mark.parametrize("quote", ['"', ""], ids=["quoted", "unquoted"])
+def test_csv_names_the_line_of_an_oversized_cell(tmp_path, quote):
+    # a cell longer than csv.reader's field size limit is a one-line format
+    # error naming its row's line, not csv's own error; unquoted, the cell
+    # underflows to 0, so the array pass leaves the file to the row walk
+    cell = quote + "0." + "0" * 139_996 + "1" + quote
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"x,f\n0.5,1\n{cell},2\n3,4\n")
+    with pytest.raises(CsvFormatError,
+                       match=r"^line 3: field larger than field limit \(131072\)$") as info:
+        load_tabulated_csv(bad)
+    assert info.value.line == 3
+
+
 # cells that float() reads oddly or refuses, and the ways a row may end
 _ODD_CELLS = ("1_000", " 2 ", "\t3", "inf", "nan", "infinity", "-Infinity", "0x10", "-1",
               "0", "", " ", "x", "1e999", "5e-324", "\udcff")

@@ -54,6 +54,14 @@ def test_cli_import_leaves_argparse_out():
     assert _fresh_python(code) == "[]"
 
 
+def test_cli_import_leaves_dataclasses_and_csv_out():
+    # the result carriers are plain classes, and csv comes only with the row
+    # walk that reads the tables the array pass leaves
+    code = ("import sys, gsp_lab.cli; "
+            "print([m for m in ('dataclasses', 'csv') if m in sys.modules])")
+    assert _fresh_python(code) == "[]"
+
+
 # gsp_lab makes no BLAS call, so a process that loads numpy through it asks
 # OpenBLAS for one thread; a preset value, or numpy loaded first, is kept.
 _BLAS_THREADS = """
