@@ -49,8 +49,10 @@ FILES = {
     "bom_header.csv": b"\xef\xbb\xbfx,f\n0.01,0.001\n0.1,0.0316227766\n1,1\n10,31.6227766\n",
     "bom_data.csv": b"\xef\xbb\xbf0.01,0.001\n0.1,0.0316\n1,1\n10,31.6\n",
     "multiline_cell.csv": b'x,f\n"0.01",0.001\n0.1,"0.0316\n"\n1,-1\n10,31.6\n',
-    # a quoted cell longer than csv.reader's field size limit (131,072)
+    # a quoted cell longer than csv.reader's field size limit (131,072), and
+    # an unquoted one that float() reads as 1.0
     "oversized_cell.csv": b'x,f\n0.5,1\n"0.' + b"0" * 139996 + b'1",2\n3,4\n',
+    "oversized_number.csv": b"x,f\n0.5,1\n1." + b"0" * 139996 + b"0,2\n3,4\n",
     # config files, good and bad
     "good.json": b'{"family": "power", "p": 2.0, "format": "json"}',
     "bad_json.json": b'{"p": 2.0,',
@@ -93,7 +95,7 @@ RUNS = [
         "three_column.csv", "missing.csv", "dir")),
     *(("cli", f"detect --csv {{{name}}}") for name in (
         "odd_valid.csv", "bom_header.csv", "bom_data.csv", "multiline_cell.csv",
-        "oversized_cell.csv")),
+        "oversized_cell.csv", "oversized_number.csv")),
     ("cli", "sample --csv {log_tie.csv} --a 1e300 --n 10"),
     # config files
     *(("cli", f"detect --config {{{name}}}") for name in _CONFIGS),

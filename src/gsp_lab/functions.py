@@ -347,8 +347,12 @@ def validate(spec):
         raise Inadmissible("f(0+)=0 (values level off instead of heading to zero)")
 
 
-# the body of a plain table: lines of exactly one comma each
-_PLAIN_BODY = re.compile(r"[^,\n]*,[^,\n]*(?:\n[^,\n]*,[^,\n]*)*")
+# csv.field_size_limit()'s default: the row walk refuses a longer cell
+_FIELD_LIMIT = 131_072
+# the body of a plain table: lines of exactly one comma each, and no cell
+# longer than that limit
+_CELL = rf"[^,\n]{{0,{_FIELD_LIMIT}}}"
+_PLAIN_BODY = re.compile(rf"{_CELL},{_CELL}(?:\n{_CELL},{_CELL})*")
 
 
 def _is_float(cell):
@@ -369,7 +373,8 @@ def _read_array(data):
     head, _, body = text.partition("\n")
     body = body.removesuffix("\n")
     if ('"' in text or "\r" in text or _is_float(head.partition(",")[0])
-            or not _PLAIN_BODY.fullmatch(body)):
+            or not _PLAIN_BODY.fullmatch(body)
+            or max(map(len, head.split(","))) > _FIELD_LIMIT):
         return None
     try:
         v = np.fromiter(map(float, body.replace("\n", ",").split(",")), float)
@@ -430,7 +435,8 @@ def load_tabulated_csv(path):
 
     The file is read once and decoded as UTF-8, a leading byte-order mark
     dropped.  A plain table -- no quote or carriage return, a header whose
-    first cell is not a number, then lines of one comma each -- is read by
+    first cell is not a number, then lines of one comma each, and no cell
+    longer than csv.reader's field size limit -- is read by
     ``_read_array``: one ``float`` pass over the cells into one array, and
     its checks (finite, positive, x strictly increasing, 2 rows or more)
     as array operations.  Every other file, and every table that pass

@@ -111,14 +111,16 @@ _MARK = 0.25
 class QuadResult(_Record):
     """Values of the integrals together with the engine's own error bounds.
 
-    ``value`` and ``error_estimate`` are (cuts, columns) arrays, and
-    ``subdivisions`` is the number of panels.  ``converged`` is False only
+    ``value`` and ``error_estimate`` are (cuts, columns) arrays,
+    ``subdivisions`` is the number of panels and ``edges`` their
+    ``subdivisions + 1`` edges, ascending from ``lo`` to the last cut, every
+    cut and breakpoint among them.  ``converged`` is False only
     on the result a ToleranceNotReached carries: the subdivision budget ran
     out before every error estimate met its target, and the values and
     estimates are the best available.
     """
 
-    fields = ("value", "error_estimate", "subdivisions", "converged")
+    fields = ("value", "error_estimate", "subdivisions", "edges", "converged")
     converged = True
 
 
@@ -217,7 +219,7 @@ def cumulative(integrand, lo, cuts, tol=1e-10, *, units=1.0, breakpoints=()):
         target = tol * np.maximum(units, np.abs(value))
         failing = error > target
         if not failing.any():
-            return QuadResult(value, error, len(val))
+            return QuadResult(value, error, len(val), edges)
 
         plo, phi = edges[:-1], edges[1:]
         ratio = np.where(_wide(plo, phi, min_width)[:, None], err, 0.0)
@@ -237,7 +239,7 @@ def cumulative(integrand, lo, cuts, tol=1e-10, *, units=1.0, breakpoints=()):
             reason = (f"error {worst:.3e} above tolerance after {len(val)} panels"
                       if marked.size else "interval fully refined to machine width")
             raise ToleranceNotReached(
-                reason, QuadResult(value, error, len(val), converged=False)
+                reason, QuadResult(value, error, len(val), edges, converged=False)
             )
         if marked.size > room:
             worst_first = np.argsort(-score[marked], kind="stable")

@@ -9,24 +9,24 @@ draws.
 Power laws invert in closed form.  Every other spec goes through a checked
 model of its CDF, built once per (spec, a, tol); the sampling state holds
 it and applies either inverse itself.  One cumulative quadrature pass
-gives the mass up to each of 256 knots, computed to min(1e-12, tol / 100)
-but no tighter than twice the kernel's error floor, 100 machine epsilons
-of the masses' unit, 1.  On each knot interval, g is interpolated at 16
-Chebyshev points and the interpolant integrated exactly, so the CDF there
-is the mass at the left knot plus a Chebyshev series (Trefethen,
-Approximation Theory and Approximation Practice, 2013).  Each model is
-checked once, at build time, against the adaptive kernel: at its
-interval's mass and at its midpoint, to a tenth of a draw's tolerance (or
-twice the kernel's target, if that is looser).  An interval that fails is
-split and its parts checked again: the first interval geometrically toward
-0, where g ~ s**p is not smooth, and any other at the table's knots inside
-it, or at its geometric mean if it holds none.  A model that cannot pass
-raises ToleranceNotReached before any draw.
+gives the mass up to each of 256 equal cuts, computed to min(1e-12, tol /
+100) but no tighter than twice the kernel's error floor, 100 machine
+epsilons of the masses' unit, 1.  The kernel's final panels are the
+model's pieces, interpolation on the quadrature's own intervals (the PINV
+layout of Derflinger, Hoermann and Leydold, ACM TOMACS 20(4), 2010): the
+cuts and a table's knots are among their edges, and the panels toward 0,
+where g ~ s**p is not smooth, are cut geometrically.  On each piece, g is
+interpolated at 16 Chebyshev points and the interpolant integrated
+exactly, so the CDF there is the sum of the masses below plus a Chebyshev
+series (Trefethen, Approximation Theory and Approximation Practice, 2013).
+The model is checked once, at build time, against the kernel's masses at
+the 256 cuts, to a tenth of a draw's tolerance (or twice the kernel's
+target, if that is looser); a model that misses raises
+ToleranceNotReached before any draw.
 
 A draw finds its piece through a guide table and starts from a cubic
-Hermite interpolant of the inverse CDF on it, with exact end slopes 1/g
-(the PINV idea of Derflinger, Hoermann and Leydold, ACM TOMACS 20(4),
-2010).  Its CDF residual is read off the piece's model by Clenshaw's
+Hermite interpolant of the inverse CDF on it, with exact end slopes 1/g,
+as PINV does.  Its CDF residual is read off the piece's model by Clenshaw's
 recurrence, and only draws whose residual misses tol times the total mass
 take bracketed Newton steps, with the slope from the model's derivative:
 no draw evaluates the spec.
@@ -66,11 +66,11 @@ _TABLE_INTERVALS = 256
 _BLOCK = 2**14
 # The kernel's error sum on a mass never falls below _ERROR_FLOOR of it, and
 # the masses are at most ~1 in profile units, the unit of its target: twice
-# that leaves the refinement room to meet it at any exponent.  A draw's own
-# residual is held to max(tol, 1e-9).
+# that leaves the kernel room to meet it at any exponent, so its panels, the
+# model's pieces, always exist.  A draw's residual is held to max(tol, 1e-9).
 _TABLE_TOL_FLOOR = 2.0 * _ERROR_FLOOR
 # Newton converges in a few steps; the cap also covers a run of bisection
-# fallbacks from a 2**-8 wide knot interval down to ~2**-58.
+# fallbacks from a piece at most 2**-8 wide down to ~2**-58.
 _NEWTON_STEPS = 50
 _MIN_ESTIMATE_N = 100
 # Philox's key word: a seed is one uint64, so no two seeds share a stream.
@@ -129,13 +129,13 @@ class _CdfTable:
     Working in profile units keeps every entry O(1) regardless of the
     spec's amplitude or the scale, so the quadrature's absolute floor stays
     meaningful.  It keeps the tolerance it was built for and the piece edges
-    with the cumulative mass at each; each piece -- a knot interval, or a
-    part of one that failed its check -- keeps the Chebyshev coefficients of
-    g and of g's integral from its left edge (its CDF model), and the cubic
-    Hermite interpolant of its inverse CDF s(t), whose end slopes ds/dt =
-    1/g come from g at the final edges; that interpolant supplies the
-    starting guess of every quantile.  Midpoints, widths and masses are
-    recomputed from the edges and cumulative masses where they are needed.
+    with the cumulative mass at each; each piece -- a panel of the kernel's
+    pass -- keeps the Chebyshev coefficients of g and of g's integral from
+    its left edge (its CDF model), and the cubic Hermite interpolant of its
+    inverse CDF s(t), whose end slopes ds/dt = 1/g come from g at the
+    edges; that interpolant supplies the starting guess of every quantile.
+    Midpoints, widths and masses are recomputed from the edges and
+    cumulative masses where they are needed.
     """
 
     def __init__(self, spec, a, tol):
@@ -146,30 +146,40 @@ class _CdfTable:
         # Knots that overflow in units of a lie above 1, where the kernel
         # drops them; subnormal ones would give panels whose nodes round to 0.
         with np.errstate(over="ignore"):
-            self._breaks = spec.knots / a
-        self._breaks = self._breaks[self._breaks >= _TINY_NORMAL]
+            breaks = spec.knots / a
         # The masses are at most 1 in profile units: the kernel computes them
-        # to min(1e-12, 0.01 tol), but no tighter than it reaches.  A model
+        # to min(1e-12, 0.01 tol), but no tighter than it reaches.  The model
         # must match the kernel to a tenth of a draw's tolerance, or, if that
-        # is looser, to twice the kernel's target: it is checked against the
-        # difference of two kernel values, each off by up to that target.
-        self._kernel_tol = max(_TABLE_TOL_FLOOR, min(1e-12, 0.01 * tol))
-        self._model_tol = max(0.1 * tol, 2.0 * self._kernel_tol)
+        # is looser, to twice the kernel's target: the kernel's masses are
+        # each off by up to that target.
+        kernel_tol = max(_TABLE_TOL_FLOOR, min(1e-12, 0.01 * tol))
+        self._model_tol = max(0.1 * tol, 2.0 * kernel_tol)
 
-        self.edges = np.linspace(0.0, 1.0, _TABLE_INTERVALS + 1)
-        res = cumulative(self._g, 0.0, self.edges[1:], self._kernel_tol,
-                         breakpoints=self._breaks)
-        self.cum = np.concatenate(([0.0], res.value[:, 0]))
+        cuts = np.linspace(0.0, 1.0, _TABLE_INTERVALS + 1)[1:]
+        res = cumulative(self._g, 0.0, cuts, kernel_tol,
+                         breakpoints=breaks[breaks >= _TINY_NORMAL])
+        # The kernel's panels are the pieces.  One spec evaluation gives g at
+        # every piece's nodes; einsum, not a BLAS gemm, keeps a fixed
+        # summation order per piece.  A piece's mass is its model read at
+        # x = 1, as a draw reads it, so the model is continuous across edges.
+        self.edges = res.edges
+        left, width = self.edges[:-1], np.diff(self.edges)
+        half = 0.5 * width
+        nodes = (left + half)[:, None] + half[:, None] * _CHEB_NODES
+        values = self._g(nodes.ravel()).reshape(nodes.shape)
+        self._g_coef = np.einsum("pj,kj->kp", values, _TO_G)
+        self._p_coef = half * np.einsum("pj,kj->kp", values, _TO_P)
+        pieces = left.size
+        masses = _clenshaw(self._p_coef, np.arange(pieces), np.ones(pieces))
+        self.cum = np.concatenate(([0.0], np.cumsum(masses)))
         self.total = float(self.cum[-1])
-        self._p_coef = np.empty((_CHEB_N + 1, _TABLE_INTERVALS))
-        self._g_coef = np.empty((_CHEB_N, _TABLE_INTERVALS))
-        todo = np.ones(_TABLE_INTERVALS, dtype=bool)
-        while todo.any():
-            todo = self._refine(todo)
+        at_cuts = self.cum[np.searchsorted(self.edges, cuts)]
+        err = np.max(np.abs(at_cuts - res.value[:, 0])) / self.total
+        if err > self._model_tol:
+            raise ToleranceNotReached(f"CDF model error {err:.3e} above tolerance")
 
         # The guide table: cell k of the masses starts in piece _guide[k],
         # the last piece whose left mass falls in a lower cell.
-        pieces = self.edges.size - 1
         self._cell_scale = pieces / self.total
         self._upper = np.append(self.cum[1:-1], np.inf)
         self._guide = np.maximum(
@@ -179,8 +189,6 @@ class _CdfTable:
         # d = mass_k / g in s units.  g(0+) = 0 at the first edge, whose
         # tangent falls back to the chord.
         g_right = self._g(self.edges[1:])
-        masses = np.diff(self.cum)
-        width = np.diff(self.edges)
         self._d0 = np.concatenate((width[:1], masses[1:] / g_right[:-1]))
         d1 = masses / g_right
         self._c2 = 3.0 * width - 2.0 * self._d0 - d1
@@ -196,112 +204,24 @@ class _CdfTable:
     def _locate(self, t):
         """The piece of each mass t, ``searchsorted(cum, t, "right") - 1``
         clipped to the pieces, through the guide table (the indexed search of
-        Chen and Asau, 1974): from the piece its cell starts in, a draw steps
-        up past every piece that ends at or below it, a few steps at most."""
+        Chen and Asau, 1974): a draw steps up at most once from the piece its
+        cell starts in, and the few that need more steps (in cells many narrow
+        pieces share, as a table's knots near 0 make) take a binary search."""
         idx = self._guide[self._cell(t)]
         act = np.flatnonzero(self._upper[idx] <= t)
-        while act.size:
-            idx[act] += 1
-            act = act[self._upper[idx[act]] <= t[act]]
+        idx[act] += 1
+        act = act[self._upper[idx[act]] <= t[act]]
+        idx[act] = np.searchsorted(self._upper, t[act], "right")
         return idx
-
-    def _refine(self, todo):
-        """Model and check the pieces marked ``todo``; split those that fail,
-        and return the mask of the pieces still to model.
-
-        A round updates the table's edges, the masses at them and the
-        pieces' Chebyshev coefficients, and nothing else: g at the edges is
-        evaluated once they are final.  One spec evaluation gives g at the
-        pieces' nodes.  One kernel pass gives the CDF at their left edges
-        and midpoints; a new edge's mass is the kernel's difference from the
-        nearest edge below it whose mass is known, which is the left edge of
-        a piece modelled in this round.
-        """
-        i = np.flatnonzero(todo)
-        edges = self.edges
-        left, half = edges[i], 0.5 * (edges[i + 1] - edges[i])
-        nodes = (left + half)[:, None] + half[:, None] * _CHEB_NODES
-        values = self._g(nodes.ravel()).reshape(nodes.shape)
-
-        pts = np.column_stack((left, left + half)).ravel()
-        res = cumulative(self._g, pts[0], pts[1:], self._kernel_tol,
-                         breakpoints=self._breaks)
-        kernel = np.concatenate(([0.0], res.value[:, 0])).reshape(-1, 2)
-        known = ~np.isnan(self.cum)
-        at_edge = np.full(edges.size, np.nan)
-        at_edge[i] = kernel[:, 0]
-        base = np.maximum.accumulate(np.where(known, np.arange(edges.size), 0))
-        cum = np.where(known, self.cum, self.cum[base] + (at_edge - at_edge[base]))
-        self.cum = cum
-
-        # einsum, not a BLAS gemm: a fixed summation order per piece
-        self._g_coef[:, i] = np.einsum("pj,kj->kp", values, _TO_G)
-        self._p_coef[:, i] = half * np.einsum("pj,kj->kp", values, _TO_P)
-        mass = cum[i + 1] - cum[i]
-        to_mid = kernel[:, 1] - kernel[:, 0]
-        err = np.maximum(np.abs(_clenshaw(self._p_coef, i, np.ones(i.size)) - mass),
-                         np.abs(_clenshaw(self._p_coef, i, np.zeros(i.size)) - to_mid))
-        err /= self.total
-        todo[i] = False
-        bad = np.flatnonzero(err > self._model_tol)
-        if not bad.size:
-            return todo
-        with np.errstate(divide="ignore"):
-            growth = mass[bad] / to_mid[bad]
-        inner = [self._split(edges[i[b]], edges[i[b] + 1], err[b], growth[k])
-                 for k, b in enumerate(bad)]
-        at = np.repeat(i[bad] + 1, [len(x) for x in inner])
-        self.edges = np.insert(edges, at, np.concatenate(inner))
-        self.cum = np.insert(cum, at, np.nan)
-        self._p_coef = np.insert(self._p_coef, at, 0.0, axis=1)
-        self._g_coef = np.insert(self._g_coef, at, 0.0, axis=1)
-        todo = np.insert(todo, at, True)
-        todo[i[bad] + np.searchsorted(at, i[bad], side="right")] = True
-        return todo
-
-    def _split(self, left, right, err, growth):
-        """The inner edges that split the failing piece (left, right], whose
-        model is off by ``err`` of the total and whose mass is ``growth``
-        times its mass up to its midpoint.
-
-        The piece at 0 is cut geometrically, as the kernel cuts its panel
-        at 0: if its mass, and its model's error with it, shrink like
-        width**rate, the error needs ``want`` halvings.  The cuts stop where
-        the new piece's lowest node would underflow in x.
-        Any other piece is split at the table's knots inside it, and one
-        with none (a table segment that spans decades, or an undeclared
-        kink) at its geometric mean.  A cut is taken only if every part
-        keeps its midpoint strictly inside it, as the next round's kernel
-        pass needs; a piece too narrow for that cannot be split further.
-        """
-        if left == 0.0:
-            rate = math.log2(growth) if 1.0 < growth < math.inf else 0.0
-            want = math.log2(err / self._model_tol) / rate if rate > 0.0 else 1.0
-            lowest = 0.5 * (1.0 + float(_CHEB_NODES[0])) * self.a * right
-            deepest = (math.floor(math.log2(lowest) - math.log2(_TINY))
-                       if lowest > 0.0 else 0)
-            depth = min(max(1, math.ceil(want)), deepest)
-            cuts = right * 2.0 ** -np.arange(depth, 0, -1, dtype=float)
-        else:
-            cuts = self._breaks[(self._breaks > left) & (self._breaks < right)]
-            if not cuts.size:
-                cuts = np.array([math.sqrt(left) * math.sqrt(right)])
-        ends = np.concatenate(([left], cuts, [right]))
-        mid = ends[:-1] + 0.5 * np.diff(ends)
-        if cuts.size and ((ends[:-1] < mid) & (mid < ends[1:])).all():
-            return cuts
-        raise ToleranceNotReached(
-            f"CDF model error {err:.3e} above tolerance on "
-            f"({self.a * left:g}, {self.a * right:g}]"
-        )
 
     def quantiles(self, u):
         """Solve int_0^s g = u * total for each u of a block, and
         return the solutions and their CDF residuals.
 
-        A draw's piece is a knot interval, or one of the parts a failing
-        interval was split into, whose CDF model matched the kernel at build
-        time to a tenth of the table's tolerance (or the kernel's floor).
+        A draw's piece is a panel of the kernel's pass, on which the kernel
+        met its target; the CDF model summed over the pieces matched the
+        kernel at the 256 cuts to a tenth of the table's tolerance (or the
+        kernel's floor).
         Every draw starts from its piece's Hermite guess and has its
         residual, read off the model, checked once; only the draws that miss
         ``tol * total`` take safeguarded Newton steps on the model inside

@@ -1056,7 +1056,7 @@ def test_flag_tables_read_every_benchmark_and_same_bytes_run(tmp_path):
     refused = [text for text in runs
                if cli._read_argv([re.sub(r"\{[^}]+\}", "file", word)
                                   for word in shlex.split(text)]) is None]
-    assert len(runs) == 881
+    assert len(runs) == 882
     # the runs whose help or usage error argparse writes, and a seed of -1,
     # which argparse reads and the config check refuses
     assert refused == ["sample --family power --p 2 --a 1 --seed -1",

@@ -347,18 +347,23 @@ def test_csv_names_the_line_a_row_starts_on(tmp_path):
             load_tabulated_csv(bad)
 
 
-@pytest.mark.parametrize("quote", ['"', ""], ids=["quoted", "unquoted"])
-def test_csv_names_the_line_of_an_oversized_cell(tmp_path, quote):
+@pytest.mark.parametrize("table, line", [
+    ('x,f\n0.5,1\n"0.{zeros}1",2\n3,4\n', 3),
+    ("x,f\n0.5,1\n0.{zeros}1,2\n3,4\n", 3),
+    ("x,f\n0.5,1\n1.{zeros}0,2\n3,4\n", 3),
+    ("x{zeros},f\n0.5,1\n1,2\n3,4\n", 1),
+], ids=["quoted", "unquoted", "unquoted-number", "unquoted-header"])
+def test_csv_names_the_line_of_an_oversized_cell(tmp_path, table, line):
     # a cell longer than csv.reader's field size limit is a one-line format
-    # error naming its row's line, not csv's own error; unquoted, the cell
-    # underflows to 0, so the array pass leaves the file to the row walk
-    cell = quote + "0." + "0" * 139_996 + "1" + quote
+    # error naming its row's line, not csv's own error, quoted or not: the
+    # array pass leaves the file to the row walk, though float() reads 1.0
+    # in the third cell and the header's cells are never parsed
     bad = tmp_path / "bad.csv"
-    bad.write_text(f"x,f\n0.5,1\n{cell},2\n3,4\n")
-    with pytest.raises(CsvFormatError,
-                       match=r"^line 3: field larger than field limit \(131072\)$") as info:
+    bad.write_text(table.format(zeros="0" * 139_996))
+    with pytest.raises(CsvFormatError, match=rf"^line {line}: field larger than field "
+                                             r"limit \(131072\)$") as info:
         load_tabulated_csv(bad)
-    assert info.value.line == 3
+    assert info.value.line == line
 
 
 # cells that float() reads oddly or refuses, and the ways a row may end

@@ -20,6 +20,7 @@ def _same(a, b):
     """Whether two results agree bit for bit."""
     return (a.value.tobytes() == b.value.tobytes()
             and a.error_estimate.tobytes() == b.error_estimate.tobytes()
+            and a.edges.tobytes() == b.edges.tobytes()
             and (a.subdivisions, a.converged) == (b.subdivisions, b.converged))
 
 
@@ -145,6 +146,26 @@ def test_budget_limited_round_splits_the_worst_panels(monkeypatch):
     assert len(calls) == 2
     split = set(np.floor(4.0 * calls[1]).astype(int).tolist())
     assert split == set(np.argsort(-err)[:2].tolist())
+
+
+@pytest.mark.parametrize("budget, tol",
+                         [(quadrature._DEFAULT_BUDGET, 1e-8), (8, 1e-13)],
+                         ids=["converged", "exhausted"])
+def test_edges_are_the_final_panels(budget, tol, monkeypatch):
+    # the edges of every panel the values sum, converged or not: from lo to
+    # the last cut, every cut and breakpoint among them
+    monkeypatch.setattr(quadrature, "_DEFAULT_BUDGET", budget)
+    fn = lambda x: 1.0 / np.sqrt(np.abs(x - np.sqrt(2) / 2) + 1e-14)
+    cuts, breaks = [0.25, 0.5, 1.0], [0.1, 0.6]
+    try:
+        res = cumulative(fn, 0.0, cuts, tol, breakpoints=breaks)
+    except ToleranceNotReached as exc:
+        res = exc.result
+    assert res.converged == (budget != 8)
+    assert res.edges.size == res.subdivisions + 1
+    assert res.edges[0] == 0.0 and res.edges[-1] == 1.0
+    assert np.all(np.diff(res.edges) > 0.0)
+    assert np.isin(cuts + breaks, res.edges).all()
 
 
 def test_bad_intervals_rejected():

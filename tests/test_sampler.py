@@ -49,8 +49,9 @@ def test_generic_solver_reproduces_closed_form():
 
 
 def test_table_is_built_in_one_pass(monkeypatch):
-    # one cumulative quadrature gives the masses up to all 256 knots; one
-    # integral per interval took 262 spec evaluations
+    # f(a), one cumulative quadrature for the masses up to all 256 cuts (two
+    # calls of 128 panels, two refinement rounds) whose panels are the
+    # pieces, then g at every piece's nodes and at its edges
     calls = []
     plain = FunctionSpec.eval
 
@@ -60,7 +61,7 @@ def test_table_is_built_in_one_pass(monkeypatch):
 
     monkeypatch.setattr(FunctionSpec, "eval", counting)
     sampler._CdfTable(PerturbedPowerLaw(p=1.0, eps=0.1), 1.0, 1e-10)
-    assert len(calls) <= 20
+    assert len(calls) == 7
 
 
 def test_quantile_round_trip_against_scipy():
@@ -131,11 +132,32 @@ def test_quantile_u_error_against_scipy(name, a, tab_x15, perturbed_table):
     assert np.max(np.abs(F[:-1] / F[-1] - u)) <= 2e-10
 
 
+@pytest.mark.parametrize(
+    "name, a", [("x^0.001", 1.0), ("perturbed", 7.0), ("coarse_kinked_table", 10.0)])
+def test_model_matches_the_cdf_inside_every_piece(name, a):
+    # the build checks the model at the cuts alone; inside each piece it
+    # holds too, at the midpoint and halfway to either edge
+    spec = {
+        "x^0.001": Custom(lambda x: x**0.001, lambda x: 0.001 * x**-0.999),
+        "perturbed": PerturbedPowerLaw(p=1.0, eps=0.1),
+        "coarse_kinked_table": _coarse_kinked_table(),
+    }[name]
+    table = sampler._CdfTable(spec, a, 1e-10)
+    pieces = table.edges.size - 1
+    k = np.repeat(np.arange(pieces), 3)
+    x = np.tile([-0.5, 0.0, 0.5], pieces)
+    mid = 0.5 * (table.edges[k] + table.edges[k + 1])
+    half = 0.5 * (table.edges[k + 1] - table.edges[k])
+    model = table.cum[k] + sampler._clenshaw(table._p_coef, k, x)
+    ref = _reference_cdf(spec, a * (mid + x * half)) / (a * table.fa)
+    assert np.max(np.abs(model - ref)) <= table._model_tol * table.total
+
+
 @pytest.mark.parametrize("p", [0.05, 0.3, 1.0])
 def test_first_interval_draws_match_the_exact_cdf(p):
-    # f = x^p through the table path: the CDF is u = s^(p+1) exactly.  On
-    # the first knot interval g ~ s^p is not smooth at 0, which one 15-point
-    # panel from 0 could not resolve (1.8e-7 at p = 0.05)
+    # f = x^p through the table path: the CDF is u = s^(p+1) exactly.  Below
+    # the first cut g ~ s^p is not smooth at 0, which one 15-point panel from
+    # 0 could not resolve (1.8e-7 at p = 0.05); the kernel's geometric cuts do
     spec = PerturbedPowerLaw(p=p, eps=0.0)
     first = (1.0 / sampler._TABLE_INTERVALS) ** (p + 1.0)
     u = first * np.random.default_rng(16).random(200)
@@ -184,7 +206,7 @@ def test_same_key_same_draws(draw_spec):
     (PowerLaw(p=1.0),
      [0.93384873230116194, 0.54347528141929657, 0.64814942606411541]),
     (PerturbedPowerLaw(p=1.0, eps=0.1),
-     [0.93637307984347007, 0.55448187540782978, 0.65818306937828430]),
+     [0.93637307984347051, 0.55448187540783356, 0.65818306937828697]),
 ], ids=["power", "perturbed"])
 def test_seed_draws_are_frozen(spec, want):
     # the Philox key is [seed, 0]: these bytes must never move
@@ -367,17 +389,27 @@ def test_table_draw_memory_is_bounded():
     assert peak <= 20e6
 
 
-@pytest.mark.parametrize("left", [0.5, 0.3])
-@pytest.mark.parametrize("ulps", [2, 3])
-def test_a_piece_too_narrow_to_halve_ends_in_the_model_error(left, ulps):
-    # a cut that leaves a part whose midpoint rounds onto one of its edges
-    # would hand the next kernel pass a repeated cut
-    table = sampler._CdfTable(PerturbedPowerLaw(p=1.0, eps=0.1), 1.0, 1e-10)
-    right = left + ulps * math.ulp(left)
-    with pytest.raises(ToleranceNotReached, match="CDF model error 1.000e-03"):
-        table._split(left, right, 1e-3, 2.0)
-    wide = left + 4 * math.ulp(left)
-    assert table._split(left, wide, 1e-3, 2.0).tolist() == [left + 2 * math.ulp(left)]
+@pytest.mark.parametrize("miss", [0.5, 2.0])
+def test_a_kernel_mass_the_model_misses_is_a_model_error(miss, monkeypatch):
+    # the model is checked once, against the kernel's masses at the 256 cuts:
+    # a miss above _model_tol of the total raises before any draw
+    spec = PerturbedPowerLaw(p=1.0, eps=0.1)
+    plain = sampler._CdfTable(spec, 1.0, 1e-10)
+    shift = miss * plain._model_tol * plain.total
+    kernel = sampler.cumulative
+
+    def missed(*args, **kwargs):
+        res = kernel(*args, **kwargs)
+        res.value[100, 0] += shift
+        return res
+
+    monkeypatch.setattr(sampler, "cumulative", missed)
+    if miss < 1.0:
+        sampler._CdfTable(spec, 1.0, 1e-10)
+        return
+    with pytest.raises(ToleranceNotReached,
+                       match=r"^CDF model error 2\.0\d\de-11 above tolerance$"):
+        sampler._CdfTable(spec, 1.0, 1e-10)
 
 
 # ------------------------------------------------------------- estimates
