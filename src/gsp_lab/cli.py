@@ -45,7 +45,7 @@ import sys
 
 import numpy as np
 
-from ._g17 import _g17_lines
+from ._g17 import _g17_blocks
 from .detector import Verdict, classify, fit_lambda, gsp_residual_sweep
 from .errors import GspLabError, Inadmissible, _Record
 from .functions import (
@@ -407,9 +407,7 @@ def cmd_sample(cfg, spec):
         return EXIT_PASS
     # every draw is solved before the first byte is written; the text is
     # formatted one block at a time, as it is written
-    x = state.draw(cfg.n)
-    blocks = (_g17_lines(x[i:i + _BLOCK]) for i in range(0, x.size, _BLOCK))
-    _emit("x\n", cfg.out, blocks)
+    _emit("x\n", cfg.out, _g17_blocks(state.draw(cfg.n), _BLOCK))
     _say(f"sample: wrote {cfg.n} draws (seed={cfg.seed})")
     return EXIT_PASS
 

@@ -32,11 +32,14 @@ take bracketed Newton steps, with the slope from the model's derivative:
 no draw evaluates the spec.
 
 Every run works one block of 2**14 draws at a time, from the uniforms to
-the output, and each draw's arithmetic depends on its own uniform alone, so
-the draws are bit-identical whatever the blocking.  ``draw`` holds its n
-draws, 8 bytes each, plus one block's working arrays (2.6-4.1 MB);
-``mc_estimates`` holds one block's working arrays alone, whatever n, since
-it reduces each block to its moments before drawing the next.
+the output, in arrays made once per run and sized to one block, and each
+draw's arithmetic depends on its own uniform alone, so the draws are
+bit-identical whatever the blocking.  ``draw`` holds its n draws, 8 bytes
+each, plus the uniforms and the quantile solve's eight rows, and the few
+arrays of the draws that take Newton steps (1.4 MB at the tracemalloc peak
+on the perturbed family); ``mc_estimates`` holds one block's working arrays
+alone, whatever n, since it reduces each block to its moments before
+drawing the next.
 
 Randomness is counter-based (Philox) and keyed by the seed, one 64-bit
 word; a seed outside [0, 2**64) is refused rather than wrapped onto another.
@@ -60,9 +63,10 @@ from .quadrature import _ERROR_FLOOR, cumulative
 __all__ = ["SamplerState", "MCEstimate", "mc_estimates"]
 
 _TABLE_INTERVALS = 256
-# Draws per block, in every mode: a block's quantile solve takes 2.2-3.7 MB,
-# its %.17g formatting 2.6 MB (tracemalloc peak, on unit draws and on a mix
-# across 23 decades alike) and its text at most 0.4 MB.
+# Draws per block, in every mode; a run makes its block arrays once.  The
+# quantile solve peaks at 1.4 MB (tracemalloc, perturbed family) and the
+# %.17g formatting at 1.3 MB, its text included (on unit draws and on a mix
+# across 23 decades alike).
 _BLOCK = 2**14
 # The kernel's error sum on a mass never falls below _ERROR_FLOOR of it, and
 # the masses are at most ~1 in profile units, the unit of its target: twice
@@ -111,16 +115,23 @@ def _model_maps():
 _TO_G, _TO_P = _model_maps()
 
 
-def _clenshaw(coef, idx, x):
-    """sum_k coef[k, idx] T_k(x) (Clenshaw's recurrence), one row of coef at a time."""
-    x2 = 2.0 * x
-    b1, b2, tmp = coef[-1, idx], np.zeros_like(x2), np.empty_like(x2)
+# np.take(..., mode="clip") throughout: every index taken is a piece's, and
+# the default mode, "raise", fills a copy of out before writing out itself.
+def _clenshaw(coef, idx, x, work):
+    """sum_k coef[k, idx] T_k(x) (Clenshaw's recurrence), one row of coef at a
+    time, written over x; work is five scratch rows at least x.size long."""
+    x2, b1, b2, tmp, row = (w[:x.size] for w in work)
+    np.multiply(2.0, x, out=x2)
+    np.take(coef[-1], idx, out=b1, mode="clip")
+    b2.fill(0.0)
     for c in coef[-2:0:-1]:
         np.multiply(x2, b1, out=tmp)
-        np.add(c[idx], tmp, out=tmp)
+        np.add(np.take(c, idx, out=row, mode="clip"), tmp, out=tmp)
         tmp -= b2
         b1, b2, tmp = tmp, b1, b2
-    return coef[0, idx] + x * b1 - b2
+    np.multiply(x, b1, out=x)
+    np.add(np.take(coef[0], idx, out=row, mode="clip"), x, out=x)
+    return np.subtract(x, b2, out=x)
 
 
 class _CdfTable:
@@ -159,18 +170,26 @@ class _CdfTable:
         res = cumulative(self._g, 0.0, cuts, kernel_tol,
                          breakpoints=breaks[breaks >= _TINY_NORMAL])
         # The kernel's panels are the pieces.  One spec evaluation gives g at
-        # every piece's nodes; einsum, not a BLAS gemm, keeps a fixed
-        # summation order per piece.  A piece's mass is its model read at
-        # x = 1, as a draw reads it, so the model is continuous across edges.
+        # the nodes of up to a block's worth of pieces, 1,024, so a table of
+        # many knots never holds more than a block of nodes; einsum, not a
+        # BLAS gemm, keeps a fixed summation order per piece.  A piece's mass
+        # is its model read at x = 1, as a draw reads it, so the model is
+        # continuous across edges.
         self.edges = res.edges
         left, width = self.edges[:-1], np.diff(self.edges)
         half = 0.5 * width
-        nodes = (left + half)[:, None] + half[:, None] * _CHEB_NODES
-        values = self._g(nodes.ravel()).reshape(nodes.shape)
-        self._g_coef = np.einsum("pj,kj->kp", values, _TO_G)
-        self._p_coef = half * np.einsum("pj,kj->kp", values, _TO_P)
         pieces = left.size
-        masses = _clenshaw(self._p_coef, np.arange(pieces), np.ones(pieces))
+        values = np.empty((pieces, _CHEB_N))
+        for i in range(0, pieces, _BLOCK // _CHEB_N):
+            part = slice(i, i + _BLOCK // _CHEB_N)
+            nodes = (left[part] + half[part])[:, None] + half[part, None] * _CHEB_NODES
+            values[part] = self._g(nodes.ravel()).reshape(nodes.shape)
+        self._g_coef = np.einsum("pj,kj->kp", values, _TO_G)
+        self._p_coef = np.einsum("pj,kj->kp", values, _TO_P)
+        self._p_coef *= half
+        del values  # before the masses' workspace and the guide table
+        masses = _clenshaw(self._p_coef, np.arange(pieces), np.ones(pieces),
+                           np.empty((5, pieces)))
         self.cum = np.concatenate(([0.0], np.cumsum(masses)))
         self.total = float(self.cum[-1])
         at_cuts = self.cum[np.searchsorted(self.edges, cuts)]
@@ -182,8 +201,8 @@ class _CdfTable:
         # the last piece whose left mass falls in a lower cell.
         self._cell_scale = pieces / self.total
         self._upper = np.append(self.cum[1:-1], np.inf)
-        self._guide = np.maximum(
-            np.searchsorted(self._cell(self.cum), np.arange(pieces)) - 1, 0)
+        cells = self._cell(self.cum, np.empty(self.cum.size, np.intp))
+        self._guide = np.maximum(np.searchsorted(cells, np.arange(pieces)) - 1, 0)
         # Hermite coefficients in tau = (t - cum_k) / mass_k on each piece:
         # s = s_k + tau (d0 + tau (c2 + tau c3)), with end tangents
         # d = mass_k / g in s units.  g(0+) = 0 at the first edge, whose
@@ -197,24 +216,36 @@ class _CdfTable:
     def _g(self, s):
         return self.spec.eval(self.a * s) / self.fa
 
-    def _cell(self, t):
-        """The guide-table cell of each mass t: equal shares of the total."""
-        return np.minimum((t * self._cell_scale).astype(np.intp), self.edges.size - 2)
+    def _cell(self, t, out):
+        """The guide-table cell of each mass t, equal shares of the total,
+        written over the intp array out."""
+        np.multiply(t, self._cell_scale, out=out, casting="unsafe")  # truncated
+        return np.minimum(out, self.edges.size - 2, out=out)
 
-    def _locate(self, t):
+    def _locate(self, t, work):
         """The piece of each mass t, ``searchsorted(cum, t, "right") - 1``
         clipped to the pieces, through the guide table (the indexed search of
-        Chen and Asau, 1974): a draw steps up at most once from the piece its
-        cell starts in, and the few that need more steps (in cells many narrow
+        Chen and Asau, 1974), written over work[0] as intp, with work[3:6]
+        as scratch: a draw steps up at most once from the piece its cell
+        starts in, and the few that need more steps (in cells many narrow
         pieces share, as a table's knots near 0 make) take a binary search."""
-        idx = self._guide[self._cell(t)]
-        act = np.flatnonzero(self._upper[idx] <= t)
-        idx[act] += 1
-        act = act[self._upper[idx[act]] <= t[act]]
+        n = t.size
+        idx, cell, upper = work[0, :n].view(np.intp), work[3, :n].view(np.intp), work[4, :n]
+        above = work[5].view(np.bool_)[:n]
+        np.take(self._guide, self._cell(t, cell), out=idx, mode="clip")
+        np.less_equal(np.take(self._upper, idx, out=upper, mode="clip"), t, out=above)
+        np.add(idx, above, out=idx)
+        np.less_equal(np.take(self._upper, idx, out=upper, mode="clip"), t, out=above)
+        act = np.flatnonzero(above)
         idx[act] = np.searchsorted(self._upper, t[act], "right")
         return idx
 
-    def quantiles(self, u):
+    @staticmethod
+    def workspace(m):
+        """The eight rows ``quantiles`` works in, for blocks of up to m draws."""
+        return np.empty((8, m))
+
+    def quantiles(self, u, work):
         """Solve int_0^s g = u * total for each u of a block, and
         return the solutions and their CDF residuals.
 
@@ -226,23 +257,41 @@ class _CdfTable:
         residual, read off the model, checked once; only the draws that miss
         ``tol * total`` take safeguarded Newton steps on the model inside
         their shrinking bracket, reading their pieces' coefficients afresh
-        at each step, and none evaluates the spec.  The working arrays are
-        17 to 28 float arrays of u's size: callers pass one block at a time.
+        at each step, and none evaluates the spec.  u is overwritten with its
+        masses and every other array is a row of work, from ``workspace``:
+        the solutions and residuals returned are rows 1 and 2, so a run
+        reuses one workspace for every block.  Only the draws that take
+        Newton steps get arrays of their own.
         """
-        t = u * self.total
-        idx = self._locate(t)
-        lo = self.edges[idx]
-        hi = self.edges[idx + 1]
-        base = self.cum[idx]
-        tau = (t - base) / (self.cum[idx + 1] - base)
-        s = lo + tau * (self._d0[idx] + tau * (self._c2[idx] + tau * self._c3[idx]))
+        n = u.size
+        t = np.multiply(u, self.total, out=u)
+        idx = self._locate(t, work)
+        s, x, scratch = work[1, :n], work[2, :n], work[3:, :n]
+        lo, hi, base, span, tau = scratch
+        np.take(self.edges, idx, out=lo, mode="clip")
+        np.take(self.edges[1:], idx, out=hi, mode="clip")
+        np.take(self.cum, idx, out=base, mode="clip")
+        np.subtract(np.take(self.cum[1:], idx, out=span, mode="clip"), base, out=span)
+        np.divide(np.subtract(t, base, out=tau), span, out=tau)
+        # s = lo + tau (d0 + tau (c2 + tau c3)), clipped to the piece
+        np.multiply(tau, np.take(self._c3, idx, out=s, mode="clip"), out=s)
+        for c in (self._c2, self._d0):
+            np.add(np.take(c, idx, out=span, mode="clip"), s, out=s)
+            np.multiply(tau, s, out=s)
+        np.add(lo, s, out=s)
         np.clip(s, lo, hi, out=s)
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        resid = base + _clenshaw(self._p_coef, idx, (s - mid) / half) - t
+        # x = (s - mid) / half, mid = 0.5 (lo + hi) and half = 0.5 (hi - lo)
+        np.multiply(0.5, np.add(lo, hi, out=x), out=x)
+        np.multiply(0.5, np.subtract(hi, lo, out=span), out=span)
+        np.divide(np.subtract(s, x, out=x), span, out=x)
+        resid = _clenshaw(self._p_coef, idx, x, scratch)
+        np.add(np.take(self.cum, idx, out=base, mode="clip"), resid, out=resid)
+        np.subtract(resid, t, out=resid)
 
         goal = self.tol * self.total
-        act = np.flatnonzero(np.abs(resid) > goal)
-        lo, hi = lo[act], hi[act]
+        miss = work[4].view(np.bool_)[:n]
+        act = np.flatnonzero(np.greater(np.abs(resid, out=lo), goal, out=miss))
+        lo, hi = self.edges[idx[act]], self.edges[idx[act] + 1]
         for _ in range(_NEWTON_STEPS):
             if not act.size:
                 break
@@ -253,9 +302,9 @@ class _CdfTable:
             hi = np.where(above, sa, hi)
             lo = np.where(above, lo, sa)
             with np.errstate(divide="ignore", invalid="ignore"):
-                step = sa - ra / _clenshaw(self._g_coef, k, (sa - mid) / half)
+                step = sa - ra / _clenshaw(self._g_coef, k, (sa - mid) / half, scratch)
             new = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-            ra = self.cum[k] + _clenshaw(self._p_coef, k, (new - mid) / half) - ta
+            ra = self.cum[k] + _clenshaw(self._p_coef, k, (new - mid) / half, scratch) - ta
             s[act] = new
             resid[act] = ra
             # A bracket too narrow to halve cannot move the draw any more.
@@ -313,17 +362,20 @@ class SamplerState:
         the last block is drawn: the check reads every block, as on one solve.
         """
         worst, table = 0.0, self._table
+        m = min(n, _BLOCK)
+        u = np.empty(m)
+        work = None if table is None else table.workspace(m)
         for start in range(0, n, _BLOCK):
-            u = self._gen.random(min(_BLOCK, n - start))
+            uk = self._gen.random(out=u[:min(_BLOCK, n - start)])
             # random() can emit exactly 0, whose quantile sits outside the
             # open support; nudge to the smallest positive double instead.
-            u[u == 0.0] = _TINY
+            np.maximum(uk, _TINY, out=uk)
             if table is None:
-                s = u ** (1.0 / (self.spec.p + 1.0))
-                yield np.maximum(s, _lowest(self.a), out=s)
+                uk **= 1.0 / (self.spec.p + 1.0)
+                yield np.maximum(uk, _lowest(self.a), out=uk)
                 continue
-            s, resid = table.quantiles(u)
-            worst = np.maximum(worst, np.max(np.abs(resid)))
+            s, resid = table.quantiles(uk, work)
+            worst = np.maximum(worst, np.abs(resid, out=resid).max())
             yield s
         if table is not None and worst > max(table.tol, 1e-9) * table.total:
             raise ToleranceNotReached(

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections import deque
 from decimal import Decimal
 from pathlib import Path
 
@@ -21,12 +22,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsp_lab import PerturbedPowerLaw, PowerLaw, SamplerState, cli
-from gsp_lab._g17 import _g17_lines
+from gsp_lab._g17 import _g17_blocks
 from gsp_lab.cli import RunConfig, main
+from gsp_lab.sampler import _BLOCK
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _g17_text(values, block=_BLOCK):
+    return b"".join(_g17_blocks(values, block))
 
 
 def read_csv_columns(path):
@@ -461,27 +467,52 @@ def test_g17_lines_matches_python_formatting():
     rng.shuffle(values)
     for part in (values, values[:0], values[:1]):
         text = "".join(f"{x:.17g}\n" for x in part.tolist())
-        assert _g17_lines(part) == text.encode("ascii")
+        assert _g17_text(part) == text.encode("ascii")
 
 
 @settings(max_examples=300)
 @given(st.lists(st.floats(width=64), min_size=1, max_size=64))
 def test_g17_lines_matches_python_formatting_on_any_floats(values):
-    assert _g17_lines(np.array(values)) == "".join(f"{x:.17g}\n" for x in values).encode()
+    # blocks of 7: each block's arrays hold the bytes of the one before
+    assert _g17_text(np.array(values), 7) == "".join(f"{x:.17g}\n" for x in values).encode()
+
+
+def test_g17_blocks_leave_no_stale_bytes():
+    # one array of three blocks formatted in the same arrays: Python-formatted
+    # rows (24 columns wide) and integer parts, then unit draws, then a short
+    # block of short texts, each against what the block before left
+    rng = np.random.default_rng(34)
+    specials = np.array([0.0, -0.0, -1.5, -2.0**49, np.nan, np.inf, -np.inf, 2.0**50,
+                         1e300, -2.2250738585072014e-308, 5e-324])
+    first = np.concatenate([
+        np.resize(specials, _BLOCK // 4),
+        np.floor(2.0 ** rng.uniform(0, 50, _BLOCK // 4)),
+        2.0 ** rng.uniform(0, 50, _BLOCK // 4),
+        10.0 ** rng.uniform(-300, 300, _BLOCK - 3 * (_BLOCK // 4)),
+    ])
+    rng.shuffle(first)
+    last = np.resize([0.5, 1.0, 2.0, 0.25, 1e-4, 10.0, 0.0], 1000)
+    values = np.concatenate([first, rng.random(_BLOCK), last])
+    texts = list(_g17_blocks(values, _BLOCK))
+    assert len(texts) == 3
+    assert b"".join(texts) == "".join(f"{x:.17g}\n" for x in values.tolist()).encode()
 
 
 @pytest.mark.parametrize("kind", ["unit", "decades"])
 def test_g17_lines_working_set_per_value(kind):
+    # four blocks formatted in arrays made once, each block's text dropped
+    # before the next is formatted, as a file's writelines drops it
     rng = np.random.default_rng(6)
-    values = rng.random(2**14) if kind == "unit" else 10.0 ** rng.uniform(-6, 17, 2**14)
-    _g17_lines(values[:10])  # one-time allocations are not the working set
+    n = 4 * _BLOCK
+    values = rng.random(n) if kind == "unit" else 10.0 ** rng.uniform(-6, 17, n)
+    deque(_g17_blocks(values[:10], _BLOCK), maxlen=0)  # one-time allocations
     tracemalloc.start()
     try:
-        _g17_lines(values)
+        deque(_g17_blocks(values, _BLOCK), maxlen=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / values.size <= 240
+    assert peak / _BLOCK <= 96
 
 
 def _scaled_table(tmp_path, a):
@@ -532,9 +563,10 @@ def test_sample_below_the_kernel_floor_still_draws(tmp_path, p, eps, tol):
      ("--family", "perturbed", "--p", "1", "--eps", "0.1")),
 ], ids=["power", "perturbed"])
 def test_sample_writes_every_block_of_draws(tmp_path, capsys, spec, flags, target):
-    # three blocks of 2**14 draws and a short one, each formatted as written,
-    # to pytest's capture, a file, a real process's stdout and an io.StringIO
-    n = 3 * 2**14 + 5
+    # three blocks of draws and a short one, each formatted as written, in
+    # the same arrays, to pytest's capture, a file, a real process's stdout
+    # and an io.StringIO
+    n = 3 * _BLOCK + 5
     argv = ("sample", *flags, "--a", "1", "--n", str(n), "--seed", "9")
     if target == "stdout":
         assert run_cli(*argv) == 0
@@ -555,6 +587,28 @@ def test_sample_writes_every_block_of_draws(tmp_path, capsys, spec, flags, targe
         text = sink.getvalue()
     draws = SamplerState(spec, 1.0, seed=9).draw(n).tolist()
     assert text == "x\n" + "".join(f"{v:.17g}\n" for v in draws)
+
+
+@pytest.mark.parametrize("flags", [
+    ("--family", "power", "--p", "2"),
+    ("--family", "perturbed", "--p", "1", "--eps", "0.1"),
+], ids=["power", "perturbed"])
+def test_sample_makes_its_arrays_once_per_run(tmp_path, flags):
+    # four blocks peak no higher than one, but for the three more blocks of
+    # draws held, 8 bytes each, and 5% slack
+    out = tmp_path / "draws.txt"
+
+    def peak(n):
+        argv = ("sample", *flags, "--a", "1", "--n", str(n), "--seed", "9", "--out", str(out))
+        run_cli(*argv)  # one-time allocations are not the working set
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * _BLOCK) <= 1.05 * peak(_BLOCK) + 8 * 3 * _BLOCK
 
 
 def test_sample_on_a_terminal_writes_its_draws_before_its_summary():

@@ -21,7 +21,7 @@ from gsp_lab import (
     moment_bundles,
 )
 from gsp_lab.functions import FunctionSpec
-from conftest import make_tabulated_power
+from conftest import make_perturbed_table, make_tabulated_power
 
 
 def quantiles(spec, a, u, tol=1e-10):
@@ -30,7 +30,8 @@ def quantiles(spec, a, u, tol=1e-10):
     u = np.asarray(u, dtype=float)
     if isinstance(spec, PowerLaw):
         return a * u ** (1.0 / (spec.p + 1.0))
-    return a * sampler._CdfTable(spec, a, tol).quantiles(u)[0]
+    table = sampler._CdfTable(spec, a, tol)
+    return a * table.quantiles(u.copy(), table.workspace(u.size))[0]
 
 
 def test_power_law_quantile_closed_form():
@@ -148,7 +149,8 @@ def test_model_matches_the_cdf_inside_every_piece(name, a):
     x = np.tile([-0.5, 0.0, 0.5], pieces)
     mid = 0.5 * (table.edges[k] + table.edges[k + 1])
     half = 0.5 * (table.edges[k + 1] - table.edges[k])
-    model = table.cum[k] + sampler._clenshaw(table._p_coef, k, x)
+    model = table.cum[k] + sampler._clenshaw(table._p_coef, k, x.copy(),
+                                             np.empty((5, x.size)))
     ref = _reference_cdf(spec, a * (mid + x * half)) / (a * table.fa)
     assert np.max(np.abs(model - ref)) <= table._model_tol * table.total
 
@@ -216,10 +218,10 @@ def test_seed_draws_are_frozen(spec, want):
 class _ZeroFirst:
     """A generator stub whose first uniform is exactly 0, the rest 1/2."""
 
-    def random(self, n):
-        u = np.full(n, 0.5)
-        u[0] = 0.0
-        return u
+    def random(self, out):
+        out.fill(0.5)
+        out[0] = 0.0
+        return out
 
 
 _SEEDED_TABLE = Path(__file__).resolve().parents[1] / "samebytes" / "table.csv"
@@ -233,7 +235,8 @@ def test_no_draw_is_zero(spec, a):
     # a uniform of 0 is nudged to 5e-324, whose mass underflows; its draw
     # still lies in (0, a], where the estimate can evaluate f
     if not isinstance(spec, PowerLaw):
-        s, _ = sampler._CdfTable(spec, a, 1e-10).quantiles(np.array([5e-324]))
+        table = sampler._CdfTable(spec, a, 1e-10)
+        s, _ = table.quantiles(np.array([5e-324]), table.workspace(1))
         assert 0.0 < a * s[0] <= a
     state = SamplerState(spec, a, seed=7)
     state._gen = _ZeroFirst()
@@ -348,7 +351,7 @@ def test_clenshaw_reads_the_rows_it_would_gather(name):
     rng = np.random.default_rng(19)
     idx = rng.integers(0, coef.shape[1], 5000)
     x = np.concatenate(([-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, 4997)))
-    got = sampler._clenshaw(coef, idx, x)
+    got = sampler._clenshaw(coef, idx, x.copy(), np.empty((5, x.size)))
     want = _gathered_clenshaw(coef[:, idx], x)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -373,7 +376,36 @@ def test_guide_table_finds_the_searchsorted_piece(name, a, perturbed_table):
     ))
     t = t[(t >= 0.0) & (t <= table.total)]
     want = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, cum.size - 2)
-    assert np.array_equal(table._locate(t), want)
+    assert np.array_equal(table._locate(t, table.workspace(t.size)), want)
+
+
+def test_draw_working_set_per_value():
+    # the quantile solve of four blocks on the perturbed table works in arrays
+    # made once: beyond the draws held, 8 bytes each, it peaks at most 96
+    # bytes a value of one block
+    state = SamplerState(PerturbedPowerLaw(p=1.0, eps=0.1), 1.0, seed=4)
+    state.draw(10)  # one-time allocations are not the working set
+    n = 4 * sampler._BLOCK
+    tracemalloc.start()
+    try:
+        state.draw(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - 8 * n) / sampler._BLOCK <= 96
+
+
+def test_table_build_memory_is_bounded_on_many_knots():
+    # every knot is a piece; their nodes are evaluated a block's worth of
+    # pieces at a time, so the build holds little beyond its coefficients
+    spec = make_perturbed_table(n=20_001)
+    tracemalloc.start()
+    try:
+        sampler._CdfTable(spec, 10.0, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
 
 
 def test_table_draw_memory_is_bounded():
@@ -480,8 +512,8 @@ def test_a_residual_miss_in_any_block_raises_after_the_last(monkeypatch):
     solve = sampler._CdfTable.quantiles
     sizes = []
 
-    def missing(self, u):
-        s, resid = solve(self, u)
+    def missing(self, u, work):
+        s, resid = solve(self, u, work)
         sizes.append(u.size)
         resid[-1] = {1: 0.125, 2: 0.25}.get(len(sizes), resid[-1])
         return s, resid
