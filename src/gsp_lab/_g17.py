@@ -98,9 +98,9 @@ def _g17_blocks(values, block):
     0 bytes.  A value below 1 then needs only "0." written over the padding;
     one with an integer part has it moved a column left, per distinct X.
     Python formats every other value (0, negatives, e-notation, non-finite,
-    the top of the fixed range) into its own row.  Every array is made once
-    and every byte a block reads is written in that block first, so no byte
-    of one block reaches the next.
+    the top of the fixed range) into its own row.  Every array is made once,
+    and the canvas is cleared in each block once its limbs are spent, so
+    every byte a block prints is written in that block.
     """
     v = np.asarray(values, dtype=float).ravel()
     m = min(v.size, block)
@@ -140,6 +140,7 @@ def _g17_blocks(values, block):
             again[0] = x[redo].view(np.uint64)
             _scaled17(again, dx[redo], rounds)
             q[redo], un[redo] = again[0], rounds
+        canvas.fill(0)  # the limbs are spent
         # D never rounds up to 10**17 here: that needs a double below 10**X within
         # 5e-17 relative, and 10**0..10**15 are doubles with neighbours 1.1e-16
         # away, while the doubles nearest 10**-4..10**-1 lie above them
@@ -158,8 +159,6 @@ def _g17_blocks(values, block):
             np.add(quo, rest, out=quo)
             np.take(_DIGITS4, quo, out=group, mode="clip")
             rows[:, col:col + 4].view(np.uint32)[:, 0] = group
-        rows[:, :2] = 0
-        rows[:, 22:_TEXT] = 0
         rows[:, _TEXT] = ord("\n")
         # X < 0 puts "0." at columns X + 4, X + 5
         for e in range(-4, 0):
@@ -183,5 +182,4 @@ def _g17_blocks(values, block):
         text = ((f"%-{_TEXT}.17g" * slow.size) % tuple(x[slow].tolist())).encode("ascii")
         rows[slow, :_TEXT] = np.frombuffer(text, np.uint8).reshape(-1, _TEXT)
         del text
-        canvas[n:] = 0  # a last, shorter block: the rows past it print nothing
         yield buf.translate(None, b" \0")

@@ -6,11 +6,11 @@ callers can catch one base class at the boundary.  The subclasses keep only
 the distinctions a caller acts on: DomainExceeded, an argument outside its
 domain (specs, quadrature, sampler, detector); NonPositiveValue, a value of
 f that is not positive (FunctionSpec.eval, Custom); ToleranceNotReached, a
-missed tolerance (quadrature, sampler); and Inadmissible, a spec that breaks
-the hypotheses (validate, Tabulated), with CsvFormatError for a CSV that
-does not parse.  Any other failed computation (moments, detector) raises
-GspLabError itself.  cli.main ends Inadmissible in exit 3, its own
-ConfigError in exit 2 and every other error in exit 1.
+missed tolerance, raised in place of any value (quadrature, sampler); and
+Inadmissible, a spec that breaks the hypotheses (validate, Tabulated), with
+CsvFormatError for a CSV that does not parse.  Any other failed computation
+(moments, detector) raises GspLabError itself.  cli.main ends Inadmissible
+in exit 3, its own ConfigError in exit 2 and every other error in exit 1.
 """
 
 __all__ = [
@@ -33,16 +33,8 @@ class NonPositiveValue(GspLabError):
 
 
 class ToleranceNotReached(GspLabError):
-    """Adaptive integration ran out of subdivision budget.
-
-    The best-effort result (with its honest error estimate and
-    ``converged=False``) is attached as ``result`` so callers that prefer a
-    flagged value over an exception can still get one.
-    """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
+    """A tolerance was missed: the kernel ran out of panels or of machine
+    width, or the sampler's CDF model or quantile solve fell short."""
 
 
 class Inadmissible(GspLabError):

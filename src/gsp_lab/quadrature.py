@@ -109,19 +109,15 @@ _MARK = 0.25
 
 
 class QuadResult(_Record):
-    """Values of the integrals together with the engine's own error bounds.
+    """Values of the integrals together with the engine's own error bounds,
+    every one of which met its target.
 
-    ``value`` and ``error_estimate`` are (cuts, columns) arrays,
-    ``subdivisions`` is the number of panels and ``edges`` their
-    ``subdivisions + 1`` edges, ascending from ``lo`` to the last cut, every
-    cut and breakpoint among them.  ``converged`` is False only
-    on the result a ToleranceNotReached carries: the subdivision budget ran
-    out before every error estimate met its target, and the values and
-    estimates are the best available.
+    ``value`` and ``error_estimate`` are (cuts, columns) arrays, and
+    ``edges`` are the final panels' edges, ascending from ``lo`` to the last
+    cut, every cut and breakpoint among them.
     """
 
-    fields = ("value", "error_estimate", "subdivisions", "edges", "converged")
-    converged = True
+    fields = ("value", "error_estimate", "edges")
 
 
 def _rule(integrand, lo, hi):
@@ -185,8 +181,9 @@ def cumulative(integrand, lo, cuts, tol=1e-10, *, units=1.0, breakpoints=()):
     ``_DEFAULT_BUDGET`` panels bounds the panel count over and above the
     initial panels, so every cut and breakpoint is honoured.
 
-    On budget exhaustion ToleranceNotReached is raised with the flagged
-    best-effort result (``converged=False``) attached as ``result``.
+    Either every output meets its target or ToleranceNotReached is raised,
+    naming the worst error and the panel count when the budget runs out, or
+    saying that the failing panels are at machine width.
     """
     lo = float(lo)
     cuts = np.atleast_1d(np.asarray(cuts, dtype=float))
@@ -219,7 +216,7 @@ def cumulative(integrand, lo, cuts, tol=1e-10, *, units=1.0, breakpoints=()):
         target = tol * np.maximum(units, np.abs(value))
         failing = error > target
         if not failing.any():
-            return QuadResult(value, error, len(val), edges)
+            return QuadResult(value, error, edges)
 
         plo, phi = edges[:-1], edges[1:]
         ratio = np.where(_wide(plo, phi, min_width)[:, None], err, 0.0)
@@ -238,9 +235,7 @@ def cumulative(integrand, lo, cuts, tol=1e-10, *, units=1.0, breakpoints=()):
             worst = float(np.max(error[failing]))
             reason = (f"error {worst:.3e} above tolerance after {len(val)} panels"
                       if marked.size else "interval fully refined to machine width")
-            raise ToleranceNotReached(
-                reason, QuadResult(value, error, len(val), edges, converged=False)
-            )
+            raise ToleranceNotReached(reason)
         if marked.size > room:
             worst_first = np.argsort(-score[marked], kind="stable")
             marked = np.sort(marked[worst_first[:room]])

@@ -20,15 +20,13 @@ def _same(a, b):
     """Whether two results agree bit for bit."""
     return (a.value.tobytes() == b.value.tobytes()
             and a.error_estimate.tobytes() == b.error_estimate.tobytes()
-            and a.edges.tobytes() == b.edges.tobytes()
-            and (a.subdivisions, a.converged) == (b.subdivisions, b.converged))
+            and a.edges.tobytes() == b.edges.tobytes())
 
 
 def test_polynomial_is_exact_in_one_panel():
     res = cumulative(lambda x: 3.0 * x**2, 0.0, 2.0, 1e-12)
-    assert res.subdivisions == 1
+    assert res.edges.size - 1 == 1
     assert abs(res.value[0, 0] - 8.0) < 1e-13
-    assert res.converged
 
 
 @pytest.mark.parametrize(
@@ -51,7 +49,6 @@ def test_agrees_with_exact_and_estimate_is_honest(fn, lo, hi, exact, tol):
     err = abs(res.value[0, 0] - exact)
     assert err <= max(tol, tol * abs(exact)) * 5
     assert err <= res.error_estimate[0, 0] * 10 + 1e-15  # estimate not wildly low
-    assert res.converged
 
 
 @pytest.mark.parametrize("fn, exact", [
@@ -73,7 +70,6 @@ def test_endpoint_singularity_takes_few_rounds(fn, exact):
     assert len(calls) <= 3
     assert err <= 5e-15 * exact
     assert err <= res.error_estimate[0, 0]
-    assert res.converged
 
 
 def test_matches_scipy_quad_on_rough_integrand():
@@ -103,23 +99,9 @@ def test_endpoints_are_never_sampled():
 def test_budget_exhaustion_raises_with_partial_result(monkeypatch):
     monkeypatch.setattr(quadrature, "_DEFAULT_BUDGET", 8)
     fn = lambda x: 1.0 / np.sqrt(np.abs(x - np.sqrt(2) / 2) + 1e-14)
-    with pytest.raises(ToleranceNotReached) as info:
+    with pytest.raises(ToleranceNotReached, match="above tolerance after 8 panels") as info:
         cumulative(fn, 0.0, 1.0, 1e-13)
-    partial = info.value.result
-    assert partial is not None
-    assert not partial.converged
-    assert partial.subdivisions == 8
-    assert partial.error_estimate[0, 0] > 1e-13
-
-
-def test_budget_exhaustion_can_return_flagged_result(monkeypatch):
-    monkeypatch.setattr(quadrature, "_DEFAULT_BUDGET", 8)
-    fn = lambda x: 1.0 / np.sqrt(np.abs(x - 0.3) + 1e-14)
-    with pytest.raises(ToleranceNotReached) as info:
-        cumulative(fn, 0.0, 1.0, 1e-13)
-    res = info.value.result
-    assert not res.converged
-    assert res.error_estimate[0, 0] > 0.0
+    assert not hasattr(info.value, "result")
 
 
 def test_budget_limited_round_splits_the_worst_panels(monkeypatch):
@@ -140,29 +122,21 @@ def test_budget_limited_round_splits_the_worst_panels(monkeypatch):
         calls.append(np.array(x))
         return fn(x)
 
-    with pytest.raises(ToleranceNotReached) as info:
+    with pytest.raises(ToleranceNotReached, match="after 6 panels") as info:
         cumulative(recording, 0.0, 1.0, 1e-13, breakpoints=edges[1:-1])
-    assert info.value.result.subdivisions == 4 + 3 - 1
+    assert not hasattr(info.value, "result")
     assert len(calls) == 2
     split = set(np.floor(4.0 * calls[1]).astype(int).tolist())
     assert split == set(np.argsort(-err)[:2].tolist())
 
 
-@pytest.mark.parametrize("budget, tol",
-                         [(quadrature._DEFAULT_BUDGET, 1e-8), (8, 1e-13)],
-                         ids=["converged", "exhausted"])
-def test_edges_are_the_final_panels(budget, tol, monkeypatch):
-    # the edges of every panel the values sum, converged or not: from lo to
-    # the last cut, every cut and breakpoint among them
-    monkeypatch.setattr(quadrature, "_DEFAULT_BUDGET", budget)
+@pytest.mark.parametrize("tol", [1e-8], ids=["converged"])
+def test_edges_are_the_final_panels(tol):
+    # the edges of every panel the values sum: from lo to the last cut,
+    # every cut and breakpoint among them
     fn = lambda x: 1.0 / np.sqrt(np.abs(x - np.sqrt(2) / 2) + 1e-14)
     cuts, breaks = [0.25, 0.5, 1.0], [0.1, 0.6]
-    try:
-        res = cumulative(fn, 0.0, cuts, tol, breakpoints=breaks)
-    except ToleranceNotReached as exc:
-        res = exc.result
-    assert res.converged == (budget != 8)
-    assert res.edges.size == res.subdivisions + 1
+    res = cumulative(fn, 0.0, cuts, tol, breakpoints=breaks)
     assert res.edges[0] == 0.0 and res.edges[-1] == 1.0
     assert np.all(np.diff(res.edges) > 0.0)
     assert np.isin(cuts + breaks, res.edges).all()
@@ -190,9 +164,9 @@ def test_kink_at_a_breakpoint_takes_two_panels():
     c = 0.3
     kinked = lambda x: np.abs(x - c)
     res = cumulative(kinked, 0.0, 1.0, 1e-12, breakpoints=[c])
-    assert res.subdivisions == 2
+    assert res.edges.size - 1 == 2
     assert abs(res.value[0, 0] - 0.5 * (c * c + (1.0 - c) ** 2)) <= 1e-12
-    assert cumulative(kinked, 0.0, 1.0, 1e-12).subdivisions > 2
+    assert cumulative(kinked, 0.0, 1.0, 1e-12).edges.size - 1 > 2
 
 
 def test_breakpoints_at_or_outside_the_interval_are_ignored():
@@ -215,7 +189,7 @@ def test_breakpoint_panels_that_miss_are_bisected():
     fn = lambda x: np.sqrt(np.abs(x - 0.3))
     res = cumulative(fn, 0.0, 1.0, 1e-10, breakpoints=[0.3, 0.7])
     exact = 2.0 / 3.0 * (0.3**1.5 + 0.7**1.5)
-    assert res.converged and res.subdivisions > 3
+    assert res.edges.size - 1 > 3
     assert abs(res.value[0, 0] - exact) <= 1e-9
 
 
@@ -225,7 +199,7 @@ def test_more_breakpoint_panels_than_the_budget_still_converge(monkeypatch):
     cuts = np.linspace(0.0, 1.0, 41)
     res = cumulative(lambda x: np.abs(np.sin(20.0 * np.pi * x)), 0.0, 1.0,
                      1e-12, breakpoints=cuts)
-    assert res.converged and res.subdivisions == 40
+    assert res.edges.size - 1 == 40
     assert abs(res.value[0, 0] - 2.0 / np.pi) <= 1e-12
 
 
@@ -239,7 +213,6 @@ def test_cumulative_prefixes_match_closed_forms():
     exact = np.column_stack(((1.0 - np.cos(3.0 * cuts)) / 3.0, cuts**3 / 3.0,
                              1.0 - np.exp(-cuts)))
     assert np.all(np.abs(res.value - exact) <= 1e-12 * np.maximum(1.0, np.abs(exact)))
-    assert res.converged
 
 
 def test_cumulative_holds_each_output_to_its_own_unit():
@@ -250,7 +223,7 @@ def test_cumulative_holds_each_output_to_its_own_unit():
     res = cumulative(lambda x: x**0.3, 0.0, cuts, 1e-10, units=cuts[:, None] ** 1.3)
     assert np.all(np.abs(res.value[:, 0] - exact) <= 1e-10 * exact)
     # with unit 1 the small prefixes only have to meet the absolute floor
-    assert cumulative(lambda x: x**0.3, 0.0, cuts, 1e-10).subdivisions < res.subdivisions
+    assert cumulative(lambda x: x**0.3, 0.0, cuts, 1e-10).edges.size - 1 < res.edges.size - 1
 
 
 def test_infinite_unit_leaves_an_output_unreported():
@@ -259,7 +232,7 @@ def test_infinite_unit_leaves_an_output_unreported():
     fn = lambda x: np.column_stack((x, np.sqrt(np.abs(x - 0.3))))
     shown = cumulative(fn, 0.0, [0.5, 1.0], 1e-10)
     hidden = cumulative(fn, 0.0, [0.5, 1.0], 1e-10, units=[1.0, np.inf])
-    assert hidden.subdivisions == 2 < shown.subdivisions
+    assert hidden.edges.size - 1 == 2 < shown.edges.size - 1
     assert hidden.value[1, 0] == pytest.approx(0.5, abs=1e-12)
 
 
@@ -322,7 +295,7 @@ def test_cumulative_holds_each_column_to_its_own_tolerance():
         assert np.all(res.error_estimate[:, c] <= target)
         assert np.all(np.abs(res.value[:, c] - exact) <= target)
     loose = cumulative(fn, 0.0, cuts, 1e-4)
-    assert loose.subdivisions < res.subdivisions
+    assert loose.edges.size - 1 < res.edges.size - 1
     assert np.max(np.abs(loose.value[:, 0] - exact)) > 1e-12
     with pytest.raises(DomainExceeded, match="tolerance must be positive"):
         cumulative(fn, 0.0, cuts, np.array([1e-10, 0.0]))
