@@ -34,7 +34,7 @@ class NonPositiveValue(GspLabError):
 
 class ToleranceNotReached(GspLabError):
     """A tolerance was missed: the kernel ran out of panels or of machine
-    width, or the sampler's CDF model or quantile solve fell short."""
+    width, or the sampler's quantile solve fell short."""
 
 
 class Inadmissible(GspLabError):

@@ -37,6 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GspLabError, _Record
+from .functions import _TINY_NORMAL
 from .quadrature import cumulative
 
 __all__ = ["Moments", "moment_bundles"]
@@ -87,8 +88,9 @@ def moment_bundles(spec, scales, tol=1e-10):
 
     A scale outside the support raises ``check_scale``'s DomainExceeded (the
     first one, in the order given).  Raises GspLabError, before integrating,
-    if a scale-free unit a f(a), a^2 f(a), a^3 f(a) or a f(a)^2 underflows
-    to zero or overflows ("unit ..."), since the normalizations divide by them.
+    if a scale-free unit a f(a), a^2 f(a), a^3 f(a) or a f(a)^2 falls below
+    the smallest normal double or overflows ("unit ..."), since the
+    normalizations divide by them and a subnormal unit has lost digits.
     Afterwards it raises GspLabError if B/A, the scale-free centroid
     abscissa, falls outside (0, 1) ("theta=", which an admissible spec
     cannot give, so it flags a bad input or a failed integration), if D
@@ -106,7 +108,7 @@ def moment_bundles(spec, scales, tol=1e-10):
         # a f(a)^2 as cuts * (fa * fa): another order rounds differently
         unit = np.array((cuts * fa, cuts * cuts * fa, cuts * cuts * cuts * fa,
                          cuts * (fa * fa))).T
-    bad = np.argwhere(~((0.0 < unit) & (unit < np.inf)))
+    bad = np.argwhere(~((_TINY_NORMAL <= unit) & (unit < np.inf)))
     if bad.size:
         i, j = bad[0]
         raise GspLabError(f"unit {_UNIT_NAMES[j]} = {unit[i, j]:g} at a={cuts[i]:g} "

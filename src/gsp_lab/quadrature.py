@@ -1,4 +1,4 @@
-"""Vector-valued, globally adaptive Gauss-Kronrod integration with open endpoints.
+"""Vector-valued, globally adaptive Chebyshev-Fejer integration with open endpoints.
 
 One kernel, ``cumulative``, integrates every column of a matrix-valued
 integrand from ``lo`` up to each of a sorted set of cut points.  All outputs
@@ -7,13 +7,19 @@ Genz, ACM TOMS 17, 1991): the cuts and any breakpoints (a table's knots,
 where the integrand may be non-smooth, as in QUADPACK's QAGP) are edges of
 the initial panels, and every panel serves each cut above it.
 
-Each panel gets the 15-point Kronrod rule with its embedded 7-point Gauss
-rule.  Endpoints are never sampled: every node is strictly interior to its
-panel, which lets integrands be singular (but integrable) at the ends.  The
-per-panel error estimate follows the classical QUADPACK recipe: the raw
-|K15 - G7| difference is damped through the panel's total variation proxy
-``resasc`` so that the estimate stays honest on rough integrands without
-being wildly pessimistic on smooth ones.
+Each panel is sampled at the 16 Chebyshev points of the first kind, and its
+value is Fejer's first rule, the exact integral of the interpolant at those
+points (Trefethen, Approximation Theory and Approximation Practice, 2013,
+ch. 19), with weights computed at import.  Endpoints are never sampled:
+every node is strictly interior to its panel, which lets integrands be
+singular (but integrable) at the ends.  The raw error is read off the tail
+of the interpolant's Chebyshev series, 2 * half-width * max |c_12..c_15|
+(O'Hara and Smith, Comput. J. 11(2), 1968), and damped as QUADPACK damps
+its |K15 - G7|, through the panel's total variation proxy ``resasc``, so
+that the estimate stays honest on rough integrands without being wildly
+pessimistic on smooth ones.  The sampler models a CDF with the same
+interpolants on the same panels, so this module owns the one panel model:
+the nodes, the weights and the maps to Chebyshev coefficients.
 
 An output -- one column integrated up to one cut -- carries the sum of its
 panels' error estimates and must meet its own target ``tol * max(unit,
@@ -41,67 +47,50 @@ from .errors import DomainExceeded, ToleranceNotReached, _Record
 
 __all__ = ["QuadResult", "cumulative"]
 
-# 15-point Kronrod abscissae on (-1, 1), ascending.  Odd indices (1, 3, ...,
-# 13) are the embedded 7-point Gauss nodes.  Values as tabulated for the
-# classical (G7, K15) pair.
-_XGK = np.array(
-    [
-        -0.991455371120813,
-        -0.949107912342759,
-        -0.864864423359769,
-        -0.741531185599394,
-        -0.586087235467691,
-        -0.405845151377397,
-        -0.207784955007898,
-        0.0,
-        0.207784955007898,
-        0.405845151377397,
-        0.586087235467691,
-        0.741531185599394,
-        0.864864423359769,
-        0.949107912342759,
-        0.991455371120813,
-    ]
-)
+# Each panel is sampled at the _CHEB_N Chebyshev points of the first kind,
+# which are interior: no panel's ends are evaluated.
+_CHEB_N = 16
+_THETA = (2.0 * np.arange(_CHEB_N)[::-1] + 1.0) * np.pi / (2.0 * _CHEB_N)
+_CHEB_NODES = np.cos(_THETA)  # ascending on (-1, 1)
+# The last _TAIL Chebyshev coefficients of a panel's interpolant estimate
+# its error.
+_TAIL = 4
 
-_WGK = np.array(
-    [
-        0.022935322010529,
-        0.063092092629979,
-        0.104790010322250,
-        0.140653259715525,
-        0.169004726639267,
-        0.190350578064785,
-        0.204432940075298,
-        0.209482141084728,
-        0.204432940075298,
-        0.190350578064785,
-        0.169004726639267,
-        0.140653259715525,
-        0.104790010322250,
-        0.063092092629979,
-        0.022935322010529,
-    ]
-)
 
-_WG = np.array(
-    [
-        0.129484966168870,
-        0.279705391489277,
-        0.381830050505119,
-        0.417959183673469,
-        0.381830050505119,
-        0.279705391489277,
-        0.129484966168870,
-    ]
-)
+def _model_maps():
+    """Matrices taking g at the nodes to the Chebyshev coefficients of its
+    interpolant (n of them) and of the interpolant's integral from -1 (n + 1),
+    and the Fejer weights that integrate the interpolant over (-1, 1)."""
+    n = _CHEB_N
+    to_g = (2.0 / n) * np.cos(np.outer(np.arange(n), _THETA))
+    to_g[0] *= 0.5
+    # integral of T_0 is T_1; of T_k, T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1))
+    integ = np.zeros((n + 1, n))
+    integ[1, 0] = 1.0
+    for k in range(1, n):
+        integ[k + 1, k] = 0.5 / (k + 1)
+        integ[k - 1, k] -= 0.5 / (k - 1) if k > 1 else 0.0
+    # zero at x = -1, where T_k = (-1)**k; einsum, not matmul: a first BLAS
+    # call at import would add ~0.4 MB of buffers to every process
+    integ[0] = -np.einsum("k,kj->j", (-1.0) ** np.arange(1, n + 1), integ[1:])
+    # Fejer's first rule: w_j = (2/n) (1 - 2 sum_m cos(2 m theta_j) / (4 m^2 - 1))
+    # for m = 1 .. n/2, each angle 2 m theta_j = m (2j + 1) pi / n reduced
+    # exactly into [0, pi], so the weights are symmetric and good to an ulp
+    m = np.arange(1, n // 2 + 1)
+    r = np.outer(2 * np.arange(n)[::-1] + 1, m) % (2 * n)
+    cos = np.cos(np.minimum(r, 2 * n - r) * (np.pi / n))
+    weights = (2.0 / n) * (1.0 - 2.0 * np.einsum("jm,m->j", cos, 1.0 / (4.0 * m * m - 1.0)))
+    return to_g, np.einsum("ik,kj->ij", integ, to_g), weights
+
+
+_TO_G, _TO_P, _WEIGHTS = _model_maps()
 
 _EPS = float(np.finfo(float).eps)
 # No panel's error estimate is below this share of its integral of |f|, so
 # no output's error sum is below this share of its integral of |f| either.
 _ERROR_FLOOR = 50.0 * _EPS
 _DEFAULT_BUDGET = 10_000
-# Panels per integrand call: bounds the (panels, 15, columns) working arrays.
+# Panels per integrand call: bounds the (panels, _CHEB_N, columns) working arrays.
 _CHUNK = 128
 # A panel is bisected when its error is at least this share of the largest
 # panel error under some failing output.
@@ -120,29 +109,35 @@ class QuadResult(_Record):
     fields = ("value", "error_estimate", "edges")
 
 
+def _nodes(lo, hi):
+    """The half-widths, (panels, 1), and the nodes, (panels, _CHEB_N), of
+    the panels (lo, hi)."""
+    half = 0.5 * (hi - lo)[:, None]
+    return half, 0.5 * (lo + hi)[:, None] + half * _CHEB_NODES
+
+
 def _rule(integrand, lo, hi):
-    """K15 values and error estimates, each (panels, columns), on (lo, hi).
+    """Fejer values and error estimates, each (panels, columns), on (lo, hi).
 
     All nodes go to the integrand in one call; einsum keeps each entry's
     summation order independent of the panel and column counts.
     """
-    half = 0.5 * (hi - lo)[:, None]
-    nodes = 0.5 * (lo + hi)[:, None] + half * _XGK
+    half, nodes = _nodes(lo, hi)
     fx = np.asarray(integrand(nodes.ravel()), dtype=float)
-    fx = fx.reshape(len(lo), len(_XGK), -1)
-    resk = half * np.einsum("ijc,j->ic", fx, _WGK)
-    resg = half * np.einsum("ijc,j->ic", fx[:, 1::2], _WG)
+    fx = fx.reshape(len(lo), _CHEB_N, -1)
+    value = half * np.einsum("ijc,j->ic", fx, _WEIGHTS)
+    tail = np.einsum("ijc,kj->ikc", fx, _TO_G[-_TAIL:])
+    err = 2.0 * half * np.abs(tail).max(axis=1)
     work = np.abs(fx)
-    resabs = half * np.einsum("ijc,j->ic", work, _WGK)
-    mean = resk / (2.0 * half)
+    resabs = half * np.einsum("ijc,j->ic", work, _WEIGHTS)
+    mean = value / (2.0 * half)
     np.abs(np.subtract(fx, mean[:, None], out=work), out=work)
-    resasc = half * np.einsum("ijc,j->ic", work, _WGK)
-    err = np.abs(resk - resg)
+    resasc = half * np.einsum("ijc,j->ic", work, _WEIGHTS)
     damp = (resasc != 0.0) & (err != 0.0)
     err[damp] = resasc[damp] * np.minimum(
         1.0, (200.0 * err[damp] / resasc[damp]) ** 1.5
     )
-    return resk, np.maximum(err, _ERROR_FLOOR * resabs)
+    return value, np.maximum(err, _ERROR_FLOOR * resabs)
 
 
 def _wide(plo, phi, min_width):

@@ -6,23 +6,20 @@ centroid ordinate, G/F.  Draws come from inverse-CDF transform of uniform
 variates, so a stream of uniforms maps deterministically to a stream of
 draws.
 
-Power laws invert in closed form.  Every other spec goes through a checked
-model of its CDF, built once per (spec, a, tol); the sampling state holds
-it and applies either inverse itself.  One cumulative quadrature pass
-gives the mass up to each of 256 equal cuts, computed to min(1e-12, tol /
-100) but no tighter than twice the kernel's error floor, 100 machine
-epsilons of the masses' unit, 1.  The kernel's final panels are the
-model's pieces, interpolation on the quadrature's own intervals (the PINV
-layout of Derflinger, Hoermann and Leydold, ACM TOMACS 20(4), 2010): the
-cuts and a table's knots are among their edges, and the panels toward 0,
-where g ~ s**p is not smooth, are cut geometrically.  On each piece, g is
-interpolated at 16 Chebyshev points and the interpolant integrated
+Power laws invert in closed form.  Every other spec goes through a model
+of its CDF, built once per (spec, a, tol); the sampling state holds it and
+applies either inverse itself.  One cumulative quadrature pass gives the
+mass up to each of 256 equal cuts, computed to min(1e-12, tol / 100) but no
+tighter than twice the kernel's error floor, 100 machine epsilons of the
+masses' unit, 1.  The kernel's final panels are the model's pieces,
+interpolation on the quadrature's own intervals (the PINV layout of
+Derflinger, Hoermann and Leydold, ACM TOMACS 20(4), 2010): the cuts and a
+table's knots are among their edges, and the panels toward 0, where
+g ~ s**p is not smooth, are cut geometrically.  On each piece the model is
+the interpolant of g at the kernel's 16 Chebyshev points, the one the
+kernel integrated there and whose error it held to its target, integrated
 exactly, so the CDF there is the sum of the masses below plus a Chebyshev
 series (Trefethen, Approximation Theory and Approximation Practice, 2013).
-The model is checked once, at build time, against the kernel's masses at
-the 256 cuts, to a tenth of a draw's tolerance (or twice the kernel's
-target, if that is looser); a model that misses raises
-ToleranceNotReached before any draw.
 
 A draw finds its piece through a guide table and starts from a cubic
 Hermite interpolant of the inverse CDF on it, with exact end slopes 1/g,
@@ -58,7 +55,7 @@ import numpy as np
 
 from .errors import DomainExceeded, ToleranceNotReached, _Record
 from .functions import _TINY_NORMAL, PowerLaw
-from .quadrature import _ERROR_FLOOR, cumulative
+from .quadrature import _CHEB_N, _ERROR_FLOOR, _TO_G, _TO_P, _nodes, cumulative
 
 __all__ = ["SamplerState", "MCEstimate", "mc_estimates"]
 
@@ -80,11 +77,6 @@ _MIN_ESTIMATE_N = 100
 # Philox's key word: a seed is one uint64, so no two seeds share a stream.
 _SEED_LIMIT = 2**64
 
-# The CDF model of a piece interpolates g at the _CHEB_N Chebyshev points of
-# the first kind, which are interior: x = 0 is never evaluated.
-_CHEB_N = 16
-_THETA = (2.0 * np.arange(_CHEB_N)[::-1] + 1.0) * np.pi / (2.0 * _CHEB_N)
-_CHEB_NODES = np.cos(_THETA)  # ascending on (-1, 1)
 _TINY = math.ulp(0.0)  # the smallest positive double
 
 
@@ -92,27 +84,6 @@ def _lowest(a):
     """The floor of a draw in units of a: a times it rounds to a positive
     double, and it is at most 1, so every draw a s lies in (0, a]."""
     return _TINY / min(a, 1.0)
-
-
-def _model_maps():
-    """Matrices taking g at the nodes to the Chebyshev coefficients of its
-    interpolant (n of them) and of the interpolant's integral from -1 (n + 1)."""
-    n = _CHEB_N
-    to_g = (2.0 / n) * np.cos(np.outer(np.arange(n), _THETA))
-    to_g[0] *= 0.5
-    # integral of T_0 is T_1; of T_k, T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1))
-    integ = np.zeros((n + 1, n))
-    integ[1, 0] = 1.0
-    for k in range(1, n):
-        integ[k + 1, k] = 0.5 / (k + 1)
-        integ[k - 1, k] -= 0.5 / (k - 1) if k > 1 else 0.0
-    # zero at x = -1, where T_k = (-1)**k; einsum, not matmul: a first BLAS
-    # call at import would add ~0.4 MB of buffers to every process
-    integ[0] = -np.einsum("k,kj->j", (-1.0) ** np.arange(1, n + 1), integ[1:])
-    return to_g, np.einsum("ik,kj->ij", integ, to_g)
-
-
-_TO_G, _TO_P = _model_maps()
 
 
 # np.take(..., mode="clip") throughout: every index taken is a piece's, and
@@ -135,7 +106,7 @@ def _clenshaw(coef, idx, x, work):
 
 
 class _CdfTable:
-    """A checked model of the CDF of the profile g(s) = f(a s)/f(a).
+    """A model of the CDF of the profile g(s) = f(a s)/f(a).
 
     Working in profile units keeps every entry O(1) regardless of the
     spec's amplitude or the scale, so the quadrature's absolute floor stays
@@ -159,30 +130,25 @@ class _CdfTable:
         with np.errstate(over="ignore"):
             breaks = spec.knots / a
         # The masses are at most 1 in profile units: the kernel computes them
-        # to min(1e-12, 0.01 tol), but no tighter than it reaches.  The model
-        # must match the kernel to a tenth of a draw's tolerance, or, if that
-        # is looser, to twice the kernel's target: the kernel's masses are
-        # each off by up to that target.
+        # to min(1e-12, 0.01 tol), but no tighter than it reaches.
         kernel_tol = max(_TABLE_TOL_FLOOR, min(1e-12, 0.01 * tol))
-        self._model_tol = max(0.1 * tol, 2.0 * kernel_tol)
-
         cuts = np.linspace(0.0, 1.0, _TABLE_INTERVALS + 1)[1:]
-        res = cumulative(self._g, 0.0, cuts, kernel_tol,
-                         breakpoints=breaks[breaks >= _TINY_NORMAL])
-        # The kernel's panels are the pieces.  One spec evaluation gives g at
-        # the nodes of up to a block's worth of pieces, 1,024, so a table of
-        # many knots never holds more than a block of nodes; einsum, not a
-        # BLAS gemm, keeps a fixed summation order per piece.  A piece's mass
-        # is its model read at x = 1, as a draw reads it, so the model is
-        # continuous across edges.
-        self.edges = res.edges
-        left, width = self.edges[:-1], np.diff(self.edges)
+        # The kernel's panels are the pieces, and a piece's model is the
+        # interpolant the kernel integrated there, at the same nodes.  One
+        # spec evaluation gives g at the nodes of up to a block's worth of
+        # pieces, 1,024, so a table of many knots never holds more than a
+        # block of nodes; einsum, not a BLAS gemm, keeps a fixed summation
+        # order per piece.  A piece's mass is its model read at x = 1, as a
+        # draw reads it, so the model is continuous across edges.
+        self.edges = cumulative(self._g, 0.0, cuts, kernel_tol,
+                                breakpoints=breaks[breaks >= _TINY_NORMAL]).edges
+        width = np.diff(self.edges)
         half = 0.5 * width
-        pieces = left.size
+        pieces = width.size
         values = np.empty((pieces, _CHEB_N))
         for i in range(0, pieces, _BLOCK // _CHEB_N):
             part = slice(i, i + _BLOCK // _CHEB_N)
-            nodes = (left[part] + half[part])[:, None] + half[part, None] * _CHEB_NODES
+            _, nodes = _nodes(self.edges[:-1][part], self.edges[1:][part])
             values[part] = self._g(nodes.ravel()).reshape(nodes.shape)
         self._g_coef = np.einsum("pj,kj->kp", values, _TO_G)
         self._p_coef = np.einsum("pj,kj->kp", values, _TO_P)
@@ -192,10 +158,6 @@ class _CdfTable:
                            np.empty((5, pieces)))
         self.cum = np.concatenate(([0.0], np.cumsum(masses)))
         self.total = float(self.cum[-1])
-        at_cuts = self.cum[np.searchsorted(self.edges, cuts)]
-        err = np.max(np.abs(at_cuts - res.value[:, 0])) / self.total
-        if err > self._model_tol:
-            raise ToleranceNotReached(f"CDF model error {err:.3e} above tolerance")
 
         # The guide table: cell k of the masses starts in piece _guide[k],
         # the last piece whose left mass falls in a lower cell.
@@ -249,10 +211,8 @@ class _CdfTable:
         """Solve int_0^s g = u * total for each u of a block, and
         return the solutions and their CDF residuals.
 
-        A draw's piece is a panel of the kernel's pass, on which the kernel
-        met its target; the CDF model summed over the pieces matched the
-        kernel at the 256 cuts to a tenth of the table's tolerance (or the
-        kernel's floor).
+        A draw's piece is a panel of the kernel's pass, whose interpolant,
+        the piece's CDF model, met the kernel's target.
         Every draw starts from its piece's Hermite guess and has its
         residual, read off the model, checked once; only the draws that miss
         ``tol * total`` take safeguarded Newton steps on the model inside

@@ -178,7 +178,7 @@ def _kernel_calls(monkeypatch):
     plain = quadrature._rule
 
     def counting(integrand, lo, hi):
-        seen.append(float(np.min(lo + 0.5 * (hi - lo) * (1.0 + quadrature._XGK[0]))))
+        seen.append(float(np.min(lo + 0.5 * (hi - lo) * (1.0 + quadrature._CHEB_NODES[0]))))
         return plain(integrand, lo, hi)
 
     monkeypatch.setattr(quadrature, "_rule", counting)
@@ -207,12 +207,12 @@ def test_power_detect_kernel_rounds(p, most, monkeypatch):
 @pytest.mark.parametrize("command", ["verify", "detect"])
 def test_fast_converging_end_is_probed_no_deeper(command, monkeypatch):
     # x^40 converges at 0 after one bisection of the panel below the first
-    # cut, near 0.1: its lowest node is about 2.1e-4.  Each cut deeper would
+    # cut, near 0.1: its lowest node is about 1.2e-4.  Each cut deeper would
     # halve it, and probing where x^40 underflows makes the run fail
     seen = _kernel_calls(monkeypatch)
     assert run_cli(command, "--family", "power", "--p", "40",
                    "--format", "json", "--out", os.devnull) == 0
-    assert min(seen) == pytest.approx(2.136e-4, rel=1e-3)
+    assert min(seen) == pytest.approx(1.204e-4, rel=1e-3)
 
 
 # ----------------------------------------------------------------- detect
@@ -277,6 +277,16 @@ def test_sweep_power_law_theta_is_flat(tmp_path):
     cols = read_csv_columns(out)
     assert np.allclose(cols["theta"], 2.0 / 3.0, atol=1e-9)
     assert np.all(cols["gsp_residual"] < 1e-9)
+
+
+def test_sweep_power_law_moments_are_exact_to_rounding(tmp_path):
+    # x^2 gives A, B, C = 1/3, 1/4, 1/5 at every scale: the kernel's weights
+    # carry no bias of their own, where 15-digit constants put A 18 ulps low
+    out = tmp_path / "s.csv"
+    assert run_cli("sweep", "--family", "power", "--p", "2", "--out", str(out)) == 0
+    cols = read_csv_columns(out)
+    for name, exact in (("A", 1.0 / 3.0), ("B", 0.25), ("C", 0.2)):
+        assert np.max(np.abs(cols[name] - exact)) <= 4 * np.spacing(exact), name
 
 
 def test_sweep_wobble_theta_oscillates(tmp_path):
@@ -729,6 +739,17 @@ def test_config_file_faults_are_one_line_config_errors(command, text, line, tmp_
 def test_flag_faults_end_in_one_line(argv, code, line, capsys):
     assert run_cli(*argv) == code
     assert capsys.readouterr() == ("", f"{line}\n")
+
+
+def test_subnormal_unit_on_a_power_law_is_an_error_not_a_verdict(capsys):
+    # a f(a)^2 is subnormal over this grid, 4.9e-319 to 1.5e-316: C divided
+    # by it came back 5.7e-7 off and the residual said NotPowerLaw
+    assert run_cli("detect", "--family", "power", "--p", "0.12197137884293219",
+                   "--amp", "4.6209389473686e-149",
+                   "--a-min", "4.0180930031425905e-18",
+                   "--a-max", "4.0180930031425905e-16") == 1
+    assert capsys.readouterr() == ("", "error: unit a f(a)^2 = 4.89619e-319 at "
+                                   "a=4.01809e-18 is outside the float64 range\n")
 
 
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])

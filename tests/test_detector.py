@@ -258,7 +258,7 @@ def test_steep_table_head_meshes_no_deeper_than_it_needs():
 
 
 def test_classify_on_a_kinked_table_stays_cheap(perturbed_table, monkeypatch):
-    # regression guard on work done: one K15 panel per knot interval, all
+    # regression guard on work done: one panel per knot interval, all
     # of an integral's panels in one call; chasing the kinks of the
     # elasticity by bisection took ~64,000 calls
     calls = []

@@ -268,10 +268,13 @@ def test_fields_follow_unsorted_repeated_scales():
 @pytest.mark.parametrize("amp, scales, message", [
     # f(a)^2 overflows at every scale: the smallest is named, whatever the order
     (1e160, [10.0, 1.0, 0.1], "unit a f(a)^2 = inf at a=0.1 "),
-    # at a=1e-6 a^2 f(a) is the first unit in (a f, a^2 f, a^3 f, a f^2) to
-    # underflow; at a=1e-5 it would be a^3 f(a)
-    (1e-300, [1.0, 1e-5, 1e-6], "unit a^2 f(a) = 0 at a=1e-06 "),
-    (1e-300, [1.0, 1e-5], "unit a^3 f(a) = 0 at a=1e-05 "),
+    # a unit below the smallest normal double is refused as 0 is: a f(a) is
+    # subnormal at a=1e-6 and at a=1e-5 alike
+    (1e-300, [1.0, 1e-5, 1e-6], "unit a f(a) = 9.99999e-319 at a=1e-06 "),
+    (1e-300, [1.0, 1e-5], "unit a f(a) = 1e-315 at a=1e-05 "),
+    # the units are checked in the order (a f, a^2 f, a^3 f, a f^2): at
+    # a=1e-80 a f(a) = 1e-240 and a^2 f(a) is the first to go subnormal
+    (1.0, [1.0, 1e-80], "unit a^2 f(a) = 9.99989e-321 at a=1e-80 "),
 ])
 def test_unit_check_names_the_smallest_offending_scale(amp, scales, message):
     with pytest.raises(GspLabError, match="^unit ") as info:
@@ -447,11 +450,11 @@ def test_kinked_elasticity_moments_match_closed_forms():
             assert abs(got - want) <= 1e-12 * abs(want), (name, a, got, want)
 
 
-@pytest.mark.xfail(strict=True, reason="the kink of f'' at x = 1 falls in the 0.427% "
-                   "end gap of its panel that the K15 nodes never sample, so the 15 "
-                   "values are those of a smooth function and no estimate from them "
-                   "can see the ~1e-10 error; the panel is never split")
 def test_kinked_elasticity_moments_next_to_the_kink():
+    # the kink of f'' at x = 1 lies 0.29% of the panel (0.6505, 1.001) below
+    # its top: the 16 Chebyshev points leave only the last 0.24% unsampled
+    # (the 15 Kronrod points left 0.43%), so the tail sees the kink, the
+    # kernel splits toward it and F(1.001) holds
     scales = np.array([0.1, 0.3, 1.001, 3.0, 10.0])
     m = moment_bundles(_kinked(), scales, 1e-12)
     rel = np.abs(m.F - _kinked_exact(scales)["F"]) / m.F
