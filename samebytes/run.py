@@ -26,7 +26,11 @@ count of identical runs and the sha256 of their results, in matrix order.
 ('#' starts a comment), after a first line ``base SHA`` naming the commit
 they differ from; against any other base the file expects nothing, so its
 entries do not carry over to the next change.  An entry is a run's text or
-``changed`` and a run's text.  A run named plainly passes only when its
+``changed`` and a run's text, either of them optionally after
+``path=FEATURES``: such an entry holds only when NPY_DISABLE_CPU_FEATURES
+names the same features (comma-separated, in any order; ``path=`` alone is
+numpy's default path), so a run that moves on one SIMD path only can be
+listed without failing the other.  A run named plainly passes only when its
 exit code and stderr are identical and every number of its stdout and
 ``--out`` file moved by at most 1e-12 * max(1, |base value|), with the
 text around them unchanged; a ``changed`` run passes when it differs in
@@ -66,6 +70,7 @@ _DIFF_LINES = 40
 _TIMEOUT_S = 600
 _BOUND = 1e-12  # an expected run's largest change, relative to max(1, |base value|)
 _CHANGED = "changed "  # an expect entry for a run that may change in any way
+_PATH = "path="  # an expect entry that holds on one SIMD path only
 
 
 def _checkout(ref, dest):
@@ -98,9 +103,15 @@ def _commit(ref):
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def _expected(path, base):
-    """The runs path expects to differ from base, each mapped to whether it
-    may change in any way (a ``changed`` entry): none when its base line
+def _features(value):
+    """The set of CPU features a NPY_DISABLE_CPU_FEATURES value names."""
+    return set(re.split(r"[\s,]+", value.strip())) - {""}
+
+
+def _expected(path, base, disabled):
+    """The runs path expects to differ from base on the SIMD path that the
+    NPY_DISABLE_CPU_FEATURES value disabled selects, each mapped to whether
+    it may change in any way (a ``changed`` entry): none when its base line
     names another commit."""
     names = [line.strip() for line in path.read_text().splitlines()
              if line.strip() and not line.lstrip().startswith("#")]
@@ -112,7 +123,14 @@ def _expected(path, base):
     if _commit(sha.strip()) != _commit(base):
         print(f"{path} names base {sha.strip()}, not {base}: no run is expected to differ")
         return {}
-    return {name.removeprefix(_CHANGED): name.startswith(_CHANGED) for name in names[1:]}
+    expected = {}
+    for name in names[1:]:
+        if name.startswith(_PATH):
+            value, _, name = name.removeprefix(_PATH).partition(" ")
+            if _features(value) != _features(disabled):
+                continue
+        expected[name.removeprefix(_CHANGED)] = name.startswith(_CHANGED)
+    return expected
 
 
 def _expand(text, places):
@@ -213,7 +231,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     env = dict(os.environ)
-    expected = _expected(args.expect, args.base) if args.expect else {}
+    expected = (_expected(args.expect, args.base, env.get("NPY_DISABLE_CPU_FEATURES", ""))
+                if args.expect else {})
     runs = list(dict.fromkeys(text for group, text in matrix.RUNS
                               if args.group is None or group in args.group))
 

@@ -4,18 +4,19 @@ number of numpy steps per block.
 ``sample`` writes up to millions of draws, and one Python f-string per draw
 cost more than drawing them.  The decimal digits of values in [1e-4, 2**50)
 come from exact integer arithmetic (the binary-to-decimal conversion of
-Steele & White, PLDI 1990, and Gay, AT&T 1990, specialised to 17 digits);
-every other value is formatted by Python, so the bytes always equal
-``f"{x:.17g}"``.  Each value fills a fixed-width byte row whose unprinted
-bytes are 0 (or, in Python's text, padding spaces), and one
-``bytearray.translate`` deletes them.  A run formats every block in arrays
-made once and sized to one block: three uint64 rows, the byte canvas, whose
-bytes hold three more rows of the limbs until the text is laid out, and four
-byte-wide arrays, 53 bytes a value.  With a block's text and the few arrays
-sized by the values with an integer part or that Python formats, a run peaks
-at about 80 bytes a value (tracemalloc), and a fresh process reuses the same
-pages for every block.  Kept out of ``cli`` so that compiling
-the command-line module stays small.
+Steele & White, PLDI 1990, and Gay, AT&T 1990, specialised to 17 digits)
+at the decimal exponent log10 gives; every other value, and the few within
+ulps of a power of ten whose exponent log10 misses by one, is formatted by
+Python, so the bytes always equal ``f"{x:.17g}"``.  Each value fills a
+fixed-width byte row whose unprinted bytes are 0 (or, in Python's text,
+padding spaces), and one ``bytearray.translate`` deletes them.  A run
+formats every block in arrays made once and sized to one block: three
+uint64 rows, the byte canvas, whose bytes hold three more rows of the limbs
+until the text is laid out, and four byte-wide arrays, 53 bytes a value.
+With a block's text and the few arrays sized by the values with an integer
+part or that Python formats, a run peaks at about 80 bytes a value
+(tracemalloc), and a fresh process reuses the same pages for every block.
+Kept out of ``cli`` so that compiling the command-line module stays small.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ def _scaled17(w, dexp, up):
     The exact product mant * 5**k (k = 16 - dexp, under 2**100) is formed
     in two uint64 limbs from 32-bit halves, then shifted right by
     -(exp2 + k): between 1 and 47 for 1e-4 <= v < 2**50, with dexp the
-    log10 guess or the true decimal exponent.  The limbs are exact integers
-    below 2**64, so their sums may run in any order.
+    log10 guess, which may miss the decimal exponent by one.  The limbs are
+    exact integers below 2**64, so their sums may run in any order.
     """
     q, s, b, c, d, e = w
     si, ei = s.view(np.int64), e.view(np.int64)
@@ -92,7 +93,8 @@ def _g17_blocks(values, block):
 
     Values in [1e-4, 2**50) are printed in %g's fixed notation, exactly:
     D = round(v * 10**(16 - X)) comes from ``_scaled17``, with the decimal
-    exponent X from log10 corrected by the digit count of the unrounded D.
+    exponent X from log10; where that misses by one, the unrounded D has 16
+    or 18 digits and Python formats the value.
     Its 20-digit zero-padded text comes from a 4-digit table whose trimmed
     half, read from D's last nonzero group on, holds the zeros %g strips as
     0 bytes.  A value below 1 then needs only "0." written over the padding;
@@ -128,18 +130,10 @@ def _g17_blocks(values, block):
         # the limbs take the rows of w and three rows' worth of the canvas's
         # bytes, which the text overwrites once D is known
         _scaled17((q, quo, rest, *np.frombuffer(buf, np.uint64, 3 * n).reshape(3, n)), dx, un)
-        # D has 18 or 16 digits where the guess is off by one: redo those
-        # (values in the fast range; 0.5's D has 17)
-        over = np.flatnonzero(np.greater_equal(q, 10**17, out=mn))
-        under = np.flatnonzero(np.less(q, 10**16, out=mn))
-        if over.size or under.size:
-            dx[over] += 1
-            dx[under] -= 1
-            redo = np.concatenate((over, under))
-            again, rounds = np.empty((6, redo.size), np.uint64), np.empty(redo.size, bool)
-            again[0] = x[redo].view(np.uint64)
-            _scaled17(again, dx[redo], rounds)
-            q[redo], un[redo] = again[0], rounds
+        # D has 16 or 18 digits where the guess is off by one, within a few
+        # ulps of a power of ten: Python formats those (0.5's D has 17)
+        np.logical_and(fn, np.greater_equal(q, 10**16, out=mn), out=fn)
+        np.logical_and(fn, np.less(q, 10**17, out=mn), out=fn)
         canvas.fill(0)  # the limbs are spent
         # D never rounds up to 10**17 here: that needs a double below 10**X within
         # 5e-17 relative, and 10**0..10**15 are doubles with neighbours 1.1e-16

@@ -48,13 +48,7 @@ import numpy as np
 from ._g17 import _g17_blocks
 from .detector import Verdict, classify, fit_lambda, gsp_residual_sweep
 from .errors import GspLabError, Inadmissible, _Record
-from .functions import (
-    PerturbedPowerLaw,
-    PowerLaw,
-    _geomspace,
-    load_tabulated_csv,
-    validate,
-)
+from .functions import PerturbedPowerLaw, PowerLaw, load_tabulated_csv, validate
 from .identities import identity_reports
 from .moments import moment_bundles
 from .sampler import _BLOCK, _MIN_ESTIMATE_N, _SEED_LIMIT, SamplerState, mc_estimates
@@ -287,7 +281,7 @@ def _build_spec(cfg):
 def _grid_for(cfg, spec):
     """The scale grid, made and checked as the module says."""
     with np.errstate(over="ignore"):  # near the float64 top; the grid is finite
-        scales = _geomspace(cfg.a_min, cfg.a_max, cfg.a_count)
+        scales = np.geomspace(cfg.a_min, cfg.a_max, cfg.a_count)
     if (scales[1:] <= scales[:-1]).any():
         raise ConfigError("scales must be strictly increasing")
     scales = scales[spec.in_support(scales)]

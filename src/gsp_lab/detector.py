@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainExceeded, GspLabError, _Record
-from .functions import Tabulated, _geomspace
+from .functions import Tabulated
 from .moments import _median, moment_bundles
 
 __all__ = [
@@ -143,7 +143,7 @@ def recover_p(spec, moments):
     """
     theta = moments.theta
     p_theta = _median((2.0 * theta - 1.0) / (1.0 - theta))
-    xs = _geomspace(moments.a[0], moments.a[-1], _ELASTICITY_PROBES)
+    xs = np.geomspace(moments.a[0], moments.a[-1], _ELASTICITY_PROBES)
     p_elast = _median(spec.elasticity(xs))
     logf = np.log(spec.eval(xs))
     amp = float(np.exp(np.mean(logf - p_theta * np.log(xs))))

@@ -40,19 +40,6 @@ _HEAD_DEPTH = np.arange(20.0, 0.0, -1.0)  # k of a table's head breakpoints x[0]
 _TINY_NORMAL = sys.float_info.min  # the smallest normal double
 
 
-def _geomspace(lo, hi, n):
-    """``np.geomspace(lo, hi, n)`` for positive finite float ends and n >= 1,
-    bit for bit: numpy's own arithmetic, without its Python-level steps."""
-    t = np.log10(lo)
-    y = np.arange(0, n, dtype=float)
-    y *= (np.log10(hi) - t) / max(n - 1, 1)
-    y += t
-    out = np.power(10.0, y)
-    out[-1] = hi
-    out[0] = lo
-    return out
-
-
 class FunctionSpec:
     """Common behaviour for every function family.
 
@@ -295,7 +282,7 @@ def _probe_grid(spec):
     lo, hi = (spec.x[0] if isinstance(spec, Tabulated) else 0.0), spec.top
     if lo < 1e6 and hi > 1e-6:
         lo, hi = max(lo, 1e-6), min(hi, 1e6)
-    return _geomspace(lo, hi, _PROBE_COUNT)
+    return np.geomspace(lo, hi, _PROBE_COUNT)
 
 
 def validate(spec):

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import importlib.util
 import inspect
 import io
 import json
@@ -485,6 +486,24 @@ def test_g17_lines_matches_python_formatting():
 def test_g17_lines_matches_python_formatting_on_any_floats(values):
     # blocks of 7: each block's arrays hold the bytes of the one before
     assert _g17_text(np.array(values), 7) == "".join(f"{x:.17g}\n" for x in values).encode()
+
+
+def test_g17_lines_next_to_powers_of_ten_match_python_formatting():
+    # within two ulps of 10**k the log10 guess can miss the decimal exponent
+    # by one, and Python formats those values; the fast range's edges too
+    centres = np.array([float(f"1e{k}") for k in range(-4, 16)] + [2.0**50])
+    near = [centres]
+    for toward in (0.0, np.inf):
+        step = centres
+        for _ in range(2):
+            step = np.nextafter(step, toward)
+            near.append(step)
+    values = np.concatenate(near)
+    exponents = np.array([Decimal(x).adjusted() for x in values.tolist()])
+    assert (np.floor(np.log10(values)) != exponents).any()
+    text = "".join(f"{x:.17g}\n" for x in values.tolist()).encode()
+    assert _g17_text(values, values.size) == text
+    assert _g17_text(values, 7) == text
 
 
 def test_g17_blocks_leave_no_stale_bytes():
@@ -1121,6 +1140,35 @@ def _benchmark_modules():
     return inputs, matrix, oracles
 
 
+def test_same_bytes_expect_entries_hold_on_their_simd_path(tmp_path, monkeypatch):
+    # an entry after "path=" holds only where NPY_DISABLE_CPU_FEATURES names
+    # the same features, in any order ("path=" alone: numpy's default path);
+    # samebytes/run.py is loaded by path, since perfbench has a run.py too
+    root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "samebytes"))
+    try:
+        spec = importlib.util.spec_from_file_location("samebytes_run",
+                                                      root / "samebytes" / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+    finally:
+        del sys.path[0]
+    monkeypatch.setattr(run, "_commit", lambda ref: ref)
+    expect = tmp_path / "expect.txt"
+    expect.write_text("# a comment\nbase abc\n"
+                      "detect --family power --p 2\n"
+                      "changed sweep --csv {table.csv}\n"
+                      "path= sample --family power --p 2 --a 1 --n 1\n"
+                      "  path=AVX512_SPR,X86_V4,AVX512_ICL changed sample --csv {table.csv}\n")
+    both = {"detect --family power --p 2": False, "sweep --csv {table.csv}": True}
+    assert run._expected(expect, "abc", "") == {
+        **both, "sample --family power --p 2 --a 1 --n 1": False}
+    assert run._expected(expect, "abc", "X86_V4 AVX512_ICL AVX512_SPR") == {
+        **both, "sample --csv {table.csv}": True}
+    assert run._expected(expect, "abc", "X86_V4") == both
+    assert run._expected(expect, "another", "") == {}
+
+
 def test_flag_tables_read_every_benchmark_and_same_bytes_run(tmp_path):
     inputs, matrix, _ = _benchmark_modules()
     argvs = [list(inv.argv) for workload in inputs.WORKLOADS
@@ -1153,19 +1201,21 @@ def test_benchmark_oracles_accept_the_output(workload, tmp_path):
 
 # numpy functions whose Python-level steps cost more than the arithmetic
 # they do for gsp_lab (a first call in a fresh process among them)
-_NUMPY_HELPERS = ("geomspace", "unique", "column_stack", "hstack", "all", "any")
+_NUMPY_HELPERS = ("unique", "column_stack", "hstack", "all", "any")
 
 
 @pytest.mark.parametrize("workload", ["analytic", "tabulated"])
 def test_benchmark_commands_enter_no_numpy_helper(workload, tmp_path):
     # the benchmark's grid commands, run in process, call numpy's kernels
-    # and array methods, never the Python-level helpers above
+    # and array methods, never the Python-level helpers above; np.geomspace,
+    # which makes the grids, calls np.any on its own ends
     inputs, _, _ = _benchmark_modules()
     helpers = {inspect.unwrap(getattr(np, name)).__code__: name for name in _NUMPY_HELPERS}
+    geomspace = inspect.unwrap(np.geomspace).__code__
     entered = []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code in helpers:
+        if event == "call" and frame.f_code in helpers and frame.f_back.f_code is not geomspace:
             entered.append(helpers[frame.f_code])
 
     for inv in inputs.make_inputs(workload, 1, str(tmp_path)).batch:
