@@ -2,19 +2,19 @@
 number of numpy steps per block.
 
 ``sample`` writes up to millions of draws, and one Python f-string per draw
-cost more than drawing them.  The decimal digits of values in [1e-4, 2**50)
-come from exact integer arithmetic (the binary-to-decimal conversion of
-Steele & White, PLDI 1990, and Gay, AT&T 1990, specialised to 17 digits)
-at the decimal exponent log10 gives; every other value, and the few within
+cost more than drawing them.  The 17 digits of values in [1e-4, 1e17), all
+of %g's fixed notation from 1e-4 up, come from v * 10**k written exactly as
+a double plus its error by Dekker's TwoProduct (Numer. Math. 18, 1971), at
+the decimal exponent log10 gives; every other value, and the few within
 ulps of a power of ten whose exponent log10 misses by one, is formatted by
 Python, so the bytes always equal ``f"{x:.17g}"``.  Each value fills a
 fixed-width byte row whose unprinted bytes are 0 (or, in Python's text,
 padding spaces), and one ``bytearray.translate`` deletes them.  A run
 formats every block in arrays made once and sized to one block: three
-uint64 rows, the byte canvas, whose bytes hold three more rows of the limbs
-until the text is laid out, and four byte-wide arrays, 53 bytes a value.
-With a block's text and the few arrays sized by the values with an integer
-part or that Python formats, a run peaks at about 80 bytes a value
+8-byte rows, the byte canvas, whose bytes hold three more rows of the
+product until the text is laid out, and four byte-wide arrays, 53 bytes a
+value.  With a block's text and the few arrays sized by the values with an
+integer part or that Python formats, a run peaks at about 80 bytes a value
 (tracemalloc), and a fresh process reuses the same pages for every block.
 Kept out of ``cli`` so that compiling the command-line module stays small.
 """
@@ -23,9 +23,12 @@ from __future__ import annotations
 
 import numpy as np
 
-# 5**k for the decimal scalings 10**(16 - X) = 5**k * 2**k, X in [-4, 15]
-_POW5 = np.uint64(5) ** np.arange(21, dtype=np.uint64)
-_LOW32 = np.uint64(0xFFFFFFFF)
+# 10**k for the decimal scalings 10**(16 - X), X in [-4, 16], exact below
+# 10**23, and its high and low halves from Veltkamp's splitter
+_SPLIT = 2.0**27 + 1
+_TEN = np.array([float(10**k) for k in range(21)])
+_TEN_HI = _SPLIT * _TEN - (_SPLIT * _TEN - _TEN)
+_TEN_LO = _TEN - _TEN_HI
 _TEXT = 24  # longest %.17g text, "-2.2250738585072014e-308"
 # ASCII of 0000..9999 as uint32 words, then each with its trailing "0"s as 0
 # bytes: byte j stays if the word XOR "0000", read little-endian, has a bit
@@ -39,59 +42,51 @@ _DIGITS4 = np.concatenate((_DIGITS4, _DIGITS4 * ((_DIGITS4.view("<u4") ^ 0x30303
 
 def _scaled17(w, dexp, up):
     """floor(v * 10**(16 - dexp)) over w[0] and whether it rounds up, half to
-    even, into up, for the doubles v whose bits w[0] holds; w[1:] is scratch.
+    even, into up, for the doubles v in [1e-4, 1e17) that w[0] holds as
+    float64; w[1:] is scratch, six 8-byte rows in all.
 
-    The exact product mant * 5**k (k = 16 - dexp, under 2**100) is formed
-    in two uint64 limbs from 32-bit halves, then shifted right by
-    -(exp2 + k): between 1 and 47 for 1e-4 <= v < 2**50, with dexp the
-    log10 guess, which may miss the decimal exponent by one.  The limbs are
-    exact integers below 2**64, so their sums may run in any order.
+    Dekker's TwoProduct: with p = fl(v * 10**k), k = 16 - dexp in [0, 20],
+    and v and 10**k split into 26-bit high and low halves by Veltkamp's
+    constant 2**27 + 1, e = lo lo - (((p - hi hi) - lo hi) - hi lo) is
+    exact, and v * 10**k = p + e.  From 2**53 up, as at every 17-digit D, p
+    is an even integer: the floor is p + floor(e), and D rounds up, half to
+    even, where rint(e) > e.  Below 2**53 the sum is at most v * 10**k, so
+    it stays below 10**16 and a caller that keeps only 17-digit floors
+    drops it.
     """
-    q, s, b, c, d, e = w
-    si, ei = s.view(np.int64), e.view(np.int64)
-    np.subtract(16, dexp, out=ei)  # k
-    np.take(_POW5, ei, out=b, mode="clip")  # k lies in [1, 20]
-    np.right_shift(q, 52, out=s)
-    np.add(si, ei, out=si)
-    np.subtract(1075, si, out=si)  # the shift, 1075 - biased exponent - k
-    np.bitwise_and(q, 2**52 - 1, out=q)
-    np.bitwise_or(q, 2**52, out=q)  # mant
-    np.bitwise_and(q, _LOW32, out=d)  # a0
-    np.right_shift(q, 32, out=q)  # a1
-    np.bitwise_and(b, _LOW32, out=c)  # b0
-    np.right_shift(b, 32, out=b)  # b1
-    np.multiply(d, c, out=e)  # a0 b0
-    np.multiply(q, c, out=c)  # a1 b0
-    np.multiply(d, b, out=d)  # a0 b1
-    np.add(d, c, out=d)
-    np.right_shift(e, 32, out=c)
-    np.add(d, c, out=d)  # mid
-    np.left_shift(d, 32, out=c)
-    np.bitwise_and(e, _LOW32, out=e)
-    np.bitwise_or(c, e, out=c)  # lo
-    np.multiply(q, b, out=q)
-    np.right_shift(d, 32, out=d)
-    np.add(q, d, out=q)  # hi
-    np.subtract(64, s, out=b)
-    np.left_shift(q, b, out=q)
-    np.right_shift(c, s, out=d)
-    np.bitwise_or(q, d, out=q)  # q = (hi << (64 - shift)) | (lo >> shift)
-    np.left_shift(1, s, out=b)
-    np.subtract(b, 1, out=b)
-    np.bitwise_and(c, b, out=c)  # rem = lo mod 2**shift
-    np.subtract(s, 1, out=s)
-    np.left_shift(1, s, out=b)  # half = 2**(shift - 1)
-    # rem > half, or rem == half with q odd: rem + (q & 1) > half
-    np.bitwise_and(q, 1, out=d)
-    np.add(c, d, out=c)
-    np.greater(c, b, out=up)
+    v, lo_ten, p, t, hi_ten, hi = (row.view(float) for row in w)
+    k = p.view(np.int64)
+    np.subtract(16, dexp, out=k)
+    np.take(_TEN, k, out=t)
+    np.take(_TEN_HI, k, out=hi_ten)
+    np.take(_TEN_LO, k, out=lo_ten)
+    np.multiply(v, t, out=p)
+    np.multiply(v, _SPLIT, out=hi)
+    np.subtract(hi, v, out=t)
+    np.subtract(hi, t, out=hi)
+    np.subtract(v, hi, out=v)  # lo
+    lo, e = v, t
+    np.multiply(hi, hi_ten, out=e)
+    np.subtract(p, e, out=e)
+    np.multiply(lo, hi_ten, out=hi_ten)
+    np.subtract(e, hi_ten, out=e)
+    np.multiply(hi, lo_ten, out=hi)
+    np.subtract(e, hi, out=e)
+    np.multiply(lo, lo_ten, out=lo_ten)
+    np.subtract(lo_ten, e, out=e)
+    np.rint(e, out=hi)
+    np.greater(hi, e, out=up)
+    q = w[0].view(np.int64)
+    np.copyto(q, p, casting="unsafe")
+    np.floor(e, out=p.view(np.int64), casting="unsafe")
+    np.add(q, p.view(np.int64), out=q)
 
 
 def _g17_blocks(values, block):
     """For each run of ``block`` values of a float64 array, in order,
     ``"".join(f"{v:.17g}\\n" for v in run)`` as ASCII bytes.
 
-    Values in [1e-4, 2**50) are printed in %g's fixed notation, exactly:
+    Values in [1e-4, 1e17) are printed in %g's fixed notation, exactly:
     D = round(v * 10**(16 - X)) comes from ``_scaled17``, with the decimal
     exponent X from log10; where that misses by one, the unrounded D has 16
     or 18 digits and Python formats the value.
@@ -99,10 +94,10 @@ def _g17_blocks(values, block):
     half, read from D's last nonzero group on, holds the zeros %g strips as
     0 bytes.  A value below 1 then needs only "0." written over the padding;
     one with an integer part has it moved a column left, per distinct X.
-    Python formats every other value (0, negatives, e-notation, non-finite,
-    the top of the fixed range) into its own row.  Every array is made once,
-    and the canvas is cleared in each block once its limbs are spent, so
-    every byte a block prints is written in that block.
+    Python formats every other value (0, negatives, e-notation, non-finite)
+    into its own row.  Every array is made once, and the canvas is cleared
+    in each block once its scratch is spent, so every byte a block prints is
+    written in that block.
     """
     v = np.asarray(values, dtype=float).ravel()
     m = min(v.size, block)
@@ -116,9 +111,9 @@ def _g17_blocks(values, block):
         n = x.size
         q, quo, rest = w[:, :n]
         dx, fn, un, mn = dexp[:n], fast[:n], up[:n], mask[:n]
-        # v >= float(1e-4) > 1e-4 gives X >= -4, and v < 2**50 < 1e16 gives X <= 15
+        # v >= float(1e-4) > 1e-4 gives X >= -4, and v < 1e17 gives X <= 16
         np.greater_equal(x, 1e-4, out=fn)
-        np.less(x, 2.0**50, out=mn)
+        np.less(x, 1e17, out=mn)
         np.logical_and(fn, mn, out=fn)
         bits = q.view(float)
         np.copyto(bits, x)
@@ -126,17 +121,17 @@ def _g17_blocks(values, block):
         guess = quo.view(float)
         np.log10(bits, out=guess)
         np.floor(guess, out=guess)
-        np.clip(guess, -4, 15, out=dx, casting="unsafe")
-        # the limbs take the rows of w and three rows' worth of the canvas's
-        # bytes, which the text overwrites once D is known
+        np.clip(guess, -4, 16, out=dx, casting="unsafe")
+        # the product's scratch takes the rows of w and three rows' worth of
+        # the canvas's bytes, which the text overwrites once D is known
         _scaled17((q, quo, rest, *np.frombuffer(buf, np.uint64, 3 * n).reshape(3, n)), dx, un)
         # D has 16 or 18 digits where the guess is off by one, within a few
         # ulps of a power of ten: Python formats those (0.5's D has 17)
         np.logical_and(fn, np.greater_equal(q, 10**16, out=mn), out=fn)
         np.logical_and(fn, np.less(q, 10**17, out=mn), out=fn)
-        canvas.fill(0)  # the limbs are spent
+        canvas.fill(0)  # the scratch is spent
         # D never rounds up to 10**17 here: that needs a double below 10**X within
-        # 5e-17 relative, and 10**0..10**15 are doubles with neighbours 1.1e-16
+        # 5e-17 relative, and 10**0..10**16 are doubles with neighbours 1.1e-16
         # away, while the doubles nearest 10**-4..10**-1 lie above them
         np.add(q, un, out=q)
         # D's 20-digit zero-padded text, four digits a group, in columns 2-21

@@ -27,9 +27,11 @@ of the three integrates over the whole grid at once, in one quadrature
 pass that gives the moments and the weight integrals at every scale (and,
 for verify, at the finite-difference stencil below it, which the
 identities module owns), as arrays the rows are built from.
-Numbers are serialized with 17 significant digits, which makes reruns
-byte-diffable; sample's draws go through a vectorized formatter whose
-bytes equal Python's f"{x:.17g}".
+CSV rows are written with %.17g and JSON numbers with Python's shortest
+round-trip repr; either reads back to the same double, and reruns are
+byte-diffable.  sample writes its draws as CSV only, through a vectorized
+formatter whose bytes equal Python's f"{x:.17g}", and its --estimate in
+either format, JSON by default.
 
 A well-formed command line (the command, then each flag in full with its
 value) is read straight from the flag tables below.  Anything else, help
@@ -263,6 +265,8 @@ def _check_config(cfg):
             raise ConfigError(f"seed must lie in [0, 2**64), got {cfg.seed}")
         if cfg.estimate and cfg.n < _MIN_ESTIMATE_N:
             raise ConfigError(f"estimates need n >= {_MIN_ESTIMATE_N}, got {cfg.n}")
+        if not cfg.estimate and cfg.format == "json":
+            raise ConfigError("sample writes its draws as CSV only: json needs --estimate")
     count = cfg.n if cfg.command == "sample" else cfg.a_count
     if count > _MAX_COUNT:
         raise MemoryError(f"cannot allocate {count} float64 values")
@@ -396,7 +400,7 @@ def cmd_sample(cfg, spec):
     state = SamplerState(spec, cfg.a, cfg.seed, tol=cfg.tol)
     if cfg.estimate:
         est = mc_estimates(state, cfg.n)
-        _emit(json.dumps(vars(est), indent=2) + "\n", cfg.out)
+        _write_rows(cfg, "json", est.fields, [vars(est).values()], vars(est))
         _say(f"sample: n={est.n} mean_x={est.mean_x:.10g}")
         return EXIT_PASS
     # every draw is solved before the first byte is written; the text is

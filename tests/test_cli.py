@@ -15,6 +15,7 @@ import tracemalloc
 import warnings
 from collections import deque
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsp_lab import PerturbedPowerLaw, PowerLaw, SamplerState, cli
-from gsp_lab._g17 import _g17_blocks
+from gsp_lab._g17 import _g17_blocks, _scaled17
 from gsp_lab.cli import RunConfig, main
 from gsp_lab.sampler import _BLOCK
 
@@ -400,6 +401,40 @@ def test_sample_estimate_at_the_float64_ends_is_finite(tmp_path, capsys, a):
     assert err.count("\n") == 1 and err.startswith("sample: n=300 mean_x=")
 
 
+def test_sample_estimate_format_csv(tmp_path):
+    # --format csv: a header and one 17-digit row of the same numbers the
+    # default JSON holds; --format json gives the default's bytes
+    base = ("sample", "--family", "power", "--p", "2", "--a", "1", "--n", "5000",
+            "--seed", "3", "--estimate")
+    paths = {fmt: tmp_path / f"e_{fmt}" for fmt in ("", "json", "csv")}
+    for fmt, path in paths.items():
+        assert run_cli(*base, *(("--format", fmt) if fmt else ()), "--out", str(path)) == 0
+    assert paths["json"].read_bytes() == paths[""].read_bytes()
+    est = json.loads(paths[""].read_text())
+    header, row, end = paths["csv"].read_text().split("\n")
+    assert header == "mean_x,mean_fx,stderr_x,stderr_fx,n" and end == ""
+    assert row == ",".join(f"{est[k]:.17g}" for k in header.split(","))
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_sample_draws_as_json_are_a_config_error(tmp_path, capsys, how):
+    # draws are CSV only; JSON is the estimate's format
+    base = ("sample", "--family", "power", "--p", "2", "--a", "1", "--n", "10")
+    if how == "flag":
+        extra = ("--format", "json")
+    else:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"format": "json"}))
+        extra = ("--config", str(path))
+    out = tmp_path / "draws.csv"
+    assert run_cli(*base, *extra, "--out", str(out)) == 2
+    assert capsys.readouterr() == (
+        "", "config error: sample writes its draws as CSV only: json needs --estimate\n")
+    assert not out.exists()
+    assert run_cli(*base, "--format", "csv", "--out", str(out)) == 0
+    assert out.read_text().startswith("x\n")
+
+
 def test_sample_estimate_needs_enough_draws():
     assert run_cli("sample", "--family", "power", "--p", "1",
                    "--n", "10", "--estimate") == 2
@@ -437,18 +472,17 @@ def _fixed_layout(x):
 
 
 def _trailing_zero_values(rng):
-    """One double for every decimal exponent X in [-4, 15] and every count
+    """One double for every decimal exponent X in [-4, 16] and every count
     k in 0..16 of trailing zeros of its 17-digit D."""
     found = {}
-    for exp in range(-4, 16):
-        top = min(10**17, 2**50 * 10**(16 - exp))
+    for exp in range(-4, 17):
         for k in range(17):
-            for m in (rng.integers(10**16, top, 400) // 10**k * 10**k).tolist():
+            for m in (rng.integers(10**16, 10**17, 400) // 10**k * 10**k).tolist():
                 x = float(f"{m}e{exp - 16}")
-                if 1e-4 <= x < 2.0**50 and _fixed_layout(x) == (exp, k):
+                if 1e-4 <= x < 1e17 and _fixed_layout(x) == (exp, k):
                     found[exp, k] = x
                     break
-    assert len(found) == 20 * 17
+    assert len(found) == 21 * 17
     return np.array(list(found.values()))
 
 
@@ -459,13 +493,13 @@ def test_g17_lines_matches_python_formatting():
     rng = np.random.default_rng(8)
     binades = np.repeat(np.arange(-1074, 1024), 20)
     decades = 10.0 ** np.arange(-8, 19)
-    edges = np.array([1e-4, 1.0, 2.0**50])
+    edges = np.array([1e-4, 1.0, 2.0**53, 1e17])
     ties = _exact_ties(rng)
     for x in ties[:50].tolist():
         digits = Decimal(x).as_tuple().digits
         assert len(digits) == 18 and digits[-1] == 5
-    integers = np.concatenate([np.floor(2.0 ** rng.uniform(0, 50, 2000)),
-                               2.0 ** np.arange(50), [2.0**50 - 1, 123000.0]])
+    integers = np.concatenate([np.floor(2.0 ** rng.uniform(0, 56.4, 2000)),
+                               2.0 ** np.arange(57), [2.0**53 - 1, 1e17 - 16, 123000.0]])
     assert not any("." in f"{x:.17g}" for x in integers.tolist())
     values = np.concatenate([
         np.ldexp(1.0 + rng.random(binades.size), binades),
@@ -491,7 +525,7 @@ def test_g17_lines_matches_python_formatting_on_any_floats(values):
 def test_g17_lines_next_to_powers_of_ten_match_python_formatting():
     # within two ulps of 10**k the log10 guess can miss the decimal exponent
     # by one, and Python formats those values; the fast range's edges too
-    centres = np.array([float(f"1e{k}") for k in range(-4, 16)] + [2.0**50])
+    centres = np.array([float(f"1e{k}") for k in range(-4, 18)] + [2.0**53])
     near = [centres]
     for toward in (0.0, np.inf):
         step = centres
@@ -504,6 +538,44 @@ def test_g17_lines_next_to_powers_of_ten_match_python_formatting():
     text = "".join(f"{x:.17g}\n" for x in values.tolist()).encode()
     assert _g17_text(values, values.size) == text
     assert _g17_text(values, 7) == text
+
+
+def test_scaled17_matches_exact_arithmetic():
+    # the floor of v * 10**k and its round-up flag (half to even) against
+    # Fraction arithmetic, at the k the formatter's log10 guess gives: random
+    # values, exact ties at the 17th digit (odd j / 2**(1 + k) times 10**k is
+    # j 5**k / 2), and neighbours of 2**53, of 10**X and of 1e17, where the
+    # guess can miss: a floor of 16 or 18 digits must not come out with 17
+    rng = np.random.default_rng(39)
+    ties = []
+    for k in range(1, 21):
+        lo, hi = -(-2 * 10**16 // 5**k), min(2 * 10**17 // 5**k, 2**53)
+        j = rng.integers(lo, hi, 200) | 1
+        ties.append(np.ldexp(j.astype(float), -1 - k))
+    centres = np.array([float(f"1e{x}") for x in range(-4, 18)] + [2.0**53])
+    near = [np.nextafter(centres, toward) for toward in (0.0, np.inf)]
+    near += [np.nextafter(near[0], 0.0), np.nextafter(near[1], np.inf)]
+    v = np.concatenate([10.0 ** rng.uniform(-4, 17, 20000), *ties, centres, *near,
+                        rng.random(2000)])
+    v = v[(1e-4 <= v) & (v < 1e17)]
+    dexp = np.clip(np.floor(np.log10(v)), -4, 16).astype(np.int8)
+    w = np.zeros((6, v.size), np.uint64)
+    w[0].view(float)[:] = v
+    up = np.empty(v.size, bool)
+    _scaled17(w, dexp, up)
+    got, got_up = w[0].tolist(), up.tolist()
+    ties = missed = 0
+    for x, e, q, q_up in zip(v.tolist(), dexp.tolist(), got, got_up):
+        exact = Fraction(x) * 10 ** (16 - e)
+        floor = math.floor(exact)
+        if 10**16 <= floor < 10**17:
+            half = exact - floor - Fraction(1, 2)
+            assert (q, q_up) == (floor, half > 0 or (half == 0 and floor % 2 == 1)), x
+            ties += half == 0
+        else:
+            assert not 10**16 <= q < 10**17, x
+            missed += 1
+    assert ties >= 3000 and missed > 0
 
 
 def test_g17_blocks_leave_no_stale_bytes():
