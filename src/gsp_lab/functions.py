@@ -5,7 +5,9 @@ is inf but for a table, whose top is its last sample.  All families expose
 the same two operations -- the value and the logarithmic derivative
 x f'(x) / f(x) (the "elasticity") -- accepting either a scalar or a numpy
 array of positive abscissae.  ``validate`` screens a spec against those
-hypotheses and raises Inadmissible at the first one it breaks.
+hypotheses and raises Inadmissible at the first one it breaks: from their
+parameters for the power and perturbed families, from its floor slope for a
+table, and from probes for a ``Custom`` spec.
 """
 
 from __future__ import annotations
@@ -275,26 +277,18 @@ _DECAY_DROP = 1e-3  # required cumulative loss across the tail probes
 _DECAY_SLACK = 1e-12  # relative rise a decay check forgives between neighbours
 
 
-def _probe_grid(spec):
-    """Log-spaced probes on the support's part of [1e-6, 1e6], or on a table's
-    whole hull [x[0], x[-1]] when the two do not meet: the probes reach no
-    lower than x[0], below which a table is its floor's power law."""
-    lo, hi = (spec.x[0] if isinstance(spec, Tabulated) else 0.0), spec.top
-    if lo < 1e6 and hi > 1e-6:
-        lo, hi = max(lo, 1e-6), min(hi, 1e6)
-    return np.geomspace(lo, hi, _PROBE_COUNT)
-
-
 def validate(spec):
     """Screen a spec against the admissibility hypotheses.
 
-    Checks, in order: parameter sanity for the parametric families, strict
-    positivity on a log-spaced probe grid, and monotone decay toward zero on
-    the smallest dyadic probes, or, for a table, a positive floor slope c1
-    (so its head's power law decays).  Returns None if every check passes, and
-    otherwise raises Inadmissible naming the first violated hypothesis
-    ("positivity" or "f(0+)=0") with the detail in parentheses; probing is
-    the best a finite procedure can do, so passing is evidence, not proof.
+    The power and perturbed families are decided from their parameters:
+    finite p > 0, amp > 0 and |eps| < 1 give 0 < f <= amp (1 + |eps|) x^p.
+    A table is decided by its floor slope c1 > 0: its log-log PCHIP keeps f
+    within its samples, and below x[0] its head's power law decays.  Only a
+    ``Custom`` spec is probed -- positivity on 80 log-spaced probes in
+    [1e-6, 1e6], then monotone decay on the smallest dyadic probes -- so
+    only there is passing evidence, not proof.  Returns None if every check
+    passes, and otherwise raises Inadmissible naming the first violated
+    hypothesis ("positivity" or "f(0+)=0") with the detail in parentheses.
     """
     if isinstance(spec, (PowerLaw, PerturbedPowerLaw)):
         # NaN passes every comparison below, so name it here
@@ -310,13 +304,7 @@ def validate(spec):
             )
         if spec.p <= 0.0:
             raise Inadmissible(f"f(0+)=0 (exponent p={spec.p:g} does not decay at 0)")
-
-    try:
-        spec.eval(_probe_grid(spec))
-        if not isinstance(spec, Tabulated):
-            vals = spec.eval(2.0 ** -np.arange(_DECAY_PROBES, dtype=float))
-    except NonPositiveValue as exc:
-        raise Inadmissible(f"positivity ({exc})") from None
+        return
 
     if isinstance(spec, Tabulated):
         slope = spec._c[1, 0]  # the head's exponent, read off its line
@@ -324,6 +312,12 @@ def validate(spec):
             raise Inadmissible(f"f(0+)=0 (table floor slope {slope:g} does not "
                                "decay toward x=0)")
         return
+
+    try:
+        spec.eval(np.geomspace(1e-6, 1e6, _PROBE_COUNT))
+        vals = spec.eval(2.0 ** -np.arange(_DECAY_PROBES, dtype=float))
+    except NonPositiveValue as exc:
+        raise Inadmissible(f"positivity ({exc})") from None
 
     tail = vals[-_DECAY_TAIL:]  # f at the smallest probes, largest x first
     if (tail[1:] > tail[:-1] * (1.0 + _DECAY_SLACK)).any():

@@ -617,8 +617,8 @@ def test_g17_lines_working_set_per_value(kind):
 
 
 def _scaled_table(tmp_path, a):
-    """A perturbed sqrt table that covers a and the validation probes on
-    [1e-6, 1e6], with a floor a normal double in units of a."""
+    """A perturbed sqrt table that covers a and [1e-6, 1e6], with a floor
+    a normal double in units of a."""
     x = np.geomspace(min(1e-6 * a, 1e-6), max(10.0 * a, 1e6), 200)
     f = np.sqrt(x) * (1.0 + 0.1 * np.sin(np.log(x)))
     path = tmp_path / "scaled.csv"
@@ -902,16 +902,49 @@ def test_extreme_amplitude_ends_in_one_line(amp, capsys):
     assert caught == []
 
 
-def test_huge_exponent_is_inadmissible_in_one_line(capsys):
-    # x**200 overflows on the probe grid: the positivity check reports it,
-    # with no floating-point warnings in front
+def test_huge_exponent_ends_in_the_unit_guard_line(capsys):
+    # x**200 is admissible, but its unit a f(a)^2 underflows at the lowest
+    # scale: the moments' unit guard reports it, with no floating-point
+    # warnings in front
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = run_cli("detect", "--family", "power", "--p", "200")
     err = capsys.readouterr().err
-    assert rc == 3
-    assert err.startswith("inadmissible spec: positivity") and err.count("\n") == 1
+    assert rc == 1
+    assert err == "error: unit a f(a)^2 = 0 at a=0.1 is outside the float64 range\n"
     assert caught == []
+
+
+def test_power_law_is_a_power_law_across_exponents(capsys):
+    # validate decides x^p from p alone, so neither x^p's underflow at small
+    # x nor a slow decay refuses it: on the default grid every p in
+    # [1e-12, 80] is a power law
+    @settings(max_examples=40)
+    @given(st.floats(-12.0, math.log10(80.0)))
+    def check(log_p):
+        p = min(10.0**log_p, 80.0)
+        assert run_cli("detect", "--family", "power", "--p", repr(p),
+                       "--out", os.devnull) == 0, p
+        assert capsys.readouterr().err.startswith("detect: PowerLaw ")
+
+    check()
+
+
+def test_strong_wobbles_get_a_verdict_and_draws(capsys):
+    # x^p (1 + eps sin log x) with |eps| < 1 is admissible however its wobble
+    # compares with p: detect gives a verdict, and sample writes its draws,
+    # each in one stderr line
+    @settings(max_examples=40)
+    @given(st.floats(0.02, 3.0), st.floats(0.3, 0.99, exclude_max=True), st.booleans())
+    def check(p, eps, negative):
+        eps = -eps if negative else eps
+        spec = ("--family", "perturbed", "--p", repr(p), "--eps", repr(eps))
+        for argv in (("detect", *spec), ("sample", *spec, "--a", "1", "--n", "10")):
+            rc = run_cli(*argv, "--out", os.devnull)
+            err = capsys.readouterr().err
+            assert rc != 3 and err.count("\n") == 1, (argv, rc, err)
+
+    check()
 
 
 def _sqrt_table(path, lo, hi, n):
@@ -928,9 +961,10 @@ def _sqrt_table(path, lo, hi, n):
 ])
 def test_table_outside_the_probe_window_ends_in_one_line(tmp_path, capsys, lo, hi,
                                                          grid, code):
-    # validate probes the hull itself when it misses [1e-6, 1e6] instead of
-    # evaluating the table outside it; a scale whose units a^k f(a) or
-    # a f(a)^2 leave the float64 range is refused before the moment pass
+    # validate evaluates no table, so a hull outside the window [1e-6, 1e6]
+    # that it probes a Custom spec on is admissible; a scale whose units
+    # a^k f(a) or a f(a)^2 leave the float64 range is refused before the
+    # moment pass
     table = _sqrt_table(tmp_path / "t.csv", lo, hi, 50)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -21,7 +21,7 @@ from gsp_lab import (
     validate,
 )
 from gsp_lab.functions import _pchip_coefficients, _read_array, _read_rows
-from conftest import gallery, make_tabulated_power
+from conftest import gallery, make_perturbed_table, make_tabulated_power
 
 
 def test_power_law_closed_forms():
@@ -241,8 +241,8 @@ def test_validate_flags_negative_amplitude():
     (PerturbedPowerLaw(p=math.nan, eps=0.1), "p"),
 ], ids=["p-nan", "p-inf", "amp-nan", "amp-inf", "eps-nan", "perturbed-p-nan"])
 def test_validate_names_a_non_finite_parameter(spec, name):
-    # NaN passes every sign test, and the probe evaluation would then blame
-    # positivity on the values; the message must name the parameter
+    # NaN passes every sign test, so only its own check keeps it out; the
+    # message must name the parameter
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(Inadmissible) as info:
@@ -256,15 +256,41 @@ def test_validate_flags_nonzero_limit_at_origin():
     spec = Custom(lambda x: 1.0 + x, lambda x: 1.0)
     with pytest.raises(Inadmissible, match=r"^f\(0\+\)=0 \("):
         validate(spec)
-    # a wobble that outgrows x^p on the dyadic probes, and tables whose floor
-    # slope, the exponent of their head's power law, is negative or zero
+    # a black box whose wobble outgrows x^p on the dyadic probes (the
+    # PerturbedPowerLaw with these parameters is admissible), and tables
+    # whose floor slope, the exponent of their head's power law, is negative
+    # or zero
+    wobble = Custom(lambda x: x**0.05 * (1.0 + 0.5 * np.sin(np.log(x))),
+                    lambda x: x**-0.95 * (0.05 * (1.0 + 0.5 * np.sin(np.log(x)))
+                                          + 0.5 * np.cos(np.log(x))))
     with pytest.raises(Inadmissible, match=r"^f\(0\+\)=0 \(no monotone decay on the "
                        r"smallest dyadic probes\)$"):
-        validate(PerturbedPowerLaw(p=0.05, eps=0.5))
+        validate(wobble)
     for f, slope in (([3, 2, 2.5, 4], r"-1\.30126"), ([2, 2, 3, 4], "0")):
         with pytest.raises(Inadmissible, match=rf"^f\(0\+\)=0 \(table floor slope "
                            rf"{slope} does not decay toward x=0\)$"):
             validate(Tabulated([1, 2, 3, 4], f))
+
+
+def test_validate_decides_analytic_families_and_tables_without_evaluating(monkeypatch):
+    # finite p > 0, amp > 0 and |eps| < 1 give 0 < f <= amp (1 + |eps|) x^p,
+    # and a table with a positive floor slope stays within its samples, so
+    # validate evaluates none of them, wherever float64 under- or overflows
+    def refuse(self, x):
+        raise AssertionError(f"validate evaluated a {self.family} spec")
+
+    for cls in (PowerLaw, PerturbedPowerLaw, Tabulated):
+        monkeypatch.setattr(cls, "_value", refuse)
+
+    @settings(max_examples=200)
+    @given(st.floats(1e-300, 1e3), st.floats(1e-300, 1e300),
+           st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    def check(p, amp, eps):
+        assert validate(PowerLaw(p=p, amp=amp)) is None
+        assert validate(PerturbedPowerLaw(p=p, eps=eps, amp=amp)) is None
+
+    check()
+    assert validate(make_perturbed_table()) is None
 
 
 # ------------------------------------------------------------- CSV loader
