@@ -22,7 +22,8 @@ Groups:
   and to ``--out``;
 - ``grid``: ``verify``, ``detect`` and ``sweep`` on power laws, perturbed
   power laws and both tables, with each output format, a loose and a tight
-  tolerance, a 9-scale grid and ``--out``.
+  tolerance, a 9-scale grid and ``--out``, and ``verify`` on grids far
+  below and far above a = 1.
 
 ``table.csv`` is the CI's seeded table: 200 log-jittered knots on
 [0.01, 10] (``numpy.random.default_rng(1)``) of x (1 + 0.1 sin ln x).
@@ -169,4 +170,8 @@ RUNS = [
                    "--csv {x15.csv}")
       for opt in ("", " --format csv", " --format json", " --tol 1e-4", " --tol 1e-12",
                   " --a-count 9", " --out {out}")),
+    # verify far below and far above a = 1, where d/da scales as 1/a
+    *(("grid", f"verify {spec} {grid}")
+      for spec in ("--family power --p 2", "--family perturbed --p 1 --eps 0.1")
+      for grid in ("--a-min 1e-10 --a-max 1e-8", "--a-min 1e5 --a-max 1e7")),
 ]

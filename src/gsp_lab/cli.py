@@ -26,7 +26,10 @@ is a sample scale outside the support (sample reads no grid flag).  Each
 of the three integrates over the whole grid at once, in one quadrature
 pass that gives the moments and the weight integrals at every scale (and,
 for verify, at the finite-difference stencil below it, which the
-identities module owns), as arrays the rows are built from.
+identities module owns), as arrays the rows are built from.  The verdicts
+of verify and detect, every threshold and check name and the rule from
+statistics to pass, fail or Inconclusive, are the detector module's: this
+module writes what it decides and maps it to an exit code.
 CSV rows are written with %.17g and JSON numbers with Python's shortest
 round-trip repr; either reads back to the same double, and reruns are
 byte-diffable.  sample writes its draws as CSV only, through a vectorized
@@ -48,11 +51,10 @@ import sys
 import numpy as np
 
 from ._g17 import _g17_blocks
-from .detector import Verdict, classify, fit_lambda, gsp_residual_sweep
+from .detector import Verdict, _collapse, _identity_checks, classify
 from .errors import GspLabError, Inadmissible, _Record
 from .functions import PerturbedPowerLaw, PowerLaw, load_tabulated_csv, validate
 from .identities import identity_reports
-from .moments import moment_bundles
 from .sampler import _BLOCK, _MIN_ESTIMATE_N, _SEED_LIMIT, SamplerState, mc_estimates
 
 __all__ = ["RunConfig", "ConfigError", "main"]
@@ -63,12 +65,6 @@ EXIT_CONFIG = 2
 EXIT_INADMISSIBLE = 3
 EXIT_INCONCLUSIVE = 4
 
-# verify thresholds (per row; fixed so reports are comparable across runs)
-_RED_TOL = 1e-7
-_ABC_ABS = 1e-5
-_ABC_REL = 1e-4
-_WM_TOL = 1e-9
-_VAR_TOL = 1e-12
 # the fewest scales a grid may keep, from the flags to the last mask
 _MIN_SCALES = 5
 # the most scales or draws a run may ask for: 8 PiB of float64, which numpy
@@ -339,28 +335,18 @@ _VERIFY_HEADER = (
     "dA_fd", "dB_fd", "dC_fd", "dtheta_fd",
     "wm_residual", "variance", "weight_normalizer", "row_pass",
 )
-_CHECK_NAMES = ("reduction", "derivative-match", "weighted-mean", "variance")
 
 
 def cmd_verify(cfg, spec):
     rep = identity_reports(spec, _grid_for(cfg, spec), cfg.tol)
-    closed, fin = rep.closed, rep.finite_diff
-    # checks[k, j]: whether scale k passes check j of _CHECK_NAMES
-    checks = np.array((
-        rep.reduction.max(axis=1) <= _RED_TOL,
-        (np.abs(closed - fin) <= _ABC_ABS + _ABC_REL * np.abs(closed)).all(axis=1),
-        np.abs(rep.wm) <= _WM_TOL,
-        rep.variance <= _VAR_TOL,
-    )).T
-    ok = checks.all(axis=1)
-    rows = np.concatenate((rep.a[:, None], rep.reduction, closed, fin, rep.wm[:, None],
-                           rep.variance[:, None], rep.weight_normalizer[:, None],
-                           ok[:, None]), axis=1).tolist()
+    ok, failed = _identity_checks(rep)
+    rows = np.concatenate((rep.a[:, None], rep.reduction, rep.closed, rep.finite_diff,
+                           rep.wm[:, None], rep.variance[:, None],
+                           rep.weight_normalizer[:, None], ok[:, None]), axis=1).tolist()
     _write_rows(cfg, "csv", _VERIFY_HEADER, rows,
                 [dict(zip(_VERIFY_HEADER, row)) for row in rows])
-    if not ok.all():
-        for a, passed in zip(rep.a[~ok], checks[~ok]):
-            bad = [name for name, good in zip(_CHECK_NAMES, passed) if not good]
+    if failed:
+        for a, bad in zip(rep.a[~ok], failed):
             _say(f"verify: FAIL at a={a:g}: {', '.join(bad)}")
         return EXIT_FAIL
     _say(f"verify: PASS ({len(rows)} scales)")
@@ -379,10 +365,7 @@ def cmd_detect(cfg, spec):
 
 
 def cmd_sweep(cfg, spec):
-    m = moment_bundles(spec, _grid_for(cfg, spec), cfg.tol)
-    fx = spec.eval(m.xbar)
-    lam_hat = fit_lambda(m.ybar, fx)
-    residuals = gsp_residual_sweep(m.ybar, fx, lam_hat)
+    m, _, lam_hat, residuals = _collapse(spec, _grid_for(cfg, spec), cfg.tol)
     header = ("a", "xbar", "ybar", "theta", "A", "B", "C",
               "gsp_residual", "variance")
     rows = np.array((m.a, m.xbar, m.ybar, m.theta, m.A, m.B, m.C,

@@ -13,7 +13,8 @@ detector therefore sweeps the scales it is given, fits the best single
 constant, and looks at the worst relative residual together with the
 elasticity variance functional -- two unrelated routes that must both
 collapse, each an array expression over the whole grid.  Making and checking
-the grid is the caller's job (the CLI's grid builder).
+the grid is the caller's job (the CLI's grid builder).  Every verdict
+threshold is a constant here, verify's identity checks included.
 
 lambda is not injective: it dips from 1/2 at p -> 0 to a minimum of about
 0.48202 near p = 0.3266, climbs back through 1/2 at p = 1, and tends to
@@ -50,6 +51,15 @@ _MARGIN_FACTOR = 10.0  # how many quadrature-error widths count as "on the line"
 # at its knots put a floor under both statistics.
 _ANALYTIC_THRESHOLDS = (1e-6, 1e-9)
 _TABLE_THRESHOLDS = (1e-3, 1e-5)
+# the widest gap between the two exponent routes, relative to max(1, |p_theta|)
+_ROUTE_GAP = 0.01
+# verify's thresholds, per scale; fixed so reports are comparable across runs.
+# The derivatives are compared as a d/da, which is scale-free.
+_RED_TOL = 1e-7
+_ABC_ABS = 1e-5
+_ABC_REL = 1e-4
+_WM_TOL = 1e-9
+_VAR_TOL = 1e-12
 
 
 class Verdict(str, Enum):
@@ -171,68 +181,73 @@ def _residual_margin(spec, moments, fx, lam):
     return (rel_g + rel_f) + model * e_at * (rel_h + rel_f)
 
 
+def _collapse(spec, scales, tol):
+    """The one moment pass over the scales, f(xbar), the fitted constant and
+    the collapse residuals, as ``(moments, fx, lam_hat, residuals)``."""
+    m = moment_bundles(spec, scales, tol)
+    fx = spec.eval(m.xbar)
+    lam_hat = fit_lambda(m.ybar, fx)
+    return m, fx, lam_hat, gsp_residual_sweep(m.ybar, fx, lam_hat)
+
+
 def classify(spec, scales, tol=1e-10):
     """Run the full detection pipeline over the scales, which must lie in
     the spec's support, and return a DetectionResult.
 
-    The thresholds go by family: tabulated specs get looser ones than
-    analytic specs (``_TABLE_THRESHOLDS``, ``_ANALYTIC_THRESHOLDS``).  A
-    verdict is downgraded to Inconclusive when the deciding statistic sits
-    within ten propagated quadrature-error widths of its threshold -- close
-    enough that rerunning at a tighter tolerance could flip it.
+    The collapse residual and the variance are judged against thresholds
+    by family (``_TABLE_THRESHOLDS``, looser, or ``_ANALYTIC_THRESHOLDS``),
+    and the two exponent routes against ``_ROUTE_GAP``.  A verdict is
+    Inconclusive when a statistic sits within ``_MARGIN_FACTOR`` propagated
+    quadrature-error widths of its threshold -- close enough that rerunning
+    at a tighter tolerance could flip it.
     """
     tol_gsp, tol_var = (_TABLE_THRESHOLDS if isinstance(spec, Tabulated)
                         else _ANALYTIC_THRESHOLDS)
-
-    m = moment_bundles(spec, scales, tol)
-    fx = spec.eval(m.xbar)
-    lam_hat = fit_lambda(m.ybar, fx)
-    residuals = gsp_residual_sweep(m.ybar, fx, lam_hat)
+    m, fx, lam_hat, residuals = _collapse(spec, scales, tol)
     p_theta, p_elast, amp = recover_p(spec, m)
+    i_r, i_v = int(np.argmax(residuals)), int(np.argmax(m.variance))
+    r_max, v_max = float(residuals[i_r]), float(m.variance[i_v])
+    gap, gap_bar = abs(p_theta - p_elast), _ROUTE_GAP * max(1.0, abs(p_theta))
 
-    i_r = int(np.argmax(residuals))
-    r_max = float(residuals[i_r])
-    i_v = int(np.argmax(m.variance))
-    v_max = float(m.variance[i_v])
-
-    margin_r = _MARGIN_FACTOR * _residual_margin(spec, m, fx, lam_hat)[i_r]
-    margin_v = _MARGIN_FACTOR * m.variance_error[i_v]
-
-    p_consistent = abs(p_theta - p_elast) <= 0.01 * max(1.0, abs(p_theta))
-    passes = r_max <= tol_gsp and v_max <= tol_var and p_consistent
-    near_r = abs(r_max - tol_gsp) <= margin_r
-    near_v = abs(v_max - tol_var) <= margin_v
-
-    notes = []
-    if near_r:
-        notes.append("collapse residual within quadrature margin of threshold")
-    if near_v:
-        notes.append("variance within quadrature margin of threshold")
-    if not p_consistent:
-        notes.append(
-            f"exponent routes disagree: theta {p_theta:.6g} vs "
-            f"elasticity {p_elast:.6g}"
-        )
-
-    if near_r or near_v:
-        verdict = Verdict.INCONCLUSIVE
-    elif passes:
-        verdict = Verdict.POWER_LAW
-    else:
-        verdict = Verdict.NOT_POWER_LAW
+    # (statistic, value, threshold, margin): a statistic passes at or below
+    # its threshold, and one with a margin is undecided within it; the
+    # routes' gap has no error bar, so no margin
+    rows = (
+        ("collapse residual", r_max, tol_gsp,
+         _MARGIN_FACTOR * _residual_margin(spec, m, fx, lam_hat)[i_r]),
+        ("variance", v_max, tol_var, _MARGIN_FACTOR * m.variance_error[i_v]),
+        ("exponent routes", gap, gap_bar, None),
+    )
+    notes = [f"{name} within quadrature margin of threshold"
+             for name, value, bar, margin in rows
+             if margin is not None and abs(value - bar) <= margin]
+    verdict = (Verdict.INCONCLUSIVE if notes
+               else Verdict.POWER_LAW if all(value <= bar for _, value, bar, _ in rows)
+               else Verdict.NOT_POWER_LAW)
+    if not gap <= gap_bar:  # a NaN gap disagrees too
+        notes.append(f"exponent routes disagree: theta {p_theta:.6g} vs "
+                     f"elasticity {p_elast:.6g}")
 
     return DetectionResult(
-        verdict=verdict,
-        lambda_hat=lam_hat,
-        p_theta=p_theta,
-        p_elasticity=p_elast,
-        amp=amp,
-        gsp_residual_max=r_max,
-        variance_max=v_max,
-        tol_gsp=tol_gsp,
-        tol_var=tol_var,
-        scales=tuple(m.a.tolist()),
-        gsp_residuals=tuple(residuals.tolist()),
-        variances=tuple(m.variance.tolist()),
-        notes="; ".join(notes),
-    )
+        verdict=verdict, lambda_hat=lam_hat, p_theta=p_theta, p_elasticity=p_elast,
+        amp=amp, gsp_residual_max=r_max, variance_max=v_max, tol_gsp=tol_gsp,
+        tol_var=tol_var, scales=tuple(m.a.tolist()),
+        gsp_residuals=tuple(residuals.tolist()), variances=tuple(m.variance.tolist()),
+        notes="; ".join(notes))
+
+
+def _identity_checks(rep):
+    """verify's judgement of an IdentityReport: whether each scale passes
+    every check, and for each failing scale, in order, the names of the
+    checks it fails."""
+    closed, fin = rep.a[:, None] * rep.closed, rep.a[:, None] * rep.finite_diff
+    checks = {
+        "reduction": rep.reduction.max(axis=1) <= _RED_TOL,
+        "derivative-match":
+            (np.abs(closed - fin) <= _ABC_ABS + _ABC_REL * np.abs(closed)).all(axis=1),
+        "weighted-mean": np.abs(rep.wm) <= _WM_TOL,
+        "variance": rep.variance <= _VAR_TOL,
+    }
+    ok = np.logical_and.reduce(tuple(checks.values()))
+    return ok, [[name for name, good in checks.items() if not good[k]]
+                for k in np.flatnonzero(~ok)]

@@ -68,6 +68,17 @@ def test_verify_wobble_fails_with_positive_variance(tmp_path):
     assert np.all(cols["red_i3"] <= 1e-7)
 
 
+@pytest.mark.parametrize("a_min, a_max", [("1e-10", "1e-8"), ("1e5", "1e7")])
+def test_verify_power_law_passes_far_from_unit_scale(a_min, a_max, tmp_path, capsys):
+    # d/da grows as 1/a, and so does the finite differences' roundoff, about
+    # 1e-11/a: judged as a d/da, x^2 passes every check at every scale
+    out = tmp_path / "v.csv"
+    assert run_cli("verify", "--family", "power", "--p", "2", "--a-min", a_min,
+                   "--a-max", a_max, "--out", str(out)) == 0
+    assert np.all(read_csv_columns(out)["row_pass"] == 1.0)
+    assert capsys.readouterr().err == "verify: PASS (17 scales)\n"
+
+
 def test_verify_rejects_non_decaying_exponent():
     assert run_cli("verify", "--family", "power", "--p", "-1") == 3
 
@@ -947,6 +958,48 @@ def test_strong_wobbles_get_a_verdict_and_draws(capsys):
     check()
 
 
+@st.composite
+def _fuzzed_argv(draw):
+    """A command on either family: p log-uniform on [1e-2, 300], amp in
+    1e+-300, |eps| < 0.99, a grid (or sample's scale) of up to 6 decades
+    inside 1e+-20, tol in [1e-15, 1e-3] and up to 3,000 draws."""
+    command = draw(st.sampled_from(("verify", "detect", "sweep", "sample")))
+    family = draw(st.sampled_from(("power", "perturbed")))
+    argv = [command, "--family", family,
+            "--p", repr(10.0 ** draw(st.floats(-2.0, math.log10(300.0)))),
+            "--amp", repr(10.0 ** draw(st.floats(-300.0, 300.0))),
+            "--tol", repr(10.0 ** draw(st.floats(-15.0, -3.0)))]
+    if family == "perturbed":
+        argv += ["--eps", repr(draw(st.floats(-0.99, 0.99, exclude_min=True,
+                                              exclude_max=True)))]
+    decades = draw(st.floats(0.0, 6.0, exclude_min=True))
+    lo = draw(st.floats(-20.0, 20.0 - decades))
+    if command != "sample":
+        return argv + ["--a-min", repr(10.0**lo), "--a-max", repr(10.0 ** (lo + decades))]
+    argv += ["--a", repr(10.0**lo), "--n", str(draw(st.integers(1, 3000))),
+             "--seed", str(draw(st.integers(0, 2**64 - 1)))]
+    return argv + ["--estimate"] * draw(st.booleans())
+
+
+def test_fuzzed_flags_end_in_designed_exits(capsys):
+    # every run ends in a designed exit code with no traceback; a failing
+    # detect, sweep or sample says why in one line; and a power law is never
+    # judged not to be one: its exit 1 is an error, not a verdict
+    @settings(max_examples=80, deadline=None)
+    @given(_fuzzed_argv())
+    def check(argv):
+        rc = run_cli(*argv, "--out", os.devnull)
+        err = capsys.readouterr().err
+        assert rc in range(5) and "Traceback" not in err, (argv, rc, err)
+        if rc and argv[0] != "verify":
+            assert err.count("\n") == 1, (argv, rc, err)
+        if argv[2] == "power":
+            assert "detect: NotPowerLaw" not in err and "verify: FAIL" not in err, argv
+            assert rc != 1 or err.startswith("error: "), (argv, err)
+
+    check()
+
+
 def _sqrt_table(path, lo, hi, n):
     x = np.geomspace(lo, hi, n).tolist()
     return _x_f_table(path, x, [math.sqrt(v) for v in x])
@@ -1285,7 +1338,7 @@ def test_flag_tables_read_every_benchmark_and_same_bytes_run(tmp_path):
     refused = [text for text in runs
                if cli._read_argv([re.sub(r"\{[^}]+\}", "file", word)
                                   for word in shlex.split(text)]) is None]
-    assert len(runs) == 882
+    assert len(runs) == 886
     # the runs whose help or usage error argparse writes, and a seed of -1,
     # which argparse reads and the config check refuses
     assert refused == ["sample --family power --p 2 --a 1 --seed -1",

@@ -215,6 +215,7 @@ def test_classify_rejects_wobble():
     assert result.verdict is Verdict.NOT_POWER_LAW
     assert result.gsp_residual_max > result.tol_gsp
     assert result.variance_max > result.tol_var
+    assert result.notes == "exponent routes disagree: theta 1.02631 vs elasticity 1.03732"
 
 
 def test_classify_accepts_tabulated_power_law(tab_x15):
@@ -301,6 +302,19 @@ def test_variance_on_its_threshold_is_inconclusive(monkeypatch):
     assert result.verdict is Verdict.INCONCLUSIVE
     assert result.tol_var == result.variance_max == measured.variance_max
     assert result.notes.startswith("variance within quadrature margin of threshold")
+
+
+def test_collapse_residual_on_its_threshold_is_inconclusive(monkeypatch):
+    # the twin of the variance case, for the collapse residual's margin
+    spec = PerturbedPowerLaw(p=1.0, eps=0.1)
+    measured = classify(spec, DEFAULT_SCALES)
+    monkeypatch.setattr(detector, "_ANALYTIC_THRESHOLDS",
+                        (measured.gsp_residual_max, measured.tol_var))
+    result = classify(spec, DEFAULT_SCALES)
+    assert result.verdict is Verdict.INCONCLUSIVE
+    assert result.tol_gsp == result.gsp_residual_max == measured.gsp_residual_max
+    assert result.notes == ("collapse residual within quadrature margin of threshold; "
+                            "exponent routes disagree: theta 1.02631 vs elasticity 1.03732")
 
 
 def test_result_serializes_to_json():

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -127,3 +128,35 @@ def test_commands_import_nothing_after_start_up(tmp_path):
     assert grid_new == []
     assert "numpy.random" in random_set
     assert sample_new == random_set
+
+
+def test_cli_holds_no_verdict_policy():
+    # the thresholds and checks of verify and detect, and the moment pass
+    # they judge, are the detector's; the CLI formats and maps exit codes
+    from gsp_lab import cli
+
+    policy = {"_RED_TOL", "_ABC_ABS", "_ABC_REL", "_WM_TOL", "_VAR_TOL", "_CHECK_NAMES",
+              "moment_bundles", "fit_lambda", "gsp_residual_sweep"}
+    assert policy & set(vars(cli)) == set()
+
+
+def test_readme_verdicts_table_states_every_threshold():
+    # each float constant of the detector (a threshold, the margin factor,
+    # the route gap) is named in a row of the README's Verdicts table that
+    # states each of its values
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Verdicts\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    constants = {}
+    for name, value in vars(detector).items():
+        values = value if isinstance(value, tuple) else (value,)
+        if name.startswith("_") and name[1:].isupper() and all(
+                isinstance(v, float) for v in values):
+            constants[name] = values
+    assert len(constants) == 9
+    for name, values in constants.items():
+        named = [row for row in rows if f"`{name}`" in row]
+        assert named, name
+        stated = {float(word) for row in named
+                  for word in re.findall(r"(?<![\w.])\d+(?:\.\d+)?(?:e-?\d+)?(?![\w.])", row)}
+        assert set(values) <= stated, (name, values)
